@@ -15,7 +15,7 @@
 GO ?= go
 SMOKE := .smoke
 
-.PHONY: all build test vet lint race racecheck check bench bench-allocs bench-sessions manifest-smoke daemon-smoke fleet-smoke fleet-served-smoke fuzz-smoke
+.PHONY: all build test vet lint race racecheck check bench bench-allocs bench-sessions bench-kit manifest-smoke daemon-smoke fleet-smoke fleet-served-smoke fuzz-smoke
 
 all: check
 
@@ -139,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFeedback$$' -fuzztime $(FUZZTIME) ./internal/protocol
 	$(GO) test -run '^$$' -fuzz '^FuzzDetect$$' -fuzztime $(FUZZTIME) ./internal/ident
 	$(GO) test -run '^$$' -fuzz '^FuzzChainSegmentation$$' -fuzztime $(FUZZTIME) ./internal/pipeline
+	$(GO) test -run '^$$' -fuzz '^FuzzSoAMatchesPush$$' -fuzztime $(FUZZTIME) ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz '^FuzzSoARoundTrip$$' -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/relayd
 	$(GO) test -run '^$$' -fuzz '^FuzzAssignment$$' -fuzztime $(FUZZTIME) ./internal/fleet
@@ -166,3 +167,15 @@ bench-allocs: build
 bench-sessions: build
 	$(GO) run ./cmd/ffsim -fig sessions -sic-trials 0 -manifest BENCH_sessions.json
 	$(GO) run ./cmd/manifestcheck -require pipeline.batch.sweeps,pipeline.batch.sessions,pipeline.blocks,pipeline.soa_blocks BENCH_sessions.json
+
+# The bench/ module (ffbench and its kit) is a separate Go module, so the
+# root `go test ./...` never builds it: an API change in internal/ that
+# breaks it would otherwise surface only when the benchmark runs. Vet and
+# test it in -short mode under the same offline environment bench/run.sh
+# uses (local toolchain, no module fetches, caches under .bench_build).
+BENCH_ENV = GOCACHE=$(CURDIR)/.bench_build/gocache GOTMPDIR=$(CURDIR)/.bench_build/tmp \
+	GOMODCACHE=$(CURDIR)/.bench_build/gomodcache XDG_CONFIG_HOME=$(CURDIR)/.bench_build/config \
+	GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=mod GOWORK=off GOENV=off
+bench-kit:
+	mkdir -p .bench_build/gocache .bench_build/tmp .bench_build/gomodcache .bench_build/config
+	cd bench && $(BENCH_ENV) $(GO) vet ./... && $(BENCH_ENV) $(GO) test -short ./...

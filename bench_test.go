@@ -223,9 +223,9 @@ func BenchmarkFig7FeedbackStability(b *testing.B) {
 }
 
 // BenchmarkSICFilter measures the 120-tap digital canceller on an
-// 8192-sample block: the direct form (bit-exact golden path) against the
-// planar SoA and overlap-save FFT fast paths (each within 1e-9,
-// selectable per stage).
+// 8192-sample block: the per-sample direct form (Push), the block path
+// (the planar SoA kernel, bit-exact with Push), and the opt-in
+// overlap-save FFT path (within 1e-9).
 func BenchmarkSICFilter(b *testing.B) {
 	const nTaps, nSamp = 120, 8192
 	src := rng.New(1)
@@ -249,8 +249,18 @@ func BenchmarkSICFilter(b *testing.B) {
 			d.ProcessInto(out, tx, rx)
 		}
 	}
-	b.Run("direct", func(b *testing.B) { run(b, nil) })
-	b.Run("soa", func(b *testing.B) { run(b, (*sic.DigitalCanceller).EnableSoA) })
+	b.Run("push", func(b *testing.B) {
+		d := sic.NewDigitalCanceller(taps)
+		b.ReportAllocs()
+		b.SetBytes(nSamp * 16)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := range rx {
+				out[j] = d.Push(tx[j], rx[j])
+			}
+		}
+	})
+	b.Run("block", func(b *testing.B) { run(b, nil) })
 	b.Run("fft", func(b *testing.B) { run(b, (*sic.DigitalCanceller).EnableFFT) })
 }
 
@@ -269,29 +279,22 @@ func BenchmarkFFRelayProcess(b *testing.B) {
 	}
 	in := src.NoiseVector(4096, 1)
 	out := make([]complex128, len(in))
-	run := func(b *testing.B, fast bool) {
-		r := relay.New(relay.Config{
-			SampleRate:           20e6,
-			AmplificationDB:      20,
-			PipelineDelaySamples: 2,
-			PreFilterTaps:        pre,
-			CFOHz:                1500,
-			SIChannelTaps:        si,
-			CancelTaps:           si,
-		})
-		if fast {
-			r.EnableFastPath()
-		}
-		r.ProcessInto(out, in) // warm scratch buffers
-		b.ReportAllocs()
-		b.SetBytes(int64(len(in)) * 16)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.ProcessInto(out, in)
-		}
+	r := relay.New(relay.Config{
+		SampleRate:           20e6,
+		AmplificationDB:      20,
+		PipelineDelaySamples: 2,
+		PreFilterTaps:        pre,
+		CFOHz:                1500,
+		SIChannelTaps:        si,
+		CancelTaps:           si,
+	})
+	r.ProcessInto(out, in) // warm scratch buffers
+	b.ReportAllocs()
+	b.SetBytes(int64(len(in)) * 16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.ProcessInto(out, in)
 	}
-	b.Run("direct", func(b *testing.B) { run(b, false) })
-	b.Run("fast", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkPipelineBatch compares advancing 8 independent 20 MHz session
@@ -301,8 +304,8 @@ func BenchmarkFFRelayProcess(b *testing.B) {
 // (one sample per chain per sweep, direct forms — here the per-stage
 // timer brackets and counters dominate, and the batch pays them once per
 // stage instead of once per stage per session, roughly a 2x sweep win);
-// "block256" is the throughput mode with the fast paths armed, where the
-// batch's amortization nets a smaller margin on top of the kernels.
+// "block256" is the throughput mode on the planar block kernels, where
+// the batch's amortization nets a smaller margin on top of the kernels.
 func BenchmarkPipelineBatch(b *testing.B) {
 	const nSessions = 8
 	build := func(blockLen int) ([]*pipeline.Chain, []*pipeline.CancelStage, [][]complex128, [][]complex128) {
@@ -336,10 +339,9 @@ func BenchmarkPipelineBatch(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
 		blockLen int
-		fast     bool
 	}{
-		{"sample", 1, false},
-		{"block256", 256, true},
+		{"sample", 1},
+		{"block256", 256},
 	} {
 		blocks := make([][]complex128, nSessions)
 		for i := range blocks {
@@ -350,9 +352,6 @@ func BenchmarkPipelineBatch(b *testing.B) {
 			o := pipeline.NewObs(obs.New())
 			for _, c := range chains {
 				c.Instrument(o, 0)
-				if mode.fast {
-					c.EnableFastPath()
-				}
 			}
 			for s := 0; s < nSessions; s++ { // warm scratch buffers
 				copy(blocks[s], rxs[s])
@@ -374,9 +373,6 @@ func BenchmarkPipelineBatch(b *testing.B) {
 			chains, cancels, txs, rxs := build(mode.blockLen)
 			bat := pipeline.NewBatch("bench", chains...)
 			bat.Instrument(pipeline.NewObs(obs.New()), 0)
-			if mode.fast {
-				bat.EnableFastPath()
-			}
 			for s := 0; s < nSessions; s++ { // warm scratch buffers
 				copy(blocks[s], rxs[s])
 				cancels[s].SetReference(txs[s])

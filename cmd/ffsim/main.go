@@ -27,8 +27,7 @@
 // -fig sessions is a machine benchmark rather than a paper figure: it
 // binary-searches the largest number of concurrent 20 MHz full-duplex
 // sessions whose batched relay chains hold the real-time deadline on one
-// core (direct forms, then with the SoA/FFT/rotator fast paths armed)
-// and publishes the result as the pipeline.sessions_per_core gauge. It
+// core and publishes the result as the pipeline.sessions_per_core gauge. It
 // is excluded from -fig all because its numbers are wall-clock
 // measurements of the host, not deterministic simulation output.
 package main
@@ -312,26 +311,16 @@ func parseIntList(s string) ([]int, error) {
 
 func figSessions(reg *obs.Registry, seed int64) {
 	fmt.Println("== Sessions: concurrent real-time 20 MHz sessions per core ==")
-	base := pipeline.SessionConfig{Seed: seed}
-	run := func(label string, fast bool) pipeline.SessionResult {
-		cfg := base
-		cfg.FastPath = fast
-		r := pipeline.RunSessionSweep(reg, cfg)
-		fmt.Printf("  %-9s sessions/core=%3d  deadline=%8.1fus  sweep=%8.1fus  per-session=%8.1fus\n",
-			label, r.Sessions, r.DeadlineNS/1e3, r.NSPerSweep/1e3, r.NSPerSession/1e3)
-		for _, p := range r.Probes {
-			mark := "miss"
-			if p.RealTime {
-				mark = "ok"
-			}
-			fmt.Printf("    probe n=%3d  sweep=%8.1fus  %s\n", p.Sessions, p.NSPerSweep/1e3, mark)
+	r := pipeline.RunSessionSweep(reg, pipeline.SessionConfig{Seed: seed})
+	fmt.Printf("  sessions/core=%3d  deadline=%8.1fus  sweep=%8.1fus  per-session=%8.1fus\n",
+		r.Sessions, r.DeadlineNS/1e3, r.NSPerSweep/1e3, r.NSPerSession/1e3)
+	for _, p := range r.Probes {
+		mark := "miss"
+		if p.RealTime {
+			mark = "ok"
 		}
-		return r
+		fmt.Printf("    probe n=%3d  sweep=%8.1fus  %s\n", p.Sessions, p.NSPerSweep/1e3, mark)
 	}
-	run("direct", false)
-	// Fast path last: the published pipeline.sessions_per_core gauge is
-	// the deployment configuration.
-	r := run("fast", true)
 	fmt.Printf("  (deadline is the air time of one %d-sample block at %.0f MHz;\n",
 		r.Config.BlockSamples, r.Config.SampleRateHz/1e6)
 	fmt.Printf("   a count of N means N batched relay chains — %d-tap cancel, CFO\n",

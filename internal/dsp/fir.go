@@ -107,6 +107,35 @@ func (f *FIR) LoadRecent(src []complex128) {
 	}
 }
 
+// RecentSoA is Recent into planar components: re[len-1]/im[len-1] are the
+// last pushed sample. len(re) must equal len(im) and not exceed NumTaps.
+func (f *FIR) RecentSoA(re, im []float64) {
+	n := len(re)
+	if len(im) != n || n > len(f.taps) {
+		panic("dsp: RecentSoA needs len(re) == len(im) <= NumTaps")
+	}
+	win := f.line[f.pos : f.pos+n]
+	for j, v := range win {
+		re[n-1-j] = real(v)
+		im[n-1-j] = imag(v)
+	}
+}
+
+// LoadRecentSoA is LoadRecent from planar components, newest last.
+// len(re) and len(im) must equal NumTaps.
+func (f *FIR) LoadRecentSoA(re, im []float64) {
+	t := len(f.taps)
+	if len(re) != t || len(im) != t {
+		panic("dsp: LoadRecentSoA needs len(re) == len(im) == NumTaps")
+	}
+	f.pos = 0
+	for j := 0; j < t; j++ {
+		v := complex(re[t-1-j], im[t-1-j])
+		f.line[j] = v
+		f.line[j+t] = v
+	}
+}
+
 // Process filters a whole block, sample by sample, preserving state across
 // calls.
 func (f *FIR) Process(x []complex128) []complex128 {

@@ -1,7 +1,5 @@
 package dsp
 
-import "math"
-
 // SoA (structure-of-arrays) kernels: the hot inner loops of the streaming
 // pipeline expressed over planar float64 re/im slices instead of
 // []complex128. Splitting the components lets the tap loops stream two
@@ -16,10 +14,7 @@ import "math"
 // Numerics: each kernel accumulates in the same order as the complex128
 // direct form it replaces (ascending tap index, naive complex-multiply
 // expansion), so results are bit-exact on targets without implicit FMA
-// contraction and within a few ulps otherwise. RotateSoA advances the
-// phasor by a complex recurrence instead of a sin/cos per sample and is
-// the one kernel held to the fast-path tolerance (≤1e-9 of the direct
-// form, like the overlap-save precedent) rather than bit-exactness.
+// contraction (amd64 among them) and within a few ulps otherwise.
 
 // Deinterleave splits x into planar re/im components. len(re) and
 // len(im) must equal len(x).
@@ -95,68 +90,17 @@ func FIRFilterSoA(yr, yi, xr, xi, hr, hi []float64) {
 	}
 }
 
-// SubInPlaceSoA is the planar cancel subtract: a[i] -= b[i] on both
-// components. All four slices must have equal length.
-func SubInPlaceSoA(ar, ai, br, bi []float64) {
-	n := len(ar)
-	if len(ai) != n || len(br) != n || len(bi) != n {
+// SubInPlaceSoA is the planar cancel subtract: dst[i] -= complex(re[i],
+// im[i]). Complex subtraction is componentwise, so this is bit-identical
+// to subtracting the interleaved operand, while sparing the caller a
+// conversion pass over dst in each direction. All three slices must have
+// equal length.
+func SubInPlaceSoA(dst []complex128, re, im []float64) {
+	n := len(dst)
+	if len(re) != n || len(im) != n {
 		panic("dsp: SubInPlaceSoA length mismatch")
 	}
-	for i := 0; i < n; i++ {
-		ar[i] -= br[i]
-		ai[i] -= bi[i]
+	for i := range dst {
+		dst[i] -= complex(re[i], im[i])
 	}
-}
-
-// ScaleCSoA is the planar complex gain: x[i] *= g in place, expanded in
-// the same operand order as complex128 multiplication.
-func ScaleCSoA(re, im []float64, g complex128) {
-	if len(re) != len(im) {
-		panic("dsp: ScaleCSoA length mismatch")
-	}
-	gr, gi := real(g), imag(g)
-	for i := range re {
-		a, b := re[i], im[i]
-		re[i] = a*gr - b*gi
-		im[i] = a*gi + b*gr
-	}
-}
-
-// rotResync is how many recurrence steps RotateSoA (and the CFO stage's
-// fast rotator) takes before recomputing the phasor from the exactly
-// accumulated phase. Each complex multiply adds a few ulps of error, so
-// the drift between resyncs stays below ~1e-12 — comfortably inside the
-// 1e-9 fast-path tolerance — while sin/cos cost is paid once per 256
-// samples instead of once per sample.
-const rotResync = 256
-
-// RotateSoA applies the CFO phase ramp in place: sample i is rotated by
-// exp(j·(phase + i·step)). It returns the phase after the last sample,
-// accumulated by repeated addition exactly like the per-sample direct
-// form, so streaming state carried through it stays consistent. The
-// rotation itself advances by a complex recurrence with periodic resync
-// (≤1e-9 of the direct form's per-sample cmplx.Exp).
-func RotateSoA(re, im []float64, phase, step float64) float64 {
-	if len(re) != len(im) {
-		panic("dsp: RotateSoA length mismatch")
-	}
-	sinStep, cosStep := math.Sincos(step)
-	wSin, wCos := math.Sincos(phase)
-	cnt := 0
-	for i := range re {
-		a, b := re[i], im[i]
-		re[i] = a*wCos - b*wSin
-		im[i] = a*wSin + b*wCos
-		phase += step
-		cnt++
-		if cnt == rotResync {
-			wSin, wCos = math.Sincos(phase)
-			cnt = 0
-		} else {
-			nc := wCos*cosStep - wSin*sinStep
-			ns := wCos*sinStep + wSin*cosStep
-			wCos, wSin = nc, ns
-		}
-	}
-	return phase
 }

@@ -1,8 +1,6 @@
 package dsp
 
 import (
-	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -40,7 +38,7 @@ func TestInterleaveRoundTrip(t *testing.T) {
 // TestFIRFilterSoAMatchesReference is the property test of the SoA MAC
 // kernel: across random block lengths and tap counts (odd lengths, single
 // taps, zero taps) the planar kernel must match the streaming complex128
-// direct form within 1e-9, starting from arbitrary delay-line history.
+// direct form bit for bit, starting from arbitrary delay-line history.
 func TestFIRFilterSoAMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	cases := []struct{ taps, n int }{
@@ -80,8 +78,8 @@ func TestFIRFilterSoAMatchesReference(t *testing.T) {
 		got := make([]complex128, tc.n)
 		Interleave(got, yr, yi)
 		for j := range want {
-			if d := cmplx.Abs(got[j] - want[j]); d > 1e-9 {
-				t.Fatalf("taps=%d n=%d: |got-want|=%g at %d", tc.taps, tc.n, d, j)
+			if got[j] != want[j] {
+				t.Fatalf("taps=%d n=%d: sample %d = %v, want %v (bit-exact)", tc.taps, tc.n, j, got[j], want[j])
 			}
 		}
 	}
@@ -92,63 +90,41 @@ func TestSubInPlaceSoAMatchesComplex(t *testing.T) {
 	a := randVec(r, 129)
 	b := randVec(r, 129)
 	want := Sub(a, b)
-	ar, ai := split(a)
 	br, bi := split(b)
-	SubInPlaceSoA(ar, ai, br, bi)
-	got := make([]complex128, len(a))
-	Interleave(got, ar, ai)
+	SubInPlaceSoA(a, br, bi)
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mismatch at %d: %v != %v", i, got[i], want[i])
+		if a[i] != want[i] {
+			t.Fatalf("mismatch at %d: %v != %v", i, a[i], want[i])
 		}
 	}
 }
 
-func TestScaleCSoAMatchesComplexMul(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	x := randVec(r, 77)
-	g := complex(r.NormFloat64(), r.NormFloat64())
-	want := ScaleC(x, g)
-	re, im := split(x)
-	ScaleCSoA(re, im, g)
-	got := make([]complex128, len(x))
-	Interleave(got, re, im)
+// TestFIRRecentSoAMatchesRecent pins the planar delay-line handoff to the
+// interleaved one: RecentSoA reads what Recent reads, and LoadRecentSoA
+// leaves the filter in the state LoadRecent does.
+func TestFIRRecentSoAMatchesRecent(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	taps := randVec(r, 9)
+	hist := randVec(r, 9)
+	a, b := NewFIR(taps), NewFIR(taps)
+	for _, v := range randVec(r, 5) {
+		a.Push(v)
+	}
+	want := make([]complex128, 6)
+	a.Recent(want)
+	re, im := make([]float64, 6), make([]float64, 6)
+	a.RecentSoA(re, im)
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mismatch at %d: %v != %v", i, got[i], want[i])
+		if complex(re[i], im[i]) != want[i] {
+			t.Fatalf("RecentSoA[%d] = %v, want %v", i, complex(re[i], im[i]), want[i])
 		}
 	}
-}
-
-// TestRotateSoAMatchesDirect drives blocks long enough to cross several
-// phasor resyncs and checks the recurrence stays within the 1e-9
-// fast-path tolerance of the per-sample cmplx.Exp form, with the
-// returned phase accumulated bit-identically.
-func TestRotateSoAMatchesDirect(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for _, n := range []int{1, 2, 255, 256, 257, 4096} {
-		x := randVec(r, n)
-		step := 2 * math.Pi * 1500 / 20e6
-		startPhase := 0.3
-
-		want := make([]complex128, n)
-		ph := startPhase
-		for i, v := range x {
-			want[i] = v * cmplx.Exp(complex(0, ph))
-			ph += step
-		}
-
-		re, im := split(x)
-		end := RotateSoA(re, im, startPhase, step)
-		if end != ph {
-			t.Fatalf("n=%d: end phase %v != %v", n, end, ph)
-		}
-		got := make([]complex128, n)
-		Interleave(got, re, im)
-		for i := range want {
-			if d := cmplx.Abs(got[i] - want[i]); d > 1e-9 {
-				t.Fatalf("n=%d: |got-want|=%g at %d", n, d, i)
-			}
+	a.LoadRecent(hist)
+	hr, hi := split(hist)
+	b.LoadRecentSoA(hr, hi)
+	for _, v := range randVec(r, 20) {
+		if ya, yb := a.Push(v), b.Push(v); ya != yb {
+			t.Fatalf("after LoadRecentSoA: %v, LoadRecent: %v", yb, ya)
 		}
 	}
 }

@@ -32,7 +32,6 @@ type Batch struct {
 	// match; timers are named after it.
 	stageNames []string
 	chains     []*Chain
-	fastPath   bool
 	o          *Obs
 	shard      int
 	// timers[i] times stage position i across all sessions.
@@ -72,17 +71,13 @@ func NewDynamicBatch(name string, stageNames ...string) *Batch {
 // Add admits a session chain into the batch: its stage count must match
 // the batch layout. The chain inherits the batch's instrumentation (its
 // own block counters and timers are detached so batched sweeps are not
-// double-counted) and, when the batch's fast paths are armed, its fast
-// paths are armed too.
+// double-counted).
 func (b *Batch) Add(c *Chain) {
 	if len(c.stages) != len(b.stageNames) {
 		panic("pipeline: Batch.Add chain stage count does not match the batch layout")
 	}
 	b.chains = append(b.chains, c)
 	b.wireChain(c)
-	if b.fastPath {
-		c.EnableFastPath()
-	}
 }
 
 // Remove retires a session chain (matched by identity), preserving the
@@ -100,7 +95,7 @@ func (b *Batch) Remove(c *Chain) bool {
 }
 
 // wireChain attaches the batch's instrumentation to one member chain:
-// stage-level fast-path counters stay, per-chain block counters and
+// stage-level block-path counters stay, per-chain block counters and
 // timers are detached (the batch records for all of its sessions).
 func (b *Batch) wireChain(c *Chain) {
 	c.Instrument(b.o, b.shard)
@@ -118,7 +113,7 @@ func (b *Batch) Sessions() int { return len(b.chains) }
 func (b *Batch) Chains() []*Chain { return b.chains }
 
 // Instrument attaches pipeline.* metrics on the given shard: the block
-// and sample counters plus the batch sweep counters, fast-path counters
+// and sample counters plus the batch sweep counters, block-path counters
 // on every capable stage, and one wall-clock timer per stage position
 // (pipeline.<batch>.<stageNames[i]>). Nil o detaches. Per-chain
 // instrumentation is cleared: the batch records for all of its sessions.
@@ -137,15 +132,6 @@ func (b *Batch) Instrument(o *Obs, shard int) {
 	b.timers = make([]*obs.StageTimer, len(b.stageNames))
 	for i, name := range b.stageNames {
 		b.timers[i] = o.reg.Timer("pipeline." + b.name + "." + name)
-	}
-}
-
-// EnableFastPath arms the fast paths on every session chain, current and
-// future (chains Added later are armed on admission).
-func (b *Batch) EnableFastPath() {
-	b.fastPath = true
-	for _, c := range b.chains {
-		c.EnableFastPath()
 	}
 }
 

@@ -144,25 +144,27 @@ func TestDynamicBatchLayoutMismatch(t *testing.T) {
 	b.Add(c)
 }
 
-// TestDynamicBatchFastPathInheritance checks EnableFastPath arms chains
-// admitted both before and after the call.
-func TestDynamicBatchFastPathInheritance(t *testing.T) {
-	spec := pipeline.SessionChainSpec{CancelTaps: 24, CNFTaps: 16, CFOStepRad: 0.001, AmpGain: 1}
-	before, _ := pipeline.NewSessionChain(spec, rng.New(1))
-	after, _ := pipeline.NewSessionChain(spec, rng.New(2))
-	b := pipeline.NewDynamicBatch("fp", pipeline.SessionStageNames()...)
-	b.Add(before)
-	b.EnableFastPath()
-	b.Add(after)
-	for name, c := range map[string]*pipeline.Chain{"admitted before": before, "admitted after": after} {
-		armed := false
-		for _, st := range c.Stages() {
-			if f, ok := st.(*pipeline.FIRStage); ok && (f.SoAEnabled() || f.FFTEnabled()) {
-				armed = true
-			}
-		}
-		if !armed {
-			t.Fatalf("chain %s EnableFastPath: no FIR stage armed", name)
-		}
+// TestDynamicBatchChainsArmedByConstruction checks that session chains
+// run the planar block kernel on both filter stages as soon as they join a
+// batch — the daemon arms nothing — with every sweep counted once per
+// filter stage in pipeline.soa_blocks.
+func TestDynamicBatchChainsArmedByConstruction(t *testing.T) {
+	const blockLen = 256
+	reg := obs.New()
+	b := pipeline.NewDynamicBatch("armed", pipeline.SessionStageNames()...)
+	b.Instrument(pipeline.NewObs(reg), 0)
+	sessions := []*dynSession{newDynSession(1, blockLen), newDynSession(2, blockLen)}
+	chains := make([]*pipeline.Chain, len(sessions))
+	blocks := make([][]complex128, len(sessions))
+	for i, s := range sessions {
+		b.Add(s.chain)
+		chains[i] = s.chain
+		blocks[i] = append([]complex128(nil), s.rx[:blockLen]...)
+		s.cancel.SetReference(s.tx[:blockLen])
+	}
+	b.ProcessSome(chains, blocks)
+	// cancel (24 taps) and cnf_pre (16 taps) per session-block.
+	if got, want := reg.Counter("pipeline.soa_blocks", "blocks").Value(), uint64(2*len(sessions)); got != want {
+		t.Fatalf("pipeline.soa_blocks = %d, want %d", got, want)
 	}
 }

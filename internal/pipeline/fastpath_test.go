@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"fastforward/internal/dsp"
 	"fastforward/internal/obs"
 	"fastforward/internal/pipeline"
 	"fastforward/internal/rng"
@@ -20,43 +21,62 @@ func maxDiff(a, b []complex128) float64 {
 	return worst
 }
 
-// TestSoAPathMatchesDirect holds the planar SoA fast path to 1e-9 of the
-// direct form across mixed block sizes: small blocks fall back to the
-// direct form inside the SoA-armed stage, so the shared delay-line state
-// hands off in both directions.
+// soaTapCounts spans the direct-form-only filters (below minSoATaps), the
+// session chain's 16/24-tap filters, odd lengths that leave a firMAC4 tail,
+// and the paper's 120-tap canceller.
+var soaTapCounts = []int{1, 3, 4, 5, 16, 24, 120}
+
+// soaSplits segments a 4096-sample signal so planar blocks alternate with
+// blocks below minSoABlock (7, 1, 17, 31), which run the direct form: the
+// shared delay line hands off in both directions, including blocks
+// shorter than the filter.
+var soaSplits = []int{64, 7, 1000, 1, 17, 2048, 31, 32, 33}
+
+// processSplits feeds sig through process in soaSplits segments, then the
+// remainder in one call.
+func processSplits(sig []complex128, process func([]complex128) []complex128) {
+	pos := 0
+	for _, n := range soaSplits {
+		process(sig[pos : pos+n])
+		pos += n
+	}
+	process(sig[pos:])
+}
+
+// TestSoAPathMatchesDirect pins FIRStage's block path to the per-sample
+// direct form (dsp.FIR.Push) bit for bit across filter lengths and mixed
+// segmentations, and checks that the planar kernel is armed by
+// construction: it runs exactly on the eligible blocks of filters of
+// minSoATaps (4) taps or more.
 func TestSoAPathMatchesDirect(t *testing.T) {
 	src := rng.New(19)
-	for _, ntaps := range []int{4, 17, 120} {
+	for _, ntaps := range soaTapCounts {
 		taps := randTaps(src, ntaps)
 		sig := testSignal(src, 4096)
 
-		direct := pipeline.NewFIRStage("direct", taps)
-		fast := pipeline.NewFIRStage("fast", taps)
-		fast.EnableSoA()
-		if !fast.SoAEnabled() {
-			t.Fatalf("SoA path did not arm for a %d-tap filter", ntaps)
-		}
-		if fast.FFTEnabled() {
-			t.Fatal("EnableSoA must not arm the FFT path")
-		}
-
+		oracle := dsp.NewFIR(taps)
 		want := make([]complex128, len(sig))
-		copy(want, sig)
-		direct.Process(want)
-
-		got := make([]complex128, len(sig))
-		copy(got, sig)
-		pos := 0
-		// 7 and 17 ride the direct form (below minSoABlock); the rest take
-		// the planar kernel.
-		for _, n := range []int{64, 7, 1000, 17, 2048, 900} {
-			fast.Process(got[pos : pos+n])
-			pos += n
+		for i, v := range sig {
+			want[i] = oracle.Push(v)
 		}
-		fast.Process(got[pos:])
 
-		if worst := maxDiff(got, want); worst > 1e-9 {
-			t.Fatalf("%d taps: SoA path diverges from direct form by %g (budget 1e-9)", ntaps, worst)
+		st := pipeline.NewFIRStage("fir", taps)
+		ch := pipeline.NewChain("soa", st)
+		reg := obs.New()
+		ch.Instrument(pipeline.NewObs(reg), 0)
+		got := append([]complex128(nil), sig...)
+		processSplits(got, ch.Process)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%d taps: sample %d = %v, Push oracle %v (bit-exact)", ntaps, i, got[i], want[i])
+			}
+		}
+		wantSoA := uint64(0)
+		if ntaps >= 4 {
+			wantSoA = 6 // 64, 1000, 2048, 32, 33 and the 863-sample remainder
+		}
+		if n := reg.Counter("pipeline.soa_blocks", "blocks").Value(); n != wantSoA {
+			t.Fatalf("%d taps: pipeline.soa_blocks = %d, want %d", ntaps, n, wantSoA)
 		}
 	}
 }
@@ -69,7 +89,6 @@ func TestSoABlockCounter(t *testing.T) {
 	sig := testSignal(src, 512)
 
 	st := pipeline.NewFIRStage("fir", taps)
-	st.EnableSoA()
 	ch := pipeline.NewChain("soa", st)
 	reg := obs.New()
 	ch.Instrument(pipeline.NewObs(reg), 0)
@@ -83,78 +102,62 @@ func TestSoABlockCounter(t *testing.T) {
 	}
 }
 
-// TestCancelSoAMatchesDirect exercises the cancel stage's planar branch
-// (filter the reference and subtract without leaving the planar domain).
+// TestCancelSoAMatchesDirect pins the cancel stage's planar branch
+// (filter the reference, subtract the planar estimate from the block) to
+// the per-sample canceller rx − FIR.Push(tx) bit for bit, across the same
+// filter lengths and segmentations.
 func TestCancelSoAMatchesDirect(t *testing.T) {
 	src := rng.New(29)
-	taps := randTaps(src, 64)
-	sig := testSignal(src, 2000)
-	ref := testSignal(src, 2000)
+	for _, ntaps := range soaTapCounts {
+		taps := randTaps(src, ntaps)
+		rx := testSignal(src, 4096)
+		tx := testSignal(src, 4096)
 
-	run := func(soa bool) []complex128 {
+		oracle := dsp.NewFIR(taps)
+		want := make([]complex128, len(rx))
+		for i := range rx {
+			want[i] = rx[i] - oracle.Push(tx[i])
+		}
+
 		c := pipeline.NewCancelStage("cancel", taps)
-		if soa {
-			c.EnableSoA()
-			if !c.SoAEnabled() {
-				t.Fatal("cancel SoA path did not arm")
+		c.SetReference(tx)
+		got := append([]complex128(nil), rx...)
+		processSplits(got, c.Process)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%d taps: sample %d = %v, Push oracle %v (bit-exact)", ntaps, i, got[i], want[i])
 			}
 		}
-		c.SetReference(ref)
-		out := make([]complex128, len(sig))
-		copy(out, sig)
-		pos := 0
-		for _, n := range []int{512, 9, 700, 41, 500} {
-			c.Process(out[pos : pos+n])
-			pos += n
-		}
-		c.Process(out[pos:])
-		return out
-	}
-
-	want := run(false)
-	got := run(true)
-	if worst := maxDiff(got, want); worst > 1e-9 {
-		t.Fatalf("cancel SoA path diverges by %g (budget 1e-9)", worst)
 	}
 }
 
-// TestCFOFastRotatorMatchesDirect holds the incremental rotator (with its
-// periodic phase resync) to 1e-9 of the per-sample cmplx.Exp form, across
-// Reset and mixed segmentation.
-func TestCFOFastRotatorMatchesDirect(t *testing.T) {
+// TestCFORotatorReset checks Reset returns the rotator to its
+// construction state: after streaming across several resyncs in mixed
+// segments, the output equals a fresh stage's bit for bit.
+func TestCFORotatorReset(t *testing.T) {
 	step := 2 * math.Pi * 1500 / 20e6
-	src := rng.New(31)
-	sig := testSignal(src, 3000)
+	sig := testSignal(rng.New(31), 4096)
 
-	run := func(fast bool) []complex128 {
-		st := pipeline.NewCFOStage("cfo", step)
-		if fast {
-			st.EnableFastPath()
-		}
-		out := make([]complex128, len(sig))
-		copy(out, sig)
-		pos := 0
-		for _, n := range []int{1, 255, 256, 257, 1000} {
-			st.Process(out[pos : pos+n])
-			pos += n
-		}
-		st.Process(out[pos:])
-		// Reset must rewind the phase on both paths.
-		st.Reset()
-		st.Process(out[:8])
-		copy(out[:8], sig[:8])
-		return out
+	fresh := append([]complex128(nil), sig...)
+	pipeline.NewCFOStage("cfo", step).Process(fresh)
+
+	st := pipeline.NewCFOStage("cfo", step)
+	for _, n := range []int{1, 255, 256, 257, 1000} {
+		st.Process(append([]complex128(nil), sig[:n]...))
 	}
-
-	want := run(false)
-	got := run(true)
-	if worst := maxDiff(got, want); worst > 1e-9 {
-		t.Fatalf("fast rotator diverges by %g (budget 1e-9)", worst)
+	st.Reset()
+	got := append([]complex128(nil), sig...)
+	processSplits(got, st.Process)
+	for i := range fresh {
+		if got[i] != fresh[i] {
+			t.Fatalf("after Reset, sample %d = %v, fresh stage %v (bit-exact)", i, got[i], fresh[i])
+		}
 	}
 }
 
-// TestChainFastPathMatchesDirect arms every fast path on a relay-shaped
-// chain at once and holds the result to 1e-9 of the all-direct chain.
+// TestChainFastPathMatchesDirect arms the one opt-in approximate path,
+// overlap-save on the 120-tap canceller, on a relay-shaped chain and
+// holds the result to 1e-9 of the default (bit-exact) chain.
 func TestChainFastPathMatchesDirect(t *testing.T) {
 	src := rng.New(37)
 	taps := randTaps(src, 120)
@@ -162,10 +165,10 @@ func TestChainFastPathMatchesDirect(t *testing.T) {
 	sig := testSignal(src, 4096)
 	ref := testSignal(src, 4096)
 
-	run := func(fast bool) []complex128 {
+	run := func(fft bool) []complex128 {
 		ch, cancel := buildChain(taps, pre, 2*math.Pi*1500/20e6)
-		if fast {
-			ch.EnableFastPath()
+		if fft {
+			cancel.EnableFFT()
 		}
 		cancel.SetReference(ref)
 		out := make([]complex128, len(sig))
@@ -179,7 +182,7 @@ func TestChainFastPathMatchesDirect(t *testing.T) {
 	want := run(false)
 	got := run(true)
 	if worst := maxDiff(got, want); worst > 1e-9 {
-		t.Fatalf("chain fast path diverges by %g (budget 1e-9)", worst)
+		t.Fatalf("chain FFT path diverges by %g (budget 1e-9)", worst)
 	}
 }
 
@@ -203,77 +206,69 @@ func buildSessions(seed int64, n, ntaps, npre, blockLen int) ([]*pipeline.Chain,
 // to advancing the same chains one by one: the stage sweep reorders which
 // stage runs when across sessions, but each chain's state is private, so
 // every sample is computed by the same operations in the same order.
-// Runs on both the direct and fast paths, instrumented.
+// Runs instrumented, on the planar block path.
 func TestBatchMatchesSequential(t *testing.T) {
 	const (
 		nSessions = 4
 		blockLen  = 256
 		nBlocks   = 8
 	)
-	for _, fast := range []bool{false, true} {
-		// Sequential reference.
-		seqChains, seqCancels, txs, rxs := buildSessions(97, nSessions, 48, 9, blockLen)
-		seqOut := make([][]complex128, nSessions)
-		seqReg := obs.New()
-		seqObs := pipeline.NewObs(seqReg)
-		for i, ch := range seqChains {
-			ch.Instrument(seqObs, 0)
-			if fast {
-				ch.EnableFastPath()
-			}
-			seqOut[i] = make([]complex128, blockLen)
-		}
-		// Batched run over identically-seeded chains.
-		batChains, batCancels, _, _ := buildSessions(97, nSessions, 48, 9, blockLen)
-		batch := pipeline.NewBatch("bat", batChains...)
-		batReg := obs.New()
-		batch.Instrument(pipeline.NewObs(batReg), 0)
-		if fast {
-			batch.EnableFastPath()
-		}
-		blocks := make([][]complex128, nSessions)
-		for i := range blocks {
-			blocks[i] = make([]complex128, blockLen)
-		}
+	// Sequential reference.
+	seqChains, seqCancels, txs, rxs := buildSessions(97, nSessions, 48, 9, blockLen)
+	seqOut := make([][]complex128, nSessions)
+	seqReg := obs.New()
+	seqObs := pipeline.NewObs(seqReg)
+	for i, ch := range seqChains {
+		ch.Instrument(seqObs, 0)
+		seqOut[i] = make([]complex128, blockLen)
+	}
+	// Batched run over identically-seeded chains.
+	batChains, batCancels, _, _ := buildSessions(97, nSessions, 48, 9, blockLen)
+	batch := pipeline.NewBatch("bat", batChains...)
+	batReg := obs.New()
+	batch.Instrument(pipeline.NewObs(batReg), 0)
+	blocks := make([][]complex128, nSessions)
+	for i := range blocks {
+		blocks[i] = make([]complex128, blockLen)
+	}
 
-		for blk := 0; blk < nBlocks; blk++ {
-			for i := 0; i < nSessions; i++ {
-				copy(seqOut[i], rxs[i])
-				seqCancels[i].SetReference(txs[i])
-				seqChains[i].Process(seqOut[i])
+	for blk := 0; blk < nBlocks; blk++ {
+		for i := 0; i < nSessions; i++ {
+			copy(seqOut[i], rxs[i])
+			seqCancels[i].SetReference(txs[i])
+			seqChains[i].Process(seqOut[i])
 
-				copy(blocks[i], rxs[i])
-				batCancels[i].SetReference(txs[i])
-			}
-			batch.ProcessAll(blocks)
-			for i := 0; i < nSessions; i++ {
-				for j := range blocks[i] {
-					if blocks[i][j] != seqOut[i][j] {
-						t.Fatalf("fast=%v block %d session %d sample %d: batch %v, sequential %v (bit-exact)",
-							fast, blk, i, j, blocks[i][j], seqOut[i][j])
-					}
+			copy(blocks[i], rxs[i])
+			batCancels[i].SetReference(txs[i])
+		}
+		batch.ProcessAll(blocks)
+		for i := 0; i < nSessions; i++ {
+			for j := range blocks[i] {
+				if blocks[i][j] != seqOut[i][j] {
+					t.Fatalf("block %d session %d sample %d: batch %v, sequential %v (bit-exact)",
+						blk, i, j, blocks[i][j], seqOut[i][j])
 				}
 			}
 		}
+	}
 
-		// The batch records the same block/sample totals as the sequential
-		// chains, plus its sweep counters.
-		for _, m := range []struct {
-			name, unit string
-			want       uint64
-		}{
-			{"pipeline.blocks", "blocks", nSessions * nBlocks},
-			{"pipeline.samples", "samples", nSessions * nBlocks * blockLen},
-			{"pipeline.batch.sweeps", "sweeps", nBlocks},
-			{"pipeline.batch.sessions", "blocks", nSessions * nBlocks},
-		} {
-			if got := batReg.Counter(m.name, m.unit).Value(); got != m.want {
-				t.Fatalf("fast=%v: %s = %d, want %d", fast, m.name, got, m.want)
-			}
+	// The batch records the same block/sample totals as the sequential
+	// chains, plus its sweep counters.
+	for _, m := range []struct {
+		name, unit string
+		want       uint64
+	}{
+		{"pipeline.blocks", "blocks", nSessions * nBlocks},
+		{"pipeline.samples", "samples", nSessions * nBlocks * blockLen},
+		{"pipeline.batch.sweeps", "sweeps", nBlocks},
+		{"pipeline.batch.sessions", "blocks", nSessions * nBlocks},
+	} {
+		if got := batReg.Counter(m.name, m.unit).Value(); got != m.want {
+			t.Fatalf("%s = %d, want %d", m.name, got, m.want)
 		}
-		if got := seqReg.Counter("pipeline.blocks", "blocks").Value(); got != nSessions*nBlocks {
-			t.Fatalf("sequential pipeline.blocks = %d, want %d", got, nSessions*nBlocks)
-		}
+	}
+	if got := seqReg.Counter("pipeline.blocks", "blocks").Value(); got != nSessions*nBlocks {
+		t.Fatalf("sequential pipeline.blocks = %d, want %d", got, nSessions*nBlocks)
 	}
 }
 
@@ -324,7 +319,6 @@ func TestSessionSweep(t *testing.T) {
 		WarmSweeps:    1,
 		MeasureSweeps: 2,
 		MaxSessions:   8,
-		FastPath:      true,
 	})
 	if len(res.Probes) == 0 {
 		t.Fatal("sweep recorded no probes")

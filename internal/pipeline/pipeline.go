@@ -8,11 +8,14 @@
 //
 // Two properties are contractual:
 //
-//   - Determinism. Every stage's default path is the direct form — the
-//     exact arithmetic, in the exact order, of the per-sample loops it
-//     replaced — so golden vectors and the -workers bit-identity guarantee
-//     survive the refactor unchanged. The overlap-save FFT fast path of
-//     FIRStage is opt-in per stage and held to 1e-9 of the direct form.
+//   - Determinism. Every stage computes the same bits however its input
+//     is segmented, and the filter stages' planar block kernel computes
+//     the exact arithmetic, in the exact order, of the per-sample direct
+//     form — so golden vectors and the -workers bit-identity guarantee
+//     hold. The CFO stage rotates by a resynced phasor recurrence (within
+//     5e-14 of exact rotation by its own phase). The one opt-in
+//     approximate path is FIRStage.EnableFFT (overlap-save, held to 1e-9
+//     of the direct form).
 //
 //   - Latency accounting. Every stage reports LatencySamples and a Chain
 //     sums them, making the paper's ≤100 ns processing-delay claim (and
@@ -56,7 +59,8 @@ type Obs struct {
 	// FFTBlocks counts blocks that took a stage's overlap-save FFT fast
 	// path rather than the direct form.
 	FFTBlocks *obs.Counter
-	// SOABlocks counts blocks that took a stage's planar SoA fast path.
+	// SOABlocks counts blocks that took a filter stage's planar SoA block
+	// kernel rather than the per-sample direct form.
 	SOABlocks *obs.Counter
 	// Latency distributes chain end-to-end latencies seen by CheckBudget.
 	Latency *obs.Histogram
@@ -95,17 +99,9 @@ type fftObservable interface {
 	setFFTObs(c *obs.Counter, shard int)
 }
 
-// soaObservable is implemented by stages with a planar SoA fast path.
+// soaObservable is implemented by stages with a planar SoA block path.
 type soaObservable interface {
 	setSoAObs(c *obs.Counter, shard int)
-}
-
-// FastPather is any stage (or chain) with an opt-in fast path held to
-// ≤1e-9 of its direct form: the overlap-save FFT convolution, the planar
-// SoA kernels, the CFO incremental rotator. Golden-pinned paths never
-// arm it; the real-time multi-session path always does.
-type FastPather interface {
-	EnableFastPath()
 }
 
 // Chain composes stages into one Stage: the block flows through the
@@ -143,9 +139,9 @@ func (c *Chain) LatencySamples() int {
 }
 
 // Instrument attaches pipeline metrics: block/sample counters on the
-// given shard, the FFT fast-path counter on capable stages, and one
-// wall-clock timer per stage named pipeline.<chain>.<stage>. Nil o (or an
-// o from a nil registry) detaches.
+// given shard, the FFT and SoA block-path counters on capable stages, and
+// one wall-clock timer per stage named pipeline.<chain>.<stage>. Nil o (or
+// an o from a nil registry) detaches.
 func (c *Chain) Instrument(o *Obs, shard int) {
 	c.o = o
 	c.shard = shard
@@ -199,18 +195,6 @@ func (c *Chain) Process(block []complex128) []complex128 {
 func (c *Chain) Reset() {
 	for _, st := range c.stages {
 		st.Reset()
-	}
-}
-
-// EnableFastPath arms the opt-in fast paths on every capable stage
-// (nested chains included): FFT convolution and SoA kernels on filter
-// stages, the incremental rotator on CFO stages. Output stays within
-// 1e-9 of the direct form; golden-pinned chains must not call this.
-func (c *Chain) EnableFastPath() {
-	for _, st := range c.stages {
-		if fp, ok := st.(FastPather); ok {
-			fp.EnableFastPath()
-		}
 	}
 }
 

@@ -152,10 +152,12 @@ func TestFFTPathMatchesDirect(t *testing.T) {
 }
 
 // TestFFTBlockCounter checks the fast path reports through
-// pipeline.fft_blocks.
+// pipeline.fft_blocks. The filter is the 120-tap canceller: below
+// soaFFTCrossoverTaps (80) an armed overlap-save path yields to the
+// planar kernel.
 func TestFFTBlockCounter(t *testing.T) {
 	src := rng.New(3)
-	taps := randTaps(src, 32)
+	taps := randTaps(src, 120)
 	sig := testSignal(src, 512)
 
 	st := pipeline.NewFIRStage("fir", taps)

@@ -42,8 +42,6 @@ type SessionConfig struct {
 	MeasureSweeps int
 	// MaxSessions caps the search (default 4096).
 	MaxSessions int
-	// FastPath arms the FFT/SoA/rotator fast paths on every session.
-	FastPath bool
 }
 
 func (c SessionConfig) withDefaults() SessionConfig {
@@ -180,9 +178,6 @@ func measureSessions(cfg SessionConfig, n int, po *Obs) float64 {
 	}
 	b := NewBatch("sessions", chains...)
 	b.Instrument(po, 0)
-	if cfg.FastPath {
-		b.EnableFastPath()
-	}
 	var pool BlockPool
 	blocks := make([][]complex128, n)
 	sweep := func() {

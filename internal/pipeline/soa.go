@@ -14,75 +14,41 @@ const minSoATaps = 4
 // per-sample cost is already low at those sizes.
 const minSoABlock = 32
 
-// soaFFTCrossoverTaps arbitrates between the two block fast paths when
-// both are armed: below this filter length the planar MAC wins, at or
-// above it overlap-save does. The SoA kernel's per-sample cost grows
-// linearly with the tap count (~0.5 ns/tap on baseline SSE2 hardware)
-// while overlap-save stays roughly flat (~35-45 ns/sample, its FFT size
-// tracking the filter length), so the measured crossover sits near 80
-// taps. The constant is a coarse host-calibrated estimate; both paths
-// meet the same ≤1e-9 tolerance, so a miss costs time, not correctness.
+// soaFFTCrossoverTaps arbitrates between the planar block path and an
+// armed overlap-save path: below this filter length the planar MAC wins,
+// at or above it overlap-save does. The SoA kernel's per-sample cost
+// grows linearly with the tap count (~0.5 ns/tap on baseline SSE2
+// hardware) while overlap-save stays roughly flat (~35-45 ns/sample, its
+// FFT size tracking the filter length), so the measured crossover sits
+// near 80 taps. The constant is a coarse host-calibrated estimate; a miss
+// costs time (bit-exactness is already given up by arming EnableFFT).
 const soaFFTCrossoverTaps = 80
 
-// rotResync mirrors dsp's phasor resync interval for the CFO stage's
-// incremental rotator: recurrence drift over 256 complex multiplies
-// stays orders of magnitude inside the 1e-9 fast-path tolerance.
-const rotResync = 256
-
 // soaFIR is the planar (structure-of-arrays) engine behind FIRStage's
-// second fast path. Like ovSave it owns no streaming state: each filter
-// call reads the direct-form delay line for the T−1 samples of input
-// history and writes the new tail back, so direct, FFT, and SoA
-// processing interleave freely and a Reset of the FIR resets all paths.
+// block path. Like ovSave it owns no streaming state: each filter call
+// reads the direct-form delay line for the T−1 samples of input history
+// and writes the new tail back, so direct, FFT, and SoA processing
+// interleave freely and a Reset of the FIR resets all paths.
 //
 // Numerics: the planar MAC accumulates in the direct form's exact order
 // (ascending tap index), so it is bit-exact with FIR.Push on targets
-// without implicit FMA contraction and within the ≤1e-9 fast-path
-// tolerance everywhere (enforced by test and fuzz).
+// without implicit FMA contraction — amd64 included — which the tests
+// and FuzzSoAMatchesPush pin sample for sample.
 type soaFIR struct {
 	hr, hi []float64
-	// ext stages history + block in complex form for the delay-line
-	// handoff; xr/xi/yr/yi are the planar scratch. All grow once and are
-	// reused (zero allocations at steady state).
-	ext    []complex128
+	// xr/xi hold history + block, yr/yi the output, all planar. They grow
+	// once and are reused (zero allocations at steady state).
 	xr, xi []float64
 	yr, yi []float64
-	// minBlock gates the fast path.
-	minBlock int
 }
 
 func newSoAFIR(taps []complex128) *soaFIR {
 	o := &soaFIR{
-		hr:       make([]float64, len(taps)),
-		hi:       make([]float64, len(taps)),
-		minBlock: minSoABlock,
+		hr: make([]float64, len(taps)),
+		hi: make([]float64, len(taps)),
 	}
 	dsp.Deinterleave(o.hr, o.hi, taps)
 	return o
-}
-
-// stage grows the scratch for an l-sample block and deinterleaves the
-// history+block extended input, returning the planar views. The caller
-// must LoadRecent the ext tail afterwards to refresh the delay line.
-func (o *soaFIR) stage(f *dsp.FIR, block []complex128) (xr, xi []float64, need int) {
-	t := len(o.hr)
-	l := len(block)
-	need = t - 1 + l
-	if cap(o.ext) < need {
-		o.ext = make([]complex128, need)
-		o.xr = make([]float64, need)
-		o.xi = make([]float64, need)
-	}
-	if cap(o.yr) < l {
-		o.yr = make([]float64, l)
-		o.yi = make([]float64, l)
-	}
-	ext := o.ext[:need]
-	f.Recent(ext[:t-1])
-	copy(ext[t-1:], block)
-	xr, xi = o.xr[:need], o.xi[:need]
-	dsp.Deinterleave(xr, xi, ext)
-	return xr, xi, need
 }
 
 // filter runs the planar MAC over block in place, keeping f's delay line
@@ -94,13 +60,24 @@ func (o *soaFIR) filter(f *dsp.FIR, block []complex128) {
 
 // filterPlanar is filter without the egress conversion: it returns the
 // planar output views (valid until the next call), which lets the cancel
-// stage subtract in the planar domain before converting once.
+// stage subtract straight from them. block is only read.
 func (o *soaFIR) filterPlanar(f *dsp.FIR, block []complex128) (yr, yi []float64) {
 	t := len(o.hr)
 	l := len(block)
-	xr, xi, need := o.stage(f, block)
+	need := t - 1 + l
+	if cap(o.xr) < need {
+		o.xr = make([]float64, need)
+		o.xi = make([]float64, need)
+	}
+	if cap(o.yr) < l {
+		o.yr = make([]float64, l)
+		o.yi = make([]float64, l)
+	}
+	xr, xi := o.xr[:need], o.xi[:need]
+	f.RecentSoA(xr[:t-1], xi[:t-1])
+	dsp.Deinterleave(xr[t-1:], xi[t-1:], block)
 	yr, yi = o.yr[:l], o.yi[:l]
 	dsp.FIRFilterSoA(yr, yi, xr, xi, o.hr, o.hi)
-	f.LoadRecent(o.ext[need-t : need])
+	f.LoadRecentSoA(xr[need-t:], xi[need-t:])
 	return yr, yi
 }

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"math"
-	"math/cmplx"
 
 	"fastforward/internal/dsp"
 	"fastforward/internal/obs"
@@ -10,13 +9,14 @@ import (
 
 // FIRStage is a causal streaming FIR filter stage (zero buffering delay:
 // tap 0 applies to the current sample, as the paper's digital canceller
-// requires, Fig 9a). The default path is the direct form — bit-identical
-// to dsp.FIR.Push. Two opt-in fast paths share the same delay-line state
-// and so mix freely with it across calls: EnableFFT arms overlap-save
-// FFT convolution (long filters), EnableSoA arms the planar
-// structure-of-arrays MAC kernel (short filters, small blocks). When
-// both are armed and eligible the cheaper one wins: planar MAC below
-// soaFFTCrossoverTaps, overlap-save at or above it.
+// requires, Fig 9a). Blocks of at least minSoABlock samples through a
+// filter of at least minSoATaps taps run the planar structure-of-arrays
+// MAC kernel, armed at construction; Push, shorter blocks and shorter
+// filters run the direct form. Both are bit-identical to dsp.FIR.Push and
+// share one delay line, so they mix freely across calls. EnableFFT arms
+// the one opt-in approximate path, overlap-save FFT convolution (≤1e-9),
+// which takes over from the planar kernel for filters of
+// soaFFTCrossoverTaps taps and more.
 type FIRStage struct {
 	name      string
 	fir       *dsp.FIR
@@ -29,7 +29,11 @@ type FIRStage struct {
 
 // NewFIRStage builds a FIR stage with the given taps (copied).
 func NewFIRStage(name string, taps []complex128) *FIRStage {
-	return &FIRStage{name: name, fir: dsp.NewFIR(taps)}
+	s := &FIRStage{name: name, fir: dsp.NewFIR(taps)}
+	if s.fir.NumTaps() >= minSoATaps {
+		s.soa = newSoAFIR(taps)
+	}
+	return s
 }
 
 // Name returns the stage name.
@@ -44,37 +48,19 @@ func (s *FIRStage) NumTaps() int { return s.fir.NumTaps() }
 // Taps returns a copy of the filter taps.
 func (s *FIRStage) Taps() []complex128 { return s.fir.Taps() }
 
-// EnableFFT switches block processing onto the overlap-save fast path.
+// EnableFFT switches block processing of long filters onto the
+// overlap-save fast path (≤1e-9 of the direct form, not bit-exact).
 // Blocks shorter than the filter (and all Push calls) keep the direct
-// form. No-op for filters too short to gain from it.
+// form, and filters below soaFFTCrossoverTaps keep the planar kernel.
+// No-op for filters too short to gain from it.
 func (s *FIRStage) EnableFFT() {
 	if s.ov == nil && s.fir.NumTaps() >= minFFTTaps {
 		s.ov = newOvSave(s.fir.Taps())
 	}
 }
 
-// FFTEnabled reports whether the fast path is armed.
+// FFTEnabled reports whether the overlap-save path is armed.
 func (s *FIRStage) FFTEnabled() bool { return s.ov != nil }
-
-// EnableSoA arms the planar structure-of-arrays fast path for block
-// processing (≤1e-9 of the direct form; see DESIGN.md §9). Blocks
-// shorter than minSoABlock, and all Push calls, keep the direct form.
-// No-op for filters too short to gain from it.
-func (s *FIRStage) EnableSoA() {
-	if s.soa == nil && s.fir.NumTaps() >= minSoATaps {
-		s.soa = newSoAFIR(s.fir.Taps())
-	}
-}
-
-// SoAEnabled reports whether the planar fast path is armed.
-func (s *FIRStage) SoAEnabled() bool { return s.soa != nil }
-
-// EnableFastPath arms every fast path the filter length supports —
-// overlap-save FFT for long filters, the planar SoA kernel otherwise.
-func (s *FIRStage) EnableFastPath() {
-	s.EnableFFT()
-	s.EnableSoA()
-}
 
 func (s *FIRStage) setFFTObs(c *obs.Counter, shard int) {
 	s.fftBlocks = c
@@ -90,17 +76,23 @@ func (s *FIRStage) setSoAObs(c *obs.Counter, shard int) {
 func (s *FIRStage) Push(x complex128) complex128 { return s.fir.Push(x) }
 
 // useFFT decides whether an n-sample block takes the overlap-save path:
-// it must be armed and eligible, and when the planar MAC is also armed
-// and eligible the filter must be long enough for frequency-domain
-// convolution to beat it (soaFFTCrossoverTaps).
+// it must be armed and eligible, and when the planar MAC is eligible too
+// the filter must be long enough for frequency-domain convolution to beat
+// it (soaFFTCrossoverTaps).
 func (s *FIRStage) useFFT(n int) bool {
 	if s.ov == nil || n < s.ov.minBlock {
 		return false
 	}
-	if s.soa != nil && n >= s.soa.minBlock && s.fir.NumTaps() < soaFFTCrossoverTaps {
-		return false
+	return s.soaBlock(n) == nil || s.fir.NumTaps() >= soaFFTCrossoverTaps
+}
+
+// soaBlock returns the planar engine when an n-sample block is eligible
+// for it, nil otherwise.
+func (s *FIRStage) soaBlock(n int) *soaFIR {
+	if n < minSoABlock {
+		return nil
 	}
-	return true
+	return s.soa
 }
 
 // Process filters the block in place.
@@ -112,8 +104,8 @@ func (s *FIRStage) Process(block []complex128) []complex128 {
 		}
 		return block
 	}
-	if s.soa != nil && len(block) >= s.soa.minBlock {
-		s.soa.filter(s.fir, block)
+	if o := s.soaBlock(len(block)); o != nil {
+		o.filter(s.fir, block)
 		if s.soaBlocks != nil {
 			s.soaBlocks.Inc(s.shard)
 		}
@@ -140,10 +132,6 @@ type CancelStage struct {
 	fir  *FIRStage
 	ref  []complex128
 	est  []complex128
-	// br/bi hold the received block in planar form on the SoA path, so
-	// the estimate subtracts without leaving the planar domain (one
-	// conversion pass each way per block). Grow once, reused.
-	br, bi []float64
 }
 
 // NewCancelStage builds the canceller from estimated leakage taps.
@@ -163,18 +151,8 @@ func (s *CancelStage) NumTaps() int { return s.fir.NumTaps() }
 // EnableFFT arms the overlap-save fast path of the underlying filter.
 func (s *CancelStage) EnableFFT() { s.fir.EnableFFT() }
 
-// FFTEnabled reports whether the fast path is armed.
+// FFTEnabled reports whether the overlap-save path is armed.
 func (s *CancelStage) FFTEnabled() bool { return s.fir.FFTEnabled() }
-
-// EnableSoA arms the planar fast path: the reference filters through the
-// SoA MAC kernel and subtracts from the block in the planar domain.
-func (s *CancelStage) EnableSoA() { s.fir.EnableSoA() }
-
-// SoAEnabled reports whether the planar fast path is armed.
-func (s *CancelStage) SoAEnabled() bool { return s.fir.SoAEnabled() }
-
-// EnableFastPath arms every fast path the canceller length supports.
-func (s *CancelStage) EnableFastPath() { s.fir.EnableFastPath() }
 
 func (s *CancelStage) setFFTObs(c *obs.Counter, shard int) { s.fir.setFFTObs(c, shard) }
 
@@ -199,20 +177,13 @@ func (s *CancelStage) Process(block []complex128) []complex128 {
 	ref := s.ref[:len(block)]
 	s.ref = s.ref[len(block):]
 	// Planar path: filter the reference through the SoA MAC and subtract
-	// before converting back — one interleave round trip for the whole
-	// stage. Skipped when the stage's arbitration picks overlap-save
-	// (filters past the crossover convolve faster in the frequency
-	// domain).
-	if o := s.fir.soa; o != nil && len(block) >= o.minBlock && !s.fir.useFFT(len(block)) {
+	// the planar estimate straight from the block — no interleave pass
+	// for the estimate. Skipped when the stage's arbitration picks
+	// overlap-save (filters past the crossover convolve faster in the
+	// frequency domain).
+	if o := s.fir.soaBlock(len(block)); o != nil && !s.fir.useFFT(len(block)) {
 		er, ei := o.filterPlanar(s.fir.fir, ref)
-		if cap(s.br) < len(block) {
-			s.br = make([]float64, len(block))
-			s.bi = make([]float64, len(block))
-		}
-		br, bi := s.br[:len(block)], s.bi[:len(block)]
-		dsp.Deinterleave(br, bi, block)
-		dsp.SubInPlaceSoA(br, bi, er, ei)
-		dsp.Interleave(block, br, bi)
+		dsp.SubInPlaceSoA(block, er, ei)
 		if s.fir.soaBlocks != nil {
 			s.fir.soaBlocks.Inc(s.fir.shard)
 		}
@@ -236,32 +207,45 @@ func (s *CancelStage) Reset() {
 	s.ref = nil
 }
 
+// rotResync is how many samples the CFO rotator advances by phasor
+// recurrence before recomputing the phasor from the accumulated phase.
+// Each recurrence step adds a few ulps of error, so the drift between
+// resyncs stays near 1e-14 while sin/cos is paid once per 256 samples
+// instead of once per sample.
+const rotResync = 256
+
 // CFOStage rotates the block by a per-sample phase ramp: y[n] = x[n] ·
-// exp(j·n·step), with the phase accumulating across calls. A negative
-// step removes a carrier-frequency offset; the positive step restores it
-// (Sec 4.1). Accumulating the signed step reproduces the relay's shared
-// phase accumulator bit-exactly (IEEE negation distributes over addition).
+// exp(j·n·step), with the phase carrying across calls. A negative step
+// removes a carrier-frequency offset; the positive step restores it
+// (Sec 4.1).
 //
-// The default path evaluates cmplx.Exp per sample — the bit-exact
-// reference. EnableFastPath arms an incremental phasor: one complex
-// multiply per sample with a sin/cos resync every rotResync samples,
-// held to ≤1e-9 of the direct form. The phase accumulator advances
-// identically on both paths, so they mix freely across calls.
+// The rotation is an incremental phasor: one complex multiply per sample,
+// resynced with math.Sincos every rotResync samples. The phase itself
+// advances once per resync, by rotResync·step, and wraps into [−π, π]
+// there by the odd-symmetric rule φ −= 2π·round(φ/2π): it stays bounded
+// however long a session streams, and a remove/restore pair built from
+// ±step stays exact negations of each other (IEEE negation distributes
+// over every operation involved).
 type CFOStage struct {
-	name  string
-	step  float64
-	phase float64
-	// fast-rotator state: w = exp(j·phase) for the next sample, rot =
-	// exp(j·step), cnt counts recurrence steps since the last resync.
-	fast           bool
+	name string
+	step float64
+	// span = rotResync·step is the phase advance between resyncs.
+	span float64
+	// phase is the (wrapped) phase at the last resync; the next sample's
+	// phase is phase + cnt·step, and w = exp(j·that) is its phasor, carried
+	// by the recurrence w ← w·rot with rot = exp(j·step).
+	phase          float64
+	cnt            int
 	wCos, wSin     float64
 	rotCos, rotSin float64
-	cnt            int
 }
 
 // NewCFOStage builds a rotator advancing by stepRad per sample.
 func NewCFOStage(name string, stepRad float64) *CFOStage {
-	return &CFOStage{name: name, step: stepRad}
+	s := &CFOStage{name: name, step: stepRad, span: rotResync * stepRad}
+	s.rotSin, s.rotCos = math.Sincos(stepRad)
+	s.Reset()
+	return s
 }
 
 // Name returns the stage name.
@@ -270,68 +254,40 @@ func (s *CFOStage) Name() string { return s.name }
 // LatencySamples is 0.
 func (s *CFOStage) LatencySamples() int { return 0 }
 
-// EnableFastPath arms the incremental rotator (≤1e-9 of the direct
-// form): per-sample cmplx.Exp becomes one complex multiply, the cost
-// that dominates the relay's per-sample forward chain.
-func (s *CFOStage) EnableFastPath() {
-	s.fast = true
-	s.rotSin, s.rotCos = math.Sincos(s.step)
-	s.resync()
-}
-
-// FastEnabled reports whether the incremental rotator is armed.
-func (s *CFOStage) FastEnabled() bool { return s.fast }
-
-// resync recomputes the phasor from the exactly accumulated phase,
-// zeroing the recurrence drift.
-func (s *CFOStage) resync() {
-	s.wSin, s.wCos = math.Sincos(s.phase)
-	s.cnt = 0
+// wrapPhase folds p into [−π, π]. math.Round rounds half away from zero,
+// so wrapPhase(−p) == −wrapPhase(p) bit for bit.
+func wrapPhase(p float64) float64 {
+	return p - 2*math.Pi*math.Round(p/(2*math.Pi))
 }
 
 // Process rotates the block in place.
 func (s *CFOStage) Process(block []complex128) []complex128 {
-	if s.fast {
-		return s.processFast(block)
-	}
-	for i := range block {
-		block[i] *= cmplx.Exp(complex(0, s.phase))
-		s.phase += s.step
-	}
-	return block
-}
-
-func (s *CFOStage) processFast(block []complex128) []complex128 {
 	wCos, wSin := s.wCos, s.wSin
 	rotCos, rotSin := s.rotCos, s.rotSin
-	phase, step := s.phase, s.step
 	cnt := s.cnt
 	for i := range block {
 		a, b := real(block[i]), imag(block[i])
 		block[i] = complex(a*wCos-b*wSin, a*wSin+b*wCos)
-		phase += step
 		cnt++
 		if cnt == rotResync {
-			wSin, wCos = math.Sincos(phase)
+			// Resync: advance the phase a whole window and recompute the
+			// phasor from it, zeroing the recurrence drift.
+			s.phase = wrapPhase(s.phase + s.span)
+			wSin, wCos = math.Sincos(s.phase)
 			cnt = 0
 		} else {
-			nc := wCos*rotCos - wSin*rotSin
-			ns := wCos*rotSin + wSin*rotCos
-			wCos, wSin = nc, ns
+			wCos, wSin = wCos*rotCos-wSin*rotSin, wCos*rotSin+wSin*rotCos
 		}
 	}
 	s.wCos, s.wSin = wCos, wSin
-	s.phase = phase
 	s.cnt = cnt
 	return block
 }
 
-// Reset rewinds the phase accumulator (and the fast rotator with it).
+// Reset rewinds the phase and the phasor to sample 0.
 func (s *CFOStage) Reset() {
-	s.phase = 0
-	if s.fast {
-		s.resync()
-	}
+	s.phase, s.cnt = 0, 0
+	s.wCos, s.wSin = 1, 0
 }
 
 // GainStage multiplies every sample by a fixed complex gain.

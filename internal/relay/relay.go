@@ -197,17 +197,6 @@ func (r *FFRelay) Instrument(o *pipeline.Obs, shard int) {
 	}
 }
 
-// EnableFastPath arms the opt-in fast paths on the forward chain (the
-// CFO incremental rotator dominates the per-sample win; the filter fast
-// paths engage only on block-driven stages). Output stays within 1e-9 of
-// the direct form; golden-pinned runs must not call this.
-func (r *FFRelay) EnableFastPath() {
-	r.fwd.EnableFastPath()
-	if r.tx != nil {
-		r.tx.EnableFastPath()
-	}
-}
-
 // ProcessingDelayS returns the relay's pipeline latency in seconds, as
 // accounted by the forward chain.
 func (r *FFRelay) ProcessingDelayS() float64 {

@@ -188,9 +188,9 @@ func New(cfg Config) *Server {
 		stop:     make(chan struct{}),
 		startNs:  obs.NowNanos(),
 	}
-	// The daemon deliberately leaves chain fast paths unarmed: they are
-	// 1e-9-close, not bit-exact, and the daemon's contract is bit-identical
-	// output versus the plain solo chain a client rebuilds from the seed.
+	// Session chains come with their bit-exact block kernels armed by
+	// construction, so the daemon runs the same arithmetic as the solo
+	// chain a client rebuilds from the seed; nothing is armed here.
 	s.batch.Instrument(pipeline.NewObs(cfg.Registry), 0)
 	go s.executor()
 	return s

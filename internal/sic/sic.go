@@ -590,8 +590,8 @@ func EstimateFIR(ref, rx []complex128, nTaps int, lambda float64) ([]complex128,
 // subtracts FIR(tx) from the received samples with *zero* added latency —
 // tap 0 applies to the sample currently being transmitted, so no received
 // samples are ever buffered (Fig 9a). It wraps pipeline.CancelStage, so it
-// slots directly into relay chains and can arm the overlap-save FFT fast
-// path for block workloads.
+// slots directly into relay chains; block workloads run the stage's
+// planar SoA kernel (bit-exact) and can arm the overlap-save FFT fast path.
 type DigitalCanceller struct {
 	stage *pipeline.CancelStage
 }
@@ -611,14 +611,6 @@ func (d *DigitalCanceller) Stage() *pipeline.CancelStage { return d.stage }
 // direct form stays in use for per-sample Push and short blocks; outputs
 // then agree with the direct form to floating round-off, not bit-exactly.
 func (d *DigitalCanceller) EnableFFT() { d.stage.EnableFFT() }
-
-// EnableSoA arms the planar structure-of-arrays fast path: the reference
-// filters through the SoA MAC kernel and subtracts without leaving the
-// planar domain. Same 1e-9 contract as EnableFFT.
-func (d *DigitalCanceller) EnableSoA() { d.stage.EnableSoA() }
-
-// EnableFastPath arms every fast path the canceller length supports.
-func (d *DigitalCanceller) EnableFastPath() { d.stage.EnableFastPath() }
 
 // Push consumes one transmitted sample and one received sample and returns
 // the cleaned received sample.
