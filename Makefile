@@ -91,11 +91,12 @@ manifest-smoke: build
 # End-to-end daemon check (see OPERATIONS.md): one process starts a real
 # TCP ffrelayd, streams two concurrent bit-verified sessions, provokes a
 # Sec 3.5 budget refusal, scrapes the status endpoint, drains cleanly,
-# and writes a manifest whose relayd.* metrics must all be present.
+# and writes a manifest whose relayd.* metrics must all be present, as
+# must the pipeline.* counters of the blocks it served.
 daemon-smoke: build
 	rm -rf $(SMOKE) && mkdir -p $(SMOKE)
 	$(GO) run ./cmd/ffrelayd -mode smoke -manifest $(SMOKE)/relayd.json
-	$(GO) run ./cmd/manifestcheck -require relayd.sessions_admitted,relayd.sessions_completed,relayd.sessions_refused.budget,relayd.frames_in,relayd.frames_out,relayd.amp_granted_db $(SMOKE)/relayd.json
+	$(GO) run ./cmd/manifestcheck -require relayd.sessions_admitted,relayd.sessions_completed,relayd.sessions_refused.budget,relayd.frames_in,relayd.frames_out,relayd.amp_granted_db,pipeline.blocks,pipeline.samples,pipeline.batch.sweeps,pipeline.batch.sessions,pipeline.soa_blocks $(SMOKE)/relayd.json
 	rm -rf $(SMOKE)
 
 # Fleet smoke (see DESIGN.md §11): a small relay-pool sweep with its

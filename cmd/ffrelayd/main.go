@@ -2,7 +2,7 @@
 // client. Three modes share one binary so the wire protocol, the session
 // chain construction, and the verification path can never drift apart:
 //
-//	ffrelayd -mode serve   # the daemon: admission control + batch executor
+//	ffrelayd -mode serve   # the daemon: admission control + per-connection session chains
 //	ffrelayd -mode stream  # a client: stream blocks, optionally bit-verify
 //	ffrelayd -mode smoke   # self-contained end-to-end check (CI)
 //

@@ -21,6 +21,7 @@ type Server struct {
 	gate  *Gate
 	conns map[net.Conn]bool
 	batch *pipeline.Batch
+	chain *pipeline.Chain
 	ch    chan int
 }
 
@@ -80,10 +81,27 @@ func (s *Server) closeConnsFixed() {
 	}
 }
 
-func (s *Server) batchHeld(n int) {
+func (s *Server) batchHeld(blocks [][]complex128) {
 	s.mu.Lock()
-	s.batch.ProcessSome(n) // want `blocking operation \(pipeline\.Batch\.ProcessSome\) while s\.mu is held`
+	s.batch.ProcessAll(blocks) // want `blocking operation \(pipeline\.Batch\.ProcessAll\) while s\.mu is held`
 	s.mu.Unlock()
+}
+
+// chainHeld runs a session's block DSP under the server lock: every
+// other session's admission and release would wait out the block.
+func (s *Server) chainHeld(block []complex128) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.chain.Process(block) // want `blocking operation \(pipeline\.Chain\.Process\) while s\.mu is held`
+}
+
+// chainFixed is the handler-inline shape: the block runs with no lock
+// held.
+func (s *Server) chainFixed(block []complex128) []complex128 {
+	s.mu.Lock()
+	c := s.chain
+	s.mu.Unlock()
+	return c.Process(block)
 }
 
 func (s *Server) selectHeld() {

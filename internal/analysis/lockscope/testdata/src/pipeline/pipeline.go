@@ -1,9 +1,11 @@
 // Package pipeline is a fixture stub of internal/pipeline: just the
-// Batch surface lockscope treats as blocking.
+// block DSP surface lockscope treats as blocking.
 package pipeline
 
 type Batch struct{ n int }
 
-func (b *Batch) Process()              {}
-func (b *Batch) ProcessSome(n int) int { return n }
-func (b *Batch) Add(id uint64) bool    { return true }
+func (b *Batch) ProcessAll(blocks [][]complex128) {}
+
+type Chain struct{ n int }
+
+func (c *Chain) Process(block []complex128) []complex128 { return block }

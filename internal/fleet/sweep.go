@@ -216,7 +216,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 }
 
 // verifyWireBlocks is the per-cell bit-verification depth: enough to
-// exercise the daemon's batch executor without dominating the sweep.
+// exercise the daemon's served block path without dominating the sweep.
 const verifyWireBlocks = 2
 
 // verifyOneWireSession streams seeded blocks through the first assigned

@@ -284,6 +284,44 @@ func TestBatchStageCountMismatch(t *testing.T) {
 	pipeline.NewBatch("bad", a, b)
 }
 
+// TestBatchRegistersNoDeadTimers checks that a batch's only timers are
+// its per-position stage timers, each called once per sweep: member
+// chains get the stage-level block-path counters but register no
+// pipeline.<chain>.<stage> timers of their own, which the batch would
+// never call.
+func TestBatchRegistersNoDeadTimers(t *testing.T) {
+	const blockLen = 256
+	spec := pipeline.SessionChainSpec{CancelTaps: 24, CNFTaps: 16, CFOStepRad: 0.01, AmpGain: 2}
+	var chains []*pipeline.Chain
+	var blocks [][]complex128
+	for i := 0; i < 2; i++ {
+		src := rng.New(int64(i + 1))
+		ch, cancel := pipeline.NewSessionChain(spec, src)
+		cancel.SetReference(testSignal(src, blockLen))
+		chains = append(chains, ch)
+		blocks = append(blocks, testSignal(src, blockLen))
+	}
+	reg := obs.New()
+	b := pipeline.NewBatch("bat", chains...)
+	b.Instrument(pipeline.NewObs(reg), 0)
+	b.ProcessAll(blocks)
+
+	timings := reg.Snapshot().Timings
+	if len(timings) != len(pipeline.SessionStageNames()) {
+		t.Errorf("registered %d timers, want one per stage position (%d): %+v",
+			len(timings), len(pipeline.SessionStageNames()), timings)
+	}
+	for _, tm := range timings {
+		if tm.Calls == 0 {
+			t.Errorf("timer %s registered with zero calls", tm.Stage)
+		}
+	}
+	// Both filter stages of both sessions still count their planar blocks.
+	if got := reg.Counter("pipeline.soa_blocks", "blocks").Value(); got != 4 {
+		t.Errorf("pipeline.soa_blocks = %d, want 4", got)
+	}
+}
+
 // TestBlockPool checks Get returns zeroed blocks and reuses recycled
 // capacity.
 func TestBlockPool(t *testing.T) {

@@ -67,7 +67,8 @@ type Obs struct {
 	// Violations counts CheckBudget calls whose chain exceeded the budget.
 	Violations *obs.Counter
 	// BatchSweeps counts Batch.ProcessAll stage sweeps; BatchSessions
-	// counts the session-blocks those sweeps advanced.
+	// counts the session-blocks those sweeps advanced. The relay daemon
+	// counts each served block as a sweep of one session.
 	BatchSweeps   *obs.Counter
 	BatchSessions *obs.Counter
 
@@ -146,28 +147,30 @@ func (c *Chain) Instrument(o *Obs, shard int) {
 	c.o = o
 	c.shard = shard
 	c.timers = nil
-	for _, st := range c.stages {
-		if fo, ok := st.(fftObservable); ok {
-			if o != nil {
-				fo.setFFTObs(o.FFTBlocks, shard)
-			} else {
-				fo.setFFTObs(nil, 0)
-			}
-		}
-		if so, ok := st.(soaObservable); ok {
-			if o != nil {
-				so.setSoAObs(o.SOABlocks, shard)
-			} else {
-				so.setSoAObs(nil, 0)
-			}
-		}
-	}
+	c.instrumentStages(o, shard)
 	if o == nil || o.reg == nil {
 		return
 	}
 	c.timers = make([]*obs.StageTimer, len(c.stages))
 	for i, st := range c.stages {
 		c.timers[i] = o.reg.Timer("pipeline." + c.name + "." + st.Name())
+	}
+}
+
+// instrumentStages hands the FFT and SoA block-path counters to every
+// capable stage; nil o detaches them.
+func (c *Chain) instrumentStages(o *Obs, shard int) {
+	var fft, soa *obs.Counter
+	if o != nil {
+		fft, soa = o.FFTBlocks, o.SOABlocks
+	}
+	for _, st := range c.stages {
+		if fo, ok := st.(fftObservable); ok {
+			fo.setFFTObs(fft, shard)
+		}
+		if so, ok := st.(soaObservable); ok {
+			so.setSoAObs(soa, shard)
+		}
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 	"fastforward/internal/rng"
 )
 
-// This file answers the deployment-shaped question behind the batch
-// executor: how many concurrent full-duplex sessions can one core carry
-// in real time? A session is the forward relay chain of the paper's
-// design — digital cancellation at the Sec 3.3 canceller length (24
-// taps, sic.DefaultCharacterizeConfig), CFO removal, the 16-tap CNF
+// This file answers the deployment-shaped question behind Batch: how
+// many concurrent full-duplex sessions can one core carry in real time?
+// A session is the forward relay chain of the paper's design — digital
+// cancellation at the Sec 3.3 canceller length (24 taps,
+// sic.DefaultCharacterizeConfig), CFO removal, the 16-tap CNF
 // pre-filter, CFO restoration, and the relay amplifier — fed 20 MHz of
 // complex baseband. Real time means one batched stage sweep over all N
 // sessions finishes within the air-time of one block
@@ -114,8 +114,8 @@ type SessionChainSpec struct {
 }
 
 // SessionStageNames lists the stage names of every NewSessionChain chain
-// in sweep order — the layout a dynamic Batch hosting session chains is
-// built over.
+// in chain order; an instrumented session chain times each stage as
+// pipeline.<chain>.<stage> (pipeline.relayd.<stage> in the relay daemon).
 func SessionStageNames() []string {
 	return []string{"cancel", "cfo_remove", "cnf_pre", "cfo_restore", "amp"}
 }

@@ -2,10 +2,11 @@
 //
 // The daemon accepts concurrent IQ streams (length-prefixed frames over
 // any net.Conn — TCP in production, net.Pipe in tests), instantiates one
-// pipeline session chain per stream, and sweeps all active sessions
-// through a shared dynamic pipeline.Batch so concurrent streams cost one
-// stage-major pass, not N independent pipelines. Output is bit-identical
-// to running each session through its own solo chain.
+// pipeline session chain per stream, and runs each block through that
+// chain inline on the stream's own connection handler: no shared
+// scheduler, and a chain is only ever touched by its handler goroutine.
+// Output is bit-identical to running each session through its own solo
+// chain.
 //
 // Admission is physics-aware: every HELLO declares its Sec 3.5 link
 // budget (cancellation, R→D attenuation, PA headroom, RX-over-noise) and
@@ -130,17 +131,8 @@ func newMetrics(reg *obs.Registry) metrics {
 	}
 }
 
-// execReq asks the executor to sweep one session block. The handler has
-// already staged the cancel reference; block is processed in place and
-// done receives exactly one value when it is ready.
-type execReq struct {
-	sess  *Session
-	block []complex128
-	done  chan struct{}
-}
-
-// Server is the relay daemon: admission control, the shared batch
-// executor, and per-connection session handlers.
+// Server is the relay daemon: admission control and per-connection
+// session handlers, each running its own session's chain.
 type Server struct {
 	cfg Config
 	reg *obs.Registry
@@ -152,19 +144,16 @@ type Server struct {
 	listeners []net.Listener
 	nextID    uint64
 	gate      *Gate
-	batch     *pipeline.Batch
+	po        *pipeline.Obs
 
 	global *tokenBucket
 
 	draining atomic.Bool
-	execCh   chan *execReq
-	stop     chan struct{}
-	stopOnce sync.Once
 	wg       sync.WaitGroup
 	startNs  int64
 }
 
-// New builds a Server and starts its batch executor. Callers then feed it
+// New builds a Server; it starts no goroutine. Callers then feed it
 // connections via Serve (a listener's accept loop) or ServeConn (one
 // connection, e.g. a net.Pipe end in tests), and shut down with Drain
 // and/or Close.
@@ -175,25 +164,17 @@ func New(cfg Config) *Server {
 	if cfg.BurstSamples <= 0 {
 		cfg.BurstSamples = 1 << 16
 	}
-	s := &Server{
+	return &Server{
 		cfg:      cfg,
 		reg:      cfg.Registry,
 		m:        newMetrics(cfg.Registry),
 		sessions: make(map[uint64]*Session),
 		conns:    make(map[net.Conn]struct{}),
 		gate:     NewGate(cfg.MaxSessions, cfg.MinAmpDB, cfg.Degrade),
-		batch:    pipeline.NewDynamicBatch("relayd", pipeline.SessionStageNames()...),
+		po:       pipeline.NewObs(cfg.Registry),
 		global:   newTokenBucket(cfg.GlobalRate, float64(cfg.BurstSamples)),
-		execCh:   make(chan *execReq),
-		stop:     make(chan struct{}),
 		startNs:  obs.NowNanos(),
 	}
-	// Session chains come with their bit-exact block kernels armed by
-	// construction, so the daemon runs the same arithmetic as the solo
-	// chain a client rebuilds from the seed; nothing is armed here.
-	s.batch.Instrument(pipeline.NewObs(cfg.Registry), 0)
-	go s.executor()
-	return s
 }
 
 // Registry returns the registry the daemon's metrics live in.
@@ -208,42 +189,6 @@ func (s *Server) Sessions() int {
 
 // Draining reports whether Drain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
-
-// executor is the single goroutine that owns the shared batch sweep. It
-// gathers every request ready right now and runs them as one stage-major
-// ProcessSome pass; per-session ordering holds because each handler keeps
-// at most one block in flight.
-func (s *Server) executor() {
-	reqs := make([]*execReq, 0, 16)
-	chains := make([]*pipeline.Chain, 0, 16)
-	blocks := make([][]complex128, 0, 16)
-	for {
-		select {
-		case r := <-s.execCh:
-			reqs = append(reqs[:0], r)
-		gather:
-			for {
-				select {
-				case r2 := <-s.execCh:
-					reqs = append(reqs, r2)
-				default:
-					break gather
-				}
-			}
-			chains, blocks = chains[:0], blocks[:0]
-			for _, r := range reqs {
-				chains = append(chains, r.sess.chain)
-				blocks = append(blocks, r.block)
-			}
-			s.batch.ProcessSome(chains, blocks)
-			for _, r := range reqs {
-				r.done <- struct{}{}
-			}
-		case <-s.stop:
-			return
-		}
-	}
-}
 
 // Serve accepts connections from ln until the listener is closed (by
 // Close, or externally), spawning one handler per connection. Transient
@@ -306,8 +251,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close shuts the daemon down: listeners and connections close, handlers
-// unwind, and the batch executor stops. Safe after Drain and idempotent.
+// Close shuts the daemon down: listeners and connections close and
+// handlers unwind. Safe after Drain and idempotent.
 func (s *Server) Close() {
 	s.draining.Store(true)
 	s.m.draining.Set(1)
@@ -319,7 +264,6 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.closeConns()
 	s.wg.Wait()
-	s.stopOnce.Do(func() { close(s.stop) })
 }
 
 func (s *Server) closeConns() {
@@ -386,8 +330,9 @@ func (s *Server) armReadDeadline(conn net.Conn, t time.Time) bool {
 
 // admit runs the admission path under the server lock: drain state, then
 // the extracted Gate (session cap + aggregate Sec 3.5 residual budget).
-// On success the session is registered, its chain joins the shared batch,
-// and the post-admission residual load is returned for the ACCEPT frame.
+// On success the session is registered, its chain is instrumented on the
+// daemon registry, and the post-admission residual load is returned for
+// the ACCEPT frame.
 func (s *Server) admit(p SessionParams, remote string) (*Session, float64, *Refuse) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -411,8 +356,11 @@ func (s *Server) admit(p SessionParams, remote string) (*Session, float64, *Refu
 		startNs:  obs.NowNanos(),
 	}
 	sess.lastActiveNs.Store(sess.startNs)
+	// Session chains come with their bit-exact block kernels armed by
+	// construction, so the daemon runs the same arithmetic as the solo
+	// chain a client rebuilds from the seed; nothing is armed here.
 	sess.chain, sess.cancel = BuildSessionChain(p, dec.AmpDB)
-	s.batch.Add(sess.chain)
+	sess.chain.Instrument(s.po, sess.shard)
 	s.sessions[id] = sess
 	s.m.admitted.Inc(sess.shard)
 	if degraded {
@@ -425,7 +373,7 @@ func (s *Server) admit(p SessionParams, remote string) (*Session, float64, *Refu
 	return sess, load, nil
 }
 
-// release unwinds admission: the session leaves the batch, its budget
+// release unwinds admission: the session leaves the books, its budget
 // slot reopens, and its terminal state is accounted. Idempotent: the
 // DONE path releases before writing STATS (so a client that saw the
 // STATS frame knows the slot is already free), and the handler's
@@ -438,7 +386,6 @@ func (s *Server) release(sess *Session, completed bool) {
 	}
 	sess.state.Store(int32(StateClosed))
 	delete(s.sessions, sess.ID)
-	s.batch.Remove(sess.chain)
 	s.gate.Release(strconv.FormatUint(sess.ID, 10))
 	s.m.active.Set(float64(len(s.sessions)))
 	s.m.residualLoad.Set(s.gate.ResidualLoad())
@@ -625,7 +572,6 @@ func (s *Server) streamSession(conn net.Conn, sess *Session, buf []byte) bool {
 	rx := make([]complex128, n)
 	refSamples := make([]complex128, n)
 	out := make([]byte, n*SampleBytes)
-	req := &execReq{sess: sess, done: make(chan struct{}, 1)}
 	bucket := newTokenBucket(s.cfg.SessionRate, float64(s.cfg.BurstSamples))
 
 	for {
@@ -654,10 +600,11 @@ func (s *Server) streamSession(conn net.Conn, sess *Session, buf []byte) bool {
 			bytesToSamples(refSamples, payload[n*SampleBytes:])
 			sess.cancel.SetReference(refSamples)
 			sess.state.Store(int32(StateStreaming))
-			req.block = rx
-			s.execCh <- req
-			<-req.done
-			samplesToBytes(out, rx)
+			// A served block is a sweep of one session, counted as
+			// pipeline.Batch counts its sweeps.
+			samplesToBytes(out, sess.chain.Process(rx))
+			s.po.BatchSweeps.Inc(sess.shard)
+			s.po.BatchSessions.Inc(sess.shard)
 			if !s.setWriteDeadline(conn) {
 				return false
 			}

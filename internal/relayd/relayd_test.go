@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fastforward/internal/obs"
+	"fastforward/internal/pipeline"
 	"fastforward/internal/relay"
 	"fastforward/internal/rng"
 )
@@ -49,17 +50,17 @@ func pipeSession(srv *Server, p SessionParams) (*Client, error) {
 	return NewClientConn(cs, p)
 }
 
-// runVerifiedSession streams nBlocks through the daemon and compares
-// every output block bit-for-bit against a solo reference chain built
-// from the same seed and the daemon's granted amplification.
-func runVerifiedSession(srv *Server, seed int64, nBlocks int) error {
-	p := testParams(seed)
+// runVerifiedSession streams nBlocks of p.BlockSamples through the daemon
+// and compares every output block bit-for-bit against a solo reference
+// chain built from the same seed and the daemon's granted amplification.
+// A non-nil served runs once, after the first block's round trip.
+func runVerifiedSession(srv *Server, p SessionParams, nBlocks int, served func()) error {
 	c, err := pipeSession(srv, p)
 	if err != nil {
 		return err
 	}
 	ref, refCancel := BuildSessionChain(p, c.Accept().AmpDB)
-	src := rng.New(seed ^ 0x77)
+	src := rng.New(p.Seed ^ 0x77)
 	n := p.BlockSamples
 	tx := src.NoiseVector(nBlocks*n, 1)
 	rx := src.NoiseVector(nBlocks*n, 1)
@@ -76,8 +77,11 @@ func runVerifiedSession(srv *Server, seed int64, nBlocks int) error {
 		for j := range want {
 			if out[j] != want[j] {
 				return fmt.Errorf("seed %d block %d sample %d: daemon %v, solo %v (bit-exact required)",
-					seed, b, j, out[j], want[j])
+					p.Seed, b, j, out[j], want[j])
 			}
+		}
+		if b == 0 && served != nil {
+			served()
 		}
 	}
 	st, err := c.Close()
@@ -91,45 +95,101 @@ func runVerifiedSession(srv *Server, seed int64, nBlocks int) error {
 }
 
 // TestConcurrentSessionsBitIdentical is the daemon's core correctness
-// property: N concurrent sessions share one batch executor, and every
-// session's output is bit-identical to its own solo chain. Runs under
+// property: N concurrent sessions, each run inline on its own connection
+// handler, and every session's output is bit-identical to its own solo
+// chain. The staggered case churns membership: each session starts once
+// the previous one has served its first block, and sessions of different
+// block sizes and lengths end at different times, so admissions and
+// releases interleave with other sessions' blocks. Every served block
+// must count once in the pipeline.* metrics the daemon emits. Runs under
 // -race via the Makefile race target.
 func TestConcurrentSessionsBitIdentical(t *testing.T) {
-	const nSessions, nBlocks = 4, 6
-	srv, reg := newTestServer(t, DefaultConfig())
-	errc := make(chan error, nSessions)
-	for i := 0; i < nSessions; i++ {
-		go func(seed int64) { errc <- runVerifiedSession(srv, seed, nBlocks) }(int64(100 + i))
-	}
-	for i := 0; i < nSessions; i++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The daemon releases before it writes STATS (the wire Release
-	// contract), so the client can return from Close before the handler
-	// has counted the STATS frame; wait for the handlers to unwind before
-	// reading terminal counters.
-	waitFor(t, "all sessions to release", func() bool { return srv.Sessions() == 0 })
-	waitFor(t, "all completions to be counted", func() bool {
-		return reg.Counter("relayd.sessions_completed", "sessions").Value() == nSessions
-	})
-	waitFor(t, "all stats frames to be counted", func() bool {
-		return reg.Counter("relayd.frames_out", "frames").Value() == nSessions*(nBlocks+1)
-	})
-	checks := []struct {
-		name string
-		want uint64
+	type shape struct{ blockSamples, blocks int }
+	cases := []struct {
+		name    string
+		shapes  []shape
+		stagger bool
 	}{
-		{"relayd.sessions_admitted", nSessions},
-		{"relayd.sessions_completed", nSessions},
-		{"relayd.frames_in", nSessions * (nBlocks + 1)},  // DATA + DONE
-		{"relayd.frames_out", nSessions * (nBlocks + 1)}, // OUT + STATS
+		{"uniform", []shape{{256, 6}, {256, 6}, {256, 6}, {256, 6}}, false},
+		{"staggered_churn", []shape{{32, 9}, {256, 3}, {100, 12}, {1024, 5}, {64, 7}}, true},
 	}
-	for _, c := range checks {
-		if got := reg.Counter(c.name, "x").Value(); got != c.want {
-			t.Errorf("%s = %d, want %d", c.name, got, c.want)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, reg := newTestServer(t, DefaultConfig())
+			nSessions := uint64(len(tc.shapes))
+			var blocks, samples uint64
+			errc := make(chan error, len(tc.shapes))
+			prev := make(chan struct{})
+			close(prev)
+			for i, sh := range tc.shapes {
+				p := testParams(int64(100 + i))
+				p.BlockSamples = sh.blockSamples
+				blocks += uint64(sh.blocks)
+				samples += uint64(sh.blocks * sh.blockSamples)
+				started := make(chan struct{})
+				wait := prev
+				if tc.stagger {
+					prev = started
+				}
+				go func(nBlocks int) {
+					<-wait
+					served := false
+					err := runVerifiedSession(srv, p, nBlocks, func() { served = true; close(started) })
+					if !served {
+						close(started)
+					}
+					errc <- err
+				}(sh.blocks)
+			}
+			for range tc.shapes {
+				if err := <-errc; err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The daemon releases before it writes STATS (the wire Release
+			// contract), so the client can return from Close before the
+			// handler has counted the STATS frame; wait for the handlers to
+			// unwind before reading terminal counters.
+			waitFor(t, "all sessions to release", func() bool { return srv.Sessions() == 0 })
+			waitFor(t, "all completions to be counted", func() bool {
+				return reg.Counter("relayd.sessions_completed", "sessions").Value() == nSessions
+			})
+			waitFor(t, "all stats frames to be counted", func() bool {
+				return reg.Counter("relayd.frames_out", "frames").Value() == blocks+nSessions
+			})
+			checks := []struct {
+				name string
+				want uint64
+			}{
+				{"relayd.sessions_admitted", nSessions},
+				{"relayd.sessions_completed", nSessions},
+				{"relayd.frames_in", blocks + nSessions},  // DATA + DONE
+				{"relayd.frames_out", blocks + nSessions}, // OUT + STATS
+				{"pipeline.blocks", blocks},
+				{"pipeline.samples", samples},
+				// Each served block is a sweep of one session.
+				{"pipeline.batch.sweeps", blocks},
+				{"pipeline.batch.sessions", blocks},
+				// Cancel and cnf_pre both take the planar kernel at every
+				// block size here (all >= 32 samples).
+				{"pipeline.soa_blocks", 2 * blocks},
+			}
+			for _, c := range checks {
+				if got := reg.Counter(c.name, "x").Value(); got != c.want {
+					t.Errorf("%s = %d, want %d", c.name, got, c.want)
+				}
+			}
+			calls := map[string]uint64{}
+			for _, tm := range reg.Snapshot().Timings {
+				calls[tm.Stage] = tm.Calls
+			}
+			for _, stage := range pipeline.SessionStageNames() {
+				name := "pipeline.relayd." + stage
+				if calls[name] != blocks {
+					t.Errorf("%s calls = %d, want %d", name, calls[name], blocks)
+				}
+			}
+		})
 	}
 }
 
@@ -399,7 +459,7 @@ func TestThrottleEngages(t *testing.T) {
 	cfg.SessionRate = 50e3 // 256-sample blocks at ~195 blocks/s
 	cfg.BurstSamples = 256
 	srv, reg := newTestServer(t, cfg)
-	if err := runVerifiedSession(srv, 41, 4); err != nil {
+	if err := runVerifiedSession(srv, testParams(41), 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("relayd.throttle_waits", "waits").Value(); got == 0 {

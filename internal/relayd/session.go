@@ -27,7 +27,7 @@ const (
 	// StateStreaming: at least one DATA block processed.
 	StateStreaming
 	// StateClosed: the session left the daemon (completed, evicted, or
-	// errored); its budget and batch slot are released.
+	// errored); its budget slot is released.
 	StateClosed
 )
 
@@ -105,7 +105,9 @@ func chainSpec(p SessionParams, ampDB float64) pipeline.SessionChainSpec {
 // admitted session: pipeline.NewSessionChain over the HELLO's sizes and
 // seed with the granted amplification. Exported so clients and tests can
 // build the single-session reference path and assert the daemon's output
-// is bit-identical to it.
+// is bit-identical to it. The chain is named "relayd", so an instrumented
+// one times its stages as pipeline.relayd.<stage>.
 func BuildSessionChain(p SessionParams, ampDB float64) (*pipeline.Chain, *pipeline.CancelStage) {
-	return pipeline.NewSessionChain(chainSpec(p, ampDB), rng.New(p.Seed))
+	ch, cancel := pipeline.NewSessionChain(chainSpec(p, ampDB), rng.New(p.Seed))
+	return pipeline.NewChain("relayd", ch.Stages()...), cancel
 }

@@ -24,7 +24,7 @@ func TestStatusEndpoint(t *testing.T) {
 		t.Fatalf("/healthz = %d %q, want 200 ok", rec.Code, rec.Body.String())
 	}
 
-	if err := runVerifiedSession(srv, 900, 2); err != nil {
+	if err := runVerifiedSession(srv, testParams(900), 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "completed session to release", func() bool { return srv.Sessions() == 0 })
