@@ -154,10 +154,10 @@ bench:
 	$(GO) test -run '^$$' -bench 'FFRelayProcess|MIMORelayProcess|SICFilter' -benchmem -json . > BENCH_pipeline.json
 
 # Alloc-regression gate: the per-block hot paths (SIC filter, relay
-# forward chain, batched multi-session sweep) must stay at 0 allocs/op.
+# forward chain, multi-session session chains) must stay at 0 allocs/op.
 # Any benchmark line reporting nonzero allocs/op fails the target.
 bench-allocs: build
-	$(GO) test -run '^$$' -bench 'SICFilter|FFRelayProcess|PipelineBatch' -benchmem -benchtime 100x . \
+	$(GO) test -run '^$$' -bench 'SICFilter|FFRelayProcess|SessionChains' -benchmem -benchtime 100x . \
 		| tee /dev/stderr \
 		| awk '/allocs\/op/ { if ($$(NF-1)+0 != 0) bad = 1 } END { if (bad) { print "FAIL: nonzero allocs/op in a per-block hot path"; exit 1 } }'
 

@@ -6,6 +6,7 @@
 package fastforward_test
 
 import (
+	"math"
 	"testing"
 
 	"fastforward/internal/dsp"
@@ -297,98 +298,50 @@ func BenchmarkFFRelayProcess(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineBatch compares advancing 8 independent 20 MHz session
-// chains one by one against the batched stage-sweep executor on the same
-// chains, both instrumented the way a deployment runs them. Two
-// scheduling quanta: "sample" is the latency-critical per-sample drive
-// (one sample per chain per sweep, direct forms — here the per-stage
-// timer brackets and counters dominate, and the batch pays them once per
-// stage instead of once per stage per session, roughly a 2x sweep win);
-// "block256" is the throughput mode on the planar block kernels, where
-// the batch's amortization nets a smaller margin on top of the kernels.
-func BenchmarkPipelineBatch(b *testing.B) {
-	const nSessions = 8
-	build := func(blockLen int) ([]*pipeline.Chain, []*pipeline.CancelStage, [][]complex128, [][]complex128) {
-		chains := make([]*pipeline.Chain, nSessions)
-		cancels := make([]*pipeline.CancelStage, nSessions)
-		txs := make([][]complex128, nSessions)
-		rxs := make([][]complex128, nSessions)
-		for i := 0; i < nSessions; i++ {
-			src := rng.New(rng.ItemSeed(7, i))
-			taps := make([]complex128, 120)
-			for k := range taps {
-				taps[k] = src.ComplexGaussian(1.0 / 120)
-			}
-			pre := make([]complex128, 16)
-			for k := range pre {
-				pre[k] = src.ComplexGaussian(1.0 / 16)
-			}
-			cancels[i] = pipeline.NewCancelStage("cancel", taps)
-			chains[i] = pipeline.NewChain("session",
-				cancels[i],
-				pipeline.NewCFOStage("cfo_remove", -4.7e-4),
-				pipeline.NewFIRStage("cnf_pre", pre),
-				pipeline.NewCFOStage("cfo_restore", 4.7e-4),
-				pipeline.NewGainStage("amp", complex(3.16, 0)),
-			)
-			txs[i] = src.NoiseVector(blockLen, 1)
-			rxs[i] = src.NoiseVector(blockLen, 1)
-		}
-		return chains, cancels, txs, rxs
+// BenchmarkSessionChains drives 8 independent 20 MHz session chains the
+// way the relay daemon runs them: each pipeline.NewSessionChain chain
+// (24-tap cancel, CFO remove/restore, 16-tap CNF, 10 dB amplify) is
+// instrumented and advanced by its own Process call on a 4096-sample
+// block, its canceller re-armed per block. One op is one round over all
+// 8 sessions; the allocation gate requires 0 allocs/op.
+func BenchmarkSessionChains(b *testing.B) {
+	const (
+		nSessions = 8
+		blockLen  = 4096
+	)
+	spec := pipeline.SessionChainSpec{
+		CancelTaps: 24,
+		CNFTaps:    16,
+		CFOStepRad: 2 * math.Pi * 1500 / 20e6,
+		AmpGain:    complex(math.Sqrt(10), 0),
 	}
-	for _, mode := range []struct {
-		name     string
-		blockLen int
-	}{
-		{"sample", 1},
-		{"block256", 256},
-	} {
-		blocks := make([][]complex128, nSessions)
-		for i := range blocks {
-			blocks[i] = make([]complex128, mode.blockLen)
+	o := pipeline.NewObs(obs.New())
+	chains := make([]*pipeline.Chain, nSessions)
+	cancels := make([]*pipeline.CancelStage, nSessions)
+	txs := make([][]complex128, nSessions)
+	rxs := make([][]complex128, nSessions)
+	blocks := make([][]complex128, nSessions)
+	for i := range chains {
+		src := rng.New(rng.ItemSeed(7, i))
+		chains[i], cancels[i] = pipeline.NewSessionChain(spec, src)
+		chains[i].Instrument(o, 0)
+		txs[i] = src.NoiseVector(blockLen, 1)
+		rxs[i] = src.NoiseVector(blockLen, 1)
+		blocks[i] = make([]complex128, blockLen)
+	}
+	round := func() {
+		for s, ch := range chains {
+			copy(blocks[s], rxs[s])
+			cancels[s].SetReference(txs[s])
+			ch.Process(blocks[s])
 		}
-		b.Run(mode.name+"/sequential", func(b *testing.B) {
-			chains, cancels, txs, rxs := build(mode.blockLen)
-			o := pipeline.NewObs(obs.New())
-			for _, c := range chains {
-				c.Instrument(o, 0)
-			}
-			for s := 0; s < nSessions; s++ { // warm scratch buffers
-				copy(blocks[s], rxs[s])
-				cancels[s].SetReference(txs[s])
-				chains[s].Process(blocks[s])
-			}
-			b.ReportAllocs()
-			b.SetBytes(int64(nSessions * mode.blockLen * 16))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for s := 0; s < nSessions; s++ {
-					copy(blocks[s], rxs[s])
-					cancels[s].SetReference(txs[s])
-					chains[s].Process(blocks[s])
-				}
-			}
-		})
-		b.Run(mode.name+"/batch", func(b *testing.B) {
-			chains, cancels, txs, rxs := build(mode.blockLen)
-			bat := pipeline.NewBatch("bench", chains...)
-			bat.Instrument(pipeline.NewObs(obs.New()), 0)
-			for s := 0; s < nSessions; s++ { // warm scratch buffers
-				copy(blocks[s], rxs[s])
-				cancels[s].SetReference(txs[s])
-			}
-			bat.ProcessAll(blocks)
-			b.ReportAllocs()
-			b.SetBytes(int64(nSessions * mode.blockLen * 16))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for s := 0; s < nSessions; s++ {
-					copy(blocks[s], rxs[s])
-					cancels[s].SetReference(txs[s])
-				}
-				bat.ProcessAll(blocks)
-			}
-		})
+	}
+	round() // warm scratch buffers
+	b.ReportAllocs()
+	b.SetBytes(int64(nSessions * blockLen * 16))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
 	}
 }
 

@@ -26,7 +26,7 @@
 //
 // -fig sessions is a machine benchmark rather than a paper figure: it
 // binary-searches the largest number of concurrent 20 MHz full-duplex
-// sessions whose batched relay chains hold the real-time deadline on one
+// sessions whose relay chains hold the real-time deadline on one
 // core and publishes the result as the pipeline.sessions_per_core gauge. It
 // is excluded from -fig all because its numbers are wall-clock
 // measurements of the host, not deterministic simulation output.
@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"fastforward/cmd/internal/runmeta"
@@ -52,7 +53,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to reproduce: all, 12, 13, 14, 15, 16, 17, 18, deg, fleet")
+	fig := flag.String("fig", "all", "figure to reproduce: all, 12, 13, 14, 15, 16, 17, 18, deg, fleet, sessions")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	grid := flag.Float64("grid", 1.5, "client grid spacing in meters")
 	stride := flag.Int("stride", 4, "subcarrier evaluation stride (1 = all 52)")
@@ -67,6 +68,17 @@ func main() {
 	serveMode := flag.String("serve-mode", "local", "fleet admission endpoint: local (in-process gates) or wire (live ffrelayd daemons on loopback TCP)")
 	fleetExec := flag.String("fleet-exec", "", "with -serve-mode wire: path to a built cmd/ffrelayd binary to spawn per relay (empty: in-process servers)")
 	flag.Parse()
+
+	switch *fig {
+	case "all", "12", "13", "14", "15", "16", "17", "18", "deg", "fleet", "sessions":
+	default:
+		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
+		os.Exit(2)
+	}
+	if *serveMode != "local" && *serveMode != "wire" {
+		fmt.Fprintf(os.Stderr, "unknown -serve-mode %q (want local or wire)\n", *serveMode)
+		os.Exit(2)
+	}
 
 	run := runmeta.Begin("ffsim")
 	cfg := testbed.DefaultConfig(*seed)
@@ -111,10 +123,6 @@ func main() {
 	runFig("17", fig17)
 	runFig("18", fig18)
 	runFig("deg", figDeg)
-	if *serveMode != "local" && *serveMode != "wire" {
-		fmt.Fprintf(os.Stderr, "unknown -serve-mode %q (want local or wire)\n", *serveMode)
-		os.Exit(2)
-	}
 	runFig("fleet", func(cfg testbed.Config) {
 		figFleet(fleetOpts{
 			scenario:   *fleetScenario,
@@ -132,14 +140,6 @@ func main() {
 		stop := cfg.Obs.Stage("figsessions")
 		figSessions(run.Registry(), *seed)
 		stop()
-	}
-	if *fig != "all" {
-		switch *fig {
-		case "12", "13", "14", "15", "16", "17", "18", "deg", "fleet", "sessions":
-		default:
-			fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
-			os.Exit(2)
-		}
 	}
 	run.Finish(*seed, *workers)
 }
@@ -300,8 +300,8 @@ func parseIntList(s string) ([]int, error) {
 	parts := strings.Split(s, ",")
 	out := make([]int, 0, len(parts))
 	for _, p := range parts {
-		var v int
-		if _, err := fmt.Sscanf(strings.TrimSpace(p), "%d", &v); err != nil || v <= 0 {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || v <= 0 {
 			return nil, fmt.Errorf("bad count %q (want positive integers)", p)
 		}
 		out = append(out, v)
@@ -323,7 +323,7 @@ func figSessions(reg *obs.Registry, seed int64) {
 	}
 	fmt.Printf("  (deadline is the air time of one %d-sample block at %.0f MHz;\n",
 		r.Config.BlockSamples, r.Config.SampleRateHz/1e6)
-	fmt.Printf("   a count of N means N batched relay chains — %d-tap cancel, CFO\n",
+	fmt.Printf("   a count of N means N relay chains — %d-tap cancel, CFO\n",
 		r.Config.CancelTaps)
 	fmt.Printf("   remove/restore, %d-tap CNF, amplify — keep up with the air interface)\n",
 		r.Config.CNFTaps)

@@ -6,8 +6,7 @@
 // analyzer makes visible at the line that breaks it.
 //
 // Two rules, applied inside hot-path function bodies (Process,
-// ProcessInto, ProcessAll, ProcessM, Push, PushPair) of the signal-path
-// packages:
+// ProcessInto, ProcessM, Push, PushPair) of the signal-path packages:
 //
 //  1. Slice make: `make([]T, ...)` allocates per call unless it sits
 //     behind the grow-once idiom — a surrounding `if cap(buf) < n`
@@ -50,7 +49,7 @@ var defaultHotPackages = []string{
 }
 
 var defaultHotFuncs = []string{
-	"Process", "ProcessInto", "ProcessAll", "ProcessM", "Push", "PushPair",
+	"Process", "ProcessInto", "ProcessM", "Push", "PushPair",
 }
 
 // allocHelpers maps each allocating dsp helper to the zero-allocation

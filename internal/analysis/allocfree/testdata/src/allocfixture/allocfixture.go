@@ -38,9 +38,7 @@ func (s *stage) PushPair(tx, rx complex128) complex128 {
 	return rx - complex(dsp.Power(pair), 0)
 }
 
-// ProcessAllowed demonstrates the escape hatch: an intentional per-call
-// allocation documents itself and is suppressed. (The function name
-// keeps it outside the hot set; the annotation form is what matters.)
+// Process2 is outside the hot set: hot-path names match exactly.
 func (s *stage) Process2(block []complex128) []complex128 { return block }
 
 // Process with a documented intentional allocation.

@@ -12,7 +12,7 @@
 //     channel sends/receives (including `range ch` and `select` without
 //     a default), time.Sleep, net.Conn Read/Write/Close,
 //     net.Listener.Accept, sync.WaitGroup.Wait, and the block DSP
-//     entry points pipeline.Batch.ProcessAll and pipeline.Chain.Process.
+//     entry point pipeline.Chain.Process.
 //
 //  2. Every Lock/RLock must be released on every path: a `return`
 //     reached while a mutex is held with no deferred unlock is a
@@ -57,13 +57,12 @@ var defaultLockOrder = []string{
 // that may block. Receiver packages match on their final path element so
 // fixtures can stub net or pipeline.
 var blockingMethods = map[string]bool{
-	"net.Conn.Read":             true,
-	"net.Conn.Write":            true,
-	"net.Conn.Close":            true,
-	"net.Listener.Accept":       true,
-	"sync.WaitGroup.Wait":       true,
-	"pipeline.Batch.ProcessAll": true,
-	"pipeline.Chain.Process":    true,
+	"net.Conn.Read":          true,
+	"net.Conn.Write":         true,
+	"net.Conn.Close":         true,
+	"net.Listener.Accept":    true,
+	"sync.WaitGroup.Wait":    true,
+	"pipeline.Chain.Process": true,
 }
 
 // New returns the lockscope analyzer.

@@ -20,7 +20,6 @@ type Server struct {
 	mu    sync.Mutex
 	gate  *Gate
 	conns map[net.Conn]bool
-	batch *pipeline.Batch
 	chain *pipeline.Chain
 	ch    chan int
 }
@@ -79,12 +78,6 @@ func (s *Server) closeConnsFixed() {
 	for _, c := range conns {
 		c.Close()
 	}
-}
-
-func (s *Server) batchHeld(blocks [][]complex128) {
-	s.mu.Lock()
-	s.batch.ProcessAll(blocks) // want `blocking operation \(pipeline\.Batch\.ProcessAll\) while s\.mu is held`
-	s.mu.Unlock()
 }
 
 // chainHeld runs a session's block DSP under the server lock: every

@@ -2,10 +2,6 @@
 // block DSP surface lockscope treats as blocking.
 package pipeline
 
-type Batch struct{ n int }
-
-func (b *Batch) ProcessAll(blocks [][]complex128) {}
-
 type Chain struct{ n int }
 
 func (c *Chain) Process(block []complex128) []complex128 { return block }

@@ -8,7 +8,6 @@ import (
 
 	"fastforward/internal/cnf"
 	"fastforward/internal/floorplan"
-	"fastforward/internal/pipeline"
 	"fastforward/internal/relayd"
 	"fastforward/internal/rng"
 )
@@ -111,8 +110,8 @@ func checkLoadBound(t *testing.T, p *Pool) {
 // TestFleetFailureMigration is the 3-relay integration scenario: build a
 // real cell, drive one relay up the severity ladder rung by rung, and
 // watch clients migrate away with the books staying consistent at every
-// rung. The admitted survivors then run through a per-relay
-// pipeline.Batch, the same chain shape a live daemon executes.
+// rung. Each admitted survivor's chain then runs one block through its
+// own Process, the way a live daemon serves it.
 func TestFleetFailureMigration(t *testing.T) {
 	sc, err := scenarioByName("home")
 	if err != nil {
@@ -184,13 +183,11 @@ func TestFleetFailureMigration(t *testing.T) {
 	checkNoDoubleAssignment(t, p)
 	checkLoadBound(t, p)
 
-	// Run every admitted session through its relay's batch — the fleet's
+	// Run every admitted session through its own chain — the fleet's
 	// grants must be executable by the daemon-shaped pipeline.
 	const blockSamples = 64
 	for _, r := range p.Registry().Relays() {
-		var chains []*pipeline.Chain
-		var cancels []*pipeline.CancelStage
-		var clientIDs []int
+		src := rng.New(4242 + int64(r.ID))
 		for _, c := range p.Clients() {
 			if c.Assigned != r.ID {
 				continue
@@ -209,29 +206,12 @@ func TestFleetFailureMigration(t *testing.T) {
 				PAHeadroomDB:   sb.PAHeadroomDB,
 				RxOverNoiseDB:  sb.RxOverNoiseDB,
 			}
-			ch, cn := relayd.BuildSessionChain(params, c.Grant.AmpDB)
-			chains = append(chains, ch)
-			cancels = append(cancels, cn)
-			clientIDs = append(clientIDs, c.ID)
-		}
-		if len(chains) == 0 {
-			continue
-		}
-		batch := pipeline.NewBatch(fmt.Sprintf("fleet-relay%d", r.ID), chains...)
-		if batch.Sessions() != len(chains) {
-			t.Fatalf("relay %d batch holds %d sessions, want %d", r.ID, batch.Sessions(), len(chains))
-		}
-		src := rng.New(4242 + int64(r.ID))
-		blocks := make([][]complex128, len(chains))
-		for i := range blocks {
-			blocks[i] = src.NoiseVector(blockSamples, 1)
-			cancels[i].SetReference(src.NoiseVector(blockSamples, 1))
-		}
-		batch.ProcessAll(blocks)
-		for i, b := range blocks {
-			for j, v := range b {
+			ch, cancel := relayd.BuildSessionChain(params, c.Grant.AmpDB)
+			block := src.NoiseVector(blockSamples, 1)
+			cancel.SetReference(src.NoiseVector(blockSamples, 1))
+			for j, v := range ch.Process(block) {
 				if cmplx.IsNaN(v) || cmplx.IsInf(v) {
-					t.Fatalf("relay %d client %d sample %d not finite: %v", r.ID, clientIDs[i], j, v)
+					t.Fatalf("relay %d client %d sample %d not finite: %v", r.ID, c.ID, j, v)
 				}
 			}
 		}

@@ -186,170 +186,13 @@ func TestChainFastPathMatchesDirect(t *testing.T) {
 	}
 }
 
-// buildSessions constructs n identical-shape session chains with
-// per-session taps, the way the multi-session sweep does.
-func buildSessions(seed int64, n, ntaps, npre, blockLen int) ([]*pipeline.Chain, []*pipeline.CancelStage, [][]complex128, [][]complex128) {
-	chains := make([]*pipeline.Chain, n)
-	cancels := make([]*pipeline.CancelStage, n)
-	txs := make([][]complex128, n)
-	rxs := make([][]complex128, n)
-	for i := 0; i < n; i++ {
-		src := rng.New(rng.ItemSeed(seed, i))
-		chains[i], cancels[i] = buildChain(randTaps(src, ntaps), randTaps(src, npre), 0.003)
-		txs[i] = testSignal(src, blockLen)
-		rxs[i] = testSignal(src, blockLen)
-	}
-	return chains, cancels, txs, rxs
-}
-
-// TestBatchMatchesSequential proves the batched executor is bit-identical
-// to advancing the same chains one by one: the stage sweep reorders which
-// stage runs when across sessions, but each chain's state is private, so
-// every sample is computed by the same operations in the same order.
-// Runs instrumented, on the planar block path.
-func TestBatchMatchesSequential(t *testing.T) {
-	const (
-		nSessions = 4
-		blockLen  = 256
-		nBlocks   = 8
-	)
-	// Sequential reference.
-	seqChains, seqCancels, txs, rxs := buildSessions(97, nSessions, 48, 9, blockLen)
-	seqOut := make([][]complex128, nSessions)
-	seqReg := obs.New()
-	seqObs := pipeline.NewObs(seqReg)
-	for i, ch := range seqChains {
-		ch.Instrument(seqObs, 0)
-		seqOut[i] = make([]complex128, blockLen)
-	}
-	// Batched run over identically-seeded chains.
-	batChains, batCancels, _, _ := buildSessions(97, nSessions, 48, 9, blockLen)
-	batch := pipeline.NewBatch("bat", batChains...)
-	batReg := obs.New()
-	batch.Instrument(pipeline.NewObs(batReg), 0)
-	blocks := make([][]complex128, nSessions)
-	for i := range blocks {
-		blocks[i] = make([]complex128, blockLen)
-	}
-
-	for blk := 0; blk < nBlocks; blk++ {
-		for i := 0; i < nSessions; i++ {
-			copy(seqOut[i], rxs[i])
-			seqCancels[i].SetReference(txs[i])
-			seqChains[i].Process(seqOut[i])
-
-			copy(blocks[i], rxs[i])
-			batCancels[i].SetReference(txs[i])
-		}
-		batch.ProcessAll(blocks)
-		for i := 0; i < nSessions; i++ {
-			for j := range blocks[i] {
-				if blocks[i][j] != seqOut[i][j] {
-					t.Fatalf("block %d session %d sample %d: batch %v, sequential %v (bit-exact)",
-						blk, i, j, blocks[i][j], seqOut[i][j])
-				}
-			}
-		}
-	}
-
-	// The batch records the same block/sample totals as the sequential
-	// chains, plus its sweep counters.
-	for _, m := range []struct {
-		name, unit string
-		want       uint64
-	}{
-		{"pipeline.blocks", "blocks", nSessions * nBlocks},
-		{"pipeline.samples", "samples", nSessions * nBlocks * blockLen},
-		{"pipeline.batch.sweeps", "sweeps", nBlocks},
-		{"pipeline.batch.sessions", "blocks", nSessions * nBlocks},
-	} {
-		if got := batReg.Counter(m.name, m.unit).Value(); got != m.want {
-			t.Fatalf("%s = %d, want %d", m.name, got, m.want)
-		}
-	}
-	if got := seqReg.Counter("pipeline.blocks", "blocks").Value(); got != nSessions*nBlocks {
-		t.Fatalf("sequential pipeline.blocks = %d, want %d", got, nSessions*nBlocks)
-	}
-}
-
-// TestBatchStageCountMismatch pins the lockstep precondition.
-func TestBatchStageCountMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBatch accepted chains with unequal stage counts")
-		}
-	}()
-	a := pipeline.NewChain("a", pipeline.NewGainStage("g", 1))
-	b := pipeline.NewChain("b", pipeline.NewGainStage("g", 1), pipeline.NewGainStage("g2", 1))
-	pipeline.NewBatch("bad", a, b)
-}
-
-// TestBatchRegistersNoDeadTimers checks that a batch's only timers are
-// its per-position stage timers, each called once per sweep: member
-// chains get the stage-level block-path counters but register no
-// pipeline.<chain>.<stage> timers of their own, which the batch would
-// never call.
-func TestBatchRegistersNoDeadTimers(t *testing.T) {
-	const blockLen = 256
-	spec := pipeline.SessionChainSpec{CancelTaps: 24, CNFTaps: 16, CFOStepRad: 0.01, AmpGain: 2}
-	var chains []*pipeline.Chain
-	var blocks [][]complex128
-	for i := 0; i < 2; i++ {
-		src := rng.New(int64(i + 1))
-		ch, cancel := pipeline.NewSessionChain(spec, src)
-		cancel.SetReference(testSignal(src, blockLen))
-		chains = append(chains, ch)
-		blocks = append(blocks, testSignal(src, blockLen))
-	}
-	reg := obs.New()
-	b := pipeline.NewBatch("bat", chains...)
-	b.Instrument(pipeline.NewObs(reg), 0)
-	b.ProcessAll(blocks)
-
-	timings := reg.Snapshot().Timings
-	if len(timings) != len(pipeline.SessionStageNames()) {
-		t.Errorf("registered %d timers, want one per stage position (%d): %+v",
-			len(timings), len(pipeline.SessionStageNames()), timings)
-	}
-	for _, tm := range timings {
-		if tm.Calls == 0 {
-			t.Errorf("timer %s registered with zero calls", tm.Stage)
-		}
-	}
-	// Both filter stages of both sessions still count their planar blocks.
-	if got := reg.Counter("pipeline.soa_blocks", "blocks").Value(); got != 4 {
-		t.Errorf("pipeline.soa_blocks = %d, want 4", got)
-	}
-}
-
-// TestBlockPool checks Get returns zeroed blocks and reuses recycled
-// capacity.
-func TestBlockPool(t *testing.T) {
-	var p pipeline.BlockPool
-	b := p.Get(64)
-	if len(b) != 64 {
-		t.Fatalf("Get(64) len = %d", len(b))
-	}
-	for i := range b {
-		b[i] = complex(1, 1)
-	}
-	p.Put(b)
-	c := p.Get(32)
-	if cap(c) < 64 {
-		t.Fatal("Get did not reuse the recycled block")
-	}
-	for i, v := range c {
-		if v != 0 {
-			t.Fatalf("recycled block not zeroed at %d: %v", i, v)
-		}
-	}
-}
-
 // TestSessionSweep smoke-tests the real-time search on a tiny config:
-// the probe sequence must bracket the answer and the gauge must publish.
+// the probe sequence must bracket the answer, the gauge must publish,
+// and the round counters must account for every session block the
+// probes ran.
 func TestSessionSweep(t *testing.T) {
 	reg := obs.New()
-	res := pipeline.RunSessionSweep(reg, pipeline.SessionConfig{
+	cfg := pipeline.SessionConfig{
 		BlockSamples:  256,
 		CancelTaps:    8,
 		CNFTaps:       4,
@@ -357,7 +200,8 @@ func TestSessionSweep(t *testing.T) {
 		WarmSweeps:    1,
 		MeasureSweeps: 2,
 		MaxSessions:   8,
-	})
+	}
+	res := pipeline.RunSessionSweep(reg, cfg)
 	if len(res.Probes) == 0 {
 		t.Fatal("sweep recorded no probes")
 	}
@@ -374,9 +218,39 @@ func TestSessionSweep(t *testing.T) {
 	if g != float64(res.Sessions) {
 		t.Fatalf("gauge = %g, want %d", g, res.Sessions)
 	}
+	rounds := uint64(cfg.WarmSweeps + cfg.MeasureSweeps)
+	var wantRounds, wantBlocks uint64
 	for _, p := range res.Probes {
 		if p.RealTime != (p.NSPerSweep <= res.DeadlineNS) {
 			t.Fatalf("probe %+v inconsistent with deadline %g", p, res.DeadlineNS)
+		}
+		wantRounds += rounds
+		wantBlocks += uint64(p.Sessions) * rounds
+	}
+	for _, m := range []struct {
+		name, unit string
+		want       uint64
+	}{
+		{"pipeline.blocks", "blocks", wantBlocks},
+		{"pipeline.batch.sessions", "blocks", wantBlocks},
+		{"pipeline.batch.sweeps", "sweeps", wantRounds},
+	} {
+		if got := reg.Counter(m.name, m.unit).Value(); got != m.want {
+			t.Errorf("%s = %d, want %d", m.name, got, m.want)
+		}
+	}
+	if reg.Counter("pipeline.soa_blocks", "blocks").Value() == 0 {
+		t.Error("pipeline.soa_blocks = 0: the session filters never took the planar block path")
+	}
+	// Every registered stage timer is one the rounds actually call.
+	timings := reg.Snapshot().Timings
+	if len(timings) != len(pipeline.SessionStageNames()) {
+		t.Errorf("registered %d timers, want one per session stage (%d): %+v",
+			len(timings), len(pipeline.SessionStageNames()), timings)
+	}
+	for _, tm := range timings {
+		if tm.Calls == 0 {
+			t.Errorf("timer %s registered with zero calls", tm.Stage)
 		}
 	}
 }

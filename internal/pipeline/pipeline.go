@@ -66,9 +66,11 @@ type Obs struct {
 	Latency *obs.Histogram
 	// Violations counts CheckBudget calls whose chain exceeded the budget.
 	Violations *obs.Counter
-	// BatchSweeps counts Batch.ProcessAll stage sweeps; BatchSessions
-	// counts the session-blocks those sweeps advanced. The relay daemon
-	// counts each served block as a sweep of one session.
+	// BatchSweeps counts rounds — passes that advance every session on a
+	// core by one block — and BatchSessions the session blocks those
+	// rounds advanced. The relay daemon counts each served block as a
+	// round of one session; RunSessionSweep counts one round per pass
+	// over its N sessions.
 	BatchSweeps   *obs.Counter
 	BatchSessions *obs.Counter
 
@@ -147,19 +149,6 @@ func (c *Chain) Instrument(o *Obs, shard int) {
 	c.o = o
 	c.shard = shard
 	c.timers = nil
-	c.instrumentStages(o, shard)
-	if o == nil || o.reg == nil {
-		return
-	}
-	c.timers = make([]*obs.StageTimer, len(c.stages))
-	for i, st := range c.stages {
-		c.timers[i] = o.reg.Timer("pipeline." + c.name + "." + st.Name())
-	}
-}
-
-// instrumentStages hands the FFT and SoA block-path counters to every
-// capable stage; nil o detaches them.
-func (c *Chain) instrumentStages(o *Obs, shard int) {
 	var fft, soa *obs.Counter
 	if o != nil {
 		fft, soa = o.FFTBlocks, o.SOABlocks
@@ -171,6 +160,13 @@ func (c *Chain) instrumentStages(o *Obs, shard int) {
 		if so, ok := st.(soaObservable); ok {
 			so.setSoAObs(soa, shard)
 		}
+	}
+	if o == nil || o.reg == nil {
+		return
+	}
+	c.timers = make([]*obs.StageTimer, len(c.stages))
+	for i, st := range c.stages {
+		c.timers[i] = o.reg.Timer("pipeline." + c.name + "." + st.Name())
 	}
 }
 

@@ -7,17 +7,17 @@ import (
 	"fastforward/internal/rng"
 )
 
-// This file answers the deployment-shaped question behind Batch: how
-// many concurrent full-duplex sessions can one core carry in real time?
+// This file answers a deployment-shaped question: how many concurrent
+// full-duplex sessions can one core carry in real time?
 // A session is the forward relay chain of the paper's design — digital
 // cancellation at the Sec 3.3 canceller length (24 taps,
 // sic.DefaultCharacterizeConfig), CFO removal, the 16-tap CNF
 // pre-filter, CFO restoration, and the relay amplifier — fed 20 MHz of
-// complex baseband. Real time means one batched stage sweep over all N
-// sessions finishes within the air-time of one block
-// (BlockSamples/SampleRateHz). RunSessionSweep binary-searches the
-// largest N that holds the deadline and publishes it as the
-// pipeline.sessions_per_core gauge.
+// complex baseband. Real time means one round — all N session chains
+// processed in turn, the way the relay daemon runs them — finishes
+// within the air-time of one block (BlockSamples/SampleRateHz).
+// RunSessionSweep binary-searches the largest N that holds the deadline
+// and publishes it as the pipeline.sessions_per_core gauge.
 
 // SessionConfig shapes the multi-session real-time sweep.
 type SessionConfig struct {
@@ -35,8 +35,8 @@ type SessionConfig struct {
 	CFOHz float64
 	// Seed makes the synthetic taps and waveforms reproducible.
 	Seed int64
-	// WarmSweeps run untimed before MeasureSweeps timed sweeps; the
-	// fastest timed sweep is the probe's cost estimate (see
+	// WarmSweeps run untimed before MeasureSweeps timed rounds; the
+	// fastest timed round is the probe's cost estimate (see
 	// measureSessions for why minimum, not mean).
 	WarmSweeps    int
 	MeasureSweeps int
@@ -82,13 +82,13 @@ type SessionProbe struct {
 // SessionResult is the outcome of one RunSessionSweep.
 type SessionResult struct {
 	Config SessionConfig
-	// Sessions is the largest session count whose batched sweep met the
-	// block deadline (0 when even one session misses it).
+	// Sessions is the largest session count whose round met the block
+	// deadline (0 when even one session misses it).
 	Sessions int
-	// DeadlineNS is the per-sweep real-time budget: the air time of one
+	// DeadlineNS is the per-round real-time budget: the air time of one
 	// block at the configured sample rate.
 	DeadlineNS float64
-	// NSPerSweep / NSPerSession are the fastest measured sweep at the
+	// NSPerSweep / NSPerSession are the fastest measured round at the
 	// winning count (at 1 session when Sessions is 0, for diagnosis).
 	NSPerSweep   float64
 	NSPerSession float64
@@ -147,58 +147,60 @@ func NewSessionChain(spec SessionChainSpec, src *rng.Source) (*Chain, *CancelSta
 }
 
 // newSessionChain adapts the sweep config to the shared session spec
-// (the sweep's amplifier models a fixed 10 dB relay gain).
+// (the sweep's amplifier models a fixed 10 dB relay gain). The chain is
+// named sessions, so its stage timers are pipeline.sessions.<stage>.
 func newSessionChain(cfg SessionConfig, src *rng.Source) (*Chain, *CancelStage) {
-	return NewSessionChain(SessionChainSpec{
+	ch, cancel := NewSessionChain(SessionChainSpec{
 		CancelTaps: cfg.CancelTaps,
 		CNFTaps:    cfg.CNFTaps,
 		CFOStepRad: 2 * math.Pi * cfg.CFOHz / cfg.SampleRateHz,
 		AmpGain:    complex(math.Sqrt(10), 0),
 	}, src)
+	return NewChain("sessions", ch.Stages()...), cancel
 }
 
-// measureSessions times batched sweeps over n sessions and returns the
-// fastest sweep in nanoseconds. The minimum — not the mean — estimates
-// the machine's steady-state cost: every sweep does identical work, so
+// measureSessions times rounds over n sessions and returns the fastest
+// round in nanoseconds. A round is what a daemon on one core does within
+// one block deadline: every session's block is refilled from its
+// template, its canceller re-armed, and its chain run with Process, one
+// session after another. The minimum — not the mean — estimates the
+// machine's steady-state cost: every round does identical work, so
 // anything above the minimum is scheduler or neighbor interference,
 // which a deployment would remove with core pinning rather than budget
-// for. Blocks are refilled from per-session templates before every
-// sweep, so each sweep really is identical work on well-scaled samples
-// (no denormal drift across sweeps).
+// for. Refilling from the templates keeps each round identical work on
+// well-scaled samples (no denormal drift across rounds).
 func measureSessions(cfg SessionConfig, n int, po *Obs) float64 {
 	chains := make([]*Chain, n)
 	cancels := make([]*CancelStage, n)
 	txT := make([][]complex128, n)
 	rxT := make([][]complex128, n)
+	blocks := make([][]complex128, n)
 	for i := 0; i < n; i++ {
 		src := rng.New(rng.ItemSeed(cfg.Seed, i))
 		chains[i], cancels[i] = newSessionChain(cfg, src)
+		chains[i].Instrument(po, 0)
 		txT[i] = src.NoiseVector(cfg.BlockSamples, 1)
 		rxT[i] = src.NoiseVector(cfg.BlockSamples, 1)
+		blocks[i] = make([]complex128, cfg.BlockSamples)
 	}
-	b := NewBatch("sessions", chains...)
-	b.Instrument(po, 0)
-	var pool BlockPool
-	blocks := make([][]complex128, n)
-	sweep := func() {
-		for i := range blocks {
-			blocks[i] = pool.Get(cfg.BlockSamples)
+	round := func() {
+		for i, ch := range chains {
 			copy(blocks[i], rxT[i])
 			cancels[i].SetReference(txT[i])
+			ch.Process(blocks[i])
 		}
-		b.ProcessAll(blocks)
-		for i := range blocks {
-			pool.Put(blocks[i])
-			blocks[i] = nil
+		if po != nil {
+			po.BatchSweeps.Inc(0)
+			po.BatchSessions.Add(0, uint64(n))
 		}
 	}
 	for k := 0; k < cfg.WarmSweeps; k++ {
-		sweep()
+		round()
 	}
 	best := math.Inf(1)
 	for k := 0; k < cfg.MeasureSweeps; k++ {
 		start := obs.NowNanos()
-		sweep()
+		round()
 		if ns := float64(obs.NowNanos() - start); ns < best {
 			best = ns
 		}
@@ -206,12 +208,12 @@ func measureSessions(cfg SessionConfig, n int, po *Obs) float64 {
 	return best
 }
 
-// RunSessionSweep finds the largest session count whose batched sweep
-// meets the real-time deadline on the calling core: a doubling probe
-// until the first miss, then binary search on the bracket. When reg is
-// non-nil the winning count is published as the
-// pipeline.sessions_per_core gauge and the sweep chains record the
-// usual pipeline.* metrics.
+// RunSessionSweep finds the largest session count whose round meets the
+// real-time deadline on the calling core: a doubling probe until the
+// first miss, then binary search on the bracket. When reg is non-nil the
+// winning count is published as the pipeline.sessions_per_core gauge,
+// the session chains record the usual pipeline.* metrics, and every
+// round counts one pipeline.batch.sweeps and n pipeline.batch.sessions.
 func RunSessionSweep(reg *obs.Registry, cfg SessionConfig) SessionResult {
 	cfg = cfg.withDefaults()
 	po := NewObs(reg)

@@ -600,8 +600,8 @@ func (s *Server) streamSession(conn net.Conn, sess *Session, buf []byte) bool {
 			bytesToSamples(refSamples, payload[n*SampleBytes:])
 			sess.cancel.SetReference(refSamples)
 			sess.state.Store(int32(StateStreaming))
-			// A served block is a sweep of one session, counted as
-			// pipeline.Batch counts its sweeps.
+			// A served block is a round of one session (the
+			// pipeline.batch.* round counters).
 			samplesToBytes(out, sess.chain.Process(rx))
 			s.po.BatchSweeps.Inc(sess.shard)
 			s.po.BatchSessions.Inc(sess.shard)
