@@ -5,6 +5,7 @@ import (
 
 	"fastforward/internal/channel"
 	"fastforward/internal/golden"
+	"fastforward/internal/linalg"
 	"fastforward/internal/ofdm"
 	"fastforward/internal/rng"
 )
@@ -13,7 +14,7 @@ import (
 // draw: the desired per-subcarrier filter, its synthesized implementation's
 // tap energy and fit error, and a sample of the realized response. Filter
 // or synthesis changes re-baseline with -update; anything else is a
-// regression at 1e-9.
+// regression (golden.Check is bit-exact on amd64).
 func TestSynthesisGolden(t *testing.T) {
 	p := ofdm.Default20MHz()
 	carriers := p.DataCarriers
@@ -36,4 +37,68 @@ func TestSynthesisGolden(t *testing.T) {
 		}
 	}
 	golden.Check(t, "testdata/synthesis_golden.json", got)
+}
+
+// warmChain returns the per-carrier 2×2 channels of one Fig 12 client
+// evaluation: 12 data carriers at stride 4 of three multipath links, so
+// consecutive carriers are close and DesiredMIMO's warm start carries.
+func warmChain(seed int64) (Hsd, Hsr, Hrd []*linalg.Matrix) {
+	src := rng.New(seed)
+	p := ofdm.Default20MHz()
+	sd := channel.NewRichScattering(src, 2, 2, 4, 0.5, 1e-8)
+	sr := channel.NewRichScattering(src, 2, 2, 3, 0.5, 1e-6)
+	rd := channel.NewRichScattering(src, 2, 2, 3, 0.5, 1e-7)
+	for i := 0; len(Hsd) < 12; i += 4 {
+		k := p.DataCarriers[i]
+		Hsd = append(Hsd, sd.FrequencyResponse(k, p.NFFT))
+		Hsr = append(Hsr, sr.FrequencyResponse(k, p.NFFT))
+		Hrd = append(Hrd, rd.FrequencyResponse(k, p.NFFT))
+	}
+	return Hsd, Hsr, Hrd
+}
+
+// singularChain is warmChain with no direct path and a rank-one
+// relay→destination channel (row 2 = 2 × row 1), so the effective channel
+// Hrd·F·A·Hsr is singular for every F: the optimizer's failed-inverse
+// paths (the random nudge with a source, the early stop without) run on
+// every carrier, warm starts included.
+func singularChain(seed int64) (Hsd, Hsr, Hrd []*linalg.Matrix) {
+	Hsd, Hsr, Hrd = warmChain(seed)
+	for i := range Hsd {
+		Hsd[i] = linalg.NewMatrix(2, 2)
+		Hrd[i].Set(1, 0, 2*Hrd[i].At(0, 0))
+		Hrd[i].Set(1, 1, 2*Hrd[i].At(0, 1))
+	}
+	return Hsd, Hsr, Hrd
+}
+
+// TestDesiredMIMOGolden pins DesiredMIMO exactly: every entry of every
+// per-carrier F·A on the sweep-shaped warm chain (two amplification
+// levels, with and without a restart source) and on the singular chain,
+// plus the next draw of the source after each call, so a change that
+// keeps the filters but consumes randomness differently still fails.
+func TestDesiredMIMOGolden(t *testing.T) {
+	got := map[string]float64{}
+	record := func(name string, ampDB float64, FA []*linalg.Matrix, src *rng.Source) {
+		for c, fa := range FA {
+			for i, v := range fa.Data {
+				got[golden.Key("mimo", name, ampDB, c, "re", i)] = real(v)
+				got[golden.Key("mimo", name, ampDB, c, "im", i)] = imag(v)
+			}
+		}
+		if src != nil {
+			got[golden.Key("mimo", name, ampDB, "next_draw")] = src.Float64()
+		}
+	}
+	Hsd, Hsr, Hrd := warmChain(31)
+	for _, ampDB := range []float64{45, 60} {
+		src := rng.New(32)
+		record("warm", ampDB, DesiredMIMO(Hsd, Hsr, Hrd, ampDB, src), src)
+		record("nosrc", ampDB, DesiredMIMO(Hsd, Hsr, Hrd, ampDB, nil), nil)
+	}
+	Hsd, Hsr, Hrd = singularChain(33)
+	src := rng.New(34)
+	record("singular", 55, DesiredMIMO(Hsd, Hsr, Hrd, 55, src), src)
+	record("singular_nosrc", 55, DesiredMIMO(Hsd, Hsr, Hrd, 55, nil), nil)
+	golden.Check(t, "testdata/desired_mimo_golden.json", got)
 }
