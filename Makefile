@@ -148,9 +148,12 @@ fuzz-smoke:
 # Record the perf baseline (see EXPERIMENTS.md "Performance baseline").
 # The pipeline micro-benchmarks (relay block path + SIC filter direct vs
 # FFT) additionally write machine-readable results to BENCH_pipeline.json.
+# The DesiredMIMO benchmarks time the sweep's per-carrier MIMO CNF
+# optimizer, one carrier and one client's 12-carrier warm chain.
 bench:
 	$(GO) test -bench . -benchtime 1x .
 	$(GO) test -bench Forward -benchtime 100000x ./internal/fft
+	$(GO) test -run '^$$' -bench DesiredMIMO -benchmem ./internal/cnf
 	$(GO) test -run '^$$' -bench 'FFRelayProcess|MIMORelayProcess|SICFilter' -benchmem -json . > BENCH_pipeline.json
 
 # Alloc-regression gate: the per-block hot paths (SIC filter, relay

@@ -173,59 +173,40 @@ func optimizeF(Hsd, Hsr, Hrd *linalg.Matrix, amp float64, src *rng.Source, warm 
 	if Hsr.Rows != k {
 		panic("cnf: relay antenna dimension mismatch")
 	}
-	objective := func(F *linalg.Matrix) float64 {
-		M := Hsd.Add(Hrd.Mul(F).Mul(Hsr).Scale(amp))
-		return cmplx.Abs(M.Det())
-	}
-	var starts []*linalg.Matrix
+	a := newAscent(Hsd, Hsr, Hrd, amp, src)
+	// Every start is drawn before any climb: the climbs' singular-channel
+	// nudges draw from src too, and the order of draws is part of the
+	// result.
+	ns := 0
 	if warm != nil {
-		starts = append(starts, warm)
+		copy(a.starts[ns].Data, warm.Data)
+		ns++
 	}
-	starts = append(starts, linalg.Identity(k))
+	for i := 0; i < k; i++ {
+		a.starts[ns].Set(i, i, 1)
+	}
+	ns++
 	if src != nil {
 		n := 4
 		if warm != nil {
 			n = 1 // cold restarts only as a safety net once warm
 		}
 		for r := 0; r < n; r++ {
-			starts = append(starts, linalg.FromRows(src.RandomUnitary(k)))
+			a.randomUnitary(&a.starts[ns])
+			ns++
 		}
 	}
 	var bestF *linalg.Matrix
 	bestVal := math.Inf(-1)
 	warmVal := math.Inf(-1)
-	for si, F0 := range starts {
-		F := F0.Clone()
-		val := objective(F)
-		step := 0.5
-		for iter := 0; iter < 200 && step > 1e-6; iter++ {
-			M := Hsd.Add(Hrd.Mul(F).Mul(Hsr).Scale(amp))
-			Minv, err := M.Inverse()
-			if err != nil {
-				// Singular effective channel: nudge F randomly.
-				if src != nil {
-					F = linalg.FromRows(src.RandomUnitary(k))
-					val = objective(F)
-					continue
-				}
-				break
-			}
-			// Gradient of log|det M| w.r.t. conj(F): A·Hrdᴴ·M⁻ᴴ·Hsrᴴ.
-			G := Hrd.Adjoint().Mul(Minv.Adjoint()).Mul(Hsr.Adjoint()).Scale(amp)
-			cand := F.Add(G.Scale(step))
-			proj, err := cand.ProjectUnitary()
-			if err != nil {
-				step /= 2
-				continue
-			}
-			if v := objective(proj); v > val {
-				F = proj
-				val = v
-			} else {
-				step /= 2
-			}
-		}
+	for si := range a.starts[:ns] {
+		F := &a.starts[si]
+		var held *linalg.Matrix
 		if warm != nil && si == 0 {
+			held = &a.held
+		}
+		val := a.climb(F, held)
+		if held != nil {
 			warmVal = val
 		}
 		if val > bestVal {
@@ -234,36 +215,138 @@ func optimizeF(Hsd, Hsr, Hrd *linalg.Matrix, amp float64, src *rng.Source, warm 
 		}
 	}
 	// Prefer the warm branch when it is within 1% of the best restart:
-	// the smoothness benefit outweighs a marginal det difference.
+	// the smoothness benefit outweighs a marginal det difference. The
+	// branch is what the warm climb holds (see climb), not where its
+	// random nudges took it.
 	if warm != nil && warmVal >= 0.99*bestVal {
-		// Re-run the warm ascent result: it was starts[0]; recompute it.
-		// (bestF may already be the warm one; this keeps the invariant.)
-		F := warm.Clone()
-		val := objective(F)
-		step := 0.5
-		for iter := 0; iter < 200 && step > 1e-6; iter++ {
-			M := Hsd.Add(Hrd.Mul(F).Mul(Hsr).Scale(amp))
-			Minv, err := M.Inverse()
-			if err != nil {
-				break
-			}
-			G := Hrd.Adjoint().Mul(Minv.Adjoint()).Mul(Hsr.Adjoint()).Scale(amp)
-			cand := F.Add(G.Scale(step))
-			proj, err := cand.ProjectUnitary()
-			if err != nil {
-				step /= 2
-				continue
-			}
-			if v := objective(proj); v > val {
-				F = proj
-				val = v
-			} else {
-				step /= 2
-			}
-		}
-		return F.Scale(amp)
+		return a.held.Scale(amp)
 	}
 	return bestF.Scale(amp)
+}
+
+// ascent is optimizeF's workspace for one subcarrier: the channels, their
+// adjoints (computed once), and every buffer the climbs reuse, carved from
+// one allocation. A climb allocates only when it draws a random unitary.
+type ascent struct {
+	hsd, hsr, hrd *linalg.Matrix
+	amp           complex128
+	src           *rng.Source
+
+	hrdH, hsrH linalg.Matrix // K×n and n×K adjoints of Hrd and Hsr
+	// m holds the effective channel Hsd + A·Hrd·F·Hsr of the climb's
+	// current F, mNext that of the candidate being evaluated; they swap
+	// when a step is accepted.
+	m, mNext    *linalg.Matrix
+	mBuf        [2]linalg.Matrix
+	minv, minvH linalg.Matrix // n×n
+	work        linalg.Matrix // n×n elimination scratch for Det and Inverse
+	rf          linalg.Matrix // n×K: Hrd·F
+	hm          linalg.Matrix // K×n: Hrdᴴ·M⁻ᴴ
+	grad, cand  linalg.Matrix // K×K
+	proj, held  linalg.Matrix // K×K
+	unitary     *linalg.UnitaryScratch
+	starts      [6]linalg.Matrix // K×K: warm, identity, up to 4 random
+}
+
+func newAscent(Hsd, Hsr, Hrd *linalg.Matrix, amp float64, src *rng.Source) *ascent {
+	n, k := Hsd.Rows, Hrd.Cols
+	a := &ascent{hsd: Hsd, hsr: Hsr, hrd: Hrd, amp: complex(amp, 0), src: src,
+		unitary: linalg.NewUnitaryScratch(k)}
+	slab := make([]complex128, 5*n*n+4*n*k+(4+len(a.starts))*k*k)
+	carve := func(m *linalg.Matrix, rows, cols int) {
+		*m = linalg.Matrix{Rows: rows, Cols: cols, Data: slab[: rows*cols : rows*cols]}
+		slab = slab[rows*cols:]
+	}
+	for _, m := range []*linalg.Matrix{&a.mBuf[0], &a.mBuf[1], &a.minv, &a.minvH, &a.work} {
+		carve(m, n, n)
+	}
+	carve(&a.hrdH, k, n)
+	carve(&a.hsrH, n, k)
+	carve(&a.rf, n, k)
+	carve(&a.hm, k, n)
+	for _, m := range []*linalg.Matrix{&a.grad, &a.cand, &a.proj, &a.held} {
+		carve(m, k, k)
+	}
+	for i := range a.starts {
+		carve(&a.starts[i], k, k)
+	}
+	a.m, a.mNext = &a.mBuf[0], &a.mBuf[1]
+	linalg.AdjointInto(&a.hrdH, Hrd)
+	linalg.AdjointInto(&a.hsrH, Hsr)
+	return a
+}
+
+// randomUnitary overwrites F with a random unitary drawn from src and
+// returns it.
+func (a *ascent) randomUnitary(F *linalg.Matrix) *linalg.Matrix {
+	for i, row := range a.src.RandomUnitary(F.Rows) {
+		copy(F.Data[i*F.Cols:(i+1)*F.Cols], row)
+	}
+	return F
+}
+
+// eval writes the effective channel Hsd + A·Hrd·F·Hsr into M and returns
+// the objective |det M|.
+func (a *ascent) eval(M, F *linalg.Matrix) float64 {
+	linalg.MulInto(M, linalg.MulInto(&a.rf, a.hrd, F), a.hsr)
+	for i, v := range M.Data {
+		M.Data[i] = a.hsd.Data[i] + v*a.amp
+	}
+	return cmplx.Abs(linalg.DetInto(&a.work, M))
+}
+
+// climb runs the projected gradient ascent from F, which it updates in
+// place, and returns the final objective. A non-nil held receives F as it
+// stood at the first singular effective channel — where a climb that
+// cannot re-draw F stops — or the final F when there was none.
+func (a *ascent) climb(F, held *linalg.Matrix) float64 {
+	val := a.eval(a.m, F)
+	step := 0.5
+	// The inverse and gradient depend only on F, so a rejected step (F
+	// unchanged, step halved) reuses them.
+	stale := true
+	for iter := 0; iter < 200 && step > 1e-6; iter++ {
+		if stale {
+			if err := linalg.InverseInto(&a.minv, &a.work, a.m); err != nil {
+				if held != nil {
+					copy(held.Data, F.Data)
+					held = nil
+				}
+				// Singular effective channel: nudge F randomly.
+				if a.src != nil {
+					val = a.eval(a.m, a.randomUnitary(F))
+					continue
+				}
+				break
+			}
+			// Gradient of log|det M| w.r.t. conj(F): A·Hrdᴴ·M⁻ᴴ·Hsrᴴ.
+			linalg.MulInto(&a.grad, linalg.MulInto(&a.hm, &a.hrdH, linalg.AdjointInto(&a.minvH, &a.minv)), &a.hsrH)
+			for i, g := range a.grad.Data {
+				a.grad.Data[i] = g * a.amp
+			}
+			stale = false
+		}
+		sc := complex(step, 0)
+		for i, f := range F.Data {
+			a.cand.Data[i] = f + a.grad.Data[i]*sc
+		}
+		if err := linalg.ProjectUnitaryInto(&a.proj, &a.cand, a.unitary); err != nil {
+			step /= 2
+			continue
+		}
+		if v := a.eval(a.mNext, &a.proj); v > val {
+			copy(F.Data, a.proj.Data)
+			a.m, a.mNext = a.mNext, a.m
+			val = v
+			stale = true
+		} else {
+			step /= 2
+		}
+	}
+	if held != nil {
+		copy(held.Data, F.Data)
+	}
+	return val
 }
 
 // EffectiveMIMO returns the per-subcarrier effective MIMO channel

@@ -9,6 +9,7 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -47,10 +48,16 @@ func FromRows(rows [][]complex128) *Matrix {
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
+	setIdentity(m)
+	return m
+}
+
+// setIdentity overwrites the square matrix m with the identity.
+func setIdentity(m *Matrix) {
+	clear(m.Data)
+	for i := 0; i < m.Rows; i++ {
 		m.Set(i, i, 1)
 	}
-	return m
 }
 
 // At returns element (i,j).
@@ -112,23 +119,31 @@ func (m *Matrix) Scale(s float64) *Matrix { return m.ScaleC(complex(s, 0)) }
 
 // Mul returns the matrix product m·o.
 func (m *Matrix) Mul(o *Matrix) *Matrix {
-	if m.Cols != o.Rows {
+	return MulInto(NewMatrix(m.Rows, o.Cols), m, o)
+}
+
+// MulInto writes the product a·b into dst (a.Rows×b.Cols, aliasing
+// neither operand) and returns dst. It allocates nothing.
+func MulInto(dst, a, b *Matrix) *Matrix {
+	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d · %dx%d",
-			m.Rows, m.Cols, o.Rows, o.Cols))
+			a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	r := NewMatrix(m.Rows, o.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
+	dst.checkShape(a.Rows, b.Cols)
+	clear(dst.Data)
+	for i := 0; i < a.Rows; i++ {
+		di := dst.row(i)
+		for k, v := range a.row(i) {
+			if v == 0 {
 				continue
 			}
-			for j := 0; j < o.Cols; j++ {
-				r.Data[i*r.Cols+j] += a * o.At(k, j)
+			bk := b.row(k)
+			for j := range di {
+				di[j] += v * bk[j]
 			}
 		}
 	}
-	return r
+	return dst
 }
 
 // MulVec returns m·v for a column vector v (len == Cols).
@@ -148,14 +163,18 @@ func (m *Matrix) MulVec(v []complex128) []complex128 {
 }
 
 // Adjoint returns the conjugate transpose mᴴ.
-func (m *Matrix) Adjoint() *Matrix {
-	r := NewMatrix(m.Cols, m.Rows)
+func (m *Matrix) Adjoint() *Matrix { return AdjointInto(NewMatrix(m.Cols, m.Rows), m) }
+
+// AdjointInto writes mᴴ into dst (m.Cols×m.Rows, not aliasing m) and
+// returns dst. It allocates nothing.
+func AdjointInto(dst, m *Matrix) *Matrix {
+	dst.checkShape(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
-			r.Set(j, i, cmplx.Conj(m.At(i, j)))
+			dst.Set(j, i, cmplx.Conj(m.At(i, j)))
 		}
 	}
-	return r
+	return dst
 }
 
 // Transpose returns mᵀ (no conjugation).
@@ -178,14 +197,27 @@ func (m *Matrix) FrobeniusNorm() float64 {
 	return math.Sqrt(s)
 }
 
+// ErrSingular is returned when a matrix has no usable inverse: some
+// elimination pivot falls below 1e-300 in magnitude.
+var ErrSingular = errors.New("linalg: singular matrix")
+
 // Det returns the determinant of a square matrix via LU decomposition with
 // partial pivoting.
 func (m *Matrix) Det() complex128 {
+	return DetInto(NewMatrix(m.Rows, m.Cols), m)
+}
+
+// DetInto returns the determinant of the square matrix m, using work (the
+// same shape, not aliasing m) as elimination scratch; work's contents
+// afterwards are unspecified. It allocates nothing.
+func DetInto(work, m *Matrix) complex128 {
 	if m.Rows != m.Cols {
 		panic("linalg: Det of non-square matrix")
 	}
+	work.checkShape(m.Rows, m.Cols)
 	n := m.Rows
-	a := m.Clone()
+	a := work
+	copy(a.Data, m.Data)
 	det := complex(1, 0)
 	for col := 0; col < n; col++ {
 		// Pivot: largest magnitude in the column at or below the diagonal.
@@ -202,15 +234,17 @@ func (m *Matrix) Det() complex128 {
 			a.swapRows(piv, col)
 			det = -det
 		}
-		p := a.At(col, col)
+		ap := a.row(col)
+		p := ap[col]
 		det *= p
 		for r := col + 1; r < n; r++ {
-			f := a.At(r, col) / p
+			ar := a.row(r)
+			f := ar[col] / p
 			if f == 0 {
 				continue
 			}
 			for c := col; c < n; c++ {
-				a.Set(r, c, a.At(r, c)-f*a.At(col, c))
+				ar[c] -= f * ap[c]
 			}
 		}
 	}
@@ -223,9 +257,27 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 	if m.Rows != m.Cols {
 		return nil, fmt.Errorf("linalg: inverse of non-square %dx%d matrix", m.Rows, m.Cols)
 	}
+	inv := NewMatrix(m.Rows, m.Cols)
+	if err := InverseInto(inv, NewMatrix(m.Rows, m.Cols), m); err != nil {
+		return nil, err
+	}
+	return inv, nil
+}
+
+// InverseInto writes m⁻¹ into dst, using work as elimination scratch. m
+// must be square and dst and work the same shape, all three distinct. It
+// returns ErrSingular (leaving dst unspecified) for singular matrices and
+// allocates nothing.
+func InverseInto(dst, work, m *Matrix) error {
+	if m.Rows != m.Cols {
+		panic(fmt.Sprintf("linalg: inverse of non-square %dx%d matrix", m.Rows, m.Cols))
+	}
 	n := m.Rows
-	a := m.Clone()
-	inv := Identity(n)
+	dst.checkShape(n, n)
+	work.checkShape(n, n)
+	a, inv := work, dst
+	copy(a.Data, m.Data)
+	setIdentity(inv)
 	for col := 0; col < n; col++ {
 		piv, pmax := col, cmplx.Abs(a.At(col, col))
 		for r := col + 1; r < n; r++ {
@@ -234,32 +286,34 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 			}
 		}
 		if pmax < 1e-300 {
-			return nil, fmt.Errorf("linalg: singular matrix")
+			return ErrSingular
 		}
 		if piv != col {
 			a.swapRows(piv, col)
 			inv.swapRows(piv, col)
 		}
-		p := a.At(col, col)
-		for c := 0; c < n; c++ {
-			a.Set(col, c, a.At(col, c)/p)
-			inv.Set(col, c, inv.At(col, c)/p)
+		ap, ip := a.row(col), inv.row(col)
+		p := ap[col]
+		for c := range ap {
+			ap[c] /= p
+			ip[c] /= p
 		}
 		for r := 0; r < n; r++ {
 			if r == col {
 				continue
 			}
-			f := a.At(r, col)
+			ar, ir := a.row(r), inv.row(r)
+			f := ar[col]
 			if f == 0 {
 				continue
 			}
-			for c := 0; c < n; c++ {
-				a.Set(r, c, a.At(r, c)-f*a.At(col, c))
-				inv.Set(r, c, inv.At(r, c)-f*inv.At(col, c))
+			for c := range ar {
+				ar[c] -= f * ap[c]
+				ir[c] -= f * ip[c]
 			}
 		}
 	}
-	return inv, nil
+	return nil
 }
 
 // Solve solves m·x = b for x, where b is a column vector.
@@ -271,11 +325,22 @@ func (m *Matrix) Solve(b []complex128) ([]complex128, error) {
 	return inv.MulVec(b), nil
 }
 
+// row returns row i of m as a slice of its storage.
+func (m *Matrix) row(i int) []complex128 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+
 func (m *Matrix) swapRows(i, j int) {
-	ri := m.Data[i*m.Cols : (i+1)*m.Cols]
-	rj := m.Data[j*m.Cols : (j+1)*m.Cols]
+	ri, rj := m.row(i), m.row(j)
 	for k := range ri {
 		ri[k], rj[k] = rj[k], ri[k]
+	}
+}
+
+// checkShape panics unless m is rows×cols and its storage matches: the
+// in-place kernels' guard against a wrong-size destination or scratch.
+func (m *Matrix) checkShape(rows, cols int) {
+	if m.Rows != rows || m.Cols != cols || len(m.Data) != rows*cols {
+		panic(fmt.Sprintf("linalg: destination is %dx%d (%d elements), want %dx%d",
+			m.Rows, m.Cols, len(m.Data), rows, cols))
 	}
 }
 

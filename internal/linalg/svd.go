@@ -151,21 +151,51 @@ func LeastSquares(A *Matrix, b []complex128, lambda float64) ([]complex128, erro
 // X_{k+1} = (X_k + X_k^{-H})/2. Used by the CNF optimizer to keep the MIMO
 // constructive filter F on the rotation-matrix manifold.
 func (m *Matrix) ProjectUnitary() (*Matrix, error) {
+	x := NewMatrix(m.Rows, m.Cols)
+	if err := ProjectUnitaryInto(x, m, NewUnitaryScratch(m.Rows)); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// UnitaryScratch is the caller-owned n×n working storage of
+// ProjectUnitaryInto.
+type UnitaryScratch struct {
+	adj, lu, inv *Matrix
+}
+
+// NewUnitaryScratch returns scratch for projecting n×n matrices.
+func NewUnitaryScratch(n int) *UnitaryScratch {
+	return &UnitaryScratch{adj: NewMatrix(n, n), lu: NewMatrix(n, n), inv: NewMatrix(n, n)}
+}
+
+// ProjectUnitaryInto writes ProjectUnitary(m) into dst (square, the shape
+// of m, and distinct from it), using s as scratch. It returns ErrSingular
+// (leaving dst unspecified) when a Newton iterate is singular, and
+// allocates nothing.
+func ProjectUnitaryInto(dst, m *Matrix, s *UnitaryScratch) error {
 	if m.Rows != m.Cols {
 		panic("linalg: ProjectUnitary needs square matrix")
 	}
-	x := m.Clone()
+	dst.checkShape(m.Rows, m.Cols)
+	x := dst
+	copy(x.Data, m.Data)
 	for iter := 0; iter < 100; iter++ {
-		invH, err := x.Adjoint().Inverse()
-		if err != nil {
-			return nil, err
+		if err := InverseInto(s.inv, s.lu, AdjointInto(s.adj, x)); err != nil {
+			return err
 		}
-		next := x.Add(invH).Scale(0.5)
-		diff := next.Sub(x).FrobeniusNorm()
-		x = next
-		if diff < 1e-12 {
+		// next = (x + x⁻ᴴ)/2 element by element; diff accumulates
+		// ‖next − x‖² in storage order before x takes the step.
+		var diff float64
+		for i, v := range x.Data {
+			next := (v + s.inv.Data[i]) * complex(0.5, 0)
+			d := next - v
+			diff += real(d)*real(d) + imag(d)*imag(d)
+			x.Data[i] = next
+		}
+		if math.Sqrt(diff) < 1e-12 {
 			break
 		}
 	}
-	return x, nil
+	return nil
 }
