@@ -130,8 +130,10 @@ fleet-served-smoke: build
 	rm -rf $(SMOKE)
 
 # Short fuzz runs over every fuzz target (go accepts one -fuzz target per
-# invocation). Seed corpora make even short runs meaningful; CI runs this
-# with the default budget. Override with e.g. FUZZTIME=2m.
+# invocation; TestRepositoryFuzzListIsCurrent in internal/analysis/racelist
+# fails when a func Fuzz* is missing here). Seed corpora make even short
+# runs meaningful; CI runs this with the default budget. Override with
+# e.g. FUZZTIME=2m.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDetectPacket$$' -fuzztime $(FUZZTIME) ./internal/ofdm
@@ -146,8 +148,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAssignment$$' -fuzztime $(FUZZTIME) ./internal/fleet
 
 # Record the perf baseline (see EXPERIMENTS.md "Performance baseline").
-# The pipeline micro-benchmarks (relay block path + SIC filter direct vs
-# FFT) additionally write machine-readable results to BENCH_pipeline.json.
+# The pipeline micro-benchmarks (relay block path + SIC filter per-sample
+# vs block path) additionally write machine-readable results to BENCH_pipeline.json.
 # The DesiredMIMO benchmarks time the sweep's per-carrier MIMO CNF
 # optimizer, one carrier and one client's 12-carrier warm chain.
 bench:

@@ -224,9 +224,8 @@ func BenchmarkFig7FeedbackStability(b *testing.B) {
 }
 
 // BenchmarkSICFilter measures the 120-tap digital canceller on an
-// 8192-sample block: the per-sample direct form (Push), the block path
-// (the planar SoA kernel, bit-exact with Push), and the opt-in
-// overlap-save FFT path (within 1e-9).
+// 8192-sample block: the per-sample direct form (Push) and the block path
+// (the planar SoA kernel, bit-exact with Push).
 func BenchmarkSICFilter(b *testing.B) {
 	const nTaps, nSamp = 120, 8192
 	src := rng.New(1)
@@ -237,19 +236,6 @@ func BenchmarkSICFilter(b *testing.B) {
 	tx := src.NoiseVector(nSamp, 1)
 	rx := src.NoiseVector(nSamp, 1)
 	out := make([]complex128, nSamp)
-	run := func(b *testing.B, arm func(*sic.DigitalCanceller)) {
-		d := sic.NewDigitalCanceller(taps)
-		if arm != nil {
-			arm(d)
-		}
-		d.ProcessInto(out, tx, rx) // warm scratch buffers
-		b.ReportAllocs()
-		b.SetBytes(nSamp * 16)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d.ProcessInto(out, tx, rx)
-		}
-	}
 	b.Run("push", func(b *testing.B) {
 		d := sic.NewDigitalCanceller(taps)
 		b.ReportAllocs()
@@ -261,8 +247,16 @@ func BenchmarkSICFilter(b *testing.B) {
 			}
 		}
 	})
-	b.Run("block", func(b *testing.B) { run(b, nil) })
-	b.Run("fft", func(b *testing.B) { run(b, (*sic.DigitalCanceller).EnableFFT) })
+	b.Run("block", func(b *testing.B) {
+		d := sic.NewDigitalCanceller(taps)
+		d.ProcessInto(out, tx, rx) // warm scratch buffers
+		b.ReportAllocs()
+		b.SetBytes(nSamp * 16)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.ProcessInto(out, tx, rx)
+		}
+	})
 }
 
 // BenchmarkFFRelayProcess measures the SISO relay's full forward chain —

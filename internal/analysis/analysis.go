@@ -20,7 +20,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -268,4 +270,33 @@ func readLines(filename string) []string {
 		ls = append(ls, sc.Text())
 	}
 	return ls
+}
+
+// WalkGoFiles calls fn for every .go file of the module rooted at root.
+// Directories named testdata or vendor, hidden directories and nested
+// modules (directories with their own go.mod) are skipped: the root
+// module's go test never builds them.
+func WalkGoFiles(root string, fn func(path string) error) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			if strings.HasSuffix(path, ".go") {
+				return fn(path)
+			}
+			return nil
+		}
+		if path == root {
+			return nil
+		}
+		name := d.Name()
+		if name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+			return filepath.SkipDir
+		}
+		return nil
+	})
 }

@@ -10,6 +10,11 @@
 // are fine (a package can be race-tested for its callers' sake, as
 // internal/pipeline is); missing ones fail `make check` via
 // cmd/racecheck.
+//
+// The `fuzz-smoke:` target is the same kind of hand-maintained list (go
+// accepts one -fuzz target per invocation), so FuzzMissing guards it the
+// same way: every top-level func Fuzz* in the module's tests must have a
+// recipe line naming it and its package.
 package racelist
 
 import (
@@ -17,13 +22,14 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+
+	"fastforward/internal/analysis"
 )
 
 // parImportSuffix marks the in-repo parallel sweep engine: importing it
@@ -33,28 +39,14 @@ const parImportSuffix = "internal/par"
 // Concurrent walks the module rooted at root and returns, for each
 // package directory (module-relative, slash-separated) that both has
 // tests and uses concurrency, the list of markers that make it
-// concurrent. Directories named testdata and hidden directories are
-// skipped.
+// concurrent. The walk is analysis.WalkGoFiles.
 func Concurrent(root string) (map[string][]string, error) {
 	type pkgState struct {
 		markers  map[string]bool
 		hasTests bool
 	}
 	pkgs := map[string]*pkgState{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || name == "vendor") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
+	err := analysis.WalkGoFiles(root, func(path string) error {
 		rel, err := filepath.Rel(root, filepath.Dir(path))
 		if err != nil {
 			return err
@@ -137,26 +129,40 @@ func fileMarkers(path string) []string {
 // pkgTokenRE pulls ./-prefixed package paths out of a recipe line.
 var pkgTokenRE = regexp.MustCompile(`\./([A-Za-z0-9_./-]+)`)
 
-// RaceTested parses the Makefile at path and returns the set of
-// module-relative package paths named anywhere in the `race:` target's
-// recipe lines.
-func RaceTested(path string) (map[string]bool, error) {
+// recipe returns the tab-indented recipe lines of the Makefile target
+// named target.
+func recipe(path, target string) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	tested := map[string]bool{}
-	inRace := false
+	var lines []string
+	in := false
 	for _, line := range strings.Split(string(data), "\n") {
 		switch {
-		case strings.HasPrefix(line, "race:"):
-			inRace = true
-		case inRace && strings.HasPrefix(line, "\t"):
-			for _, m := range pkgTokenRE.FindAllStringSubmatch(line, -1) {
-				tested[strings.TrimSuffix(m[1], "/...")] = true
-			}
-		case inRace:
-			inRace = false
+		case strings.HasPrefix(line, target+":"):
+			in = true
+		case in && strings.HasPrefix(line, "\t"):
+			lines = append(lines, line)
+		case in:
+			in = false
+		}
+	}
+	return lines, nil
+}
+
+// RaceTested parses the Makefile at path and returns the set of
+// module-relative package paths named anywhere in the `race:` target's
+// recipe lines.
+func RaceTested(path string) (map[string]bool, error) {
+	lines, err := recipe(path, "race")
+	if err != nil {
+		return nil, err
+	}
+	tested := map[string]bool{}
+	for _, line := range lines {
+		for _, m := range pkgTokenRE.FindAllStringSubmatch(line, -1) {
+			tested[strings.TrimSuffix(m[1], "/...")] = true
 		}
 	}
 	if len(tested) == 0 {
@@ -184,4 +190,77 @@ func Missing(root, makefile string) ([]string, map[string][]string, error) {
 	}
 	sort.Strings(missing)
 	return missing, concurrent, nil
+}
+
+// fuzzFlagRE pulls the target name out of a recipe's -fuzz '^FuzzX$$'.
+var fuzzFlagRE = regexp.MustCompile(`-fuzz\s+'?\^?(Fuzz\w*)`)
+
+// fuzzSmoked parses the Makefile at path and returns the fuzz targets the
+// `fuzz-smoke:` recipe runs, as "pkg:FuzzName" with pkg the
+// module-relative package path of the same line.
+func fuzzSmoked(path string) (map[string]bool, error) {
+	lines, err := recipe(path, "fuzz-smoke")
+	if err != nil {
+		return nil, err
+	}
+	smoked := map[string]bool{}
+	for _, line := range lines {
+		fz := fuzzFlagRE.FindStringSubmatch(line)
+		pkg := pkgTokenRE.FindStringSubmatch(line)
+		if fz != nil && pkg != nil {
+			smoked[pkg[1]+":"+fz[1]] = true
+		}
+	}
+	if len(smoked) == 0 {
+		return nil, fmt.Errorf("racelist: no fuzz-smoke target with -fuzz lines found in %s", path)
+	}
+	return smoked, nil
+}
+
+// fuzzTargets walks the module rooted at root and returns every top-level
+// func Fuzz* in its _test.go files, as "pkg:FuzzName" (the walk is
+// analysis.WalkGoFiles).
+func fuzzTargets(root string) (map[string]bool, error) {
+	targets := map[string]bool{}
+	err := analysis.WalkGoFiles(root, func(path string) error {
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") {
+				targets[filepath.ToSlash(rel)+":"+fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	return targets, err
+}
+
+// FuzzMissing returns the fuzz targets under root that the Makefile's
+// fuzz-smoke recipe does not run, sorted.
+func FuzzMissing(root, makefile string) ([]string, error) {
+	targets, err := fuzzTargets(root)
+	if err != nil {
+		return nil, err
+	}
+	smoked, err := fuzzSmoked(makefile)
+	if err != nil {
+		return nil, err
+	}
+	var missing []string
+	for t := range targets {
+		if !smoked[t] {
+			missing = append(missing, t)
+		}
+	}
+	sort.Strings(missing)
+	return missing, nil
 }

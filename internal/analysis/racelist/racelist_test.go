@@ -3,6 +3,7 @@ package racelist_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"fastforward/internal/analysis/racelist"
@@ -103,5 +104,42 @@ func TestRepositoryRaceListIsCurrent(t *testing.T) {
 	}
 	if len(missing) > 0 {
 		t.Errorf("concurrent packages missing from the Makefile race target: %v", missing)
+	}
+}
+
+func TestFuzzMissingFlagsUnsmokedTarget(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"Makefile": "fuzz-smoke:\n" +
+			"\t$(GO) test -run '^$$' -fuzz '^FuzzA$$' -fuzztime $(FUZZTIME) ./internal/a\n" +
+			"\t$(GO) test -run '^$$' -fuzz '^FuzzB$$' -fuzztime $(FUZZTIME) ./internal/a\n" +
+			"\n# -fuzz '^FuzzC$$' ./internal/b in a comment runs nothing\n",
+		"internal/a/a_test.go": "package a\n\nfunc FuzzA(f *F) {}\nfunc FuzzB(f *F) {}\nfunc (x T) FuzzMethod() {}\n",
+		// Same name, other package: the recipe line names the package too.
+		"internal/b/b_test.go": "package b\n\nfunc FuzzA(f *F) {}\nfunc FuzzC(f *F) {}\n",
+		// Not a test file, a fixture tree, and a nested module: never counted.
+		"internal/b/b.go":                 "package b\n\nfunc FuzzLike() {}\n",
+		"internal/b/testdata/x/x_test.go": "package x\n\nfunc FuzzX(f *F) {}\n",
+		"bench/go.mod":                    "module example.com/bench\n",
+		"bench/k/k_test.go":               "package k\n\nfunc FuzzK(f *F) {}\n",
+	})
+	missing, err := racelist.FuzzMissing(root, filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"internal/b:FuzzA", "internal/b:FuzzC"}; !slices.Equal(missing, want) {
+		t.Fatalf("missing = %v, want %v", missing, want)
+	}
+}
+
+// TestRepositoryFuzzListIsCurrent is the drift guard for the Makefile's
+// fuzz-smoke target: it must run every fuzz target in the module.
+func TestRepositoryFuzzListIsCurrent(t *testing.T) {
+	root := filepath.Join("..", "..", "..")
+	missing, err := racelist.FuzzMissing(root, filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) > 0 {
+		t.Errorf("fuzz targets missing from the Makefile fuzz-smoke recipe: %v", missing)
 	}
 }

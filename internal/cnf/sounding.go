@@ -46,7 +46,10 @@ type StalenessResult struct {
 
 // StalenessStudy simulates Gauss-Markov channel drift and measures the
 // constructive-gain loss from holding the CNF filter for a sounding
-// interval. Determinism follows the source.
+// interval. Determinism follows the source. No sweep calls it: it is the
+// fixture behind the Sec 4.2 claim that a 50 ms sounding interval costs
+// little gain, pinned by TestStalenessPaper50msIsCheap and the other
+// TestStaleness* tests.
 func StalenessStudy(src *rng.Source, cfg SoundingConfig) StalenessResult {
 	n := cfg.Subcarriers
 	if n <= 0 {

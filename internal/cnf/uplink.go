@@ -17,39 +17,22 @@ import "fastforward/internal/linalg"
 // and a matrix and its transpose share singular values and determinant, so
 // the uplink link quality equals the downlink's — no re-optimization
 // needed. The amplification, however, is recomputed per direction (the
-// paper's footnote 1): the noise rule depends on the relay→destination
-// attenuation, which differs between directions.
-
-// UplinkFilter returns the uplink constructive filter for a downlink
-// filter FA: its transpose.
-func UplinkFilter(FA *linalg.Matrix) *linalg.Matrix {
-	return FA.Transpose()
-}
-
-// UplinkFilters maps UplinkFilter over a per-subcarrier slice.
-func UplinkFilters(FA []*linalg.Matrix) []*linalg.Matrix {
-	out := make([]*linalg.Matrix, len(FA))
-	for i, f := range FA {
-		out[i] = f.Transpose()
-	}
-	return out
-}
-
-// UplinkAmplificationDB recomputes the amplification bound for the uplink
-// direction: cancellation is symmetric, but the relay→destination hop is
-// now relay→AP, so the noise rule uses that attenuation.
-func UplinkAmplificationDB(cancellationDB, relayToAPAttenDB float64) float64 {
-	return AmplificationLimitDB(cancellationDB, relayToAPAttenDB)
-}
+// paper's footnote 1): AmplificationLimitDB's noise rule depends on the
+// relay→destination attenuation, which in the uplink is relay→AP.
 
 // EffectiveUplinkMIMO computes the uplink effective channel for
 // reciprocity-derived channels: Hds = Hsdᵀ (client→AP direct), Hdr = Hrdᵀ
-// (client→relay), Hra = Hsrᵀ (relay→AP), with the transposed filter.
+// (client→relay), Hra = Hsrᵀ (relay→AP), with the transposed filter FAᵀ.
+// The product associates as Hsrᵀ·(FAᵀ·Hrdᵀ) = ((Hrd·FA)·Hsr)ᵀ, mirroring
+// EffectiveMIMO's order, so the result is EffectiveMIMO's transpose bit
+// for bit. Nothing in the sweep runs the uplink; this is the fixture
+// behind the Sec 4.2 reciprocity claim, pinned by
+// TestUplinkFilterIsTranspose and TestUplinkReciprocityMIMO.
 func EffectiveUplinkMIMO(Hsd, Hsr, Hrd, FA []*linalg.Matrix) []*linalg.Matrix {
 	out := make([]*linalg.Matrix, len(Hsd))
 	for i := range Hsd {
 		out[i] = Hsd[i].Transpose().Add(
-			Hsr[i].Transpose().Mul(FA[i].Transpose()).Mul(Hrd[i].Transpose()))
+			Hsr[i].Transpose().Mul(FA[i].Transpose().Mul(Hrd[i].Transpose())))
 	}
 	return out
 }

@@ -51,31 +51,32 @@ func TestUplinkReciprocityMIMO(t *testing.T) {
 }
 
 func TestUplinkFilterIsTranspose(t *testing.T) {
+	// Sec 4.2: the relay reuses the downlink filter transposed, and the
+	// uplink effective channel is then exactly the transpose of the
+	// downlink's, entry for entry.
 	src := rng.New(3)
 	Hsd, Hsr, Hrd := mimoChannels(src, 2, 2, 1e-8, 1e-6, 1e-7)
 	FA := DesiredMIMO(Hsd, Hsr, Hrd, 40, src)
-	up := UplinkFilters(FA)
-	for i := range FA {
+	down := EffectiveMIMO(Hsd, Hsr, Hrd, FA)
+	up := EffectiveUplinkMIMO(Hsd, Hsr, Hrd, FA)
+	for i := range down {
 		for r := 0; r < 2; r++ {
 			for c := 0; c < 2; c++ {
-				if FA[i].At(r, c) != up[i].At(c, r) {
-					t.Fatal("UplinkFilters is not the per-subcarrier transpose")
+				if up[i].At(c, r) != down[i].At(r, c) {
+					t.Fatalf("subcarrier %d: uplink[%d][%d] = %v, downlink[%d][%d] = %v (bit-exact)",
+						i, c, r, up[i].At(c, r), r, c, down[i].At(r, c))
 				}
 			}
 		}
-	}
-	single := UplinkFilter(FA[0])
-	if single.At(0, 1) != FA[0].At(1, 0) {
-		t.Fatal("UplinkFilter is not the transpose")
 	}
 }
 
 func TestUplinkAmplificationAsymmetry(t *testing.T) {
 	// Footnote 1: the amplification differs per direction because the
 	// noise rule depends on the relay→destination attenuation of *that*
-	// direction.
+	// direction: relay→client downlink, relay→AP uplink.
 	downAmp := AmplificationLimitDB(110, 80) // relay→client 80 dB
-	upAmp := UplinkAmplificationDB(110, 60)  // relay→AP 60 dB
+	upAmp := AmplificationLimitDB(110, 60)   // relay→AP 60 dB
 	if downAmp != 77 || upAmp != 57 {
 		t.Errorf("asymmetric amplification wrong: down %v up %v", downAmp, upAmp)
 	}

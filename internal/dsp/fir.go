@@ -77,38 +77,10 @@ func (f *FIR) Reset() {
 	f.pos = 0
 }
 
-// Recent writes the most recent len(dst) inputs into dst, oldest first
-// (dst[len-1] is the last pushed sample). Positions never pushed read as
-// zero, matching the reset state. len(dst) must not exceed NumTaps.
-func (f *FIR) Recent(dst []complex128) {
-	if len(dst) > len(f.taps) {
-		panic("dsp: Recent needs len(dst) <= NumTaps")
-	}
-	win := f.line[f.pos : f.pos+len(f.taps)]
-	for j := 0; j < len(dst); j++ {
-		dst[len(dst)-1-j] = win[j]
-	}
-}
-
-// LoadRecent replaces the delay line with the given input history, newest
-// last. len(src) must equal NumTaps. Block-convolution fast paths use
-// Recent/LoadRecent to keep the streaming state consistent with the
-// direct form across calls.
-func (f *FIR) LoadRecent(src []complex128) {
-	t := len(f.taps)
-	if len(src) != t {
-		panic("dsp: LoadRecent needs len(src) == NumTaps")
-	}
-	f.pos = 0
-	for j := 0; j < t; j++ {
-		v := src[t-1-j]
-		f.line[j] = v
-		f.line[j+t] = v
-	}
-}
-
-// RecentSoA is Recent into planar components: re[len-1]/im[len-1] are the
-// last pushed sample. len(re) must equal len(im) and not exceed NumTaps.
+// RecentSoA writes the most recent len(re) inputs into planar
+// components, oldest first: re[len-1]/im[len-1] are the last pushed
+// sample. Positions never pushed read as zero, matching the reset state.
+// len(re) must equal len(im) and not exceed NumTaps.
 func (f *FIR) RecentSoA(re, im []float64) {
 	n := len(re)
 	if len(im) != n || n > len(f.taps) {
@@ -121,8 +93,10 @@ func (f *FIR) RecentSoA(re, im []float64) {
 	}
 }
 
-// LoadRecentSoA is LoadRecent from planar components, newest last.
-// len(re) and len(im) must equal NumTaps.
+// LoadRecentSoA replaces the delay line with the given input history in
+// planar components, newest last. len(re) and len(im) must equal
+// NumTaps. The planar block kernel uses RecentSoA/LoadRecentSoA to keep
+// the streaming state consistent with the direct form across calls.
 func (f *FIR) LoadRecentSoA(re, im []float64) {
 	t := len(f.taps)
 	if len(re) != t || len(im) != t {

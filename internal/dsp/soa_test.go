@@ -100,31 +100,36 @@ func TestSubInPlaceSoAMatchesComplex(t *testing.T) {
 }
 
 // TestFIRRecentSoAMatchesRecent pins the planar delay-line handoff to the
-// interleaved one: RecentSoA reads what Recent reads, and LoadRecentSoA
-// leaves the filter in the state LoadRecent does.
+// samples actually pushed: RecentSoA reads the most recent inputs oldest
+// first, with never-pushed positions as zero, and LoadRecentSoA leaves the
+// filter in the state pushing that history would.
 func TestFIRRecentSoAMatchesRecent(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	taps := randVec(r, 9)
 	hist := randVec(r, 9)
-	a, b := NewFIR(taps), NewFIR(taps)
-	for _, v := range randVec(r, 5) {
+	pushed := randVec(r, 5)
+	a := NewFIR(taps)
+	for _, v := range pushed {
 		a.Push(v)
 	}
-	want := make([]complex128, 6)
-	a.Recent(want)
-	re, im := make([]float64, 6), make([]float64, 6)
+	want := append([]complex128{0}, pushed...)
+	re, im := make([]float64, len(want)), make([]float64, len(want))
 	a.RecentSoA(re, im)
 	for i := range want {
 		if complex(re[i], im[i]) != want[i] {
 			t.Fatalf("RecentSoA[%d] = %v, want %v", i, complex(re[i], im[i]), want[i])
 		}
 	}
-	a.LoadRecent(hist)
+
 	hr, hi := split(hist)
-	b.LoadRecentSoA(hr, hi)
+	a.LoadRecentSoA(hr, hi)
+	b := NewFIR(taps)
+	for _, v := range hist {
+		b.Push(v)
+	}
 	for _, v := range randVec(r, 20) {
 		if ya, yb := a.Push(v), b.Push(v); ya != yb {
-			t.Fatalf("after LoadRecentSoA: %v, LoadRecent: %v", yb, ya)
+			t.Fatalf("after LoadRecentSoA: %v, after pushing the history: %v", ya, yb)
 		}
 	}
 }

@@ -40,23 +40,6 @@ func Inverse(X []complex128) []complex128 {
 	return y
 }
 
-// ForwardInPlace computes the DFT of x in place, avoiding the copy that
-// Forward makes. Block-convolution inner loops (overlap-save) call this
-// once per segment, so the savings compound.
-func ForwardInPlace(x []complex128) {
-	transform(x, false)
-}
-
-// InverseInPlace computes the inverse DFT of x in place, with the same
-// 1/N normalization as Inverse.
-func InverseInPlace(x []complex128) {
-	transform(x, true)
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] /= n
-	}
-}
-
 // transform performs an in-place DFT (inverse=false) or unnormalized inverse
 // DFT (inverse=true).
 func transform(x []complex128, inverse bool) {

@@ -81,9 +81,6 @@ func (c *Client) Link(relayID int) (Link, bool) {
 	return c.Links[i], true
 }
 
-// Prefs returns the client's relay preference order (best first).
-func (c *Client) Prefs() []int { return c.prefs }
-
 // Config tunes the assignment scheduler.
 type Config struct {
 	// MinAmpDB is each relay gate's admission threshold

@@ -99,9 +99,6 @@ func (r *Relay) SetEndpoint(ep Endpoint) {
 // Classifier exposes the relay's own-client fingerprint database.
 func (r *Relay) Classifier() *ident.Classifier { return r.cls }
 
-// Severity returns the relay's current severity-ladder rank.
-func (r *Relay) Severity() int { return r.severity }
-
 // Live reports whether the scheduler treats the relay as assignable. It
 // is the hysteresis latch, not the raw severity: a relay goes dark when
 // its severity climbs to Config.DegradeSeverity and only returns once it

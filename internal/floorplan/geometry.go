@@ -64,9 +64,6 @@ type Wall struct {
 	Material Material
 }
 
-// Length returns the wall length in meters.
-func (w Wall) Length() float64 { return w.A.Dist(w.B) }
-
 // segmentIntersection finds the intersection of segments p1-p2 and q1-q2.
 // It returns the parameter t along p1-p2 (0..1) and ok.
 func segmentIntersection(p1, p2, q1, q2 Point) (t float64, ok bool) {

@@ -98,8 +98,11 @@ func (m *Matrix) Rank(tol float64) int {
 }
 
 // EffectiveRank counts singular values within thresholdDB (power) of the
-// strongest one — the "number of usable MIMO streams" notion used in the
-// paper's Fig 2 heatmap, where weak eigen-channels don't support a stream.
+// strongest one: weak eigen-channels don't support a stream. The Fig 2
+// heatmap counts streams by SNR instead (phyrate.MIMORate.UsableStreams),
+// so only tests call it: it is the fixture behind the Sec 1 / Fig 2 claim
+// that the relay raises a pinhole channel's rank, pinned by
+// TestMIMORankRestoration (internal/cnf) and TestEffectiveRank.
 func (m *Matrix) EffectiveRank(thresholdDB float64) int {
 	sv := m.SingularValues()
 	if len(sv) == 0 || sv[0] == 0 {

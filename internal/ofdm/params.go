@@ -53,7 +53,10 @@ func Default20MHz() *Params {
 // (15 kHz subcarrier spacing), 1200 used subcarriers and a 144-sample
 // (4.69 µs) normal cyclic prefix. The paper's constructive relaying is
 // OFDM-generic (Sec 1: "applicable to any OFDM based standard"); the long
-// LTE CP gives the relay more than ten times WiFi's latency budget.
+// LTE CP gives the relay more than ten times WiFi's latency budget. No
+// sweep runs LTE: this is the fixture behind that Sec 1 claim, pinned by
+// TestLTERelayLatencyBudget, TestLTECPAbsorbsLongMultipath and
+// TestLTEParams.
 func LTE20MHz() *Params {
 	p := &Params{
 		NFFT:       2048,
@@ -108,12 +111,6 @@ func (p *Params) bin(k int) int {
 		return k
 	}
 	return p.NFFT + k
-}
-
-// SubcarrierFrequency returns the baseband frequency of logical subcarrier
-// k in Hz (negative for negative subcarriers).
-func (p *Params) SubcarrierFrequency(k int) float64 {
-	return float64(k) * p.SubcarrierSpacing()
 }
 
 // UsedCarriers returns all used subcarrier indices (data then pilots),

@@ -95,12 +95,3 @@ func (d *Demodulator) Symbol(samples []complex128) (data, pilots []complex128, e
 	}
 	return data, pilots, nil
 }
-
-// Bins demodulates one symbol and returns all NFFT frequency bins.
-func (d *Demodulator) Bins(samples []complex128) ([]complex128, error) {
-	p := d.p
-	if len(samples) < p.SymbolLen() {
-		return nil, fmt.Errorf("ofdm: symbol needs %d samples, got %d", p.SymbolLen(), len(samples))
-	}
-	return fft.Forward(samples[p.CPLen : p.CPLen+p.NFFT]), nil
-}

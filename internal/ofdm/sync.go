@@ -272,21 +272,3 @@ func (e *Equalizer) Symbol(data, pilots []complex128) []complex128 {
 	}
 	return out
 }
-
-// SNREstimate returns the per-subcarrier post-equalization SNR estimate in
-// dB given the channel estimate and the post-FFT per-subcarrier noise
-// variance (NFFT times the per-sample noise power for white noise).
-func (e *Equalizer) SNREstimate(noiseVar float64) []float64 {
-	p := e.p
-	out := make([]float64, p.NumData())
-	for i, k := range p.DataCarriers {
-		hk := e.h[p.bin(k)]
-		g := real(hk)*real(hk) + imag(hk)*imag(hk)
-		if noiseVar <= 0 {
-			out[i] = math.Inf(1)
-			continue
-		}
-		out[i] = 10 * math.Log10(g/noiseVar)
-	}
-	return out
-}

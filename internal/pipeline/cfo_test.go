@@ -85,3 +85,33 @@ func TestCFOPhaseBoundedOverLongStream(t *testing.T) {
 		t.Fatalf("rotator error %g after %d samples (short-stream tolerance %g)", worst, n, rotatorTol)
 	}
 }
+
+// TestCFOStageRoundTrip checks the rotator against the closed form and
+// remove∘restore against the identity. Within one resync window the
+// stage's phase is exactly n·step, so the closed form is the Sincos
+// oracle and rotatorTol bounds it. Each rotation is within rotatorTol of
+// an exact unit rotation, so the round trip is within 2·rotatorTol of
+// the input.
+func TestCFOStageRoundTrip(t *testing.T) {
+	sig := rng.New(29).NoiseVector(rotResync, 1)
+	step := 0.037
+	remove := NewCFOStage("rm", -step)
+	restore := NewCFOStage("rs", step)
+	out := append([]complex128(nil), sig...)
+	remove.Process(out)
+	restore.Process(out)
+	for i := range sig {
+		if d := cmplx.Abs(out[i]-sig[i]) / cmplx.Abs(sig[i]); d > 2*rotatorTol {
+			t.Fatalf("round trip error %g at %d (tolerance %g)", d, i, 2*rotatorTol)
+		}
+	}
+	single := NewCFOStage("one", step)
+	out2 := append([]complex128(nil), sig...)
+	single.Process(out2)
+	for i := range sig {
+		want := sig[i] * cmplx.Exp(complex(0, float64(i)*step))
+		if d := cmplx.Abs(out2[i]-want) / cmplx.Abs(sig[i]); d > rotatorTol {
+			t.Fatalf("rotation drifts from closed form by %g at %d (tolerance %g)", d, i, rotatorTol)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package pipeline_test
 import (
 	"encoding/binary"
 	"math"
-	"math/cmplx"
 	"testing"
 
 	"fastforward/internal/dsp"
@@ -13,9 +12,8 @@ import (
 
 // FuzzChainSegmentation fuzzes the block-segmentation invariant: a chain
 // fed a signal in arbitrary splits must produce bit-identical output to
-// one whole-signal call on the default (bit-exact) path, and the opt-in
-// FFT fast path must stay within 1e-9 of it. The split points, signal length, tap count,
-// and seed all come from the fuzzer.
+// one whole-signal call. The split points, signal length, tap count, and
+// seed all come from the fuzzer.
 func FuzzChainSegmentation(f *testing.F) {
 	f.Add(int64(1), uint16(200), uint8(24), []byte{3, 60, 17})
 	f.Add(int64(7), uint16(1000), uint8(120), []byte{1, 1, 1, 250})
@@ -32,17 +30,12 @@ func FuzzChainSegmentation(f *testing.F) {
 		ref := src.NoiseVector(n, 1.0)
 		step := 0.01 * src.Norm()
 
-		build := func(fftPath bool) (*pipeline.Chain, *pipeline.CancelStage) {
+		build := func() (*pipeline.Chain, *pipeline.CancelStage) {
 			cancel := pipeline.NewCancelStage("si_cancel", taps)
-			fir := pipeline.NewFIRStage("cnf_pre", taps)
-			if fftPath {
-				cancel.EnableFFT()
-				fir.EnableFFT()
-			}
 			ch := pipeline.NewChain("fuzz.fwd",
 				cancel,
 				pipeline.NewCFOStage("cfo_remove", -step),
-				fir,
+				pipeline.NewFIRStage("cnf_pre", taps),
 				pipeline.NewCFOStage("cfo_restore", step),
 				pipeline.NewGainStage("amp", complex(1.2, 0)),
 				pipeline.NewDelayStage("pipe", 3),
@@ -50,15 +43,15 @@ func FuzzChainSegmentation(f *testing.F) {
 			return ch, cancel
 		}
 
-		// Reference: whole signal in one call, default path.
+		// Reference: whole signal in one call.
 		want := append([]complex128(nil), sig...)
-		chW, cW := build(false)
+		chW, cW := build()
 		cW.SetReference(ref)
 		chW.Process(want)
 
-		// Fuzzer-chosen segmentation, default path: must be bit-exact.
+		// Fuzzer-chosen segmentation: must be bit-exact.
 		got := append([]complex128(nil), sig...)
-		chS, cS := build(false)
+		chS, cS := build()
 		cS.SetReference(ref)
 		pos := 0
 		for _, b := range splits {
@@ -74,30 +67,7 @@ func FuzzChainSegmentation(f *testing.F) {
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("segmented default path diverges at sample %d: %v != %v", i, got[i], want[i])
-			}
-		}
-
-		// Same segmentation on the FFT fast path: ≤1e-9 of the direct form.
-		fgot := append([]complex128(nil), sig...)
-		chF, cF := build(true)
-		cF.SetReference(ref)
-		pos = 0
-		for _, b := range splits {
-			if pos >= n {
-				break
-			}
-			size := int(b)%(n-pos) + 1
-			chF.Process(fgot[pos : pos+size])
-			pos += size
-		}
-		if pos < n {
-			chF.Process(fgot[pos:])
-		}
-		for i := range want {
-			d := cmplx.Abs(fgot[i] - want[i])
-			if d > 1e-9 || math.IsNaN(d) {
-				t.Fatalf("FFT path diverges from direct form at sample %d by %g", i, d)
+				t.Fatalf("segmented chain diverges at sample %d: %v != %v", i, got[i], want[i])
 			}
 		}
 	})

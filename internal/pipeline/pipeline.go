@@ -12,10 +12,9 @@
 //     is segmented, and the filter stages' planar block kernel computes
 //     the exact arithmetic, in the exact order, of the per-sample direct
 //     form — so golden vectors and the -workers bit-identity guarantee
-//     hold. The CFO stage rotates by a resynced phasor recurrence (within
-//     5e-14 of exact rotation by its own phase). The one opt-in
-//     approximate path is FIRStage.EnableFFT (overlap-save, held to 1e-9
-//     of the direct form).
+//     hold. Every filter block path is bit-exact with dsp.FIR.Push; there
+//     is no approximate path to arm. The CFO stage rotates by a resynced
+//     phasor recurrence (within 5e-14 of exact rotation by its own phase).
 //
 //   - Latency accounting. Every stage reports LatencySamples and a Chain
 //     sums them, making the paper's ≤100 ns processing-delay claim (and
@@ -56,9 +55,6 @@ type Obs struct {
 	// Blocks counts Process calls; Samples counts samples through them.
 	Blocks  *obs.Counter
 	Samples *obs.Counter
-	// FFTBlocks counts blocks that took a stage's overlap-save FFT fast
-	// path rather than the direct form.
-	FFTBlocks *obs.Counter
 	// SOABlocks counts blocks that took a filter stage's planar SoA block
 	// kernel rather than the per-sample direct form.
 	SOABlocks *obs.Counter
@@ -86,7 +82,6 @@ func NewObs(reg *obs.Registry) *Obs {
 	return &Obs{
 		Blocks:        reg.Counter("pipeline.blocks", "blocks"),
 		Samples:       reg.Counter("pipeline.samples", "samples"),
-		FFTBlocks:     reg.Counter("pipeline.fft_blocks", "blocks"),
 		SOABlocks:     reg.Counter("pipeline.soa_blocks", "blocks"),
 		Latency:       reg.Histogram("pipeline.latency_samples", "samples", obs.LinearBuckets(0, 2, 17)),
 		Violations:    reg.Counter("pipeline.budget_violations", "chains"),
@@ -94,12 +89,6 @@ func NewObs(reg *obs.Registry) *Obs {
 		BatchSessions: reg.Counter("pipeline.batch.sessions", "blocks"),
 		reg:           reg,
 	}
-}
-
-// fftObservable is implemented by stages with an FFT fast path, so
-// Chain.Instrument can hand them the FFTBlocks counter.
-type fftObservable interface {
-	setFFTObs(c *obs.Counter, shard int)
 }
 
 // soaObservable is implemented by stages with a planar SoA block path.
@@ -142,21 +131,18 @@ func (c *Chain) LatencySamples() int {
 }
 
 // Instrument attaches pipeline metrics: block/sample counters on the
-// given shard, the FFT and SoA block-path counters on capable stages, and
+// given shard, the SoA block-path counter on capable stages, and
 // one wall-clock timer per stage named pipeline.<chain>.<stage>. Nil o (or
 // an o from a nil registry) detaches.
 func (c *Chain) Instrument(o *Obs, shard int) {
 	c.o = o
 	c.shard = shard
 	c.timers = nil
-	var fft, soa *obs.Counter
+	var soa *obs.Counter
 	if o != nil {
-		fft, soa = o.FFTBlocks, o.SOABlocks
+		soa = o.SOABlocks
 	}
 	for _, st := range c.stages {
-		if fo, ok := st.(fftObservable); ok {
-			fo.setFFTObs(fft, shard)
-		}
 		if so, ok := st.(soaObservable); ok {
 			so.setSoAObs(soa, shard)
 		}

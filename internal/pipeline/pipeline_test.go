@@ -1,8 +1,6 @@
 package pipeline_test
 
 import (
-	"math"
-	"math/cmplx"
 	"testing"
 
 	"fastforward/internal/dsp"
@@ -103,74 +101,6 @@ func TestFIRStageMatchesDirectForm(t *testing.T) {
 		if got[i] != want {
 			t.Fatalf("sample %d: %v, want %v (bit-exact)", i, got[i], want)
 		}
-	}
-}
-
-// TestFFTPathMatchesDirect holds the overlap-save fast path to 1e-9 of
-// the direct form, across mixed block sizes (so the shared delay-line
-// state is exercised in both directions).
-func TestFFTPathMatchesDirect(t *testing.T) {
-	src := rng.New(11)
-	taps := randTaps(src, 120)
-	sig := testSignal(src, 4096)
-
-	direct := pipeline.NewFIRStage("direct", taps)
-	fast := pipeline.NewFIRStage("fast", taps)
-	fast.EnableFFT()
-	if !fast.FFTEnabled() {
-		t.Fatal("FFT path did not arm for a 120-tap filter")
-	}
-
-	// Mixed segmentation: small blocks ride the direct form inside the
-	// FFT-armed stage, large blocks take overlap-save.
-	splits := []int{64, 1000, 17, 2048, 967}
-	want := make([]complex128, len(sig))
-	copy(want, sig)
-	direct.Process(want)
-
-	got := make([]complex128, len(sig))
-	copy(got, sig)
-	pos := 0
-	for _, n := range splits {
-		fast.Process(got[pos : pos+n])
-		pos += n
-	}
-	fast.Process(got[pos:])
-
-	var worst float64
-	for i := range want {
-		if d := cmplx.Abs(got[i] - want[i]); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-9 {
-		t.Fatalf("FFT path diverges from direct form by %g (budget 1e-9)", worst)
-	}
-	if worst == 0 {
-		t.Log("FFT path happened to be bit-exact on this signal")
-	}
-}
-
-// TestFFTBlockCounter checks the fast path reports through
-// pipeline.fft_blocks. The filter is the 120-tap canceller: below
-// soaFFTCrossoverTaps (80) an armed overlap-save path yields to the
-// planar kernel.
-func TestFFTBlockCounter(t *testing.T) {
-	src := rng.New(3)
-	taps := randTaps(src, 120)
-	sig := testSignal(src, 512)
-
-	st := pipeline.NewFIRStage("fir", taps)
-	st.EnableFFT()
-	ch := pipeline.NewChain("test.fft", st)
-	reg := obs.New()
-	ch.Instrument(pipeline.NewObs(reg), 0)
-
-	buf := append([]complex128(nil), sig...)
-	ch.Process(buf[:16]) // below minBlock: direct
-	ch.Process(buf[16:]) // above: overlap-save
-	if got := reg.Counter("pipeline.fft_blocks", "blocks").Value(); got != 1 {
-		t.Fatalf("pipeline.fft_blocks = %d, want 1", got)
 	}
 }
 
@@ -348,60 +278,3 @@ type countingPusher struct{ n int }
 
 func (p *countingPusher) Push(v complex128) complex128 { p.n++; return v }
 func (p *countingPusher) Reset()                       { p.n = 0 }
-
-// TestCFOStageRoundTrip checks remove∘restore is energy-preserving and
-// the accumulated phase matches n·step.
-func TestCFOStageRoundTrip(t *testing.T) {
-	src := rng.New(29)
-	sig := testSignal(src, 256)
-	step := 0.037
-	remove := pipeline.NewCFOStage("rm", -step)
-	restore := pipeline.NewCFOStage("rs", step)
-	out := append([]complex128(nil), sig...)
-	remove.Process(out)
-	restore.Process(out)
-	for i := range sig {
-		if d := cmplx.Abs(out[i] - sig[i]); d > 1e-12 {
-			t.Fatalf("round trip error %g at %d", d, i)
-		}
-	}
-	// One-stage rotation matches the closed form.
-	single := pipeline.NewCFOStage("one", step)
-	out2 := append([]complex128(nil), sig...)
-	single.Process(out2)
-	for i := range sig {
-		want := sig[i] * cmplx.Exp(complex(0, float64(i)*step))
-		if d := cmplx.Abs(out2[i] - want); d > 1e-9 {
-			t.Fatalf("accumulated phase drifts from closed form by %g at %d", d, i)
-		}
-	}
-}
-
-// TestOvsaveStateHandoff checks switching direct→FFT→direct mid-stream
-// keeps the shared delay line consistent (no seam at the boundaries).
-func TestOvsaveStateHandoff(t *testing.T) {
-	src := rng.New(31)
-	taps := randTaps(src, 64)
-	sig := testSignal(src, 1024)
-
-	want := pipeline.NewFIRStage("ref", taps)
-	ref := append([]complex128(nil), sig...)
-	want.Process(ref)
-
-	st := pipeline.NewFIRStage("mix", taps)
-	st.EnableFFT()
-	got := append([]complex128(nil), sig...)
-	st.Process(got[:10])     // direct (below minBlock)
-	st.Process(got[10:700])  // FFT
-	st.Process(got[700:710]) // direct again
-	st.Process(got[710:])    // FFT
-	var worst float64
-	for i := range ref {
-		if d := cmplx.Abs(got[i] - ref[i]); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-9 || math.IsNaN(worst) {
-		t.Fatalf("mixed direct/FFT processing diverges by %g", worst)
-	}
-}

@@ -14,21 +14,11 @@ const minSoATaps = 4
 // per-sample cost is already low at those sizes.
 const minSoABlock = 32
 
-// soaFFTCrossoverTaps arbitrates between the planar block path and an
-// armed overlap-save path: below this filter length the planar MAC wins,
-// at or above it overlap-save does. The SoA kernel's per-sample cost
-// grows linearly with the tap count (~0.5 ns/tap on baseline SSE2
-// hardware) while overlap-save stays roughly flat (~35-45 ns/sample, its
-// FFT size tracking the filter length), so the measured crossover sits
-// near 80 taps. The constant is a coarse host-calibrated estimate; a miss
-// costs time (bit-exactness is already given up by arming EnableFFT).
-const soaFFTCrossoverTaps = 80
-
 // soaFIR is the planar (structure-of-arrays) engine behind FIRStage's
-// block path. Like ovSave it owns no streaming state: each filter call
-// reads the direct-form delay line for the T−1 samples of input history
-// and writes the new tail back, so direct, FFT, and SoA processing
-// interleave freely and a Reset of the FIR resets all paths.
+// block path. It owns no streaming state: each filter call reads the
+// direct-form delay line for the T−1 samples of input history and writes
+// the new tail back, so direct and SoA processing interleave freely and a
+// Reset of the FIR resets both paths.
 //
 // Numerics: the planar MAC accumulates in the direct form's exact order
 // (ascending tap index), so it is bit-exact with FIR.Push on targets

@@ -12,17 +12,13 @@ import (
 // requires, Fig 9a). Blocks of at least minSoABlock samples through a
 // filter of at least minSoATaps taps run the planar structure-of-arrays
 // MAC kernel, armed at construction; Push, shorter blocks and shorter
-// filters run the direct form. Both are bit-identical to dsp.FIR.Push and
-// share one delay line, so they mix freely across calls. EnableFFT arms
-// the one opt-in approximate path, overlap-save FFT convolution (≤1e-9),
-// which takes over from the planar kernel for filters of
-// soaFFTCrossoverTaps taps and more.
+// filters run the direct form. These are the only two block paths, both
+// bit-identical to dsp.FIR.Push, and they share one delay line, so they
+// mix freely across calls.
 type FIRStage struct {
 	name      string
 	fir       *dsp.FIR
-	ov        *ovSave
 	soa       *soaFIR
-	fftBlocks *obs.Counter
 	soaBlocks *obs.Counter
 	shard     int
 }
@@ -48,25 +44,6 @@ func (s *FIRStage) NumTaps() int { return s.fir.NumTaps() }
 // Taps returns a copy of the filter taps.
 func (s *FIRStage) Taps() []complex128 { return s.fir.Taps() }
 
-// EnableFFT switches block processing of long filters onto the
-// overlap-save fast path (≤1e-9 of the direct form, not bit-exact).
-// Blocks shorter than the filter (and all Push calls) keep the direct
-// form, and filters below soaFFTCrossoverTaps keep the planar kernel.
-// No-op for filters too short to gain from it.
-func (s *FIRStage) EnableFFT() {
-	if s.ov == nil && s.fir.NumTaps() >= minFFTTaps {
-		s.ov = newOvSave(s.fir.Taps())
-	}
-}
-
-// FFTEnabled reports whether the overlap-save path is armed.
-func (s *FIRStage) FFTEnabled() bool { return s.ov != nil }
-
-func (s *FIRStage) setFFTObs(c *obs.Counter, shard int) {
-	s.fftBlocks = c
-	s.shard = shard
-}
-
 func (s *FIRStage) setSoAObs(c *obs.Counter, shard int) {
 	s.soaBlocks = c
 	s.shard = shard
@@ -74,17 +51,6 @@ func (s *FIRStage) setSoAObs(c *obs.Counter, shard int) {
 
 // Push filters one sample through the direct form.
 func (s *FIRStage) Push(x complex128) complex128 { return s.fir.Push(x) }
-
-// useFFT decides whether an n-sample block takes the overlap-save path:
-// it must be armed and eligible, and when the planar MAC is eligible too
-// the filter must be long enough for frequency-domain convolution to beat
-// it (soaFFTCrossoverTaps).
-func (s *FIRStage) useFFT(n int) bool {
-	if s.ov == nil || n < s.ov.minBlock {
-		return false
-	}
-	return s.soaBlock(n) == nil || s.fir.NumTaps() >= soaFFTCrossoverTaps
-}
 
 // soaBlock returns the planar engine when an n-sample block is eligible
 // for it, nil otherwise.
@@ -97,13 +63,6 @@ func (s *FIRStage) soaBlock(n int) *soaFIR {
 
 // Process filters the block in place.
 func (s *FIRStage) Process(block []complex128) []complex128 {
-	if s.useFFT(len(block)) {
-		s.ov.filter(s.fir, block)
-		if s.fftBlocks != nil {
-			s.fftBlocks.Inc(s.shard)
-		}
-		return block
-	}
 	if o := s.soaBlock(len(block)); o != nil {
 		o.filter(s.fir, block)
 		if s.soaBlocks != nil {
@@ -148,14 +107,6 @@ func (s *CancelStage) LatencySamples() int { return 0 }
 // NumTaps returns the canceller length.
 func (s *CancelStage) NumTaps() int { return s.fir.NumTaps() }
 
-// EnableFFT arms the overlap-save fast path of the underlying filter.
-func (s *CancelStage) EnableFFT() { s.fir.EnableFFT() }
-
-// FFTEnabled reports whether the overlap-save path is armed.
-func (s *CancelStage) FFTEnabled() bool { return s.fir.FFTEnabled() }
-
-func (s *CancelStage) setFFTObs(c *obs.Counter, shard int) { s.fir.setFFTObs(c, shard) }
-
 func (s *CancelStage) setSoAObs(c *obs.Counter, shard int) { s.fir.setSoAObs(c, shard) }
 
 // SetReference supplies the transmitted samples the following Process
@@ -178,10 +129,8 @@ func (s *CancelStage) Process(block []complex128) []complex128 {
 	s.ref = s.ref[len(block):]
 	// Planar path: filter the reference through the SoA MAC and subtract
 	// the planar estimate straight from the block — no interleave pass
-	// for the estimate. Skipped when the stage's arbitration picks
-	// overlap-save (filters past the crossover convolve faster in the
-	// frequency domain).
-	if o := s.fir.soaBlock(len(block)); o != nil && !s.fir.useFFT(len(block)) {
+	// for the estimate.
+	if o := s.fir.soaBlock(len(block)); o != nil {
 		er, ei := o.filterPlanar(s.fir.fir, ref)
 		dsp.SubInPlaceSoA(block, er, ei)
 		if s.fir.soaBlocks != nil {

@@ -138,10 +138,6 @@ func asRefused(err error, ref **RefusedError) bool {
 // Accept returns the daemon's admission grant for this session.
 func (c *Client) Accept() Accept { return c.accept }
 
-// SetTimeout changes the per-exchange I/O timeout for subsequent round
-// trips (zero disables it).
-func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
-
 // Process sends one block round trip: rx and the transmit reference go
 // out in a DATA frame, and the daemon's processed block is written back
 // into out (which may alias rx). All three slices must hold exactly
@@ -201,12 +197,6 @@ func DialInfo(addr string, timeout time.Duration) (*InfoClient, error) {
 		return nil, err
 	}
 	return &InfoClient{conn: conn, timeout: timeout}, nil
-}
-
-// NewInfoClientConn wraps an established connection as a control
-// connection (net.Pipe in tests).
-func NewInfoClientConn(conn net.Conn, timeout time.Duration) *InfoClient {
-	return &InfoClient{conn: conn, timeout: timeout}
 }
 
 // Query performs one QUERY/INFO round trip.

@@ -221,8 +221,11 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // ServeConn runs one connection's session synchronously: handshake,
-// stream, cleanup. It is the in-process transport for tests (net.Pipe)
-// and is exactly the path Serve runs per accepted connection.
+// stream, cleanup. It is exactly the path Serve runs per accepted
+// connection, and the test seam for it: the relayd tests' pipeSession
+// serves over net.Pipe through it, which is how
+// TestConcurrentSessionsBitIdentical pins the daemon-output bit-identity
+// contract (DESIGN.md §10) without a listener.
 func (s *Server) ServeConn(conn net.Conn) {
 	s.wg.Add(1)
 	defer s.wg.Done()

@@ -147,7 +147,10 @@ type DriftCharacterization struct {
 // the sic.retune/erosion metrics OBSERVABILITY.md documents. intervals is
 // the number of drift steps per placement; rho is the per-interval
 // Gauss-Markov correlation of the SI paths (use profile.AgingRho() to tie
-// it to the profile's CSI age, or pass explicitly). reg may be nil.
+// it to the profile's CSI age, or pass explicitly). reg may be nil. No
+// binary calls it: it is the fixture behind the Sec 3.3 claim that drift
+// erodes a static analog tuning and a monitored re-tune restores it, up
+// to the impairment floor, pinned by TestCharacterizeDriftRetunesAndCaps.
 func CharacterizeDrift(src *rng.Source, cfg CharacterizeConfig, profile *impair.Profile, intervals int, rho float64, reg *obs.Registry) []DriftCharacterization {
 	achievedHist := reg.Histogram("sic.drift_achieved_db", "dB", obs.LinearBuckets(0, 5, 24))
 	erosionHist := reg.Histogram("sic.drift_erosion_db", "dB", obs.LinearBuckets(0, 2, 16))

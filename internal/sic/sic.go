@@ -590,8 +590,9 @@ func EstimateFIR(ref, rx []complex128, nTaps int, lambda float64) ([]complex128,
 // subtracts FIR(tx) from the received samples with *zero* added latency —
 // tap 0 applies to the sample currently being transmitted, so no received
 // samples are ever buffered (Fig 9a). It wraps pipeline.CancelStage, so it
-// slots directly into relay chains; block workloads run the stage's
-// planar SoA kernel (bit-exact) and can arm the overlap-save FFT fast path.
+// slots directly into relay chains. Every path is bit-exact with Push:
+// block workloads run the stage's planar SoA kernel, short blocks the
+// direct form.
 type DigitalCanceller struct {
 	stage *pipeline.CancelStage
 }
@@ -606,11 +607,6 @@ func (d *DigitalCanceller) NumTaps() int { return d.stage.NumTaps() }
 
 // Stage exposes the canceller as a pipeline stage for chain composition.
 func (d *DigitalCanceller) Stage() *pipeline.CancelStage { return d.stage }
-
-// EnableFFT arms the overlap-save fast path for block processing. The
-// direct form stays in use for per-sample Push and short blocks; outputs
-// then agree with the direct form to floating round-off, not bit-exactly.
-func (d *DigitalCanceller) EnableFFT() { d.stage.EnableFFT() }
 
 // Push consumes one transmitted sample and one received sample and returns
 // the cleaned received sample.

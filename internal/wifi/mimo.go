@@ -64,6 +64,10 @@ func (c *MIMOCodec) htltfSymbol(sign float64) []complex128 {
 // EncodeMIMO builds the two per-antenna waveforms for a frame carrying
 // payload at MCS m over two spatial streams. Both waveforms share a
 // common scale such that the total transmit power across antennas is 1.
+// The sweep works on channel matrices, not waveforms, so only tests call
+// it: it is the waveform-level fixture behind the Sec 1 / Fig 2 claim that
+// the relay restores the second stream an RF pinhole takes away, pinned
+// by TestMIMOPinholeFails and TestMIMORelayRestoresSecondStream.
 func (c *MIMOCodec) EncodeMIMO(payload []byte, m MCS) ([][]complex128, error) {
 	if len(payload)+4 > maxPayload {
 		return nil, fmt.Errorf("wifi: payload of %d bytes exceeds maximum", len(payload))
