@@ -8,9 +8,10 @@
 # sweep engine made concurrent (internal/par, internal/fft,
 # internal/ident, and the testbed's parallel paths) with a drift guard
 # (racecheck) that fails if a concurrent package is missing from that
-# list, a manifest smoke run of every cmd binary (see OBSERVABILITY.md),
-# and the fleet sweep smokes — local gates and the served wire mode
-# against real ffrelayd subprocesses (DESIGN.md §11, OPERATIONS.md).
+# list, a manifest smoke run of ffsim's figure families (see
+# OBSERVABILITY.md), and the fleet sweep smokes — local gates and the
+# served wire mode against real ffrelayd subprocesses (DESIGN.md §11,
+# OPERATIONS.md).
 
 GO ?= go
 SMOKE := .smoke
@@ -69,23 +70,27 @@ racecheck:
 
 check: test vet lint race racecheck manifest-smoke daemon-smoke fleet-smoke fleet-served-smoke
 
-# Run every cmd binary with -manifest on a tiny configuration and
-# validate the JSON it writes; ffsim additionally must report nonzero
-# cancellation and amplification metrics (the OBSERVABILITY.md
-# acceptance assertion), and its manifest metrics must be bit-identical
-# between a serial and a 4-worker run.
+# Run ffsim with -manifest on tiny configurations of its figure families
+# (the Fig 12 sweep, the Figs 1-2 maps, the Sec 3.3 cancellation stage
+# and the Fig 21 study) and validate the JSON it writes; the Fig 12 run
+# additionally must report nonzero cancellation and amplification
+# metrics (the OBSERVABILITY.md acceptance assertion), and its manifest
+# metrics must be bit-identical between a serial and a 4-worker run.
+# Both binaries are built once into $(SMOKE).
 manifest-smoke: build
 	rm -rf $(SMOKE) && mkdir -p $(SMOKE)
-	$(GO) run ./cmd/ffsim -fig 12 -grid 4 -stride 13 -workers 1 -manifest $(SMOKE)/ffsim.json > /dev/null
-	$(GO) run ./cmd/ffsim -fig 12 -grid 4 -stride 13 -workers 4 -manifest $(SMOKE)/ffsim-w4.json > /dev/null
-	$(GO) run ./cmd/manifestcheck -require sic.analog_db,sic.total_db,relay.amp_db,testbed.cells $(SMOKE)/ffsim.json
-	$(GO) run ./cmd/manifestcheck -diff $(SMOKE)/ffsim.json $(SMOKE)/ffsim-w4.json
-	$(GO) run ./cmd/heatmap -grid 3 -manifest $(SMOKE)/heatmap.json > /dev/null
-	$(GO) run ./cmd/manifestcheck -require testbed.cells,relay.amp_db $(SMOKE)/heatmap.json
-	$(GO) run ./cmd/cancel -trials 2 -manifest $(SMOKE)/cancel.json > /dev/null
-	$(GO) run ./cmd/manifestcheck -require sic.analog_db,sic.total_db,sic.tune_iterations $(SMOKE)/cancel.json
-	$(GO) run ./cmd/fingerprint -locations 4 -packets 50 -manifest $(SMOKE)/fingerprint.json > /dev/null
-	$(GO) run ./cmd/manifestcheck -require ident.locations,ident.packets $(SMOKE)/fingerprint.json
+	$(GO) build -o $(SMOKE)/ffsim ./cmd/ffsim
+	$(GO) build -o $(SMOKE)/manifestcheck ./cmd/manifestcheck
+	$(SMOKE)/ffsim -fig 12 -grid 4 -stride 13 -workers 1 -manifest $(SMOKE)/ffsim.json > /dev/null
+	$(SMOKE)/ffsim -fig 12 -grid 4 -stride 13 -workers 4 -manifest $(SMOKE)/ffsim-w4.json > /dev/null
+	$(SMOKE)/manifestcheck -require sic.analog_db,sic.total_db,relay.amp_db,testbed.cells $(SMOKE)/ffsim.json
+	$(SMOKE)/manifestcheck -diff $(SMOKE)/ffsim.json $(SMOKE)/ffsim-w4.json
+	$(SMOKE)/ffsim -fig 1 -grid 3 -sic-trials 0 -manifest $(SMOKE)/fig1.json > /dev/null
+	$(SMOKE)/manifestcheck -require testbed.cells,relay.amp_db $(SMOKE)/fig1.json
+	$(SMOKE)/ffsim -fig cancel -sic-trials 2 -manifest $(SMOKE)/cancel.json > /dev/null
+	$(SMOKE)/manifestcheck -require sic.analog_db,sic.total_db,sic.tune_iterations $(SMOKE)/cancel.json
+	$(SMOKE)/ffsim -fig 21 -ident-locations 4 -ident-packets 50 -sic-trials 0 -manifest $(SMOKE)/fig21.json > /dev/null
+	$(SMOKE)/manifestcheck -require ident.locations,ident.packets $(SMOKE)/fig21.json
 	rm -rf $(SMOKE)
 
 # End-to-end daemon check (see OPERATIONS.md): one process starts a real

@@ -1,10 +1,18 @@
 // Command ffsim runs the FastForward evaluation suite and prints the
-// series behind each figure of the paper (Figs 12-18).
+// series behind each figure of the paper.
 //
 // Usage:
 //
-//	ffsim [-fig all|12|13|14|15|16|17|18|deg|fleet|sessions] [-seed N] [-grid meters] [-stride n] [-workers n]
-//	      [-impair profile[,k=v...]] [-manifest out.json] [-pprof addr] [-cpuprofile f] [-memprofile f]
+//	ffsim [-fig name] [-seed N] [-grid meters] [-stride n] [-workers n] [-sic-trials n]
+//	      [-ident-locations n] [-ident-packets n] [-impair profile[,k=v...]]
+//	      [-manifest out.json] [-pprof addr] [-cpuprofile f] [-memprofile f]
+//
+// -fig names one entry of the figure table (see figures) or all, the
+// default, which runs Figs 12-18, deg and fleet. The rest run only by
+// name: 1 (the Figs 1-2 coverage maps of the home, on the -grid), cancel
+// (the Sec 3.3 characterization over -sic-trials placements), 21 (the
+// Fig 21 identification study, sized by -ident-locations and
+// -ident-packets) and sessions.
 //
 // -impair degrades the relay with a hardware-impairment profile (see
 // internal/impair: ideal, mild, moderate, severe, harsh, or single-axis
@@ -42,8 +50,8 @@ import (
 	"fastforward/cmd/internal/runmeta"
 	"fastforward/internal/fleet"
 	"fastforward/internal/floorplan"
+	"fastforward/internal/ident"
 	"fastforward/internal/impair"
-	"fastforward/internal/obs"
 	"fastforward/internal/phyrate"
 	"fastforward/internal/pipeline"
 	"fastforward/internal/rng"
@@ -52,96 +60,140 @@ import (
 	"fastforward/internal/testbed"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "figure to reproduce: all, 12, 13, 14, 15, 16, 17, 18, deg, fleet, sessions")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	grid := flag.Float64("grid", 1.5, "client grid spacing in meters")
-	stride := flag.Int("stride", 4, "subcarrier evaluation stride (1 = all 52)")
-	workers := flag.Int("workers", 0, "sweep worker pool size (0 = one per CPU, 1 = serial; results identical)")
-	sicTrials := flag.Int("sic-trials", 4, "cancellation-chain placements characterized for the manifest's sic.* metrics (0 disables)")
-	impairFlag := flag.String("impair", "", "impairment profile applied to every figure: name[,key=value...] (names: "+strings.Join(impair.Names(), ", ")+")")
-	fleetScenario := flag.String("fleet-scenario", "home", "fleet sweep floor plan (floorplan scenario name)")
-	fleetRelays := flag.String("fleet-relays", "1,2,4,8", "fleet sweep relay counts (comma-separated)")
-	fleetClients := flag.String("fleet-clients", "50,100,200", "fleet sweep client densities (comma-separated)")
-	fleetFail := flag.String("fleet-fail", "severe", "severity the forced fleet event drives the busiest relay to (ideal, mild, moderate, severe, harsh)")
-	fleetCap := flag.Int("fleet-cap", 0, "fleet sweep per-relay session cap (0 = uncapped); a cap under the client density provokes session_limit spills")
-	serveMode := flag.String("serve-mode", "local", "fleet admission endpoint: local (in-process gates) or wire (live ffrelayd daemons on loopback TCP)")
-	fleetExec := flag.String("fleet-exec", "", "with -serve-mode wire: path to a built cmd/ffrelayd binary to spawn per relay (empty: in-process servers)")
-	flag.Parse()
+// figure is one entry of the figure table.
+type figure struct {
+	name  string
+	inAll bool // -fig all runs it
+	run   func(*runCtx)
+}
 
-	switch *fig {
-	case "all", "12", "13", "14", "15", "16", "17", "18", "deg", "fleet", "sessions":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
-		os.Exit(2)
+// figures is the one ordered list of -fig names: the flag's help,
+// validate and main's dispatch all read it. The entries -fig all skips
+// are single-result studies with their own sizing flags and, for
+// sessions, a wall-clock measurement of the host.
+var figures = []figure{
+	{"1", false, fig1},
+	{"cancel", false, figCancel},
+	{"12", true, fig12},
+	{"13", true, fig13},
+	{"14", true, fig14},
+	{"15", true, fig15},
+	{"16", true, fig16},
+	{"17", true, fig17},
+	{"18", true, fig18},
+	{"21", false, fig21},
+	{"deg", true, figDeg},
+	{"fleet", true, figFleet},
+	{"sessions", false, figSessions},
+}
+
+// selected returns the figures -fig name runs, in table order; none for
+// an unknown name.
+func selected(name string) []figure {
+	var out []figure
+	for _, f := range figures {
+		if f.name == name || (name == "all" && f.inAll) {
+			out = append(out, f)
+		}
 	}
-	if *serveMode != "local" && *serveMode != "wire" {
-		fmt.Fprintf(os.Stderr, "unknown -serve-mode %q (want local or wire)\n", *serveMode)
+	return out
+}
+
+// options is ffsim's parsed command line.
+type options struct {
+	fig                          string
+	seed                         int64
+	grid                         float64
+	stride, workers, sicTrials   int
+	identLocations, identPackets int
+	impair                       string
+	// The fleet sweep's shape (-fig fleet).
+	fleetScenario, fleetRelays, fleetClients, fleetFail string
+	fleetCap                                            int
+	serveMode, fleetExec                                string
+}
+
+// runCtx is what a figure's run func reads: the options, the figure
+// sweeps' config built from them (its Obs is the run's registry, nil
+// unless -manifest was given), and the sic.characterize stage's
+// placements, nil when the stage did not run.
+type runCtx struct {
+	options
+	cfg           testbed.Config
+	characterized []sic.Characterization
+}
+
+// defineFlags registers ffsim's own flags on fs; the returned options
+// are filled in when fs is parsed.
+func defineFlags(fs *flag.FlagSet) *options {
+	names := []string{"all"}
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	o := &options{}
+	fs.StringVar(&o.fig, "fig", "all", "figure to reproduce: "+strings.Join(names, ", "))
+	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
+	fs.Float64Var(&o.grid, "grid", 1.5, "client grid spacing in meters")
+	fs.IntVar(&o.stride, "stride", 4, "subcarrier evaluation stride (1 = all 52)")
+	fs.IntVar(&o.workers, "workers", 0, "sweep worker pool size (0 = one per CPU, 1 = serial; results identical)")
+	fs.IntVar(&o.sicTrials, "sic-trials", 4, "cancellation-chain placements characterized for -fig cancel and the manifest's sic.* metrics (0 disables the manifest stage)")
+	fs.IntVar(&o.identLocations, "ident-locations", 100, "-fig 21 client placements (paper: 100)")
+	fs.IntVar(&o.identPackets, "ident-packets", 1000, "-fig 21 packets per client (paper: >=1000)")
+	fs.StringVar(&o.impair, "impair", "", "impairment profile applied to every figure: name[,key=value...] (names: "+strings.Join(impair.Names(), ", ")+")")
+	fs.StringVar(&o.fleetScenario, "fleet-scenario", "home", "fleet sweep floor plan (floorplan scenario name)")
+	fs.StringVar(&o.fleetRelays, "fleet-relays", "1,2,4,8", "fleet sweep relay counts (comma-separated)")
+	fs.StringVar(&o.fleetClients, "fleet-clients", "50,100,200", "fleet sweep client densities (comma-separated)")
+	fs.StringVar(&o.fleetFail, "fleet-fail", "severe", "severity the forced fleet event drives the busiest relay to (ideal, mild, moderate, severe, harsh)")
+	fs.IntVar(&o.fleetCap, "fleet-cap", 0, "fleet sweep per-relay session cap (0 = uncapped); a cap under the client density provokes session_limit spills")
+	fs.StringVar(&o.serveMode, "serve-mode", "local", "fleet admission endpoint: local (in-process gates) or wire (live ffrelayd daemons on loopback TCP)")
+	fs.StringVar(&o.fleetExec, "fleet-exec", "", "with -serve-mode wire: path to a built cmd/ffrelayd binary to spawn per relay (empty: in-process servers)")
+	return o
+}
+
+func main() {
+	o := defineFlags(flag.CommandLine)
+	flag.Parse()
+	if err := validate(*o); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	run := runmeta.Begin("ffsim")
-	cfg := testbed.DefaultConfig(*seed)
-	cfg.GridSpacingM = *grid
-	cfg.CarrierStride = *stride
-	cfg.Workers = *workers
-	cfg.Obs = run.Registry()
-	if *impairFlag != "" {
-		p, err := impair.Parse(*impairFlag)
+	r := &runCtx{options: *o, cfg: testbed.DefaultConfig(o.seed)}
+	r.cfg.GridSpacingM = o.grid
+	r.cfg.CarrierStride = o.stride
+	r.cfg.Workers = o.workers
+	r.cfg.Obs = run.Registry()
+	if o.impair != "" {
+		p, err := impair.Parse(o.impair)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "-impair: %v\n", err)
 			os.Exit(2)
 		}
-		cfg.Impair = &p
+		r.cfg.Impair = &p
 		fmt.Printf("impairment profile %q: cancellation floor %.1f dB, CSI rho %.3f\n",
 			p.Name, p.CancellationFloorDB(), p.AgingRho())
 	}
 
-	// With a manifest requested, characterize the Sec 3.3 cancellation
-	// chain so sic.analog_db / sic.total_db land next to the figure's
-	// testbed metrics. The figure sweeps themselves model cancellation as
-	// the configured budget (cfg.CancellationDB) and never run the tuner,
-	// so this stage is the only source of measured sic.* numbers.
-	if reg := run.Registry(); reg != nil && *sicTrials > 0 {
+	// Characterize the Sec 3.3 cancellation chain once: -fig cancel
+	// prints its placements, and with a manifest requested its
+	// sic.analog_db / sic.total_db land next to the figure's testbed
+	// metrics. The figure sweeps themselves model cancellation as the
+	// configured budget (cfg.CancellationDB) and never run the tuner, so
+	// this stage is the only source of measured sic.* numbers.
+	reg := r.cfg.Obs
+	if o.fig == "cancel" || (reg != nil && o.sicTrials > 0) {
 		stop := reg.Stage("sic.characterize")
-		sic.Characterize(rng.New(*seed), sic.DefaultCharacterizeConfig(*sicTrials), reg)
+		r.characterized = sic.Characterize(rng.New(o.seed), sic.DefaultCharacterizeConfig(o.sicTrials), reg)
 		stop()
 	}
 
-	runFig := func(name string, f func(testbed.Config)) {
-		if *fig == "all" || *fig == name {
-			stop := cfg.Obs.Stage("fig" + name)
-			f(cfg)
-			stop()
-		}
-	}
-	runFig("12", fig12)
-	runFig("13", fig13)
-	runFig("14", fig14)
-	runFig("15", fig15)
-	runFig("16", fig16)
-	runFig("17", fig17)
-	runFig("18", fig18)
-	runFig("deg", figDeg)
-	runFig("fleet", func(cfg testbed.Config) {
-		figFleet(fleetOpts{
-			scenario:   *fleetScenario,
-			relayList:  *fleetRelays,
-			clientList: *fleetClients,
-			fail:       *fleetFail,
-			cap:        *fleetCap,
-			wire:       *serveMode == "wire",
-			exec:       *fleetExec,
-		}, *seed, *workers, run.Registry())
-	})
-	// The sessions sweep is a wall-clock machine benchmark, not a paper
-	// figure: it only runs when asked for, never under "all".
-	if *fig == "sessions" {
-		stop := cfg.Obs.Stage("figsessions")
-		figSessions(run.Registry(), *seed)
+	for _, f := range selected(o.fig) {
+		stop := reg.Stage("fig" + f.name)
+		f.run(r)
 		stop()
 	}
-	run.Finish(*seed, *workers)
+	run.Finish(o.seed, o.workers)
 }
 
 func printCDF(name string, c *stats.CDF) {
@@ -152,67 +204,145 @@ func printCDF(name string, c *stats.CDF) {
 	}
 }
 
-func fig12(cfg testbed.Config) {
+func fig1(r *runCtx) {
+	sc := floorplan.Scenario{Name: "home", Plan: floorplan.Home(), AP: floorplan.HomeAP(), Relay: floorplan.HomeRelay()}
+	cells := testbed.Heatmap(sc, r.cfg)
+
+	fmt.Println("== Figure 1: SNR heatmap (glyphs: ' '<5 '.'<10 ':'<15 '-'<20 '='<25 '+'<30 '*'>=30 dB) ==")
+	fmt.Println("-- AP only --")
+	fmt.Print(testbed.RenderSNR(sc, cells, false))
+	fmt.Println("-- AP + FF relay --")
+	fmt.Print(testbed.RenderSNR(sc, cells, true))
+
+	fmt.Println("== Figure 2: usable spatial streams ==")
+	fmt.Println("-- AP only --")
+	fmt.Print(testbed.RenderStreams(sc, cells, false))
+	fmt.Println("-- AP + FF relay --")
+	fmt.Print(testbed.RenderStreams(sc, cells, true))
+
+	s := testbed.Summarize(cells)
+	fmt.Printf("summary: median SNR %.1f -> %.1f dB; 2-stream coverage %.0f%% -> %.0f%%\n",
+		s.MedianAPOnlySNRdB, s.MedianFFSNRdB,
+		100*s.FracAPOnlyTwoStreams, 100*s.FracFFStream2)
+}
+
+func figCancel(r *runCtx) {
+	fmt.Println("== Sec 3.3: self-interference cancellation characterization ==")
+	var analog, total []float64
+	for i, c := range r.characterized {
+		fmt.Printf("  placement %2d: analog %5.1f dB, total %5.1f dB\n", i, c.AnalogDB, c.TotalDB)
+		analog = append(analog, c.AnalogDB)
+		total = append(total, c.TotalDB)
+	}
+	ac := stats.NewCDF(analog)
+	tc := stats.NewCDF(total)
+	fmt.Printf("analog:  median %.1f dB (paper: ~70 dB; see EXPERIMENTS.md on the gap)\n", ac.Median())
+	fmt.Printf("total:   median %.1f dB, min %.1f dB (paper: 108-110 dB)\n", tc.Median(), tc.Min())
+	fmt.Printf("ceiling: %.0f dB (20 dBm TX over a -90 dBm floor)\n", sic.MaxCancellationDB)
+}
+
+func fig12(r *runCtx) {
 	fmt.Println("== Figure 12: overall relative throughput gains (2x2 MIMO) ==")
-	r := testbed.RunFig12(cfg)
-	fmt.Printf("  median FF vs AP-only: %.2fx  (paper: 3x)\n", r.MedianFFvsAP)
-	fmt.Printf("  median FF vs half-duplex: %.2fx  (paper: 2.3x)\n", r.MedianFFvsHD)
-	fmt.Printf("  edge (bottom 20%% AP-only) FF vs AP-only: %.2fx  (paper: 4x)\n", r.Edge20thFFvsAP)
-	printCDF("FF gain vs HD baseline", r.FFGain)
-	printCDF("AP-only gain vs HD baseline", r.APOnlyGain)
+	res := testbed.RunFig12(r.cfg)
+	fmt.Printf("  median FF vs AP-only: %.2fx  (paper: 3x)\n", res.MedianFFvsAP)
+	fmt.Printf("  median FF vs half-duplex: %.2fx  (paper: 2.3x)\n", res.MedianFFvsHD)
+	fmt.Printf("  edge (bottom 20%% AP-only) FF vs AP-only: %.2fx  (paper: 4x)\n", res.Edge20thFFvsAP)
+	printCDF("FF gain vs HD baseline", res.FFGain)
+	printCDF("AP-only gain vs HD baseline", res.APOnlyGain)
 }
 
-func fig13(cfg testbed.Config) {
+func fig13(r *runCtx) {
 	fmt.Println("== Figure 13: absolute PHY throughput (Mbps) ==")
-	r := testbed.RunFig13(cfg)
-	printCDF("AP only", r.APOnly)
-	printCDF("AP + half-duplex mesh", r.HalfDuplex)
-	printCDF("AP + FF relay", r.FF)
+	res := testbed.RunFig13(r.cfg)
+	printCDF("AP only", res.APOnly)
+	printCDF("AP + half-duplex mesh", res.HalfDuplex)
+	printCDF("AP + FF relay", res.FF)
 }
 
-func fig14(cfg testbed.Config) {
+func fig14(r *runCtx) {
 	fmt.Println("== Figure 14: SISO gains (pure constructive SNR gain) ==")
-	r := testbed.RunFig14(cfg)
-	fmt.Printf("  median FF vs half-duplex: %.2fx  (paper: 1.6x)\n", r.MedianFFvsHD)
-	fmt.Printf("  edge FF vs AP-only: %.2fx  (paper: ~4x tail)\n", r.Edge20thFFvsAP)
-	printCDF("FF gain vs HD baseline", r.FFGain)
+	res := testbed.RunFig14(r.cfg)
+	fmt.Printf("  median FF vs half-duplex: %.2fx  (paper: 1.6x)\n", res.MedianFFvsHD)
+	fmt.Printf("  edge FF vs AP-only: %.2fx  (paper: ~4x tail)\n", res.Edge20thFFvsAP)
+	printCDF("FF gain vs HD baseline", res.FFGain)
 }
 
-func fig15(cfg testbed.Config) {
+func fig15(r *runCtx) {
 	fmt.Println("== Figure 15: gains by client class ==")
-	r := testbed.RunFig15(cfg)
+	res := testbed.RunFig15(r.cfg)
 	for _, cls := range []phyrate.ClientClass{
 		phyrate.LowSNRLowRank, phyrate.MediumSNRLowRank, phyrate.HighSNRHighRank,
 	} {
-		if cdf, ok := r.Gains[cls]; ok {
-			fmt.Printf("  %-22s median %.2fx (n=%d)\n", cls, r.Medians[cls], cdf.N())
+		if cdf, ok := res.Gains[cls]; ok {
+			fmt.Printf("  %-22s median %.2fx (n=%d)\n", cls, res.Medians[cls], cdf.N())
 		}
 	}
 	fmt.Println("  (paper: 4x low/low, 1.7x medium/low, ~1.15x high/high)")
 }
 
-func fig16(cfg testbed.Config) {
+func fig16(r *runCtx) {
 	fmt.Println("== Figure 16: median gain vs relay processing latency ==")
 	lats := []float64{50, 100, 150, 200, 250, 300, 350, 400, 450, 500}
-	for _, p := range testbed.RunFig16(cfg, lats) {
+	for _, p := range testbed.RunFig16(r.cfg, lats) {
 		fmt.Printf("  latency %4.0f ns  median gain %.2fx\n", p.LatencyNs, p.MedianGain)
 	}
 	fmt.Println("  (paper: collapses beyond ~300 ns, worse than no relay)")
 }
 
-func fig17(cfg testbed.Config) {
+func fig17(r *runCtx) {
 	fmt.Println("== Figure 17: amplify-and-forward only (no CNF) ==")
-	r := testbed.RunFig17(cfg)
-	fmt.Printf("  median AF vs AP-only: %.2fx  (paper: drops to ~1.5x)\n", r.MedianFFvsAP)
-	printCDF("AF gain vs HD baseline", r.FFGain)
+	res := testbed.RunFig17(r.cfg)
+	fmt.Printf("  median AF vs AP-only: %.2fx  (paper: drops to ~1.5x)\n", res.MedianFFvsAP)
+	printCDF("AF gain vs HD baseline", res.FFGain)
 }
 
-func figDeg(cfg testbed.Config) {
+func fig18(r *runCtx) {
+	fmt.Println("== Figure 18: median gain vs cancellation ==")
+	cs := []float64{70, 74, 78, 82, 86, 90, 95, 100, 105, 110}
+	for _, p := range testbed.RunFig18(r.cfg, cs) {
+		fmt.Printf("  cancellation %5.0f dB  median gain %.2fx\n", p.CancellationDB, p.MedianGain)
+	}
+	fmt.Println("  (paper: gains shrink with less cancellation; the knee sits at")
+	fmt.Println("   C ~ relayTX-noiseFloor, which is ~80 dB at this 0 dBm WARP-class")
+	fmt.Println("   calibration vs 110 dB at the paper's 20 dBm/-90 dBm budget)")
+}
+
+func fig21(r *runCtx) {
+	fmt.Println("== Figure 21: sender identification from channel fingerprints ==")
+	for _, mode := range []struct {
+		name      string
+		threshold float64
+	}{
+		{"aggressive", ident.AggressiveThreshold},
+		{"passive", ident.PassiveThreshold},
+	} {
+		cfg := ident.DefaultStudyConfig(mode.threshold)
+		cfg.NLocations = r.identLocations
+		cfg.PacketsPerClient = r.identPackets
+		cfg.Workers = r.workers
+		cfg.Obs = r.cfg.Obs
+		res := ident.RunStudy(rng.New(r.seed), cfg)
+		fp := stats.NewCDF(res.FalsePositivePct)
+		fn := stats.NewCDF(res.FalseNegativePct)
+		fmt.Printf("-- %s threshold (%.2f) --\n", mode.name, mode.threshold)
+		fmt.Printf("  false positives: mean %.2f%%  median %.2f%%  p90 %.2f%%\n",
+			fp.Mean(), fp.Median(), fp.Percentile(90))
+		fmt.Printf("  false negatives: mean %.2f%%  median %.2f%%  p90 %.2f%%\n",
+			fn.Mean(), fn.Median(), fn.Percentile(90))
+		fmt.Println("  CDF of per-location false-negative rate:")
+		for _, pt := range fn.Points(6) {
+			fmt.Printf("    %5.1f%%  cdf=%.2f\n", pt.X, pt.Y)
+		}
+	}
+	fmt.Println("(paper: ~5% false negatives, ~zero false positives at the aggressive threshold)")
+}
+
+func figDeg(r *runCtx) {
 	fmt.Println("== Degradation: graceful fallback across the impairment severity ladder ==")
 	for _, sc := range floorplan.Scenarios() {
 		fmt.Printf("  scenario %s:\n", sc.Name)
 		fmt.Println("    profile     effC(dB)  relay(Mbps)  gain-vs-HD  maxAmp(dB)  miss  stale  blind")
-		for _, p := range testbed.RunDegradation(sc, cfg, impair.SeverityLadder()) {
+		for _, p := range testbed.RunDegradation(sc, r.cfg, impair.SeverityLadder()) {
 			fmt.Printf("    %-10s  %8.1f  %11.2f  %10.2f  %10.2f  %4d  %5d  %5d\n",
 				p.Profile, p.EffectiveCancellationDB, p.MeanRelayMbps, p.MedianGainVsHD,
 				p.MaxAmpDB, p.SoundingMissRounds, p.StaleFilterClients, p.BlindFallbacks)
@@ -223,49 +353,39 @@ func figDeg(cfg testbed.Config) {
 	fmt.Println("   instability — the relay fails soft toward the no-relay baseline)")
 }
 
-// fleetOpts bundles the fleet sweep's command-line shape.
-type fleetOpts struct {
-	scenario   string
-	relayList  string
-	clientList string
-	fail       string
-	cap        int
-	wire       bool
-	exec       string
-}
-
-func figFleet(opts fleetOpts, seed int64, workers int, reg *obs.Registry) {
-	relays, err := parseIntList(opts.relayList)
+func figFleet(r *runCtx) {
+	wire := r.serveMode == "wire"
+	relays, err := parseIntList(r.fleetRelays)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "-fleet-relays: %v\n", err)
 		os.Exit(2)
 	}
-	clients, err := parseIntList(opts.clientList)
+	clients, err := parseIntList(r.fleetClients)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "-fleet-clients: %v\n", err)
 		os.Exit(2)
 	}
-	sev, ok := impair.SeverityRank(opts.fail)
+	sev, ok := impair.SeverityRank(r.fleetFail)
 	if !ok {
 		ladder := make([]string, 5)
 		for i := range ladder {
 			ladder[i] = impair.SeverityName(i)
 		}
 		fmt.Fprintf(os.Stderr, "-fleet-fail: %q is not on the severity ladder (%s)\n",
-			opts.fail, strings.Join(ladder, ", "))
+			r.fleetFail, strings.Join(ladder, ", "))
 		os.Exit(2)
 	}
 
-	cfg := fleet.DefaultSweepConfig(seed)
-	cfg.ScenarioName = opts.scenario
+	cfg := fleet.DefaultSweepConfig(r.seed)
+	cfg.ScenarioName = r.fleetScenario
 	cfg.RelayCounts = relays
 	cfg.ClientCounts = clients
 	cfg.FailSeverity = sev
-	cfg.Workers = workers
-	cfg.Obs = reg
-	cfg.Pool.MaxSessionsPerRelay = opts.cap
-	cfg.ServeWire = opts.wire
-	cfg.WireExec = opts.exec
+	cfg.Workers = r.workers
+	cfg.Obs = r.cfg.Obs
+	cfg.Pool.MaxSessionsPerRelay = r.fleetCap
+	cfg.ServeWire = wire
+	cfg.WireExec = r.fleetExec
 	res, err := fleet.RunSweep(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fleet sweep: %v\n", err)
@@ -275,10 +395,10 @@ func figFleet(opts fleetOpts, seed int64, workers int, reg *obs.Registry) {
 	fmt.Println("== Fleet: aggregate throughput and p99 client rate vs relay count x client density ==")
 	fmt.Printf("  scenario %s, forced event: busiest relay driven to %q, one rebalance\n",
 		res.Scenario, impair.SeverityName(sev))
-	if opts.wire {
+	if wire {
 		served := "in-process relayd servers"
-		if opts.exec != "" {
-			served = "ffrelayd subprocesses (" + opts.exec + ")"
+		if r.fleetExec != "" {
+			served = "ffrelayd subprocesses (" + r.fleetExec + ")"
 		}
 		fmt.Printf("  serve-mode wire: admissions over loopback TCP to %s, one session per cell bit-verified\n", served)
 	}
@@ -295,6 +415,48 @@ func figFleet(opts fleetOpts, seed int64, workers int, reg *obs.Registry) {
 	fmt.Println("   or strand on the dark relay with their sticky grant)")
 }
 
+func figSessions(r *runCtx) {
+	fmt.Println("== Sessions: concurrent real-time 20 MHz sessions per core ==")
+	res := pipeline.RunSessionSweep(r.cfg.Obs, pipeline.SessionConfig{Seed: r.seed})
+	fmt.Printf("  sessions/core=%3d  deadline=%8.1fus  sweep=%8.1fus  per-session=%8.1fus\n",
+		res.Sessions, res.DeadlineNS/1e3, res.NSPerSweep/1e3, res.NSPerSession/1e3)
+	for _, p := range res.Probes {
+		mark := "miss"
+		if p.RealTime {
+			mark = "ok"
+		}
+		fmt.Printf("    probe n=%3d  sweep=%8.1fus  %s\n", p.Sessions, p.NSPerSweep/1e3, mark)
+	}
+	fmt.Printf("  (deadline is the air time of one %d-sample block at %.0f MHz;\n",
+		res.Config.BlockSamples, res.Config.SampleRateHz/1e6)
+	fmt.Printf("   a count of N means N relay chains — %d-tap cancel, CFO\n",
+		res.Config.CancelTaps)
+	fmt.Printf("   remove/restore, %d-tap CNF, amplify — keep up with the air interface)\n",
+		res.Config.CNFTaps)
+}
+
+// validate rejects a command line before any work starts: an unknown
+// figure or serve mode, a grid spacing that would never advance across
+// the floor plan, and counts that would leave a printed median NaN.
+func validate(o options) error {
+	switch {
+	case len(selected(o.fig)) == 0:
+		return fmt.Errorf("unknown figure %q", o.fig)
+	case o.serveMode != "local" && o.serveMode != "wire":
+		return fmt.Errorf("unknown -serve-mode %q (want local or wire)", o.serveMode)
+	case !(o.grid > 0):
+		return fmt.Errorf("-grid %v: want a positive spacing in meters", o.grid)
+	case o.sicTrials < 0:
+		return fmt.Errorf("-sic-trials %d: want 0 or more placements", o.sicTrials)
+	case o.fig == "cancel" && o.sicTrials < 1:
+		return fmt.Errorf("-fig cancel needs -sic-trials of at least 1 (got %d)", o.sicTrials)
+	case o.fig == "21" && (o.identLocations < 1 || o.identPackets < 1):
+		return fmt.Errorf("-fig 21 needs -ident-locations and -ident-packets of at least 1 (got %d, %d)",
+			o.identLocations, o.identPackets)
+	}
+	return nil
+}
+
 // parseIntList parses a comma-separated list of positive ints.
 func parseIntList(s string) ([]int, error) {
 	parts := strings.Split(s, ",")
@@ -307,35 +469,4 @@ func parseIntList(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func figSessions(reg *obs.Registry, seed int64) {
-	fmt.Println("== Sessions: concurrent real-time 20 MHz sessions per core ==")
-	r := pipeline.RunSessionSweep(reg, pipeline.SessionConfig{Seed: seed})
-	fmt.Printf("  sessions/core=%3d  deadline=%8.1fus  sweep=%8.1fus  per-session=%8.1fus\n",
-		r.Sessions, r.DeadlineNS/1e3, r.NSPerSweep/1e3, r.NSPerSession/1e3)
-	for _, p := range r.Probes {
-		mark := "miss"
-		if p.RealTime {
-			mark = "ok"
-		}
-		fmt.Printf("    probe n=%3d  sweep=%8.1fus  %s\n", p.Sessions, p.NSPerSweep/1e3, mark)
-	}
-	fmt.Printf("  (deadline is the air time of one %d-sample block at %.0f MHz;\n",
-		r.Config.BlockSamples, r.Config.SampleRateHz/1e6)
-	fmt.Printf("   a count of N means N relay chains — %d-tap cancel, CFO\n",
-		r.Config.CancelTaps)
-	fmt.Printf("   remove/restore, %d-tap CNF, amplify — keep up with the air interface)\n",
-		r.Config.CNFTaps)
-}
-
-func fig18(cfg testbed.Config) {
-	fmt.Println("== Figure 18: median gain vs cancellation ==")
-	cs := []float64{70, 74, 78, 82, 86, 90, 95, 100, 105, 110}
-	for _, p := range testbed.RunFig18(cfg, cs) {
-		fmt.Printf("  cancellation %5.0f dB  median gain %.2fx\n", p.CancellationDB, p.MedianGain)
-	}
-	fmt.Println("  (paper: gains shrink with less cancellation; the knee sits at")
-	fmt.Println("   C ~ relayTX-noiseFloor, which is ~80 dB at this 0 dBm WARP-class")
-	fmt.Println("   calibration vs 110 dB at the paper's 20 dBm/-90 dBm budget)")
 }

@@ -1,8 +1,8 @@
-// Package runmeta is the shared observability harness for the cmd/*
-// binaries: it registers the -manifest, -pprof, -cpuprofile and
-// -memprofile flags, owns the obs.Registry for the run, and writes the
-// JSON run manifest (schema "fastforward/run-manifest/v1") that
-// OBSERVABILITY.md documents.
+// Package runmeta is the shared observability harness for the run
+// binaries, ffsim and ffrelayd: it registers the -manifest, -pprof,
+// -cpuprofile and -memprofile flags, owns the obs.Registry for the run,
+// and writes the JSON run manifest (schema
+// "fastforward/run-manifest/v1") that OBSERVABILITY.md documents.
 //
 // Usage in a main:
 //

@@ -1,6 +1,6 @@
 // Command manifestcheck validates and compares the JSON run manifests
-// written by the other cmd/* binaries via -manifest (see
-// OBSERVABILITY.md for the schema).
+// that ffsim and ffrelayd write via -manifest (see OBSERVABILITY.md for
+// the schema).
 //
 // Usage:
 //

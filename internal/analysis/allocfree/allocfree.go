@@ -90,17 +90,8 @@ func New(cfg Config) *analysis.Analyzer {
 // Default is the production-configured analyzer.
 func Default() *analysis.Analyzer { return New(Config{}) }
 
-func pathMatches(path string, suffixes []string) bool {
-	for _, s := range suffixes {
-		if path == s || strings.HasSuffix(path, "/"+s) {
-			return true
-		}
-	}
-	return false
-}
-
 func run(pass *analysis.Pass, cfg Config) {
-	if !pathMatches(pass.Pkg.Path(), cfg.HotPackages) {
+	if !analysis.PathMatches(pass.Pkg.Path(), cfg.HotPackages) {
 		return
 	}
 	hot := map[string]bool{}

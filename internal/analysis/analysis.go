@@ -107,6 +107,49 @@ func RunAnalyzers(base Pass, analyzers []*Analyzer) ([]Diagnostic, []AllowUse, e
 	return diags, used, nil
 }
 
+// PathMatches reports whether the import path equals one of suffixes or
+// ends in "/" plus one of them, so a suffix matches whole path elements:
+// "internal/pipeline" matches "fastforward/internal/pipeline" but not
+// "fastforward/internal/xpipeline". Analyzers scope themselves to
+// packages with it.
+func PathMatches(path string, suffixes []string) bool {
+	for _, s := range suffixes {
+		if path == s || strings.HasSuffix(path, "/"+s) {
+			return true
+		}
+	}
+	return false
+}
+
+// PkgFunc resolves a call target to (package path, func name) when fun
+// names a package-level function: through a selector, a dot-import
+// ident, parentheses or a generic instantiation such as par.Map[T]. It
+// returns "", "" for methods, builtins, function values and anything
+// else.
+func PkgFunc(pass *Pass, fun ast.Expr) (string, string) {
+	var id *ast.Ident
+	switch f := ast.Unparen(fun).(type) {
+	case *ast.SelectorExpr:
+		id = f.Sel
+	case *ast.Ident:
+		id = f
+	case *ast.IndexExpr:
+		return PkgFunc(pass, f.X)
+	case *ast.IndexListExpr:
+		return PkgFunc(pass, f.X)
+	default:
+		return "", ""
+	}
+	fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return "", ""
+	}
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		return "", ""
+	}
+	return fn.Pkg().Path(), fn.Name()
+}
+
 // SortDiagnostics orders diags by file, line, column, then message.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {

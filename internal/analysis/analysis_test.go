@@ -147,3 +147,26 @@ func TestCollectAllows(t *testing.T) {
 		t.Errorf("second malformed = %+v, want empty-name diagnostic on line 8", malformed[1])
 	}
 }
+
+func TestPathMatches(t *testing.T) {
+	suffixes := []string{"internal/pipeline", "relayd"}
+	for _, tc := range []struct {
+		path string
+		want bool
+	}{
+		{"internal/pipeline", true},
+		{"fastforward/internal/pipeline", true},
+		{"relayd", true},
+		{"fastforward/internal/relayd", true},
+		{"fastforward/internal/xpipeline", false},
+		{"fastforward/internal/pipeline/sub", false},
+		{"fastforward/cmd/ffrelayd", false},
+	} {
+		if got := analysis.PathMatches(tc.path, suffixes); got != tc.want {
+			t.Errorf("PathMatches(%q) = %v, want %v", tc.path, got, tc.want)
+		}
+	}
+	if analysis.PathMatches("relayd", nil) {
+		t.Error("PathMatches with no suffixes matched")
+	}
+}

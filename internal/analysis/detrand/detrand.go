@@ -96,18 +96,9 @@ func New(cfg Config) *analysis.Analyzer {
 // Default is the production-configured analyzer.
 func Default() *analysis.Analyzer { return New(Config{}) }
 
-func pathMatches(path string, suffixes []string) bool {
-	for _, s := range suffixes {
-		if path == s || strings.HasSuffix(path, "/"+s) {
-			return true
-		}
-	}
-	return false
-}
-
 func run(pass *analysis.Pass, cfg Config) {
-	wallClockOK := pathMatches(pass.Pkg.Path(), cfg.WallClock)
-	sweep := pathMatches(pass.Pkg.Path(), cfg.SweepPackages)
+	wallClockOK := analysis.PathMatches(pass.Pkg.Path(), cfg.WallClock)
+	sweep := analysis.PathMatches(pass.Pkg.Path(), cfg.SweepPackages)
 	for _, f := range pass.Files {
 		var enclosing []ast.Node // stack of function bodies
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -141,33 +132,6 @@ func innermostContaining(stack []ast.Node, n ast.Node) ast.Node {
 		}
 	}
 	return nil
-}
-
-// pkgFunc resolves a call target to (package path, func name) when the
-// callee is a package-level function reached through a selector or a
-// dot-import ident.
-func pkgFunc(pass *analysis.Pass, call *ast.CallExpr) (string, string) {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.Ident:
-		id = fun
-	default:
-		return "", ""
-	}
-	obj, ok := pass.TypesInfo.Uses[id]
-	if !ok {
-		return "", ""
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return "", ""
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return "", "" // method, not a package-level function
-	}
-	return fn.Pkg().Path(), fn.Name()
 }
 
 // checkIdentUse flags any use — call or function value — of the
@@ -278,7 +242,7 @@ func sortedAfter(pass *analysis.Pass, body ast.Node, rng *ast.RangeStmt, target 
 		if !ok || call.Pos() < rng.End() || len(call.Args) == 0 {
 			return true
 		}
-		path, name := pkgFunc(pass, call)
+		path, name := analysis.PkgFunc(pass, call.Fun)
 		if (path != "sort" && path != "slices") || !sortFuncs[name] {
 			return true
 		}

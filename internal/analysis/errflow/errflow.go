@@ -15,7 +15,6 @@ package errflow
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"fastforward/internal/analysis"
 )
@@ -50,17 +49,8 @@ func New(cfg Config) *analysis.Analyzer {
 // Default is the production-configured analyzer.
 func Default() *analysis.Analyzer { return New(Config{}) }
 
-func pathMatches(path string, suffixes []string) bool {
-	for _, s := range suffixes {
-		if path == s || strings.HasSuffix(path, "/"+s) {
-			return true
-		}
-	}
-	return false
-}
-
 func run(pass *analysis.Pass, cfg Config) {
-	if !pathMatches(pass.Pkg.Path(), cfg.Packages) {
+	if !analysis.PathMatches(pass.Pkg.Path(), cfg.Packages) {
 		return
 	}
 	for _, f := range pass.Files {

@@ -224,7 +224,7 @@ func callEvents(pass *analysis.Pass, cfg Config, call *ast.CallExpr) []event {
 			return []event{{kind: evUnlock, pos: call.Pos(), key: key}}
 		}
 	}
-	if path, name := pkgFunc(pass, call); path == "time" && name == "Sleep" {
+	if path, name := analysis.PkgFunc(pass, call.Fun); path == "time" && name == "Sleep" {
 		return []event{{kind: evBlock, pos: call.Pos(), desc: "time.Sleep"}}
 	}
 	if fn, recv := methodRecv(pass, call); fn != nil && recv != nil {
@@ -408,28 +408,6 @@ func typeOf(pass *analysis.Pass, e ast.Expr) types.Type {
 		return tv.Type
 	}
 	return types.Typ[types.Invalid]
-}
-
-// pkgFunc resolves a call target to (package path, func name) for
-// package-level functions.
-func pkgFunc(pass *analysis.Pass, call *ast.CallExpr) (string, string) {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.Ident:
-		id = fun
-	default:
-		return "", ""
-	}
-	fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return "", ""
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return "", ""
-	}
-	return fn.Pkg().Path(), fn.Name()
 }
 
 func exprString(e ast.Expr) string {

@@ -70,15 +70,6 @@ func New(cfg Config) *analysis.Analyzer {
 // Default is the production-configured analyzer.
 func Default() *analysis.Analyzer { return New(Config{}) }
 
-func pathMatches(path string, suffixes []string) bool {
-	for _, s := range suffixes {
-		if path == s || strings.HasSuffix(path, "/"+s) {
-			return true
-		}
-	}
-	return false
-}
-
 // paramKind classifies what a function does with one parameter.
 type paramKind int
 
@@ -100,7 +91,7 @@ type funcInfo struct {
 }
 
 func run(pass *analysis.Pass, cfg Config) {
-	if !pathMatches(pass.Pkg.Path(), cfg.Packages) {
+	if !analysis.PathMatches(pass.Pkg.Path(), cfg.Packages) {
 		return
 	}
 	infos := classify(pass)

@@ -119,9 +119,9 @@ func run(pass *analysis.Pass, cfg Config, registries map[string]*registry) error
 		registries[pass.ModuleDir] = reg
 	}
 
-	usesObs := pathMatches(pass.Pkg.Path(), cfg.ObsSuffixes)
+	usesObs := analysis.PathMatches(pass.Pkg.Path(), cfg.ObsSuffixes)
 	for _, imp := range pass.Pkg.Imports() {
-		if pathMatches(imp.Path(), cfg.ObsSuffixes) {
+		if analysis.PathMatches(imp.Path(), cfg.ObsSuffixes) {
 			usesObs = true
 		}
 	}
@@ -146,7 +146,7 @@ func run(pass *analysis.Pass, cfg Config, registries map[string]*registry) error
 		})
 	}
 
-	if pathMatches(pass.Pkg.Path(), cfg.ObsSuffixes) {
+	if analysis.PathMatches(pass.Pkg.Path(), cfg.ObsSuffixes) {
 		crossValidate(pass, cfg, reg)
 	}
 	return nil
@@ -179,7 +179,7 @@ func registryMethod(pass *analysis.Pass, call *ast.CallExpr, cfg Config) string 
 	if !ok || named.Obj().Name() != "Registry" || named.Obj().Pkg() == nil {
 		return ""
 	}
-	if !pathMatches(named.Obj().Pkg().Path(), cfg.ObsSuffixes) {
+	if !analysis.PathMatches(named.Obj().Pkg().Path(), cfg.ObsSuffixes) {
 		return ""
 	}
 	return sel.Sel.Name
@@ -268,15 +268,6 @@ func sortedNames(reg *registry) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-func pathMatches(path string, suffixes []string) bool {
-	for _, s := range suffixes {
-		if path == s || strings.HasSuffix(path, "/"+s) {
-			return true
-		}
-	}
-	return false
 }
 
 // stringConstant returns the string value of a constant-valued

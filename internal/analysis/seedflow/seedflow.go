@@ -11,7 +11,6 @@ package seedflow
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"fastforward/internal/analysis"
 )
@@ -175,7 +174,7 @@ func isRngConstructor(pass *analysis.Pass, call *ast.CallExpr, cfg Config) bool 
 	if isPkgFunc(pass, call.Fun, cfg.RngSuffixes, map[string]bool{"New": true}) {
 		return true
 	}
-	path, name := resolvePkgFunc(pass, call.Fun)
+	path, name := analysis.PkgFunc(pass, call.Fun)
 	return (path == "math/rand" || path == "math/rand/v2") && (name == "NewSource" || name == "NewPCG" || name == "NewChaCha8")
 }
 
@@ -194,7 +193,7 @@ func forkReceiver(pass *analysis.Pass, call *ast.CallExpr, cfg Config) (ast.Expr
 	if !ok || fn.Pkg() == nil {
 		return nil, false
 	}
-	if !pathMatches(fn.Pkg().Path(), cfg.RngSuffixes) {
+	if !analysis.PathMatches(fn.Pkg().Path(), cfg.RngSuffixes) {
 		return nil, false
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -230,46 +229,9 @@ func declaredOutside(pass *analysis.Pass, expr ast.Expr, lit *ast.FuncLit) bool 
 	}
 }
 
-func pathMatches(path string, suffixes []string) bool {
-	for _, s := range suffixes {
-		if path == s || strings.HasSuffix(path, "/"+s) {
-			return true
-		}
-	}
-	return false
-}
-
 // isPkgFunc reports whether fun resolves to a package-level function in a
 // package matching one of the path suffixes with a name in names.
 func isPkgFunc(pass *analysis.Pass, fun ast.Expr, suffixes []string, names map[string]bool) bool {
-	path, name := resolvePkgFunc(pass, fun)
-	return path != "" && pathMatches(path, suffixes) && names[name]
-}
-
-func resolvePkgFunc(pass *analysis.Pass, fun ast.Expr) (string, string) {
-	var id *ast.Ident
-	switch f := ast.Unparen(fun).(type) {
-	case *ast.SelectorExpr:
-		id = f.Sel
-	case *ast.Ident:
-		id = f
-	case *ast.IndexExpr: // generic instantiation par.Map[T]
-		return resolvePkgFunc(pass, f.X)
-	case *ast.IndexListExpr:
-		return resolvePkgFunc(pass, f.X)
-	default:
-		return "", ""
-	}
-	obj, ok := pass.TypesInfo.Uses[id]
-	if !ok {
-		return "", ""
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return "", ""
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return "", ""
-	}
-	return fn.Pkg().Path(), fn.Name()
+	path, name := analysis.PkgFunc(pass, fun)
+	return path != "" && analysis.PathMatches(path, suffixes) && names[name]
 }

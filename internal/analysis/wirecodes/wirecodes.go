@@ -73,15 +73,6 @@ func New(cfg Config) *analysis.Analyzer {
 // Default is the production-configured analyzer.
 func Default() *analysis.Analyzer { return New(Config{}) }
 
-func pathMatches(path string, suffixes []string) bool {
-	for _, s := range suffixes {
-		if path == s || strings.HasSuffix(path, "/"+s) {
-			return true
-		}
-	}
-	return false
-}
-
 // registry is the extracted protocol constant table.
 type registry struct {
 	codes  map[string]string // value -> constant name ("budget" -> "RefuseBudget")
@@ -90,12 +81,12 @@ type registry struct {
 
 func run(pass *analysis.Pass, cfg Config) {
 	var regPkg *types.Package
-	self := pathMatches(pass.Pkg.Path(), cfg.RegistryPackages)
+	self := analysis.PathMatches(pass.Pkg.Path(), cfg.RegistryPackages)
 	if self {
 		regPkg = pass.Pkg
 	} else {
 		for _, imp := range pass.Pkg.Imports() {
-			if pathMatches(imp.Path(), cfg.RegistryPackages) {
+			if analysis.PathMatches(imp.Path(), cfg.RegistryPackages) {
 				regPkg = imp
 				break
 			}

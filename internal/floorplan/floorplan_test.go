@@ -250,6 +250,20 @@ func TestGrid(t *testing.T) {
 	}
 }
 
+func TestGridPanicsOnNonPositiveSpacing(t *testing.T) {
+	p := &Plan{Width: 10, Height: 5}
+	for _, spacing := range []float64{0, -1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Grid(%v, 0.5) returned; want a panic", spacing)
+				}
+			}()
+			p.Grid(spacing, 0.5)
+		}()
+	}
+}
+
 func TestPathAmplitudeGain(t *testing.T) {
 	p := Path{LossDB: 60, DelayS: 33e-9}
 	g := p.AmplitudeGain()

@@ -1,5 +1,7 @@
 package floorplan
 
+import "fmt"
+
 // This file defines the indoor scenarios of the paper's evaluation (Sec 5):
 // the ~2000 sq ft home of Fig 1 plus the open office, L-shaped corridor and
 // wide-room testbed settings. Positions are in meters with the origin at
@@ -141,8 +143,12 @@ func (p *Plan) addRect(lo, hi Point, m Material) {
 }
 
 // Grid returns measurement points on a regular grid with the given spacing
-// (meters), inset from the exterior by margin.
+// (meters), inset from the exterior by margin. It panics unless spacing
+// is positive: the grid would never advance.
 func (p *Plan) Grid(spacing, margin float64) []Point {
+	if !(spacing > 0) {
+		panic(fmt.Sprintf("floorplan: grid spacing %v is not positive", spacing))
+	}
 	var pts []Point
 	for y := margin; y <= p.Height-margin; y += spacing {
 		for x := margin; x <= p.Width-margin; x += spacing {

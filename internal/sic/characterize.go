@@ -47,7 +47,8 @@ type CharacterizeConfig struct {
 	TxPowerMW, NoiseMW float64
 }
 
-// DefaultCharacterizeConfig mirrors cmd/cancel's historical setup.
+// DefaultCharacterizeConfig is the setup behind the Sec 3.3 numbers that
+// cmd/ffsim -fig cancel prints.
 func DefaultCharacterizeConfig(trials int) CharacterizeConfig {
 	return CharacterizeConfig{
 		Trials:       trials,
@@ -64,9 +65,9 @@ func DefaultCharacterizeConfig(trials int) CharacterizeConfig {
 // Characterize runs the full cancellation chain over cfg.Trials simulated
 // relay placements drawn serially from src, records the sic.* metrics into
 // reg (nil disables recording), and returns the per-placement results.
-// Both cmd/cancel and cmd/ffsim's cancellation stage run through here, so
-// a manifest's sic.analog_db is measured by exactly the code the Sec 3.3
-// characterization prints.
+// cmd/ffsim's one sic.characterize stage runs through here, so a
+// manifest's sic.analog_db is measured by exactly the code the Sec 3.3
+// characterization (-fig cancel) prints.
 func Characterize(src *rng.Source, cfg CharacterizeConfig, reg *obs.Registry) []Characterization {
 	analogHist := reg.Histogram("sic.analog_db", "dB", obs.LinearBuckets(0, 5, 24))
 	unquantHist := reg.Histogram("sic.analog_unquantized_db", "dB", obs.LinearBuckets(0, 5, 24))
