@@ -12,12 +12,22 @@
 // readSessionFrame, handleConn) counts as arming it at the call site; a
 // function that performs I/O on a parameter without arming it first
 // requires the caller to have armed the conn — such helpers must declare
-// the parameter io.Writer/io.Reader (writeFrame, readFrame: framing is
-// transport-agnostic by design), because unarmed I/O directly on a
-// net.Conn parameter is itself flagged. Methods that arm a
+// the parameter io.Writer or *bufio.Reader (writeFrame, readFrame:
+// framing is transport-agnostic by design), because unarmed I/O directly
+// on a net.Conn parameter is itself flagged. Methods that arm a
 // deadline on a receiver field (Client.armDeadline on c.conn) arm that
 // field for the caller. Passing a conn to an unknown or external
-// function (io.ReadFull) counts as I/O.
+// function (io.ReadFull) counts as I/O; building a bufio.Reader over it
+// does not.
+//
+// A *bufio.Reader over a conn reads that conn, so every read through it
+// (any method but Size, Buffered and Reset, or handing it to a helper
+// that reads) needs the conn's deadline armed. The reader is tied to its
+// conn in three shapes: a local built by bufio.NewReader/NewReaderSize
+// over the conn (handleConn's br); a parameter beside the function's one
+// conn parameter (readSessionFrame(conn, br)), whose reads count as I/O
+// on that conn parameter for the fixpoint; and a struct field beside the
+// struct's one conn field (Client's c.br beside c.conn).
 //
 // The scan is linear within each function body, the same deliberate
 // trade as lockscope: a branch-local false positive is annotated with
@@ -50,6 +60,12 @@ var setterNames = map[string]bool{
 // neutralConnMethods neither arm nor perform deadline-bounded I/O.
 var neutralConnMethods = map[string]bool{
 	"Close": true, "LocalAddr": true, "RemoteAddr": true, "String": true,
+}
+
+// neutralReaderMethods are the *bufio.Reader methods that never read its
+// source; every other method may.
+var neutralReaderMethods = map[string]bool{
+	"Size": true, "Buffered": true, "Reset": true,
 }
 
 // New returns the netdeadline analyzer.
@@ -88,6 +104,8 @@ type funcInfo struct {
 	// deadline on, or "" — Client.armDeadline arms c.conn for its caller.
 	armsField string
 	recvName  string // receiver ident name, for field matching
+	// readers maps each buffered reader over a conn to that conn.
+	readers map[types.Object]ast.Expr
 }
 
 func run(pass *analysis.Pass, cfg Config) {
@@ -120,7 +138,7 @@ func classify(pass *analysis.Pass) map[*types.Func]*funcInfo {
 			if obj == nil {
 				continue
 			}
-			fi := &funcInfo{decl: fd}
+			fi := &funcInfo{decl: fd, readers: readerConns(pass, fd)}
 			for _, field := range fd.Type.Params.List {
 				for _, name := range field.Names {
 					fi.params = append(fi.params, name)
@@ -160,7 +178,10 @@ func classifyOne(pass *analysis.Pass, infos map[*types.Func]*funcInfo, fi *funcI
 	order := 0
 	var fieldArm string
 
-	paramIndex := func(e ast.Expr) int {
+	// paramIndex resolves e to a parameter; I/O through a buffered
+	// reader over a conn parameter is I/O on that parameter.
+	var paramIndex func(e ast.Expr) int
+	paramIndex = func(e ast.Expr) int {
 		id, ok := ast.Unparen(e).(*ast.Ident)
 		if !ok {
 			return -1
@@ -168,6 +189,9 @@ func classifyOne(pass *analysis.Pass, infos map[*types.Func]*funcInfo, fi *funcI
 		obj := pass.TypesInfo.ObjectOf(id)
 		if obj == nil {
 			return -1
+		}
+		if conn, ok := fi.readers[obj]; ok {
+			return paramIndex(conn)
 		}
 		for i, p := range fi.params {
 			if p != nil && obj == pass.TypesInfo.ObjectOf(p) {
@@ -202,6 +226,7 @@ func classifyOne(pass *analysis.Pass, infos map[*types.Func]*funcInfo, fi *funcI
 						setterAt[i] = order
 					}
 				case neutralConnMethods[sel.Sel.Name]:
+				case neutralReaderMethods[sel.Sel.Name] && isBufReader(pass.TypesInfo.TypeOf(sel.X)):
 				default:
 					if ioAt[i] == 0 {
 						ioAt[i] = order
@@ -261,13 +286,8 @@ func classifyOne(pass *analysis.Pass, infos map[*types.Func]*funcInfo, fi *funcI
 // calleeInfo resolves a call to a same-package function's classification,
 // or nil for external, builtin, and unresolvable callees.
 func calleeInfo(pass *analysis.Pass, infos map[*types.Func]*funcInfo, call *ast.CallExpr) *funcInfo {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.Ident:
-		id = fun
-	default:
+	id := calleeIdent(call)
+	if id == nil {
 		return nil
 	}
 	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
@@ -288,25 +308,20 @@ func argKind(pass *analysis.Pass, callee *funcInfo, call *ast.CallExpr, argPos i
 		}
 		return kindNeutral
 	}
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.Ident:
-		id = fun
-	default:
+	id := calleeIdent(call)
+	if id == nil {
 		return kindNeutral
 	}
-	switch pass.TypesInfo.Uses[id].(type) {
+	switch fn := pass.TypesInfo.Uses[id].(type) {
 	case *types.Builtin:
 		return kindNeutral
 	case *types.TypeName:
 		return kindNeutral // conversion
 	case *types.Func:
+		if isReaderCtor(fn) {
+			return kindNeutral // building a reader reads nothing
+		}
 		return kindIO
-	}
-	if _, isType := pass.TypesInfo.Types[call.Fun]; isType {
-		return kindNeutral
 	}
 	return kindNeutral
 }
@@ -326,10 +341,135 @@ func isConn(t types.Type) bool {
 	return path == "net" || strings.HasSuffix(path, "/net")
 }
 
+// isBufReader reports whether t is *bufio.Reader.
+func isBufReader(t types.Type) bool {
+	p, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	n, ok := p.Elem().(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "bufio" && n.Obj().Name() == "Reader"
+}
+
+// isReaderCtor reports whether fn is bufio.NewReader or NewReaderSize.
+func isReaderCtor(fn *types.Func) bool {
+	return fn.Pkg() != nil && fn.Pkg().Path() == "bufio" &&
+		(fn.Name() == "NewReader" || fn.Name() == "NewReaderSize")
+}
+
+// readerConns maps each *bufio.Reader variable of fd that reads a conn to
+// that conn: a local built by bufio.NewReader/NewReaderSize over a conn,
+// or a parameter beside the function's one conn parameter (the
+// readSessionFrame(conn, br) shape). A reader parameter of a function
+// with no conn parameter is a caller-arms helper's, like an io.Reader's.
+func readerConns(pass *analysis.Pass, fd *ast.FuncDecl) map[types.Object]ast.Expr {
+	readers := map[types.Object]ast.Expr{}
+	var conn ast.Expr
+	conns := 0
+	var bufParams []*ast.Ident
+	for _, field := range fd.Type.Params.List {
+		t := pass.TypesInfo.TypeOf(field.Type)
+		for _, name := range field.Names {
+			switch {
+			case isConn(t):
+				conn = name
+				conns++
+			case isBufReader(t):
+				bufParams = append(bufParams, name)
+			}
+		}
+	}
+	if conns == 1 {
+		for _, name := range bufParams {
+			if obj := pass.TypesInfo.ObjectOf(name); obj != nil {
+				readers[obj] = conn
+			}
+		}
+	}
+	bind := func(lhs ast.Expr, rhs ast.Expr) {
+		id, ok := ast.Unparen(lhs).(*ast.Ident)
+		call, isCall := ast.Unparen(rhs).(*ast.CallExpr)
+		if !ok || !isCall || len(call.Args) == 0 || !isConn(pass.TypesInfo.TypeOf(call.Args[0])) {
+			return
+		}
+		fn, _ := pass.TypesInfo.Uses[calleeIdent(call)].(*types.Func)
+		if obj := pass.TypesInfo.ObjectOf(id); fn != nil && isReaderCtor(fn) && obj != nil {
+			readers[obj] = call.Args[0]
+		}
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if len(n.Lhs) == len(n.Rhs) {
+				for i := range n.Lhs {
+					bind(n.Lhs[i], n.Rhs[i])
+				}
+			}
+		case *ast.ValueSpec:
+			if len(n.Names) == len(n.Values) {
+				for i := range n.Names {
+					bind(n.Names[i], n.Values[i])
+				}
+			}
+		}
+		return true
+	})
+	return readers
+}
+
+// calleeIdent is the identifier naming call's function, or nil.
+func calleeIdent(call *ast.CallExpr) *ast.Ident {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		return fun.Sel
+	case *ast.Ident:
+		return fun
+	}
+	return nil
+}
+
+// readerConn returns the armed-set key of the conn a *bufio.Reader
+// expression reads: a mapped local or parameter's conn, or for a struct
+// field (c.br) the struct's one conn field (c.conn).
+func readerConn(pass *analysis.Pass, readers map[types.Object]ast.Expr, e ast.Expr) (string, bool) {
+	if !isBufReader(pass.TypesInfo.TypeOf(e)) {
+		return "", false
+	}
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if conn, ok := readers[pass.TypesInfo.ObjectOf(e)]; ok {
+			return exprString(conn), true
+		}
+	case *ast.SelectorExpr:
+		t := pass.TypesInfo.TypeOf(e.X)
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok {
+			return "", false
+		}
+		field := ""
+		for i := 0; i < st.NumFields(); i++ {
+			if isConn(st.Field(i).Type()) {
+				if field != "" {
+					return "", false // two conns: which one is ambiguous
+				}
+				field = st.Field(i).Name()
+			}
+		}
+		if field != "" {
+			return exprString(e.X) + "." + field, true
+		}
+	}
+	return "", false
+}
+
 // checkFunc runs the linear armed-deadline scan over one function body
 // and flags discarded deadline-setter errors.
 func checkFunc(pass *analysis.Pass, infos map[*types.Func]*funcInfo, fd *ast.FuncDecl) {
 	armed := map[string]bool{}
+	readers := readerConns(pass, fd)
 	// fieldArmers: method receiver type -> method name -> armed field.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -348,14 +488,14 @@ func checkFunc(pass *analysis.Pass, infos map[*types.Func]*funcInfo, fd *ast.Fun
 				}
 			}
 		case *ast.CallExpr:
-			checkCall(pass, infos, n, armed)
+			checkCall(pass, infos, readers, n, armed)
 		}
 		return true
 	})
 }
 
 // checkCall updates and checks the armed set for one call expression.
-func checkCall(pass *analysis.Pass, infos map[*types.Func]*funcInfo, call *ast.CallExpr, armed map[string]bool) {
+func checkCall(pass *analysis.Pass, infos map[*types.Func]*funcInfo, readers map[types.Object]ast.Expr, call *ast.CallExpr, armed map[string]bool) {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		// Direct method call on a conn-typed expression.
 		if tv, ok := pass.TypesInfo.Types[sel.X]; ok && isConn(tv.Type) {
@@ -371,6 +511,13 @@ func checkCall(pass *analysis.Pass, infos map[*types.Func]*funcInfo, call *ast.C
 			}
 			return
 		}
+		// Method call on a buffered reader over a conn: a read of the conn.
+		if key, ok := readerConn(pass, readers, sel.X); ok {
+			if !neutralReaderMethods[sel.Sel.Name] && !armed[key] {
+				pass.Reportf(call.Pos(), "%s.%s reads conn %s without a deadline armed on it in this function: unbounded block on a stuck peer (arm a Set{Read,Write}Deadline first)", exprString(sel.X), sel.Sel.Name, key)
+			}
+			return
+		}
 		// Method call that arms a deadline on a receiver field
 		// (c.armDeadline() arms c.conn).
 		if fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func); fn != nil {
@@ -379,9 +526,16 @@ func checkCall(pass *analysis.Pass, infos map[*types.Func]*funcInfo, call *ast.C
 			}
 		}
 	}
-	// Conn-typed arguments handed to callees.
+	// Conn-typed arguments, and buffered readers over a conn, handed to
+	// callees.
 	callee := calleeInfo(pass, infos, call)
 	for argPos, arg := range call.Args {
+		if key, ok := readerConn(pass, readers, arg); ok {
+			if argKind(pass, callee, call, argPos) == kindIO && !armed[key] {
+				pass.Reportf(call.Pos(), "conn %s passed to I/O through %s without a deadline armed in this function: unbounded block on a stuck peer (arm a Set{Read,Write}Deadline first)", key, exprString(arg))
+			}
+			continue
+		}
 		tv, ok := pass.TypesInfo.Types[arg]
 		if !ok || !isConn(tv.Type) {
 			continue

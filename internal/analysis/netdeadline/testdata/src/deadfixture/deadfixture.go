@@ -1,9 +1,11 @@
 // Package deadfixture exercises netdeadline: direct and helper-mediated
 // conn I/O with and without an armed deadline, discarded setter errors,
-// and receiver-field arming (the Client.armDeadline shape).
+// receiver-field arming (the Client.armDeadline shape), and reads
+// through a *bufio.Reader over a conn.
 package deadfixture
 
 import (
+	"bufio"
 	"io"
 	"net"
 	"time"
@@ -119,4 +121,89 @@ func (c *client) roundTripBad(b []byte) error {
 // allowedUnarmed carries a written justification.
 func allowedUnarmed(c net.Conn, b []byte) {
 	c.Write(b) //fflint:allow netdeadline fixture exercises the suppression path
+}
+
+// Buffered reads. A *bufio.Reader built over a conn reads that conn, so
+// a read through it needs the conn's deadline armed — whether the reader
+// is a local built over the conn, a parameter beside the one conn
+// parameter, or a struct field beside the one conn field.
+
+// readHeader is the caller-arms helper for buffered reads (the relayd
+// readFrame shape): it takes only the reader.
+func readHeader(br *bufio.Reader) ([]byte, error) {
+	return br.Peek(5)
+}
+
+func localReaderArmed(c net.Conn) error {
+	br := bufio.NewReaderSize(c, 64) // building the reader reads nothing
+	if err := c.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+		return err
+	}
+	_, err := readHeader(br)
+	return err
+}
+
+func localReaderUnarmed(c net.Conn) {
+	br := bufio.NewReader(c)
+	br.Peek(5) // want `br\.Peek reads conn c without a deadline armed`
+}
+
+func localReaderHelperUnarmed(c net.Conn) {
+	var br = bufio.NewReader(c)
+	if br.Buffered() == 0 { // Size, Buffered and Reset read nothing
+		readHeader(br) // want `conn c passed to I/O through br without a deadline armed`
+	}
+}
+
+// paramReaderArmed arms the conn, then reads through the reader beside
+// it (the relayd readSessionFrame shape): it arms for its callers.
+func paramReaderArmed(c net.Conn, br *bufio.Reader) error {
+	if err := c.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+		return err
+	}
+	_, err := readHeader(br)
+	return err
+}
+
+// paramReaderUnarmed reads through the reader beside the conn without
+// arming it: a finding here, and I/O on the conn for its callers.
+func paramReaderUnarmed(c net.Conn, br *bufio.Reader) {
+	br.Discard(1) // want `br\.Discard reads conn c without a deadline armed`
+}
+
+func callerOfParamReaderArmed(c net.Conn, br *bufio.Reader) error {
+	if err := paramReaderArmed(c, br); err != nil {
+		return err
+	}
+	_, err := readHeader(br)
+	return err
+}
+
+func callerOfParamReaderUnarmed(c net.Conn) {
+	paramReaderUnarmed(c, bufio.NewReader(c)) // want `conn c passed to I/O without a deadline armed`
+}
+
+type bufClient struct {
+	conn net.Conn
+	br   *bufio.Reader
+}
+
+func (c *bufClient) arm() error {
+	return c.conn.SetDeadline(time.Now().Add(time.Second))
+}
+
+func (c *bufClient) readOK() error {
+	if err := c.arm(); err != nil {
+		return err
+	}
+	_, err := readHeader(c.br)
+	return err
+}
+
+func (c *bufClient) readBad() {
+	c.br.ReadByte() // want `c\.br\.ReadByte reads conn c\.conn without a deadline armed`
+}
+
+func (c *bufClient) readHelperBad() {
+	readHeader(c.br) // want `conn c\.conn passed to I/O through c\.br without a deadline armed`
 }

@@ -1,6 +1,7 @@
 package relayd
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -12,10 +13,14 @@ import (
 // for concurrent use; it mirrors the daemon's one-block-in-flight
 // discipline.
 type Client struct {
-	conn    net.Conn
-	params  SessionParams
-	accept  Accept
-	buf     []byte
+	conn net.Conn
+	// br reads conn through a window of max(controlWindow, one OUT
+	// frame); the first Process grows it from the handshake's
+	// controlWindow when an OUT frame needs more.
+	br     *bufio.Reader
+	params SessionParams
+	accept Accept
+	// data is the DATA frame: header, then rx, then the reference.
 	data    []byte
 	blocks  uint64
 	timeout time.Duration
@@ -56,15 +61,16 @@ func NewClientConnTimeout(conn net.Conn, params SessionParams, timeout time.Dura
 		conn.Close()
 		return nil, err
 	}
-	typ, payload, buf, err := readFrame(conn, nil)
+	br := bufio.NewReaderSize(conn, controlWindow)
+	typ, payload, err := readFrame(br)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
 	switch typ {
 	case FrameAccept:
-		c := &Client{conn: conn, params: params, buf: buf,
-			data:    make([]byte, 2*params.BlockSamples*SampleBytes),
+		c := &Client{conn: conn, br: br, params: params,
+			data:    make([]byte, frameHeaderLen+2*params.BlockSamples*SampleBytes),
 			timeout: timeout}
 		if err := json.Unmarshal(payload, &c.accept); err != nil {
 			conn.Close()
@@ -147,8 +153,8 @@ func (c *Client) Process(out, rx, ref []complex128) error {
 	if len(rx) != n || len(ref) != n || len(out) != n {
 		return fmt.Errorf("relayd: Process slices must hold %d samples", n)
 	}
-	samplesToBytes(c.data[:n*SampleBytes], rx)
-	samplesToBytes(c.data[n*SampleBytes:], ref)
+	samplesToBytes(c.data[frameHeaderLen:frameHeaderLen+n*SampleBytes], rx)
+	samplesToBytes(c.data[frameHeaderLen+n*SampleBytes:], ref)
 	if err := c.armDeadline(); err != nil {
 		c.conn.Close()
 		return err
@@ -156,8 +162,10 @@ func (c *Client) Process(out, rx, ref []complex128) error {
 	if err := writeFrame(c.conn, FrameData, c.data); err != nil {
 		return err
 	}
-	typ, payload, buf, err := readFrame(c.conn, c.buf)
-	c.buf = buf
+	if size := frameHeaderLen + n*SampleBytes; c.br.Size() < size {
+		c.br = rewindow(c.conn, c.br, size)
+	}
+	typ, payload, err := readFrame(c.br)
 	if err != nil {
 		return err
 	}
@@ -185,7 +193,7 @@ func (c *Client) Process(out, rx, ref []complex128) error {
 // not safe for concurrent use — one query in flight at a time.
 type InfoClient struct {
 	conn    net.Conn
-	buf     []byte
+	br      *bufio.Reader
 	timeout time.Duration
 }
 
@@ -196,7 +204,11 @@ func DialInfo(addr string, timeout time.Duration) (*InfoClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &InfoClient{conn: conn, timeout: timeout}, nil
+	return newInfoClient(conn, timeout), nil
+}
+
+func newInfoClient(conn net.Conn, timeout time.Duration) *InfoClient {
+	return &InfoClient{conn: conn, br: bufio.NewReaderSize(conn, controlWindow), timeout: timeout}
 }
 
 // Query performs one QUERY/INFO round trip.
@@ -206,11 +218,10 @@ func (c *InfoClient) Query() (Info, error) {
 		c.conn.Close()
 		return info, err
 	}
-	if err := writeFrame(c.conn, FrameQuery, nil); err != nil {
+	if err := writeFrame(c.conn, FrameQuery, make([]byte, frameHeaderLen)); err != nil {
 		return info, err
 	}
-	typ, payload, buf, err := readFrame(c.conn, c.buf)
-	c.buf = buf
+	typ, payload, err := readFrame(c.br)
 	if err != nil {
 		return info, err
 	}
@@ -240,10 +251,10 @@ func (c *Client) Close() (Stats, error) {
 	if err := c.armDeadline(); err != nil {
 		return st, err
 	}
-	if err := writeFrame(c.conn, FrameDone, nil); err != nil {
+	if err := writeFrame(c.conn, FrameDone, make([]byte, frameHeaderLen)); err != nil {
 		return st, err
 	}
-	typ, payload, _, err := readFrame(c.conn, c.buf)
+	typ, payload, err := readFrame(c.br)
 	if err != nil {
 		return st, err
 	}

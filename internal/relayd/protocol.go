@@ -1,8 +1,10 @@
 package relayd
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -23,6 +25,12 @@ import (
 // little-endian IEEE-754 float64 (re, im) pairs, 16 bytes per sample, so
 // the daemon path is bit-transparent: what the chain computed is what
 // the client reads back, exactly.
+//
+// Each frame goes out in one Write: the sender's frame buffer reserves
+// the header in front of the payload. Each connection reads through one
+// bufio.Reader whose size is that side's frame cap (its window), and a
+// payload is decoded straight out of the window; a frame larger than the
+// window is a protocol error.
 
 // Frame types.
 const (
@@ -52,8 +60,8 @@ const (
 )
 
 // MaxFramePayload caps any frame's payload (16 MiB: a 512k-sample block
-// with its reference). Oversized frames poison the connection and are
-// treated as protocol errors.
+// with its reference). No sender emits more and no read window is
+// larger, so an oversized frame is a protocol error.
 const MaxFramePayload = 16 << 20
 
 // frameHeaderLen is the fixed prefix: 4-byte length + 1-byte type.
@@ -192,56 +200,93 @@ func (e *RefusedError) Error() string {
 	return fmt.Sprintf("relayd: refused (%s): %s", e.Code, e.Detail)
 }
 
-// writeFrame emits one frame. The payload is borrowed for the call.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload) > MaxFramePayload {
-		return fmt.Errorf("relayd: frame payload %d exceeds %d", len(payload), MaxFramePayload)
+// writeFrame emits one frame with one Write. frame is the whole frame:
+// its first frameHeaderLen bytes are reserved for the header, which
+// writeFrame stamps for the payload that follows. The frame is borrowed
+// for the call.
+func writeFrame(w io.Writer, typ byte, frame []byte) error {
+	n := len(frame) - frameHeaderLen
+	if n > MaxFramePayload {
+		return fmt.Errorf("relayd: frame payload %d exceeds %d", n, MaxFramePayload)
 	}
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) == 0 {
-		// Never write empty: the reader side never issues a zero-byte
-		// Read, and synchronous transports (net.Pipe) block empty writes
-		// until one arrives.
-		return nil
-	}
-	_, err := w.Write(payload)
+	binary.BigEndian.PutUint32(frame[:4], uint32(n))
+	frame[4] = typ
+	_, err := w.Write(frame)
 	return err
 }
 
-// writeJSONFrame marshals v and emits it as a frame of the given type.
+// writeJSONFrame marshals v into a fresh frame of the given type and
+// emits it.
 func writeJSONFrame(w io.Writer, typ byte, v any) error {
-	buf, err := json.Marshal(v)
+	body, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	return writeFrame(w, typ, buf)
+	frame := make([]byte, frameHeaderLen+len(body))
+	copy(frame[frameHeaderLen:], body)
+	return writeFrame(w, typ, frame)
 }
 
-// readFrame reads one frame, reusing buf when it has capacity. The
-// returned payload aliases the (possibly grown) buffer: valid until the
-// next call with the same buffer.
-func readFrame(r io.Reader, buf []byte) (typ byte, payload, newBuf []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, buf, err
+// controlWindow is the read window for control traffic: the daemon's
+// before admission (HELLO, QUERY) and the smallest a client uses. Every
+// JSON frame fits in it.
+const controlWindow = 4 << 10
+
+// errFrameTooLarge rejects a frame that does not fit the reader's window
+// before any of its payload is read: a protocol error, never an
+// allocation.
+var errFrameTooLarge = errors.New("relayd: frame exceeds the read window")
+
+// readFrame reads one frame through br, whose buffer size is the frame
+// cap. The payload is a view of br's window: valid until br's next read.
+func readFrame(br *bufio.Reader) (typ byte, payload []byte, err error) {
+	typ, n, err := readHeader(br)
+	if err != nil {
+		return 0, nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:4]))
-	if n > MaxFramePayload {
-		return 0, nil, buf, fmt.Errorf("relayd: frame payload %d exceeds %d", n, MaxFramePayload)
+	payload, err = readPayload(br, n)
+	return typ, payload, err
+}
+
+// readHeader takes one frame header off br and returns the frame's type
+// and payload length; a frame that would not fit br's window is
+// errFrameTooLarge. It is readFrame's first half, split out so the daemon
+// can re-arm its read deadline between header and payload.
+func readHeader(br *bufio.Reader) (typ byte, n int, err error) {
+	hdr, err := br.Peek(frameHeaderLen)
+	if err != nil {
+		return 0, 0, err
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
+	n = int(binary.BigEndian.Uint32(hdr[:4]))
+	if n > br.Size()-frameHeaderLen {
+		return 0, 0, errFrameTooLarge
 	}
-	payload = buf[:n]
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, nil, buf, err
+	typ = hdr[4]
+	_, err = br.Discard(frameHeaderLen)
+	return typ, n, err
+}
+
+// readPayload takes the n-byte payload that follows a header off br and
+// returns it as a view of br's window.
+func readPayload(br *bufio.Reader, n int) ([]byte, error) {
+	payload, err := br.Peek(n)
+	if err != nil {
+		return nil, err
 	}
-	return hdr[4], payload, buf, nil
+	_, err = br.Discard(n)
+	return payload, err
+}
+
+// rewindow returns a reader over conn with a window of size bytes that
+// first yields whatever br, conn's reader so far, had already buffered,
+// so no byte is lost when the window changes (a client may send its
+// first DATA frame in the same write as HELLO). Like readFrame it takes
+// the conn as a plain reader; the caller arms the read deadline.
+func rewindow(conn io.Reader, br *bufio.Reader, size int) *bufio.Reader {
+	if br.Buffered() == 0 {
+		return bufio.NewReaderSize(conn, size)
+	}
+	return bufio.NewReaderSize(io.MultiReader(io.LimitReader(br, int64(br.Buffered())), conn), size)
 }
 
 // samplesToBytes serializes samples as little-endian float64 (re, im)

@@ -1,11 +1,15 @@
 package relayd
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"testing"
+	"testing/iotest"
 
 	"fastforward/internal/rng"
 )
@@ -20,11 +24,12 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := writeJSONFrame(&wire, FrameHello, params); err != nil {
 		t.Fatalf("writeJSONFrame: %v", err)
 	}
-	if err := writeFrame(&wire, FrameDone, nil); err != nil {
+	if err := writeFrame(&wire, FrameDone, make([]byte, frameHeaderLen)); err != nil {
 		t.Fatalf("writeFrame(DONE): %v", err)
 	}
 
-	typ, payload, buf, err := readFrame(&wire, nil)
+	br := bufio.NewReaderSize(&wire, controlWindow)
+	typ, payload, err := readFrame(br)
 	if err != nil || typ != FrameHello {
 		t.Fatalf("readFrame = type %d, err %v; want HELLO", typ, err)
 	}
@@ -35,7 +40,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if got != params {
 		t.Fatalf("hello round trip: got %+v, want %+v", got, params)
 	}
-	typ, payload, _, err = readFrame(&wire, buf)
+	typ, payload, err = readFrame(br)
 	if err != nil || typ != FrameDone || len(payload) != 0 {
 		t.Fatalf("readFrame = type %d, %d bytes, err %v; want empty DONE", typ, len(payload), err)
 	}
@@ -43,13 +48,13 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestReadFrameRejectsOversizedHeader(t *testing.T) {
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF, FrameData}
-	if _, _, _, err := readFrame(bytes.NewReader(hdr), nil); err == nil {
+	if _, _, err := readFrame(bufio.NewReaderSize(bytes.NewReader(hdr), controlWindow)); err == nil {
 		t.Fatal("readFrame accepted a 4 GiB frame header")
 	}
 }
 
 func TestWriteFrameRejectsOversizedPayload(t *testing.T) {
-	if err := writeFrame(io.Discard, FrameData, make([]byte, MaxFramePayload+1)); err == nil {
+	if err := writeFrame(io.Discard, FrameData, make([]byte, frameHeaderLen+MaxFramePayload+1)); err == nil {
 		t.Fatal("writeFrame accepted an oversized payload")
 	}
 }
@@ -107,26 +112,81 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	}
 }
 
-// FuzzReadFrame asserts the frame reader never panics and never
-// over-allocates on arbitrary wire bytes.
+// FuzzReadFrame asserts the frame reader never panics and never returns
+// a payload over its window on arbitrary wire bytes, and rejects a frame
+// over the window without allocating. Every frame it parsed, and the raw
+// input itself as one DATA payload when that fits, is then re-emitted
+// with writeFrame — each as exactly [length BE32][type][payload] — and
+// must read back byte-identical through the window over sources that
+// deliver the wire one byte, or half a read, at a time.
 func FuzzReadFrame(f *testing.F) {
 	var wire bytes.Buffer
-	writeFrame(&wire, FrameData, []byte{1, 2, 3, 4})
+	writeFrame(&wire, FrameData, []byte{0, 0, 0, 0, 0, 1, 2, 3, 4})
 	f.Add(wire.Bytes())
 	f.Add([]byte{0, 0, 0, 0, FrameDone})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		r := bytes.NewReader(raw)
-		var buf []byte
+		type frame struct {
+			typ     byte
+			payload []byte
+		}
+		var src bytes.Reader
+		src.Reset(raw)
+		br := bufio.NewReaderSize(&src, controlWindow)
+		var frames []frame
 		for {
-			_, payload, nbuf, err := readFrame(r, buf)
-			buf = nbuf
-			if err != nil {
-				return
+			off := len(raw) - src.Len() - br.Buffered()
+			typ, payload, err := readFrame(br)
+			if errors.Is(err, errFrameTooLarge) {
+				rest := raw[off:]
+				allocs := testing.AllocsPerRun(5, func() {
+					src.Reset(rest)
+					br.Reset(&src)
+					_, _, err = readFrame(br)
+				})
+				if !errors.Is(err, errFrameTooLarge) || allocs != 0 {
+					t.Fatalf("frame over the window: err %v, %v allocs; want errFrameTooLarge, 0 allocs", err, allocs)
+				}
 			}
-			if len(payload) > MaxFramePayload {
-				t.Fatalf("payload %d exceeds cap", len(payload))
+			if err != nil {
+				break
+			}
+			if len(payload) > controlWindow-frameHeaderLen {
+				t.Fatalf("payload %d exceeds the %d-byte window", len(payload), controlWindow)
+			}
+			frames = append(frames, frame{typ, bytes.Clone(payload)})
+		}
+		if len(raw) <= controlWindow-frameHeaderLen {
+			frames = append(frames, frame{FrameData, raw})
+		}
+
+		var wire bytes.Buffer
+		for _, fr := range frames {
+			buf := make([]byte, frameHeaderLen+len(fr.payload))
+			copy(buf[frameHeaderLen:], fr.payload)
+			start := wire.Len()
+			if err := writeFrame(&wire, fr.typ, buf); err != nil {
+				t.Fatal(err)
+			}
+			want := append(binary.BigEndian.AppendUint32(nil, uint32(len(fr.payload))), fr.typ)
+			if got := wire.Bytes()[start:]; !bytes.Equal(got, append(want, fr.payload...)) {
+				t.Fatalf("writeFrame emitted % x, want [length][type][payload]", got)
+			}
+		}
+		for name, chunked := range map[string]func(io.Reader) io.Reader{
+			"one-byte": iotest.OneByteReader, "half": iotest.HalfReader,
+		} {
+			br := bufio.NewReaderSize(chunked(bytes.NewReader(wire.Bytes())), controlWindow)
+			for i, want := range frames {
+				typ, payload, err := readFrame(br)
+				if err != nil || typ != want.typ || !bytes.Equal(payload, want.payload) {
+					t.Fatalf("%s: frame %d read back as type %d, % x, err %v; want type %d, % x",
+						name, i, typ, payload, err, want.typ, want.payload)
+				}
+			}
+			if _, _, err := readFrame(br); err != io.EOF {
+				t.Fatalf("%s: after %d frames got err %v, want io.EOF", name, len(frames), err)
 			}
 		}
 	})

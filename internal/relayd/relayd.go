@@ -23,10 +23,10 @@
 package relayd
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -405,39 +405,30 @@ func (s *Server) release(sess *Session, completed bool) {
 // and counted by the time a caller sees it.
 var errDeadline = errors.New("relayd: failed to arm conn deadline")
 
-// readSessionFrame reads one frame with the two-phase deadline: the idle
-// timeout governs waiting for the 5-byte header (expiry means the peer
-// went quiet — idle=true), the read timeout governs the payload once the
-// header landed (expiry is an I/O error).
-func (s *Server) readSessionFrame(conn net.Conn, buf []byte) (typ byte, payload, newBuf []byte, idle bool, err error) {
+// readSessionFrame reads one frame through br with the two-phase
+// deadline: the idle timeout governs waiting for the 5-byte header
+// (expiry means the peer went quiet — idle=true), the read timeout
+// governs the payload once the header landed (expiry is an I/O error).
+// The payload is a view of br's window, as readFrame's is.
+func (s *Server) readSessionFrame(conn net.Conn, br *bufio.Reader) (typ byte, payload []byte, idle bool, err error) {
 	idleBy := time.Time{}
 	if s.cfg.IdleTimeout > 0 {
 		idleBy = time.Now().Add(s.cfg.IdleTimeout)
 	}
 	if !s.armReadDeadline(conn, idleBy) {
-		return 0, nil, buf, false, errDeadline
+		return 0, nil, false, errDeadline
 	}
-	var hdr [frameHeaderLen]byte
-	if _, err = io.ReadFull(conn, hdr[:]); err != nil {
-		return 0, nil, buf, isTimeout(err), err
-	}
-	n := int(uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3]))
-	if n > MaxFramePayload {
-		return 0, nil, buf, false, errors.New("relayd: frame payload exceeds limit")
+	typ, n, err := readHeader(br)
+	if err != nil {
+		return 0, nil, isTimeout(err), err
 	}
 	if s.cfg.ReadTimeout > 0 {
 		if !s.armReadDeadline(conn, time.Now().Add(s.cfg.ReadTimeout)) {
-			return 0, nil, buf, false, errDeadline
+			return 0, nil, false, errDeadline
 		}
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	payload = buf[:n]
-	if _, err = io.ReadFull(conn, payload); err != nil {
-		return 0, nil, buf, false, err
-	}
-	return hdr[4], payload, buf, false, nil
+	payload, err = readPayload(br, n)
+	return typ, payload, false, err
 }
 
 func isTimeout(err error) bool {
@@ -453,19 +444,21 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.trackConn(conn, true)
 	defer s.trackConn(conn, false)
 
-	// HELLO must arrive within the read timeout.
+	// HELLO must arrive within the read timeout, and fit the control
+	// window: nothing is sized by a peer before it is admitted.
+	br := bufio.NewReaderSize(conn, controlWindow)
 	if s.cfg.ReadTimeout > 0 {
 		if !s.armReadDeadline(conn, time.Now().Add(s.cfg.ReadTimeout)) {
 			return
 		}
 	}
-	typ, payload, buf, err := readFrame(conn, nil)
+	typ, payload, err := readFrame(br)
 	if err != nil {
 		s.m.ioErrors.Inc(0)
 		return
 	}
 	if typ == FrameQuery {
-		s.serveQuery(conn, buf)
+		s.serveQuery(conn, br)
 		return
 	}
 	if typ != FrameHello {
@@ -515,7 +508,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 
-	completed := s.streamSession(conn, sess, buf)
+	// The session's window is exactly one DATA frame.
+	completed := s.streamSession(conn, rewindow(conn, br, frameHeaderLen+2*p.BlockSamples*SampleBytes), sess)
 	s.release(sess, completed)
 }
 
@@ -525,13 +519,12 @@ func (s *Server) handleConn(conn net.Conn) {
 // one long-lived conn). The idle timeout governs the wait for the next
 // QUERY exactly as it governs a session's next DATA frame; any other
 // frame type is a protocol violation.
-func (s *Server) serveQuery(conn net.Conn, buf []byte) {
+func (s *Server) serveQuery(conn net.Conn, br *bufio.Reader) {
 	for {
 		if !s.answerQuery(conn) {
 			return
 		}
-		typ, _, nbuf, idle, err := s.readSessionFrame(conn, buf)
-		buf = nbuf
+		typ, _, idle, err := s.readSessionFrame(conn, br)
 		if err != nil {
 			if !idle {
 				s.m.ioErrors.Inc(0)
@@ -570,20 +563,25 @@ func (s *Server) answerQuery(conn net.Conn) bool {
 
 // streamSession runs the admitted session's frame loop and reports
 // whether the stream ended cleanly with DONE.
-func (s *Server) streamSession(conn net.Conn, sess *Session, buf []byte) bool {
+func (s *Server) streamSession(conn net.Conn, br *bufio.Reader, sess *Session) bool {
 	n := sess.Params.BlockSamples
 	rx := make([]complex128, n)
 	refSamples := make([]complex128, n)
-	out := make([]byte, n*SampleBytes)
+	out := make([]byte, frameHeaderLen+n*SampleBytes) // OUT frame: header, then samples
 	bucket := newTokenBucket(s.cfg.SessionRate, float64(s.cfg.BurstSamples))
 
 	for {
-		typ, payload, nbuf, idle, err := s.readSessionFrame(conn, buf)
-		buf = nbuf
+		typ, payload, idle, err := s.readSessionFrame(conn, br)
 		if err != nil {
-			if idle {
+			switch {
+			case idle:
 				s.m.evictedIdle.Inc(sess.shard)
-			} else {
+			case errors.Is(err, errFrameTooLarge):
+				// An admitted client learns why, as for a DATA frame of
+				// the wrong size; nothing of the frame is read.
+				s.refuse(conn, RefuseProtocol, "frame over the session's "+strconv.Itoa(br.Size())+"-byte window")
+				s.m.ioErrors.Inc(sess.shard)
+			default:
 				s.m.ioErrors.Inc(sess.shard)
 			}
 			return false
@@ -605,7 +603,7 @@ func (s *Server) streamSession(conn net.Conn, sess *Session, buf []byte) bool {
 			sess.state.Store(int32(StateStreaming))
 			// A served block is a round of one session (the
 			// pipeline.batch.* round counters).
-			samplesToBytes(out, sess.chain.Process(rx))
+			samplesToBytes(out[frameHeaderLen:], sess.chain.Process(rx))
 			s.po.BatchSweeps.Inc(sess.shard)
 			s.po.BatchSessions.Inc(sess.shard)
 			if !s.setWriteDeadline(conn) {
