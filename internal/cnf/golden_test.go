@@ -48,13 +48,23 @@ func warmChain(seed int64) (Hsd, Hsr, Hrd []*linalg.Matrix) {
 	sd := channel.NewRichScattering(src, 2, 2, 4, 0.5, 1e-8)
 	sr := channel.NewRichScattering(src, 2, 2, 3, 0.5, 1e-6)
 	rd := channel.NewRichScattering(src, 2, 2, 3, 0.5, 1e-7)
-	for i := 0; len(Hsd) < 12; i += 4 {
-		k := p.DataCarriers[i]
+	for _, k := range warmCarriers() {
 		Hsd = append(Hsd, sd.FrequencyResponse(k, p.NFFT))
 		Hsr = append(Hsr, sr.FrequencyResponse(k, p.NFFT))
 		Hrd = append(Hrd, rd.FrequencyResponse(k, p.NFFT))
 	}
 	return Hsd, Hsr, Hrd
+}
+
+// warmCarriers returns warmChain's 12 subcarrier indices: every fourth
+// data carrier.
+func warmCarriers() []int {
+	p := ofdm.Default20MHz()
+	carriers := make([]int, 0, 12)
+	for i := 0; len(carriers) < 12; i += 4 {
+		carriers = append(carriers, p.DataCarriers[i])
+	}
+	return carriers
 }
 
 // singularChain is warmChain with no direct path and a rank-one
@@ -101,4 +111,34 @@ func TestDesiredMIMOGolden(t *testing.T) {
 	record("singular", 55, DesiredMIMO(Hsd, Hsr, Hrd, 55, src), src)
 	record("singular_nosrc", 55, DesiredMIMO(Hsd, Hsr, Hrd, 55, nil), nil)
 	golden.Check(t, "testdata/desired_mimo_golden.json", got)
+}
+
+// TestSynthesizeMIMOGolden pins SynthesizeMIMO exactly: every digital tap,
+// every analog gain and the fit error of every antenna pair, synthesized
+// from DesiredMIMO's output on the sweep-shaped warm chain at two
+// amplification levels. TestSynthesisGolden samples the SISO synthesis;
+// this vector holds every number the MIMO synthesis produces.
+func TestSynthesizeMIMOGolden(t *testing.T) {
+	p := ofdm.Default20MHz()
+	carriers := warmCarriers()
+	Hsd, Hsr, Hrd := warmChain(31)
+	got := map[string]float64{}
+	for _, ampDB := range []float64{45, 60} {
+		FA := DesiredMIMO(Hsd, Hsr, Hrd, ampDB, rng.New(32))
+		impl := SynthesizeMIMO(FA, carriers, p.NFFT, p.SampleRate)
+		for i, row := range impl.Pairs {
+			for j, fi := range row {
+				pair := golden.Key("synth_mimo", ampDB, i, j)
+				for m, h := range fi.DigitalTaps {
+					got[golden.Key(pair, "tap", m, "re")] = real(h)
+					got[golden.Key(pair, "tap", m, "im")] = imag(h)
+				}
+				for k, g := range fi.AnalogGains {
+					got[golden.Key(pair, "gain", k)] = g
+				}
+				got[golden.Key(pair, "fit_error_db")] = fi.FitErrorDB
+			}
+		}
+	}
+	golden.Check(t, "testdata/synthesize_mimo_golden.json", got)
 }
