@@ -151,16 +151,18 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSoARoundTrip$$' -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/relayd
 	$(GO) test -run '^$$' -fuzz '^FuzzAssignment$$' -fuzztime $(FUZZTIME) ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelsMatchReference$$' -fuzztime $(FUZZTIME) ./internal/linalg
 
 # Record the perf baseline (see EXPERIMENTS.md "Performance baseline").
 # The pipeline micro-benchmarks (relay block path + SIC filter per-sample
 # vs block path) additionally write machine-readable results to BENCH_pipeline.json.
 # The DesiredMIMO benchmarks time the sweep's per-carrier MIMO CNF
-# optimizer, one carrier and one client's 12-carrier warm chain.
+# optimizer, one carrier and one client's 12-carrier warm chain; the
+# Synthesize benchmark times one antenna pair's filter synthesis.
 bench:
 	$(GO) test -bench . -benchtime 1x .
 	$(GO) test -bench Forward -benchtime 100000x ./internal/fft
-	$(GO) test -run '^$$' -bench DesiredMIMO -benchmem ./internal/cnf
+	$(GO) test -run '^$$' -bench 'DesiredMIMO|Synthesize' -benchmem ./internal/cnf
 	$(GO) test -run '^$$' -bench 'FFRelayProcess|MIMORelayProcess|SICFilter' -benchmem -json . > BENCH_pipeline.json
 
 # Alloc-regression gate: the per-block hot paths (SIC filter, relay

@@ -8,6 +8,7 @@ import (
 	"fastforward/internal/channel"
 	"fastforward/internal/dsp"
 	"fastforward/internal/linalg"
+	"fastforward/internal/ofdm"
 	"fastforward/internal/rng"
 )
 
@@ -335,6 +336,54 @@ func TestDesiredMIMOAllocs(t *testing.T) {
 	}
 }
 
+// TestSynthesizeAllocs guards the synthesis workspace: a call allocates
+// its basis tables, its fit buffers and the returned filter once (25
+// objects for one pair, 39 for a 2×2 MIMO filter whose four pairs share
+// one workspace), and nothing in the alternating-least-squares loop.
+func TestSynthesizeAllocs(t *testing.T) {
+	p := ofdm.Default20MHz()
+	carriers := warmCarriers()
+	Hsd, Hsr, Hrd := warmChain(31)
+	FA := DesiredMIMO(Hsd, Hsr, Hrd, 60, rng.New(32))
+	desired := make([]complex128, len(FA))
+	for i, fa := range FA {
+		desired[i] = fa.At(0, 1)
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		Synthesize(desired, carriers, p.NFFT, p.SampleRate)
+	}); n > 25 {
+		t.Errorf("Synthesize allocates %.0f objects, want ≤ 25", n)
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		SynthesizeMIMO(FA, carriers, p.NFFT, p.SampleRate)
+	}); n > 39 {
+		t.Errorf("SynthesizeMIMO allocates %.0f objects, want ≤ 39", n)
+	}
+}
+
+// TestSynthesizeNoCarriers: with nothing to fit, Synthesize returns its
+// initial filter, a unit-impulse pre-filter with the analog lines off, as
+// SynthesizeMIMO returns an empty filter for empty input.
+func TestSynthesizeNoCarriers(t *testing.T) {
+	for _, nTaps := range []int{PreFilterTaps, 1} {
+		impl := SynthesizeWithBudget(nil, nil, 64, 20e6, nTaps)
+		if len(impl.DigitalTaps) != nTaps || impl.DigitalTaps[0] != 1 || impl.TapEnergy() != 1 {
+			t.Errorf("%d taps: digital taps %v, want a unit impulse", nTaps, impl.DigitalTaps)
+		}
+		if len(impl.AnalogGains) != AnalogTaps {
+			t.Errorf("%d taps: %d analog gains, want %d", nTaps, len(impl.AnalogGains), AnalogTaps)
+		}
+		for k, g := range impl.AnalogGains {
+			if g != 0 {
+				t.Errorf("%d taps: analog gain %d = %v, want 0", nTaps, k, g)
+			}
+		}
+		if impl.FitErrorDB != 0 {
+			t.Errorf("%d taps: FitErrorDB %v, want 0", nTaps, impl.FitErrorDB)
+		}
+	}
+}
+
 // BenchmarkDesiredMIMOPerSubcarrier times one cold carrier (identity and
 // four random starts). Each iteration, here and in the warm chain, draws
 // its restarts from a fresh source, so every iteration solves the same
@@ -369,6 +418,7 @@ func BenchmarkSynthesize52Carriers(b *testing.B) {
 	for i := range desired {
 		desired[i] = src.UniformPhase()
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Synthesize(desired, carriers, 64, 20e6)

@@ -42,7 +42,7 @@ type FilterImpl struct {
 func (fi *FilterImpl) DigitalResponse(f float64) complex128 {
 	var acc complex128
 	for n, h := range fi.DigitalTaps {
-		acc += h * cmplx.Exp(complex(0, -2*math.Pi*f*float64(n)/PreFilterRate))
+		acc += h * digitalBasis(f, n)
 	}
 	return acc
 }
@@ -53,10 +53,20 @@ func (fi *FilterImpl) DigitalResponse(f float64) complex128 {
 func (fi *FilterImpl) AnalogResponse(f float64) complex128 {
 	var acc complex128
 	for k, g := range fi.AnalogGains {
-		tau := float64(k) * AnalogTapSpacing
-		acc += complex(g, 0) * cmplx.Exp(complex(0, -2*math.Pi*(CarrierHz+f)*tau))
+		acc += complex(g, 0) * analogBasis(f, k)
 	}
 	return acc
+}
+
+// digitalBasis is pre-filter tap n's response at baseband frequency f.
+func digitalBasis(f float64, n int) complex128 {
+	return cmplx.Exp(complex(0, -2*math.Pi*f*float64(n)/PreFilterRate))
+}
+
+// analogBasis is analog delay line k's response at baseband frequency f.
+func analogBasis(f float64, k int) complex128 {
+	tau := float64(k) * AnalogTapSpacing
+	return cmplx.Exp(complex(0, -2*math.Pi*(CarrierHz+f)*tau))
 }
 
 // Response is the cascade Hp(f)·Ha(f).
@@ -88,7 +98,8 @@ func (fi *FilterImpl) TapEnergy() float64 {
 // digital pre-filter and the analog rotation filter by alternating least
 // squares (the SCP of Sec 3.4): holding one stage fixed, the other's fit
 // is convex. carriers/nfft/sampleRate define the subcarrier frequencies of
-// the desired response.
+// the desired response. With no carriers there is nothing to fit, and the
+// result is the initial unit-impulse filter with FitErrorDB 0.
 func Synthesize(desired []complex128, carriers []int, nfft int, sampleRate float64) *FilterImpl {
 	return SynthesizeWithBudget(desired, carriers, nfft, sampleRate, PreFilterTaps)
 }
@@ -97,72 +108,131 @@ func Synthesize(desired []complex128, carriers []int, nfft int, sampleRate float
 // tap budget (each tap costs 12.5 ns of delay at 80 Msps); used by the
 // tap-budget ablation.
 func SynthesizeWithBudget(desired []complex128, carriers []int, nfft int, sampleRate float64, nTaps int) *FilterImpl {
-	if len(desired) != len(carriers) {
-		panic("cnf: Synthesize length mismatch")
-	}
+	return newSynthWork(carriers, nfft, sampleRate, nTaps).synthesize(desired)
+}
+
+// synthWork is the workspace of the alternating least squares for one
+// carrier set: the basis tables, which depend only on the carriers, and
+// the buffers of both stages' fits, allocated once and reused by every
+// filter synthesized on those carriers (SynthesizeMIMO's antenna pairs).
+type synthWork struct {
+	n, nTaps int
+	// analog[i*AnalogTaps+k] is analogBasis(f_i, k) and
+	// digital[i*nTaps+m] is digitalBasis(f_i, m), for carrier frequency
+	// f_i.
+	analog, digital []complex128
+
+	A     [][]float64 // 2n×AnalogTaps: stage 1's real design matrix
+	b     []float64   // 2n
+	gains []float64   // AnalogTaps
+	nnls  *linalg.NNLSScratch
+
+	M    linalg.Matrix // n×nTaps: stage 2's design matrix
+	taps []complex128  // nTaps
+	ls   *linalg.LSScratch
+}
+
+func newSynthWork(carriers []int, nfft int, sampleRate float64, nTaps int) *synthWork {
 	if nTaps < 1 {
 		nTaps = 1
 	}
-	n := len(desired)
-	freqs := make([]float64, n)
-	for i, k := range carriers {
-		freqs[i] = float64(k) * sampleRate / float64(nfft)
+	n := len(carriers)
+	w := &synthWork{n: n, nTaps: nTaps}
+	if n == 0 {
+		return w
 	}
+	w.analog = make([]complex128, n*AnalogTaps)
+	w.digital = make([]complex128, n*nTaps)
+	for i, k := range carriers {
+		f := float64(k) * sampleRate / float64(nfft)
+		for a := 0; a < AnalogTaps; a++ {
+			w.analog[i*AnalogTaps+a] = analogBasis(f, a)
+		}
+		for m := 0; m < nTaps; m++ {
+			w.digital[i*nTaps+m] = digitalBasis(f, m)
+		}
+	}
+	rowBuf := make([]float64, 2*n*AnalogTaps)
+	w.A = make([][]float64, 2*n)
+	for r := range w.A {
+		w.A[r] = rowBuf[r*AnalogTaps : (r+1)*AnalogTaps : (r+1)*AnalogTaps]
+	}
+	w.b = make([]float64, 2*n)
+	w.gains = make([]float64, AnalogTaps)
+	w.nnls = linalg.NewNNLSScratch(2*n, AnalogTaps)
+	w.M = linalg.Matrix{Rows: n, Cols: nTaps, Data: make([]complex128, n*nTaps)}
+	w.taps = make([]complex128, nTaps)
+	w.ls = linalg.NewLSScratch(nTaps)
+	return w
+}
+
+// digitalAt and analogAt are impl's stage responses at carrier i, summed
+// from the tables in the order of DigitalResponse and AnalogResponse.
+func (w *synthWork) digitalAt(impl *FilterImpl, i int) complex128 {
+	var acc complex128
+	for m, h := range impl.DigitalTaps {
+		acc += h * w.digital[i*w.nTaps+m]
+	}
+	return acc
+}
+
+func (w *synthWork) analogAt(impl *FilterImpl, i int) complex128 {
+	var acc complex128
+	for k, g := range impl.AnalogGains {
+		acc += complex(g, 0) * w.analog[i*AnalogTaps+k]
+	}
+	return acc
+}
+
+// synthesize fits desired (one value per carrier of w) and returns the
+// new filter; only the returned FilterImpl is allocated.
+func (w *synthWork) synthesize(desired []complex128) *FilterImpl {
+	if len(desired) != w.n {
+		panic("cnf: Synthesize length mismatch")
+	}
+	n, nTaps := w.n, w.nTaps
 	impl := &FilterImpl{
 		DigitalTaps: make([]complex128, nTaps),
 		AnalogGains: make([]float64, AnalogTaps),
 	}
 	// Initialize: all rotation in the analog stage, unit impulse digital.
 	impl.DigitalTaps[0] = 1
-
-	analogBasis := func(f float64, k int) complex128 {
-		tau := float64(k) * AnalogTapSpacing
-		return cmplx.Exp(complex(0, -2*math.Pi*(CarrierHz+f)*tau))
-	}
-	digitalBasis := func(f float64, m int) complex128 {
-		return cmplx.Exp(complex(0, -2*math.Pi*f*float64(m)/PreFilterRate))
+	if n == 0 {
+		return impl
 	}
 
 	for iter := 0; iter < 12; iter++ {
 		// Stage 1: fit analog gains (non-negative reals) to
 		// desired/Hp per frequency, weighted by |Hp|.
-		A := make([][]float64, 2*n)
-		b := make([]float64, 2*n)
-		for i, f := range freqs {
-			hp := impl.DigitalResponse(f)
-			A[i] = make([]float64, AnalogTaps)
-			A[n+i] = make([]float64, AnalogTaps)
+		for i := 0; i < n; i++ {
+			hp := w.digitalAt(impl, i)
 			t := desired[i]
 			for k := 0; k < AnalogTaps; k++ {
-				phi := analogBasis(f, k) * hp
-				A[i][k] = real(phi)
-				A[n+i][k] = imag(phi)
+				phi := w.analog[i*AnalogTaps+k] * hp
+				w.A[i][k] = real(phi)
+				w.A[n+i][k] = imag(phi)
 			}
-			b[i] = real(t)
-			b[n+i] = imag(t)
+			w.b[i] = real(t)
+			w.b[n+i] = imag(t)
 		}
-		if g, ok := linalg.NNLS(A, b, 1e-9); ok {
-			copy(impl.AnalogGains, g)
+		if linalg.NNLSInto(w.gains, w.A, w.b, 1e-9, w.nnls) {
+			copy(impl.AnalogGains, w.gains)
 		}
 		// Stage 2: fit digital taps (complex LS) to desired/Ha.
-		M := linalg.NewMatrix(n, nTaps)
-		rb := make([]complex128, n)
-		for i, f := range freqs {
-			ha := impl.AnalogResponse(f)
-			rb[i] = desired[i]
+		for i := 0; i < n; i++ {
+			ha := w.analogAt(impl, i)
 			for m := 0; m < nTaps; m++ {
-				M.Set(i, m, digitalBasis(f, m)*ha)
+				w.M.Data[i*nTaps+m] = w.digital[i*nTaps+m] * ha
 			}
 		}
-		if sol, err := linalg.LeastSquares(M, rb, 1e-12); err == nil {
-			copy(impl.DigitalTaps, sol)
+		if err := linalg.LeastSquaresInto(w.taps, &w.M, desired, 1e-12, w.ls); err == nil {
+			copy(impl.DigitalTaps, w.taps)
 		}
 	}
 	// Fit quality.
 	var sig, res float64
-	for i, f := range freqs {
-		d := desired[i]
-		r := d - impl.Response(f)
+	for i, d := range desired {
+		r := d - w.digitalAt(impl, i)*w.analogAt(impl, i)
 		sig += absSq(d)
 		res += absSq(r)
 	}

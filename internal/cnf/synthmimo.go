@@ -17,7 +17,8 @@ type MIMOFilterImpl struct {
 
 // SynthesizeMIMO fits each entry of the desired per-subcarrier filter
 // matrices (FA[s].At(i,j) across subcarriers s) with a digital+analog
-// cascade, exactly as the SISO synthesis does per pair.
+// cascade, exactly as the SISO synthesis does per pair. The pairs share
+// one carrier set, so they share one synthesis workspace.
 func SynthesizeMIMO(FA []*linalg.Matrix, carriers []int, nfft int, sampleRate float64) *MIMOFilterImpl {
 	if len(FA) == 0 {
 		return &MIMOFilterImpl{}
@@ -26,15 +27,16 @@ func SynthesizeMIMO(FA []*linalg.Matrix, carriers []int, nfft int, sampleRate fl
 		panic("cnf: SynthesizeMIMO length mismatch")
 	}
 	rows, cols := FA[0].Rows, FA[0].Cols
+	w := newSynthWork(carriers, nfft, sampleRate, PreFilterTaps)
+	desired := make([]complex128, len(FA))
 	impl := &MIMOFilterImpl{Pairs: make([][]*FilterImpl, rows)}
 	for i := 0; i < rows; i++ {
 		impl.Pairs[i] = make([]*FilterImpl, cols)
 		for j := 0; j < cols; j++ {
-			desired := make([]complex128, len(FA))
 			for s := range FA {
 				desired[s] = FA[s].At(i, j)
 			}
-			impl.Pairs[i][j] = Synthesize(desired, carriers, nfft, sampleRate)
+			impl.Pairs[i][j] = w.synthesize(desired)
 		}
 	}
 	return impl

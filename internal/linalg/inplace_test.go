@@ -13,6 +13,11 @@ func TestInPlaceKernelsAllocateNothing(t *testing.T) {
 	singular := FromRows([][]complex128{{1, 2, 3}, {2, 4, 6}, {0, 1, 1}})
 	dst, work := NewMatrix(3, 3), NewMatrix(3, 3)
 	s := NewUnitaryScratch(3)
+	tall, rhs, x := randMatrix(5, 3, 5), make([]complex128, 5), make([]complex128, 3)
+	ls := NewLSScratch(3)
+	realA := [][]float64{{1, 0.5, 0}, {0.2, 1, 0.3}, {0, 0.4, 1}, {0.5, 0.5, 0.5}}
+	realB, g := []float64{1, -0.5, 0.7, 0.2}, make([]float64, 3)
+	nn := NewNNLSScratch(4, 3)
 	for name, f := range map[string]func(){
 		"MulInto":     func() { MulInto(dst, a, b) },
 		"AdjointInto": func() { AdjointInto(dst, a) },
@@ -24,6 +29,8 @@ func TestInPlaceKernelsAllocateNothing(t *testing.T) {
 			}
 		},
 		"ProjectUnitaryInto": func() { _ = ProjectUnitaryInto(dst, a, s) },
+		"LeastSquaresInto":   func() { _ = LeastSquaresInto(x, tall, rhs, 1e-9, ls) },
+		"NNLSInto":           func() { NNLSInto(g, realA, realB, 1e-9, nn) },
 	} {
 		if n := testing.AllocsPerRun(20, f); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, n)
@@ -52,6 +59,12 @@ func TestInPlaceKernelsRejectWrongSize(t *testing.T) {
 		{"InverseInto/nonsquare", func() { _ = InverseInto(NewMatrix(2, 3), NewMatrix(2, 3), rect) }},
 		{"ProjectUnitaryInto/dst", func() { _ = ProjectUnitaryInto(NewMatrix(3, 3), sq, NewUnitaryScratch(2)) }},
 		{"ProjectUnitaryInto/scratch", func() { _ = ProjectUnitaryInto(NewMatrix(2, 2), sq, NewUnitaryScratch(3)) }},
+		{"LeastSquaresInto/x", func() { _ = LeastSquaresInto(make([]complex128, 2), rect, make([]complex128, 2), 0, NewLSScratch(3)) }},
+		{"LeastSquaresInto/scratch", func() { _ = LeastSquaresInto(make([]complex128, 3), rect, make([]complex128, 2), 0, NewLSScratch(2)) }},
+		{"NNLSInto/x", func() { NNLSInto(make([]float64, 1), [][]float64{{1, 2}}, []float64{1}, 0, NewNNLSScratch(1, 2)) }},
+		{"NNLSInto/scratch", func() {
+			NNLSInto(make([]float64, 2), [][]float64{{1, 2}, {3, 4}}, []float64{1, 2}, 0, NewNNLSScratch(1, 2))
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {

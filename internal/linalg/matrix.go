@@ -216,35 +216,34 @@ func DetInto(work, m *Matrix) complex128 {
 	}
 	work.checkShape(m.Rows, m.Cols)
 	n := m.Rows
-	a := work
-	copy(a.Data, m.Data)
+	a := work.Data
+	copy(a, m.Data)
 	det := complex(1, 0)
 	for col := 0; col < n; col++ {
-		// Pivot: largest magnitude in the column at or below the diagonal.
-		piv, pmax := col, cmplx.Abs(a.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := cmplx.Abs(a.At(r, col)); v > pmax {
-				piv, pmax = r, v
-			}
+		// The last column has no rows below it to pivot on.
+		piv := col
+		if col+1 < n {
+			piv = pivotRow(work, col)
 		}
-		if pmax == 0 {
+		p := a[piv*n+col]
+		if p == 0 {
 			return 0
 		}
 		if piv != col {
-			a.swapRows(piv, col)
+			work.swapRows(piv, col)
 			det = -det
 		}
-		ap := a.row(col)
-		p := ap[col]
 		det *= p
+		d := newDivisor(real(p), imag(p))
 		for r := col + 1; r < n; r++ {
-			ar := a.row(r)
-			f := ar[col] / p
+			f := d.quo(a[r*n+col], p)
 			if f == 0 {
 				continue
 			}
-			for c := col; c < n; c++ {
-				ar[c] -= f * ap[c]
+			// Column col is never read again, so only the columns right
+			// of it are updated.
+			for c := col + 1; c < n; c++ {
+				a[r*n+c] -= f * a[col*n+c]
 			}
 		}
 	}
@@ -275,45 +274,147 @@ func InverseInto(dst, work, m *Matrix) error {
 	n := m.Rows
 	dst.checkShape(n, n)
 	work.checkShape(n, n)
-	a, inv := work, dst
-	copy(a.Data, m.Data)
+	copy(work.Data, m.Data)
+	return gaussJordan(dst, work)
+}
+
+// gaussJordan overwrites inv with a⁻¹ by Gauss-Jordan elimination with
+// partial pivoting, destroying a (both n×n and distinct). It returns
+// ErrSingular when a pivot's magnitude falls below 1e-300.
+func gaussJordan(inv, a *Matrix) error {
+	n := a.Rows
 	setIdentity(inv)
+	ad, id := a.Data, inv.Data
 	for col := 0; col < n; col++ {
-		piv, pmax := col, cmplx.Abs(a.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := cmplx.Abs(a.At(r, col)); v > pmax {
-				piv, pmax = r, v
-			}
+		// The last column has no rows below it to pivot on.
+		piv := col
+		if col+1 < n {
+			piv = pivotRow(a, col)
 		}
-		if pmax < 1e-300 {
+		p := ad[piv*n+col]
+		// Singular when cmplx.Abs(p) < 1e-300. cmplx.Abs is never below
+		// either part's magnitude, so it is computed only when both parts
+		// are below the threshold.
+		if math.Abs(real(p)) < 1e-300 && math.Abs(imag(p)) < 1e-300 && cmplx.Abs(p) < 1e-300 {
 			return ErrSingular
 		}
 		if piv != col {
 			a.swapRows(piv, col)
 			inv.swapRows(piv, col)
 		}
-		ap, ip := a.row(col), inv.row(col)
-		p := ap[col]
-		for c := range ap {
-			ap[c] /= p
-			ip[c] /= p
+		// Columns col and left of it in a are never read again (the pivot
+		// and each row's factor are taken before the update), so only the
+		// columns right of col are normalized and eliminated; every entry
+		// of inv is.
+		d := newDivisor(real(p), imag(p))
+		pr := col * n
+		for c := col + 1; c < n; c++ {
+			ad[pr+c] = d.quo(ad[pr+c], p)
+		}
+		for c := 0; c < n; c++ {
+			id[pr+c] = d.quo(id[pr+c], p)
 		}
 		for r := 0; r < n; r++ {
 			if r == col {
 				continue
 			}
-			ar, ir := a.row(r), inv.row(r)
-			f := ar[col]
+			rr := r * n
+			f := ad[rr+col]
 			if f == 0 {
 				continue
 			}
-			for c := range ar {
-				ar[c] -= f * ap[c]
-				ir[c] -= f * ip[c]
+			for c := col + 1; c < n; c++ {
+				ad[rr+c] -= f * ad[pr+c]
+			}
+			for c := 0; c < n; c++ {
+				id[rr+c] -= f * id[pr+c]
 			}
 		}
 	}
 	return nil
+}
+
+// Squared magnitudes in [sqLo, sqHi] carry only rounding error (no
+// overflow, and any underflow in one part is negligible against the sum),
+// a few ulps; two that differ by more than the relative tieTol order the
+// cmplx.Abs values (themselves within a few ulps) the same way.
+const (
+	sqLo   = 1e-280
+	sqHi   = 1e280
+	tieTol = 1e-9
+)
+
+// pivotRow returns the row at or below col whose column-col entry has the
+// largest cmplx.Abs, the first such row on ties — the partial-pivoting
+// choice. Squared magnitudes decide a comparison when both lie in
+// [sqLo, sqHi] and differ by more than tieTol; near-ties and extreme or
+// non-finite entries compare cmplx.Abs values, so the row is exactly the
+// one a cmplx.Abs search picks.
+func pivotRow(a *Matrix, col int) int {
+	n := a.Cols
+	piv := col
+	best := a.Data[col*n+col]
+	bestSq := absSq(best)
+	var bestAbs float64
+	haveAbs := false
+	for r := col + 1; r < a.Rows; r++ {
+		v := a.Data[r*n+col]
+		vSq := absSq(v)
+		if vSq >= sqLo && vSq <= sqHi && bestSq >= sqLo && bestSq <= sqHi &&
+			(vSq > bestSq*(1+tieTol) || vSq*(1+tieTol) < bestSq) {
+			if vSq > bestSq {
+				piv, best, bestSq, haveAbs = r, v, vSq, false
+			}
+			continue
+		}
+		if !haveAbs {
+			bestAbs, haveAbs = cmplx.Abs(best), true
+		}
+		if vAbs := cmplx.Abs(v); vAbs > bestAbs {
+			piv, best, bestSq, bestAbs = r, v, vSq, vAbs
+		}
+	}
+	return piv
+}
+
+func absSq(z complex128) float64 { return real(z)*real(z) + imag(z)*imag(z) }
+
+// divisor is a complex divisor p prepared for repeated division: the ratio
+// and denominator of Smith's algorithm, computed once exactly as the
+// runtime's complex division computes them on every call, so d.quo(x, p)
+// returns the bits of x / p. Both are small enough to inline, which the
+// 2×2 eliminations of the CNF ascent depend on.
+type divisor struct {
+	ratio, denom float64
+	realMajor    bool // |re p| ≥ |im p|
+}
+
+// newDivisor prepares division by re + im·i.
+func newDivisor(re, im float64) divisor {
+	if math.Abs(re) >= math.Abs(im) {
+		ratio := im / re
+		return divisor{ratio, re + ratio*im, true}
+	}
+	ratio := re / im
+	return divisor{ratio, im + ratio*re, false}
+}
+
+// quo returns x / p for the p that d was prepared from.
+func (d divisor) quo(x, p complex128) complex128 {
+	var e, f float64
+	if d.realMajor {
+		e = (real(x) + imag(x)*d.ratio) / d.denom
+		f = (imag(x) - real(x)*d.ratio) / d.denom
+	} else {
+		e = (real(x)*d.ratio + imag(x)) / d.denom
+		f = (imag(x)*d.ratio - real(x)) / d.denom
+	}
+	if e != e && f != f {
+		// Both parts NaN: the operator applies C99's recovery of
+		// infinities and zeros.
+		return x / p
+	}
+	return complex(e, f)
 }
 
 // Solve solves m·x = b for x, where b is a column vector.

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"sort"
@@ -135,18 +136,79 @@ func (m *Matrix) ConditionNumber() float64 {
 // Tikhonov regularization lambda (pass 0 for none; a tiny lambda guards
 // against ill-conditioned tap-estimation problems in the canceller).
 func LeastSquares(A *Matrix, b []complex128, lambda float64) ([]complex128, error) {
-	if len(b) != A.Rows {
+	x := make([]complex128, A.Cols)
+	if err := LeastSquaresInto(x, A, b, lambda, NewLSScratch(A.Cols)); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// LSScratch is the caller-owned working storage of LeastSquaresInto for
+// systems of up to n unknowns.
+type LSScratch struct {
+	n        int
+	ata, inv []complex128 // n×n capacity each
+	atb      []complex128
+}
+
+// NewLSScratch returns scratch for least-squares systems of up to n
+// unknowns.
+func NewLSScratch(n int) *LSScratch {
+	buf := make([]complex128, 2*n*n+n)
+	return &LSScratch{n: n, ata: buf[: n*n : n*n], inv: buf[n*n : 2*n*n : 2*n*n], atb: buf[2*n*n:]}
+}
+
+// LeastSquaresInto is LeastSquares writing the solution into x (len
+// A.Cols, at most s's capacity). It returns ErrSingular (leaving x
+// unspecified) when the regularized normal matrix is singular, and
+// allocates nothing.
+func LeastSquaresInto(x []complex128, A *Matrix, b []complex128, lambda float64, s *LSScratch) error {
+	if len(b) != A.Rows || len(x) != A.Cols {
 		panic("linalg: LeastSquares dimension mismatch")
 	}
-	At := A.Adjoint()
-	AtA := At.Mul(A)
+	k := A.Cols
+	if k > s.n {
+		panic(fmt.Sprintf("linalg: LeastSquares with %d unknowns on scratch for %d", k, s.n))
+	}
+	ata := Matrix{Rows: k, Cols: k, Data: s.ata[:k*k]}
+	inv := Matrix{Rows: k, Cols: k, Data: s.inv[:k*k]}
+	atb := s.atb[:k]
+	// AᴴA and Aᴴb, each entry summed in the order of MulInto(Aᴴ, A) and
+	// Aᴴ.MulVec(b), zero terms of the product skipped as MulInto skips
+	// them.
+	clear(ata.Data)
+	for i := 0; i < k; i++ {
+		di := ata.Data[i*k : (i+1)*k]
+		var acc complex128
+		for r := 0; r < A.Rows; r++ {
+			ar := A.Data[r*k : (r+1)*k]
+			v := cmplx.Conj(ar[i])
+			acc += v * b[r]
+			if v == 0 {
+				continue
+			}
+			for j := range di {
+				di[j] += v * ar[j]
+			}
+		}
+		atb[i] = acc
+	}
 	if lambda > 0 {
-		for i := 0; i < AtA.Rows; i++ {
-			AtA.Set(i, i, AtA.At(i, i)+complex(lambda, 0))
+		for i := 0; i < k; i++ {
+			ata.Data[i*k+i] += complex(lambda, 0)
 		}
 	}
-	Atb := At.MulVec(b)
-	return AtA.Solve(Atb)
+	if err := gaussJordan(&inv, &ata); err != nil {
+		return err
+	}
+	for i := 0; i < k; i++ {
+		var acc complex128
+		for j, v := range inv.Data[i*k : (i+1)*k] {
+			acc += v * atb[j]
+		}
+		x[i] = acc
+	}
+	return nil
 }
 
 // ProjectUnitary returns the closest unitary matrix to m in Frobenius norm,
@@ -164,12 +226,12 @@ func (m *Matrix) ProjectUnitary() (*Matrix, error) {
 // UnitaryScratch is the caller-owned n×n working storage of
 // ProjectUnitaryInto.
 type UnitaryScratch struct {
-	adj, lu, inv *Matrix
+	lu, inv *Matrix
 }
 
 // NewUnitaryScratch returns scratch for projecting n×n matrices.
 func NewUnitaryScratch(n int) *UnitaryScratch {
-	return &UnitaryScratch{adj: NewMatrix(n, n), lu: NewMatrix(n, n), inv: NewMatrix(n, n)}
+	return &UnitaryScratch{lu: NewMatrix(n, n), inv: NewMatrix(n, n)}
 }
 
 // ProjectUnitaryInto writes ProjectUnitary(m) into dst (square, the shape
@@ -181,10 +243,12 @@ func ProjectUnitaryInto(dst, m *Matrix, s *UnitaryScratch) error {
 		panic("linalg: ProjectUnitary needs square matrix")
 	}
 	dst.checkShape(m.Rows, m.Cols)
+	s.inv.checkShape(m.Rows, m.Cols)
 	x := dst
 	copy(x.Data, m.Data)
 	for iter := 0; iter < 100; iter++ {
-		if err := InverseInto(s.inv, s.lu, AdjointInto(s.adj, x)); err != nil {
+		// xᴴ goes straight into the elimination scratch.
+		if err := gaussJordan(s.inv, AdjointInto(s.lu, x)); err != nil {
 			return err
 		}
 		// next = (x + x⁻ᴴ)/2 element by element; diff accumulates
