@@ -55,17 +55,16 @@ var defaultHotFuncs = []string{
 // allocHelpers maps each allocating dsp helper to the zero-allocation
 // variant the diagnostic suggests.
 var allocHelpers = map[string]string{
-	"Scale":          "ScaleInPlace or ScaleInto",
-	"ScaleC":         "ScaleCInPlace or ScaleCInto",
-	"Add":            "AddInPlace or AddInto",
-	"Sub":            "SubInPlace or SubInto",
+	"Scale":          "ScaleInPlace",
+	"ScaleC":         "ScaleCInPlace",
+	"Add":            "AddInPlace",
+	"Sub":            "SubInPlace",
 	"Mul":            "MulInto",
-	"Conj":           "ConjInto",
 	"Clone":          "copy into reused scratch",
 	"Delay":          "a dsp.DelayLine pushed per block",
-	"Convolve":       "a dsp.FIR (or the pipeline FIRStage fast paths)",
+	"Convolve":       "a dsp.FIR or a pipeline.FIRStage",
 	"Rotate":         "ScaleCInPlace with a precomputed phasor",
-	"ApplyCFO":       "a pipeline.CFOStage (fast path armed)",
+	"ApplyCFO":       "a pipeline.CFOStage",
 	"CrossCorrelate": "a preallocated correlator scratch",
 }
 

@@ -12,8 +12,6 @@ func Sub(a, b []complex128) []complex128 { return append([]complex128(nil), a...
 
 func Mul(a, b []complex128) []complex128 { return append([]complex128(nil), a...) }
 
-func Conj(x []complex128) []complex128 { return append([]complex128(nil), x...) }
-
 func Clone(x []complex128) []complex128 { return append([]complex128(nil), x...) }
 
 func AddInPlace(a, b []complex128) {}

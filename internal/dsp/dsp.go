@@ -100,33 +100,10 @@ func ScaleInPlace(x []complex128, g float64) {
 	}
 }
 
-// ScaleInto writes x scaled by the real gain g into dst (equal lengths,
-// may alias). The allocation-free form of Scale for hot paths.
-func ScaleInto(dst, x []complex128, g float64) {
-	if len(dst) != len(x) {
-		panic("dsp: ScaleInto length mismatch")
-	}
-	c := complex(g, 0)
-	for i, v := range x {
-		dst[i] = v * c
-	}
-}
-
 // ScaleCInPlace multiplies x by the complex gain g in place.
 func ScaleCInPlace(x []complex128, g complex128) {
 	for i := range x {
 		x[i] *= g
-	}
-}
-
-// ScaleCInto writes x scaled by the complex gain g into dst (equal
-// lengths, may alias).
-func ScaleCInto(dst, x []complex128, g complex128) {
-	if len(dst) != len(x) {
-		panic("dsp: ScaleCInto length mismatch")
-	}
-	for i, v := range x {
-		dst[i] = v * g
 	}
 }
 
@@ -153,17 +130,6 @@ func AddInPlace(a, b []complex128) {
 	}
 }
 
-// AddInto writes a+b elementwise into dst (all equal lengths; dst may
-// alias either operand).
-func AddInto(dst, a, b []complex128) {
-	if len(dst) != len(a) || len(a) != len(b) {
-		panic("dsp: AddInto length mismatch")
-	}
-	for i := range a {
-		dst[i] = a[i] + b[i]
-	}
-}
-
 // Sub returns a-b elementwise; slices must have equal length.
 func Sub(a, b []complex128) []complex128 {
 	if len(a) != len(b) {
@@ -174,17 +140,6 @@ func Sub(a, b []complex128) []complex128 {
 		y[i] = a[i] - b[i]
 	}
 	return y
-}
-
-// SubInto writes a-b elementwise into dst (all equal lengths; dst may
-// alias either operand).
-func SubInto(dst, a, b []complex128) {
-	if len(dst) != len(a) || len(a) != len(b) {
-		panic("dsp: SubInto length mismatch")
-	}
-	for i := range a {
-		dst[i] = a[i] - b[i]
-	}
 }
 
 // SubInPlace subtracts b from a in place. b may be shorter than a.
@@ -218,26 +173,6 @@ func MulInto(dst, a, b []complex128) {
 	}
 	for i := range a {
 		dst[i] = a[i] * b[i]
-	}
-}
-
-// Conj returns the elementwise complex conjugate of x.
-func Conj(x []complex128) []complex128 {
-	y := make([]complex128, len(x))
-	for i, v := range x {
-		y[i] = cmplx.Conj(v)
-	}
-	return y
-}
-
-// ConjInto writes the elementwise conjugate of x into dst (equal
-// lengths, may alias).
-func ConjInto(dst, x []complex128) {
-	if len(dst) != len(x) {
-		panic("dsp: ConjInto length mismatch")
-	}
-	for i, v := range x {
-		dst[i] = cmplx.Conj(v)
 	}
 }
 

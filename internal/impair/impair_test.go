@@ -57,20 +57,26 @@ func TestEffectiveCancellationCaps(t *testing.T) {
 	}
 }
 
+// rms is the per-complex-sample RMS amplitude of x, the refRMS a Stream
+// levelled to x takes.
+func rms(x []complex128) float64 { return math.Sqrt(dsp.Power(x)) }
+
 // Waveform impairments must be deterministic given the ItemSeed-derived
 // source — the property that keeps impaired sweeps bit-identical across
 // worker counts.
 func TestWaveformDeterminism(t *testing.T) {
 	p, _ := ByName("severe")
 	x := rng.New(42).NoiseVector(512, 1)
-	a := p.ApplyWaveform(Source(7, 3), x, 20e6)
-	b := p.ApplyWaveform(Source(7, 3), x, 20e6)
+	run := func(item int) []complex128 {
+		return NewRxStream(&p, Source(7, item), 20e6, rms(x)).Process(x)
+	}
+	a, b := run(3), run(3)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("sample %d differs between identically-seeded runs", i)
 		}
 	}
-	c := p.ApplyWaveform(Source(7, 4), x, 20e6)
+	c := run(4)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -80,6 +86,19 @@ func TestWaveformDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Error("different item seeds produced identical impairments")
+	}
+	// The output must actually deviate from the clean input.
+	if evm := dsp.Power(dsp.Sub(a, x)) / dsp.Power(x); evm < 1e-5 {
+		t.Errorf("severe profile produced EVM² %v — impairments not applied?", evm)
+	}
+	// Only phase noise draws from src, so every other impairment leaves the
+	// stream where it was: the next variate matches an untouched source.
+	noPN := p
+	noPN.PhaseNoiseRadRMS = 0
+	used, fresh := Source(7, 3), Source(7, 3)
+	NewRxStream(&noPN, used, 20e6, rms(x)).Process(x)
+	if used.Float64() != fresh.Float64() {
+		t.Error("a profile without phase noise consumed impairment randomness")
 	}
 }
 
@@ -91,12 +110,17 @@ func TestApplyCFORotates(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	y := ApplyCFO(x, cfo, fs)
-	// Phase advance per sample must be 2π·cfo/fs.
+	y := NewRxStream(&Profile{CFOHz: cfo}, nil, fs, 1).Process(x)
+	// The first sample is unrotated and the phase advance per sample is
+	// 2π·cfo/fs.
+	if y[0] != 1 {
+		t.Errorf("first sample %v, want 1", y[0])
+	}
 	want := 2 * math.Pi * cfo / fs
-	got := cmplx.Phase(y[1] * cmplx.Conj(y[0]))
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("per-sample phase %v, want %v", got, want)
+	for _, i := range []int{1, n - 1} {
+		if got := cmplx.Phase(y[i] * cmplx.Conj(y[i-1])); math.Abs(got-want) > 1e-12 {
+			t.Errorf("sample %d: phase step %v, want %v", i, got, want)
+		}
 	}
 }
 
@@ -116,7 +140,8 @@ func TestIQImbalanceImagePower(t *testing.T) {
 		ph := 2 * math.Pi * 5 * float64(i) / float64(n)
 		x[i] = cmplx.Exp(complex(0, ph))
 	}
-	y := ApplyIQImbalance(x, gainDB, phaseDeg)
+	p := Profile{IQGainMismatchDB: gainDB, IQPhaseErrorDeg: phaseDeg}
+	y := NewRxStream(&p, nil, 20e6, rms(x)).Process(x)
 	// Correlate against the tone and its image.
 	var sig, img complex128
 	for i := range y {
@@ -130,15 +155,21 @@ func TestIQImbalanceImagePower(t *testing.T) {
 	}
 }
 
-func TestQuantizeADCSQNR(t *testing.T) {
+// adcSQNR is the SQNR in dB of x through an ADC-only receive stream
+// levelled to x.
+func adcSQNR(x []complex128, bits int, backoffDB float64) float64 {
+	p := Profile{ADCBits: bits, ADCClipBackoffDB: backoffDB}
+	y := NewRxStream(&p, nil, 20e6, rms(x)).Process(x)
+	return dsp.DB(dsp.Power(x) / dsp.Power(dsp.Sub(y, x)))
+}
+
+func TestADCQuantizerSQNR(t *testing.T) {
 	src := rng.New(1)
 	x := src.NoiseVector(1<<14, 1)
 	// At 16 dB back-off the Gaussian clip tail is negligible, so the SQNR
 	// must match the loaded-quantizer formula 6.02·bits + 4.77 − backoff.
 	for _, bits := range []int{6, 8, 10, 12} {
-		y := QuantizeADC(x, bits, 16)
-		nse := dsp.Power(dsp.Sub(y, x))
-		snr := dsp.DB(dsp.Power(x) / nse)
+		snr := adcSQNR(x, bits, 16)
 		want := 6.02*float64(bits) + 4.77 - 16
 		if math.Abs(snr-want) > 2 {
 			t.Errorf("%d bits: SQNR %.1f dB, want ≈%.1f", bits, snr, want)
@@ -147,8 +178,7 @@ func TestQuantizeADCSQNR(t *testing.T) {
 	// More bits must always quantize less noisily.
 	prev := -math.Inf(1)
 	for _, bits := range []int{4, 6, 8, 10} {
-		y := QuantizeADC(x, bits, 16)
-		snr := dsp.DB(dsp.Power(x) / dsp.Power(dsp.Sub(y, x)))
+		snr := adcSQNR(x, bits, 16)
 		if snr <= prev {
 			t.Errorf("SQNR not increasing with bits at %d: %.1f <= %.1f", bits, snr, prev)
 		}
@@ -157,17 +187,20 @@ func TestQuantizeADCSQNR(t *testing.T) {
 	// At aggressive loading the clip tail dominates and the budget model's
 	// quant+clip closed form must track the waveform within 3 dB.
 	p := Profile{ADCBits: 8, ADCClipBackoffDB: 8}
-	y := QuantizeADC(x, 8, 8)
-	meas := dsp.DB(dsp.Power(x) / dsp.Power(dsp.Sub(y, x)))
+	meas := adcSQNR(x, 8, 8)
 	if model := p.CancellationFloorDB(); math.Abs(meas-model) > 3 {
 		t.Errorf("clip-dominated floor: measured %.1f dB, model %.1f dB", meas, model)
 	}
 }
 
-func TestApplyPACompressesPeaks(t *testing.T) {
+func TestPACompressesPeaks(t *testing.T) {
 	src := rng.New(2)
 	x := src.NoiseVector(4096, 1)
-	y := ApplyPA(x, 3, 2)
+	pa := func(backoffDB float64) []complex128 {
+		p := Profile{PAInputBackoffDB: backoffDB, PASmoothness: 2}
+		return NewTxStream(&p, rms(x)).Process(x)
+	}
+	y := pa(3)
 	if dsp.MaxAbs(y) >= dsp.MaxAbs(x) {
 		t.Error("PA did not compress the peak")
 	}
@@ -181,9 +214,39 @@ func TestApplyPACompressesPeaks(t *testing.T) {
 		}
 	}
 	// Deep back-off must be transparent to 1e-3.
-	lin := ApplyPA(x, 40, 2)
+	lin := pa(40)
 	if evm := dsp.Power(dsp.Sub(lin, x)) / dsp.Power(x); evm > 1e-3 {
 		t.Errorf("40 dB back-off EVM² %v too high", evm)
+	}
+}
+
+// The budget model's PA term, floor ≈ 1.1·s·backoff + 12 dB, is a fit to
+// the waveform: after a least-squares linear canceller absorbs the gain
+// compression, the uncorrelated Rapp distortion left behind is the floor.
+// Across s ∈ {2, 3} and back-off ∈ {3, 6, 9, 12} dB the fit misses the
+// measured floor by at most paFitErrorDB: it overstates the floor by
+// 6.1 dB at s = 3, 6 dB and understates it by 3.8 dB at s = 2, 12 dB.
+func TestPAFloorFit(t *testing.T) {
+	const paFitErrorDB = 6.2
+	x := rng.New(5).NoiseVector(1<<14, 1)
+	worst := 0.0
+	for _, s := range []float64{2, 3} {
+		for _, backoff := range []float64{3, 6, 9, 12} {
+			p := Profile{PAInputBackoffDB: backoff, PASmoothness: s}
+			y := NewTxStream(&p, rms(x)).Process(x)
+			// One complex tap is the least-squares linear canceller of a
+			// memoryless amplifier: g = <y, x> / <x, x>.
+			g := dsp.Dot(y, x) / complex(dsp.Energy(x), 0)
+			meas := dsp.DB(dsp.Power(x) / dsp.Power(dsp.Sub(y, dsp.ScaleC(x, g))))
+			model := p.CancellationFloorDB()
+			t.Logf("s=%g backoff=%g dB: measured %.2f dB, model %.2f dB", s, backoff, meas, model)
+			if d := math.Abs(meas - model); d > worst {
+				worst = d
+			}
+		}
+	}
+	if worst > paFitErrorDB {
+		t.Errorf("PA floor fit misses the waveform by %.1f dB, beyond %.1f dB", worst, paFitErrorDB)
 	}
 }
 
@@ -268,6 +331,24 @@ func TestParse(t *testing.T) {
 	}
 	if _, err := Parse("mild,bogus_key=1"); err == nil {
 		t.Error("unknown key accepted")
+	}
+	for _, bad := range []string{
+		"cfo_hz=inf", "cfo_hz=-Inf", "cfo_hz=nan", "moderate,iq_gain_db=NaN",
+		"adc_bits=2.7", "adc_bits=80", "adc_bits=63", "adc_bits=-1",
+		"sounding_loss=1.5", "sounding_loss=-1", "sounding_corrupt=1.01",
+		"csi_age_ms=-5", "coherence_ms=-1", "phase_noise_rad=-1e-4", "pa_smoothness=-2",
+	} {
+		if p, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) accepted out-of-range input: %+v", bad, p)
+		}
+	}
+	for _, good := range []string{
+		"adc_bits=0", "adc_bits=62", "adc_bits=8.0", "sounding_loss=0",
+		"sounding_loss=1", "cfo_hz=-40", "iq_phase_deg=-1", "csi_age_ms=0",
+	} {
+		if _, err := Parse(good); err != nil {
+			t.Errorf("Parse(%q) rejected in-range input: %v", good, err)
+		}
 	}
 	p, err = Parse("")
 	if err != nil || !p.IsZero() {

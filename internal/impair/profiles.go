@@ -2,6 +2,7 @@ package impair
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -150,7 +151,9 @@ func ByName(name string) (Profile, bool) {
 // Parse resolves a -impair flag value: either a profile name ("moderate")
 // or a comma-separated key=value list overlaid on a base profile
 // ("severe,cfo_hz=500,csi_age_ms=80"). An empty string is the ideal
-// profile.
+// profile. Values must be finite; adc_bits must be a whole number in
+// [0, 62], probabilities must lie in [0, 1], and ages, coherence, phase
+// noise and PA smoothness must not be negative.
 func Parse(s string) (Profile, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -176,34 +179,49 @@ func Parse(s string) (Profile, error) {
 		if err != nil {
 			return Profile{}, fmt.Errorf("impair: bad value in %q: %v", part, err)
 		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Profile{}, fmt.Errorf("impair: %q is not finite", part)
+		}
 		custom = true
+		// Each key's admissible range: nonNeg and prob bound the value;
+		// adc_bits must also be whole (the quantizer shifts by bits−1).
+		var nonNeg, prob bool
 		switch strings.ToLower(strings.TrimSpace(kv[0])) {
 		case "cfo_hz":
 			base.CFOHz = v
 		case "phase_noise_rad":
-			base.PhaseNoiseRadRMS = v
+			base.PhaseNoiseRadRMS, nonNeg = v, true
 		case "iq_gain_db":
 			base.IQGainMismatchDB = v
 		case "iq_phase_deg":
 			base.IQPhaseErrorDeg = v
 		case "adc_bits":
+			if v != math.Trunc(v) || v < 0 || v > 62 {
+				return Profile{}, fmt.Errorf("impair: %q: adc_bits must be a whole number in [0, 62]", part)
+			}
 			base.ADCBits = int(v)
 		case "adc_clip_db":
 			base.ADCClipBackoffDB = v
 		case "pa_backoff_db":
 			base.PAInputBackoffDB = v
 		case "pa_smoothness":
-			base.PASmoothness = v
+			base.PASmoothness, nonNeg = v, true
 		case "csi_age_ms":
-			base.CSIAgeMs = v
+			base.CSIAgeMs, nonNeg = v, true
 		case "coherence_ms":
-			base.CoherenceMs = v
+			base.CoherenceMs, nonNeg = v, true
 		case "sounding_loss":
-			base.SoundingLossProb = v
+			base.SoundingLossProb, prob = v, true
 		case "sounding_corrupt":
-			base.SoundingCorruptProb = v
+			base.SoundingCorruptProb, prob = v, true
 		default:
 			return Profile{}, fmt.Errorf("impair: unknown key %q", kv[0])
+		}
+		if nonNeg && v < 0 {
+			return Profile{}, fmt.Errorf("impair: %q must not be negative", part)
+		}
+		if prob && (v < 0 || v > 1) {
+			return Profile{}, fmt.Errorf("impair: %q: a probability must lie in [0, 1]", part)
 		}
 	}
 	if custom {

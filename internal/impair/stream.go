@@ -11,11 +11,11 @@ import (
 // streaming relay pipeline where signals are processed with per-sample
 // state (fastforward's Fig 3 loop) rather than in blocks.
 //
-// Block-mode ApplyWaveform measures the signal RMS to set the ADC full
-// scale and PA saturation point; a streaming front end cannot look ahead,
-// so Stream takes an AGC reference RMS at construction — the level the
-// receive/transmit chain was levelled to — and keeps it fixed, exactly how
-// a real AGC-then-ADC chain behaves between gain updates.
+// A streaming front end cannot look ahead to measure the signal RMS, so
+// Stream takes an AGC reference RMS at construction — the level the
+// receive/transmit chain was levelled to — and sets the ADC full scale and
+// PA saturation point from it, fixed, exactly how a real AGC-then-ADC
+// chain behaves between gain updates.
 type Stream struct {
 	p   *Profile
 	src *rng.Source
@@ -42,6 +42,12 @@ type Stream struct {
 // only consumed when the profile configures phase noise, so toggling other
 // impairments never shifts the stream. refRMS is the AGC reference
 // amplitude (per complex sample) the ADC full scale is set against.
+//
+// IQ imbalance follows the standard image model alpha·x + beta·conj(x);
+// the image power |beta|²/|alpha|² leaks through any linear canceller.
+// The ADC is a mid-rise uniform quantizer per rail whose full scale sits
+// ADCClipBackoffDB above the per-rail reference RMS; beyond it samples
+// clip.
 func NewRxStream(p *Profile, src *rng.Source, sampleRate, refRMS float64) *Stream {
 	st := &Stream{p: p, src: src, rx: true}
 	if p == nil || p.IsZero() {
@@ -64,9 +70,9 @@ func NewRxStream(p *Profile, src *rng.Source, sampleRate, refRMS float64) *Strea
 }
 
 // NewTxStream builds the transmit chain (PA compression only) of the
-// profile. refRMS anchors the saturation point: asat = refRMS ·
-// 10^(backoff/20), matching block-mode ApplyPA on a signal levelled to
-// refRMS.
+// profile: a Rapp-model amplifier, AM/AM g(a) = a / (1+(a/asat)^{2s})^{1/2s}
+// with phase preserved (SSPA AM/PM is second-order). refRMS anchors the
+// saturation point: asat = refRMS · 10^(backoff/20).
 func NewTxStream(p *Profile, refRMS float64) *Stream {
 	st := &Stream{p: p, tx: true}
 	if p == nil || p.PAInputBackoffDB <= 0 || math.IsInf(p.PAInputBackoffDB, 1) || refRMS <= 0 {

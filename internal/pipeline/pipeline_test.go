@@ -228,33 +228,6 @@ func TestMIMOChainBlockInvariance(t *testing.T) {
 	}
 }
 
-// TestVecMulAndTap checks the frequency-domain stages compose as the
-// testbed uses them: start from hrd, multiply hc (tap), multiply hsr.
-func TestVecMulAndTap(t *testing.T) {
-	src := rng.New(23)
-	n := 52
-	hrd := testSignal(src, n)
-	hc := testSignal(src, n)
-	hsr := testSignal(src, n)
-
-	tap := pipeline.NewTapStage("after_cnf")
-	ch := pipeline.NewChain("test.freq",
-		pipeline.NewVecMulStage("cnf", hc),
-		tap,
-		pipeline.NewVecMulStage("hop", hsr),
-	)
-	out := append([]complex128(nil), hrd...)
-	ch.Process(out)
-	for i := 0; i < n; i++ {
-		if want := hrd[i] * hc[i] * hsr[i]; out[i] != want {
-			t.Fatalf("carrier %d: %v, want %v (grouping must be (hrd·hc)·hsr)", i, out[i], want)
-		}
-		if want := hrd[i] * hc[i]; tap.Samples()[i] != want {
-			t.Fatalf("tap %d: %v, want %v", i, tap.Samples()[i], want)
-		}
-	}
-}
-
 // TestPusherStage wraps a stateful per-sample processor and checks
 // latency declaration plus reset.
 func TestPusherStage(t *testing.T) {

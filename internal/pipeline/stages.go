@@ -354,72 +354,3 @@ func (s *markerStage) Name() string                            { return s.name }
 func (s *markerStage) LatencySamples() int                     { return s.lat }
 func (s *markerStage) Process(block []complex128) []complex128 { return block }
 func (s *markerStage) Reset()                                  {}
-
-// VecMulStage multiplies the stream element-wise against a fixed vector,
-// advancing a cursor across calls: sample n of the stream is scaled by
-// v[n]. This is the frequency-domain analogue of a filter stage — the
-// testbed's per-carrier channel and CNF responses compose into declared
-// chains with it. Processing more samples than len(v) panics.
-type VecMulStage struct {
-	name string
-	v    []complex128
-	pos  int
-}
-
-// NewVecMulStage builds the stage over v (not copied).
-func NewVecMulStage(name string, v []complex128) *VecMulStage {
-	return &VecMulStage{name: name, v: v}
-}
-
-// Name returns the stage name.
-func (s *VecMulStage) Name() string { return s.name }
-
-// LatencySamples is 0.
-func (s *VecMulStage) LatencySamples() int { return 0 }
-
-// Process scales the block in place against the next len(block) vector
-// entries.
-func (s *VecMulStage) Process(block []complex128) []complex128 {
-	if s.pos+len(block) > len(s.v) {
-		panic("pipeline: VecMulStage consumed past its vector")
-	}
-	for i := range block {
-		block[i] *= s.v[s.pos]
-		s.pos++
-	}
-	return block
-}
-
-// Reset rewinds the cursor.
-func (s *VecMulStage) Reset() { s.pos = 0 }
-
-// TapStage records the stream flowing through it (pass-through), exposing
-// intermediate chain products — e.g. the relay-filter output whose power
-// sets the forwarded-noise gain in the testbed.
-type TapStage struct {
-	name string
-	buf  []complex128
-}
-
-// NewTapStage builds an empty tap.
-func NewTapStage(name string) *TapStage {
-	return &TapStage{name: name}
-}
-
-// Name returns the stage name.
-func (s *TapStage) Name() string { return s.name }
-
-// LatencySamples is 0.
-func (s *TapStage) LatencySamples() int { return 0 }
-
-// Process records and passes the block through unchanged.
-func (s *TapStage) Process(block []complex128) []complex128 {
-	s.buf = append(s.buf, block...)
-	return block
-}
-
-// Samples returns everything recorded since the last Reset.
-func (s *TapStage) Samples() []complex128 { return s.buf }
-
-// Reset drops the recording.
-func (s *TapStage) Reset() { s.buf = s.buf[:0] }

@@ -28,7 +28,6 @@ import (
 	"fastforward/internal/ofdm"
 	"fastforward/internal/par"
 	"fastforward/internal/phyrate"
-	"fastforward/internal/pipeline"
 	"fastforward/internal/relay"
 	"fastforward/internal/rng"
 	"fastforward/internal/wifi"
@@ -483,35 +482,21 @@ func (tb *Testbed) evaluateSISO(ev *Evaluation, shard int, imp *impairState, sdP
 			hc[i] = amp
 		}
 	}
-	// The relayed path as a declared chain over the per-carrier responses:
-	// AP→relay hop is applied last so the tap after the CNF stage exposes
-	// hrd·hc — the relay-to-destination gain that scales the forwarded
-	// receiver noise. The grouping (hrd·hc)·hsr matches the loop this
-	// replaced bit-exactly.
-	tap := pipeline.NewTapStage("after_cnf")
-	flow := pipeline.NewChain("testbed.siso_relayed",
-		pipeline.NewVecMulStage("cnf", hc),
-		tap,
-		pipeline.NewVecMulStage("hop_sr", hsr),
-	)
-	flow.Instrument(tb.ins.pipe, shard)
-	relayedBlk := make([]complex128, len(hrd))
-	copy(relayedBlk, hrd)
-	flow.Process(relayedBlk)
-	relayGain := tap.Samples()
-
 	heff := make([]complex128, len(hsd))
 	extraNoise := make([]float64, len(hsd))
 	w := complex(useful, 0)
 	var directPow, combinedPow float64
 	for i := range hsd {
-		relayed := relayedBlk[i]
+		// The relay-to-destination gain hrd·hc scales the forwarded
+		// receiver noise; the AP→relay hop completes the relayed path.
+		g := hrd[i] * hc[i]
+		relayed := g * hsr[i]
 		heff[i] = hsd[i] + w*relayed
-		g := absSq(relayGain[i])
+		gPow := absSq(g)
 		// Relay receiver noise (thermal plus residual self-interference)
 		// forwarded to the destination, plus the relayed signal power that
 		// falls outside the CP as ISI.
-		extraNoise[i] = g*relayNoiseMW*useful*useful + isiFrac*(absSq(relayed)*txMW+g*relayNoiseMW)
+		extraNoise[i] = gPow*relayNoiseMW*useful*useful + isiFrac*(absSq(relayed)*txMW+gPow*relayNoiseMW)
 		directPow += absSq(hsd[i])
 		combinedPow += absSq(heff[i])
 	}
@@ -584,29 +569,16 @@ func (tb *Testbed) evaluateMIMO(ev *Evaluation, src *rng.Source, shard int, imp 
 			FA[i] = blind
 		}
 	}
-	// The relayed path as a declared matrix flow over the carrier stack:
-	// Hrd → ·FA (tap: the relay-to-destination gain Hrd·FA that scales the
-	// forwarded receiver noise) → ·Hsr (tap: the full relayed response) →
-	// ×useful (the CP-overlap weight). Operation order matches the loop
-	// this replaced bit-exactly.
-	tapGain := &matrixTap{stageName: "after_cnf"}
-	tapRel := &matrixTap{stageName: "relayed"}
-	flow := newMatrixFlow("testbed.mimo_relayed",
-		&mulRight{stageName: "cnf", M: FA},
-		tapGain,
-		&mulRight{stageName: "hop_sr", M: Hsr},
-		tapRel,
-		&matrixScale{stageName: "cp_overlap", w: useful},
-	)
-	flow.instrument(tb.ins.pipe, shard)
-	scaled := flow.run(Hrd)
-
 	Heff := make([]*linalg.Matrix, len(Hsd))
 	cov := make([]*linalg.Matrix, len(Hsd))
 	var directPow, combinedPow float64
 	for i := range Hsd {
-		HrdFA := tapGain.got[i]
-		Heff[i] = Hsd[i].Add(scaled[i])
+		// Hrd·FA is the relay-to-destination gain that scales the
+		// forwarded receiver noise; ·Hsr completes the relayed path, which
+		// the CP overlap weights.
+		HrdFA := Hrd[i].Mul(FA[i])
+		rel := HrdFA.Mul(Hsr[i])
+		Heff[i] = Hsd[i].Add(rel.Scale(useful))
 		fd := Hsd[i].FrobeniusNorm()
 		fc := Heff[i].FrobeniusNorm()
 		directPow += fd * fd
@@ -615,7 +587,6 @@ func (tb *Testbed) evaluateMIMO(ev *Evaluation, src *rng.Source, shard int, imp 
 		if isiFrac > 0 {
 			// Relayed power that falls outside the CP becomes white-ish
 			// interference across antennas.
-			rel := tapRel.got[i]
 			isiPow := isiFrac * (rel.FrobeniusNorm()*rel.FrobeniusNorm()*txMW/float64(nAnt) +
 				HrdFA.FrobeniusNorm()*HrdFA.FrobeniusNorm()*relayNoiseMW) / float64(nAnt)
 			for d := 0; d < nAnt; d++ {
