@@ -163,7 +163,7 @@ bench:
 	$(GO) test -bench . -benchtime 1x .
 	$(GO) test -bench Forward -benchtime 100000x ./internal/fft
 	$(GO) test -run '^$$' -bench 'DesiredMIMO|Synthesize' -benchmem ./internal/cnf
-	$(GO) test -run '^$$' -bench 'FFRelayProcess|MIMORelayProcess|SICFilter' -benchmem -json . > BENCH_pipeline.json
+	$(GO) test -run '^$$' -bench 'FFRelayProcess|SICFilter' -benchmem -json . > BENCH_pipeline.json
 
 # Alloc-regression gate: the per-block hot paths (SIC filter, relay
 # forward chain, multi-session session chains) and the served round trip

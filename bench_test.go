@@ -293,8 +293,9 @@ func BenchmarkFFRelayProcess(b *testing.B) {
 }
 
 // BenchmarkSessionChains drives 8 independent 20 MHz session chains the
-// way the relay daemon runs them: each pipeline.NewSessionChain chain
-// (24-tap cancel, CFO remove/restore, 16-tap CNF, 10 dB amplify) is
+// way the relay daemon runs them: each session sweep chain
+// (pipeline.SessionTaps into pipeline.NewForwardStages: 24-tap cancel,
+// CFO remove/restore, 16-tap CNF, the sweep's 10 dB amplify) is
 // instrumented and advanced by its own Process call on a 4096-sample
 // block, its canceller re-armed per block. One op is one round over all
 // 8 sessions; the allocation gate requires 0 allocs/op.
@@ -303,12 +304,6 @@ func BenchmarkSessionChains(b *testing.B) {
 		nSessions = 8
 		blockLen  = 4096
 	)
-	spec := pipeline.SessionChainSpec{
-		CancelTaps: 24,
-		CNFTaps:    16,
-		CFOStepRad: 2 * math.Pi * 1500 / 20e6,
-		AmpGain:    complex(math.Sqrt(10), 0),
-	}
 	o := pipeline.NewObs(obs.New())
 	chains := make([]*pipeline.Chain, nSessions)
 	cancels := make([]*pipeline.CancelStage, nSessions)
@@ -317,7 +312,10 @@ func BenchmarkSessionChains(b *testing.B) {
 	blocks := make([][]complex128, nSessions)
 	for i := range chains {
 		src := rng.New(rng.ItemSeed(7, i))
-		chains[i], cancels[i] = pipeline.NewSessionChain(spec, src)
+		canc, pre := pipeline.SessionTaps(src, 24, 16)
+		stages, cancel := pipeline.NewForwardStages(canc, pre,
+			2*math.Pi*pipeline.SessionCFOHz/pipeline.SessionSampleRateHz, pipeline.SessionAmpDB)
+		chains[i], cancels[i] = pipeline.NewChain("sessions", stages...), cancel
 		chains[i].Instrument(o, 0)
 		txs[i] = src.NoiseVector(blockLen, 1)
 		rxs[i] = src.NoiseVector(blockLen, 1)
@@ -336,43 +334,5 @@ func BenchmarkSessionChains(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		round()
-	}
-}
-
-// BenchmarkMIMORelayProcess measures the 2×2 relay's forward chain (2×2
-// cancellation + K×K CNF mix) on 4096-sample blocks, zero per-call
-// allocation.
-func BenchmarkMIMORelayProcess(b *testing.B) {
-	src := rng.New(3)
-	siTaps := relay.TypicalMIMOSI(src, -70)
-	pre := make([][][]complex128, 2)
-	for i := range pre {
-		pre[i] = make([][]complex128, 2)
-		for j := range pre[i] {
-			t := make([]complex128, 8)
-			for k := range t {
-				t[k] = src.ComplexGaussian(1.0 / 8)
-			}
-			pre[i][j] = t
-		}
-	}
-	r, err := relay.NewMIMO(relay.MIMOConfig{
-		SampleRate:           20e6,
-		AmplificationDB:      20,
-		PipelineDelaySamples: 2,
-		PreFilter:            pre,
-		SITaps:               siTaps,
-		CancelTaps:           siTaps,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := [][]complex128{src.NoiseVector(4096, 1), src.NoiseVector(4096, 1)}
-	out := [][]complex128{make([]complex128, 4096), make([]complex128, 4096)}
-	b.ReportAllocs()
-	b.SetBytes(2 * 4096 * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.ProcessInto(out, in)
 	}
 }

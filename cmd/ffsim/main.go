@@ -428,7 +428,7 @@ func figSessions(r *runCtx) {
 		fmt.Printf("    probe n=%3d  sweep=%8.1fus  %s\n", p.Sessions, p.NSPerSweep/1e3, mark)
 	}
 	fmt.Printf("  (deadline is the air time of one %d-sample block at %.0f MHz;\n",
-		res.Config.BlockSamples, res.Config.SampleRateHz/1e6)
+		res.Config.BlockSamples, pipeline.SessionSampleRateHz/1e6)
 	fmt.Printf("   a count of N means N relay chains — %d-tap cancel, CFO\n",
 		res.Config.CancelTaps)
 	fmt.Printf("   remove/restore, %d-tap CNF, amplify — keep up with the air interface)\n",

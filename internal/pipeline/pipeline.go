@@ -19,7 +19,7 @@
 //   - Latency accounting. Every stage reports LatencySamples and a Chain
 //     sums them, making the paper's ≤100 ns processing-delay claim (and
 //     the OFDM CP budget it must fit inside, Fig 16) a first-class,
-//     monitored quantity: Chain.CheckBudget records the end-to-end latency
+//     monitored quantity: Obs.CheckBudget records the end-to-end latency
 //     and counts budget violations through internal/obs.
 //
 // Chains emit pipeline.* counters/histograms (see OBSERVABILITY.md) and
@@ -60,7 +60,7 @@ type Obs struct {
 	SOABlocks *obs.Counter
 	// Latency distributes chain end-to-end latencies seen by CheckBudget.
 	Latency *obs.Histogram
-	// Violations counts CheckBudget calls whose chain exceeded the budget.
+	// Violations counts CheckBudget calls whose latency exceeded the budget.
 	Violations *obs.Counter
 	// BatchSweeps counts rounds — passes that advance every session on a
 	// core by one block — and BatchSessions the session blocks those
@@ -183,19 +183,21 @@ func (c *Chain) Reset() {
 	}
 }
 
-// CheckBudget holds the chain's end-to-end latency against a budget in
-// samples (typically the OFDM CP length, or the configured processing
-// delay) and reports whether it fits. When instrumented it records the
-// latency into pipeline.latency_samples and counts overruns in
-// pipeline.budget_violations — the check is soft because the latency
-// experiment (Fig 16) deliberately sweeps past the CP.
-func (c *Chain) CheckBudget(budgetSamples int) bool {
-	lat := c.LatencySamples()
-	if c.o != nil {
-		c.o.Latency.Observe(c.shard, float64(lat))
-		if lat > budgetSamples {
-			c.o.Violations.Inc(c.shard)
+// CheckBudget holds an end-to-end latency in samples against a budget
+// in samples (typically the OFDM CP length, or the configured processing
+// delay) and reports whether it fits. On a non-nil o it records the
+// latency into pipeline.latency_samples and counts an overrun in
+// pipeline.budget_violations on the given shard — the check is soft
+// because the latency experiment (Fig 16) deliberately sweeps past the
+// CP. It takes the latency rather than a chain, so a caller can account
+// a chain's budget without instrumenting (and registering timers for) a
+// chain it never runs.
+func (o *Obs) CheckBudget(shard, latencySamples, budgetSamples int) bool {
+	if o != nil {
+		o.Latency.Observe(shard, float64(latencySamples))
+		if latencySamples > budgetSamples {
+			o.Violations.Inc(shard)
 		}
 	}
-	return lat <= budgetSamples
+	return latencySamples <= budgetSamples
 }

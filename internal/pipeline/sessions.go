@@ -15,24 +15,29 @@ import (
 // pre-filter, CFO restoration, and the relay amplifier — fed 20 MHz of
 // complex baseband. Real time means one round — all N session chains
 // processed in turn, the way the relay daemon runs them — finishes
-// within the air-time of one block (BlockSamples/SampleRateHz).
+// within the air-time of one block (BlockSamples/SessionSampleRateHz).
 // RunSessionSweep binary-searches the largest N that holds the deadline
 // and publishes it as the pipeline.sessions_per_core gauge.
 
+const (
+	// SessionSampleRateHz is every sweep session's sample rate: the
+	// paper's 20 MHz WiFi channel.
+	SessionSampleRateHz = 20e6
+	// SessionCFOHz is the carrier-frequency offset each sweep session
+	// corrects.
+	SessionCFOHz = 1500
+	// SessionAmpDB is the sweep sessions' fixed relay amplification.
+	SessionAmpDB = 10
+)
+
 // SessionConfig shapes the multi-session real-time sweep.
 type SessionConfig struct {
-	// SampleRateHz is the per-session sample rate (default 20e6, the
-	// paper's 20 MHz WiFi channel).
-	SampleRateHz float64
 	// BlockSamples is the scheduling quantum (default 4096).
 	BlockSamples int
 	// CancelTaps / CNFTaps size the two filters (defaults 24 / 16 — the
 	// repo's Sec 3.3 digital-canceller and CNF pre-filter lengths).
 	CancelTaps int
 	CNFTaps    int
-	// CFOHz is the carrier-frequency offset each session corrects
-	// (default 1.5 kHz).
-	CFOHz float64
 	// Seed makes the synthetic taps and waveforms reproducible.
 	Seed int64
 	// WarmSweeps run untimed before MeasureSweeps timed rounds; the
@@ -45,9 +50,6 @@ type SessionConfig struct {
 }
 
 func (c SessionConfig) withDefaults() SessionConfig {
-	if c.SampleRateHz == 0 {
-		c.SampleRateHz = 20e6
-	}
 	if c.BlockSamples == 0 {
 		c.BlockSamples = 4096
 	}
@@ -56,9 +58,6 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	}
 	if c.CNFTaps == 0 {
 		c.CNFTaps = 16
-	}
-	if c.CFOHz == 0 {
-		c.CFOHz = 1500
 	}
 	if c.WarmSweeps == 0 {
 		c.WarmSweeps = 2
@@ -97,66 +96,21 @@ type SessionResult struct {
 	Probes []SessionProbe
 }
 
-// SessionChainSpec shapes one relay session's forward chain: the Sec 3.3
-// digital canceller, CFO removal, the CNF pre-filter, CFO restoration,
-// and the relay amplifier. The session sweep and the relay daemon build
-// their per-session chains from the same spec so a daemon session is the
-// single-session pipeline path, stage for stage.
-type SessionChainSpec struct {
-	// CancelTaps / CNFTaps size the two filters; both must be positive.
-	CancelTaps int
-	CNFTaps    int
-	// CFOStepRad is the per-sample CFO rotation 2π·CFOHz/SampleRateHz.
-	CFOStepRad float64
-	// AmpGain is the relay amplifier's complex amplitude gain (a power
-	// amplification of A dB is complex(10^(A/20), 0)).
-	AmpGain complex128
-}
-
-// SessionStageNames lists the stage names of every NewSessionChain chain
-// in chain order; an instrumented session chain times each stage as
-// pipeline.<chain>.<stage> (pipeline.relayd.<stage> in the relay daemon).
-func SessionStageNames() []string {
-	return []string{"cancel", "cfo_remove", "cnf_pre", "cfo_restore", "amp"}
-}
-
-// NewSessionChain builds one session's forward chain with synthetic
-// Rayleigh taps drawn from src (exponential power decay: 0.94^k for the
-// canceller's self-interference estimate, 0.8^k for the CNF pre-filter —
-// the repo's standard synthetic session model). The cancel stage is
-// returned separately because its reference must be re-armed every
-// block.
-func NewSessionChain(spec SessionChainSpec, src *rng.Source) (*Chain, *CancelStage) {
-	si := make([]complex128, spec.CancelTaps)
-	for k := range si {
-		si[k] = src.RayleighTap(math.Pow(0.94, float64(k)))
+// SessionTaps draws one synthetic session's filter taps from src:
+// Rayleigh taps with exponential power decay, first 0.94^k for the
+// canceller's self-interference estimate, then 0.8^k for the CNF
+// pre-filter — the repo's standard synthetic session model, shared by
+// the relay daemon and the session sweep.
+func SessionTaps(src *rng.Source, cancelTaps, cnfTaps int) (cancel, pre []complex128) {
+	cancel = make([]complex128, cancelTaps)
+	for k := range cancel {
+		cancel[k] = src.RayleighTap(math.Pow(0.94, float64(k)))
 	}
-	pre := make([]complex128, spec.CNFTaps)
+	pre = make([]complex128, cnfTaps)
 	for k := range pre {
 		pre[k] = src.RayleighTap(math.Pow(0.8, float64(k)))
 	}
-	cancel := NewCancelStage("cancel", si)
-	ch := NewChain("session",
-		cancel,
-		NewCFOStage("cfo_remove", -spec.CFOStepRad),
-		NewFIRStage("cnf_pre", pre),
-		NewCFOStage("cfo_restore", spec.CFOStepRad),
-		NewGainStage("amp", spec.AmpGain),
-	)
-	return ch, cancel
-}
-
-// newSessionChain adapts the sweep config to the shared session spec
-// (the sweep's amplifier models a fixed 10 dB relay gain). The chain is
-// named sessions, so its stage timers are pipeline.sessions.<stage>.
-func newSessionChain(cfg SessionConfig, src *rng.Source) (*Chain, *CancelStage) {
-	ch, cancel := NewSessionChain(SessionChainSpec{
-		CancelTaps: cfg.CancelTaps,
-		CNFTaps:    cfg.CNFTaps,
-		CFOStepRad: 2 * math.Pi * cfg.CFOHz / cfg.SampleRateHz,
-		AmpGain:    complex(math.Sqrt(10), 0),
-	}, src)
-	return NewChain("sessions", ch.Stages()...), cancel
+	return cancel, pre
 }
 
 // measureSessions times rounds over n sessions and returns the fastest
@@ -177,7 +131,11 @@ func measureSessions(cfg SessionConfig, n int, po *Obs) float64 {
 	blocks := make([][]complex128, n)
 	for i := 0; i < n; i++ {
 		src := rng.New(rng.ItemSeed(cfg.Seed, i))
-		chains[i], cancels[i] = newSessionChain(cfg, src)
+		canc, pre := SessionTaps(src, cfg.CancelTaps, cfg.CNFTaps)
+		stages, cancel := NewForwardStages(canc, pre, 2*math.Pi*SessionCFOHz/SessionSampleRateHz, SessionAmpDB)
+		// The chain is named sessions, so its stage timers are
+		// pipeline.sessions.<stage>.
+		chains[i], cancels[i] = NewChain("sessions", stages...), cancel
 		chains[i].Instrument(po, 0)
 		txT[i] = src.NoiseVector(cfg.BlockSamples, 1)
 		rxT[i] = src.NoiseVector(cfg.BlockSamples, 1)
@@ -219,7 +177,7 @@ func RunSessionSweep(reg *obs.Registry, cfg SessionConfig) SessionResult {
 	po := NewObs(reg)
 	res := SessionResult{
 		Config:     cfg,
-		DeadlineNS: float64(cfg.BlockSamples) / cfg.SampleRateHz * 1e9,
+		DeadlineNS: float64(cfg.BlockSamples) / SessionSampleRateHz * 1e9,
 	}
 	probe := func(n int) bool {
 		ns := measureSessions(cfg, n, po)

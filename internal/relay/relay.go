@@ -27,7 +27,6 @@ import (
 	"fastforward/internal/impair"
 	"fastforward/internal/pipeline"
 	"fastforward/internal/rng"
-	"fastforward/internal/sic"
 )
 
 // Config parameterizes an FFRelay.
@@ -79,21 +78,21 @@ type Config struct {
 }
 
 // FFRelay is a streaming full-duplex relay. Internally the forward path
-// is a pipeline.Chain — SI-cancel → CFO remove → CNF filter → CFO restore
-// → amp → pipeline delay — driven one sample per Step through the
-// physical feedback loop; the same chain shape carries the per-stage
-// latency accounting behind the ≤100 ns processing-delay claim.
+// is a pipeline.Chain — the shared pipeline.NewForwardStages path (SI
+// cancel → CFO remove → CNF filter → CFO restore → amp) behind optional
+// receive impairments and ahead of the pipeline delay — driven one
+// sample per Step through the physical feedback loop; the same chain
+// carries the latency accounting behind the ≤100 ns processing-delay
+// claim.
 type FFRelay struct {
 	cfg Config
 	// si is the physical TX→RX leakage channel (outside the device).
-	si        *dsp.FIR
-	canceller *sic.DigitalCanceller
-	cancel    *pipeline.CancelStage
+	si     *dsp.FIR
+	cancel *pipeline.CancelStage
 	// fwd is the device's forward signal path as a declared chain.
 	fwd *pipeline.Chain
 	// tx is the transmit-side impairment chain (nil when ideal).
-	tx     *pipeline.Chain
-	ampLin float64 // amplitude gain
+	tx *pipeline.Chain
 	// pending is the chain's output from the previous Step: the sample the
 	// handoff register releases to the antenna next instant.
 	pending complex128
@@ -143,16 +142,9 @@ func New(cfg Config) *FFRelay {
 		rxImp = impair.NewRxStream(cfg.Impair, cfg.ImpairSource, cfg.SampleRate, ref)
 		txImp = impair.NewTxStream(cfg.Impair, ref)
 	}
-	canceller := sic.NewDigitalCanceller(canc)
-	r := &FFRelay{
-		cfg:       cfg,
-		si:        dsp.NewFIR(si),
-		canceller: canceller,
-		cancel:    canceller.Stage(),
-		ampLin:    dsp.AmplitudeFromDB(cfg.AmplificationDB),
-	}
-	phaseStep := 2 * math.Pi * cfg.CFOHz / cfg.SampleRate
-	stages := make([]pipeline.Stage, 0, 8)
+	fwd, cancel := pipeline.NewForwardStages(canc, pre, 2*math.Pi*cfg.CFOHz/cfg.SampleRate, cfg.AmplificationDB)
+	r := &FFRelay{cfg: cfg, si: dsp.NewFIR(si), cancel: cancel}
+	stages := make([]pipeline.Stage, 0, len(fwd)+3)
 	if rxImp != nil {
 		// Receive-chain impairments distort what the canceller observes,
 		// while its reference (tx) stays clean — the mismatch a linear
@@ -160,12 +152,8 @@ func New(cfg Config) *FFRelay {
 		// floor.
 		stages = append(stages, pipeline.NewPusherStage("rx_impair", 0, rxImp))
 	}
+	stages = append(stages, fwd...)
 	stages = append(stages,
-		r.cancel,
-		pipeline.NewCFOStage("cfo_remove", -phaseStep),
-		pipeline.NewFIRStage("cnf_pre", pre),
-		pipeline.NewCFOStage("cfo_restore", phaseStep),
-		pipeline.NewGainStage("amp", complex(r.ampLin, 0)),
 		// The pending-sample handoff contributes one sample of delay, so
 		// the delay line holds the remainder; the marker declares the
 		// handoff register's sample so LatencySamples reports the full
@@ -181,21 +169,8 @@ func New(cfg Config) *FFRelay {
 	return r
 }
 
-// Chain returns the relay's forward signal path for inspection or
-// instrumentation.
-func (r *FFRelay) Chain() *pipeline.Chain { return r.fwd }
-
 // LatencySamples returns the chain-accounted pipeline latency in samples.
 func (r *FFRelay) LatencySamples() int { return r.fwd.LatencySamples() }
-
-// Instrument attaches pipeline.* metrics and per-stage timers to the
-// relay's chains on the given shard.
-func (r *FFRelay) Instrument(o *pipeline.Obs, shard int) {
-	r.fwd.Instrument(o, shard)
-	if r.tx != nil {
-		r.tx.Instrument(o, shard)
-	}
-}
 
 // ProcessingDelayS returns the relay's pipeline latency in seconds, as
 // accounted by the forward chain.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fastforward/internal/dsp"
+	"fastforward/internal/pipeline"
 	"fastforward/internal/rng"
 )
 
@@ -279,5 +280,47 @@ func BenchmarkRelayStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Step(complex(1, 1))
+	}
+}
+
+// TestRelayMatchesForwardStages proves the device and the relay daemon
+// run the same arithmetic: an FFRelay driven one sample per Step (no SI
+// channel, no noise, a one-sample delay) transmits, one sample later and
+// bit for bit, what the shared pipeline.NewForwardStages path computes
+// when driven in 4096-sample blocks — the planar block kernels — with the
+// relay's own transmitted samples as the canceller reference.
+func TestRelayMatchesForwardStages(t *testing.T) {
+	const n, block = 3 * 4096, 4096
+	src := rng.New(21)
+	canc := make([]complex128, 24)
+	for k := range canc {
+		canc[k] = src.ComplexGaussian(1e-4)
+	}
+	pre := make([]complex128, 16)
+	for k := range pre {
+		pre[k] = src.ComplexGaussian(1.0 / 16)
+	}
+	cfg := Config{
+		SampleRate:           20e6,
+		AmplificationDB:      6,
+		PipelineDelaySamples: 1,
+		PreFilterTaps:        pre,
+		CFOHz:                1500,
+		CancelTaps:           canc,
+	}
+	in := src.NoiseVector(n+1, 1)
+	tx := New(cfg).Process(in)
+
+	stages, cancel := pipeline.NewForwardStages(canc, pre, 2*math.Pi*cfg.CFOHz/cfg.SampleRate, cfg.AmplificationDB)
+	ch := pipeline.NewChain("forward", stages...)
+	out := append([]complex128(nil), in[:n]...)
+	cancel.SetReference(tx[:n])
+	for start := 0; start < n; start += block {
+		ch.Process(out[start : start+block])
+	}
+	for i, v := range out {
+		if v != tx[i+1] {
+			t.Fatalf("sample %d: block path %v, relay transmitted %v (bit-exact)", i, v, tx[i+1])
+		}
 	}
 }

@@ -480,3 +480,22 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// TestSessionStageNamesMatchChain is the drift guard for the stage list
+// ffbench reads its pipeline.<stage>_frac keys from: it must name the
+// stages of the chain the daemon actually builds, in order.
+func TestSessionStageNamesMatchChain(t *testing.T) {
+	ch, _ := BuildSessionChain(SessionParams{
+		SampleRateHz: 20e6, BlockSamples: 64, CancelTaps: 8, CNFTaps: 4, Seed: 1,
+	}, 10)
+	names := pipeline.SessionStageNames()
+	stages := ch.Stages()
+	if len(stages) != len(names) {
+		t.Fatalf("chain has %d stages, SessionStageNames lists %d", len(stages), len(names))
+	}
+	for i, st := range stages {
+		if st.Name() != names[i] {
+			t.Errorf("stage %d: chain %q, SessionStageNames %q", i, st.Name(), names[i])
+		}
+	}
+}

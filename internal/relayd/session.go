@@ -89,25 +89,15 @@ func (p SessionParams) budget() relay.SessionBudget {
 	}
 }
 
-// chainSpec maps the admitted HELLO plus the granted amplification to
-// the shared session-chain spec. The grant is a power gain; the amp
-// stage applies its amplitude square root.
-func chainSpec(p SessionParams, ampDB float64) pipeline.SessionChainSpec {
-	return pipeline.SessionChainSpec{
-		CancelTaps: p.CancelTaps,
-		CNFTaps:    p.CNFTaps,
-		CFOStepRad: 2 * math.Pi * p.CFOHz / p.SampleRateHz,
-		AmpGain:    complex(math.Pow(10, ampDB/20), 0),
-	}
-}
-
 // BuildSessionChain constructs the exact chain the daemon runs for an
-// admitted session: pipeline.NewSessionChain over the HELLO's sizes and
-// seed with the granted amplification. Exported so clients and tests can
+// admitted session: pipeline.NewForwardStages over taps drawn from the
+// HELLO's seed (pipeline.SessionTaps) at its sizes, with the HELLO's CFO
+// and the granted amplification. Exported so clients and tests can
 // build the single-session reference path and assert the daemon's output
 // is bit-identical to it. The chain is named "relayd", so an instrumented
 // one times its stages as pipeline.relayd.<stage>.
 func BuildSessionChain(p SessionParams, ampDB float64) (*pipeline.Chain, *pipeline.CancelStage) {
-	ch, cancel := pipeline.NewSessionChain(chainSpec(p, ampDB), rng.New(p.Seed))
-	return pipeline.NewChain("relayd", ch.Stages()...), cancel
+	canc, pre := pipeline.SessionTaps(rng.New(p.Seed), p.CancelTaps, p.CNFTaps)
+	stages, cancel := pipeline.NewForwardStages(canc, pre, 2*math.Pi*p.CFOHz/p.SampleRateHz, ampDB)
+	return pipeline.NewChain("relayd", stages...), cancel
 }

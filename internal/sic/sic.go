@@ -589,10 +589,10 @@ func EstimateFIR(ref, rx []complex128, nTaps int, lambda float64) ([]complex128,
 // DigitalCanceller is the streaming causal digital cancellation stage: it
 // subtracts FIR(tx) from the received samples with *zero* added latency —
 // tap 0 applies to the sample currently being transmitted, so no received
-// samples are ever buffered (Fig 9a). It wraps pipeline.CancelStage, so it
-// slots directly into relay chains. Every path is bit-exact with Push:
-// block workloads run the stage's planar SoA kernel, short blocks the
-// direct form.
+// samples are ever buffered (Fig 9a). It wraps pipeline.CancelStage, the
+// cancel stage of the relay's forward chain. Every path is bit-exact with
+// Push: block workloads run the stage's planar SoA kernel, short blocks
+// the direct form.
 type DigitalCanceller struct {
 	stage *pipeline.CancelStage
 }
@@ -604,9 +604,6 @@ func NewDigitalCanceller(taps []complex128) *DigitalCanceller {
 
 // NumTaps returns the canceller length.
 func (d *DigitalCanceller) NumTaps() int { return d.stage.NumTaps() }
-
-// Stage exposes the canceller as a pipeline stage for chain composition.
-func (d *DigitalCanceller) Stage() *pipeline.CancelStage { return d.stage }
 
 // Push consumes one transmitted sample and one received sample and returns
 // the cleaned received sample.

@@ -192,8 +192,7 @@ func New(sc floorplan.Scenario, cfg Config) *Testbed {
 		panic("testbed: relay chain latency exceeds the configured processing-delay budget")
 	}
 	// New runs serially, so shard 0 keeps recording deterministic.
-	ref.Instrument(tb.ins.pipe, 0)
-	ref.Chain().CheckBudget(p.CPLen)
+	tb.ins.pipe.CheckBudget(0, tb.relayLat, p.CPLen)
 	return tb
 }
 
