@@ -43,11 +43,17 @@ vet:
 # `//fflint:allow <analyzer> <reason>` — the reason is mandatory, and
 # the driver audits the allows themselves: stale, unknown-analyzer, or
 # malformed ones are findings too. The binary is built once into
-# bin/fflint so repeated lints (and CI) reuse the compile.
+# bin/fflint so repeated lints (and CI) reuse the compile. Before the
+# analyzers run, lint fails if gofmt -l lists any Go file of the root
+# module or of bench/ (hidden build directories such as .bench_build are
+# skipped).
+GOFMT ?= gofmt
 bin/fflint: $(shell find cmd/fflint internal/analysis -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o bin/fflint ./cmd/fflint
 
 lint: build bin/fflint
+	@unformatted="$$(find . -name '*.go' -not -path './.*' | xargs $(GOFMT) -l)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	./bin/fflint ./...
 
 # The race pass runs the concurrent packages in full, plus the testbed's

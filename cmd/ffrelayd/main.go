@@ -284,7 +284,7 @@ func smokeMode(reg *obs.Registry) error {
 	noisy.Seed = 999
 	noisy.CancellationDB, noisy.RxOverNoiseDB = 55, 52
 	_, err = relayd.DialTimeout(addr, noisy, &relayd.Backoff{}, 1, *ioTimeout)
-	var refused *relayd.RefusedError
+	var refused *relayd.Refuse
 	if !errors.As(err, &refused) || refused.Code != relayd.RefuseBudget {
 		return fmt.Errorf("smoke: over-budget session: want budget refusal, got %v", err)
 	}

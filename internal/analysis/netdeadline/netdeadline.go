@@ -15,7 +15,7 @@
 // the parameter io.Writer or *bufio.Reader (writeFrame, readFrame:
 // framing is transport-agnostic by design), because unarmed I/O directly
 // on a net.Conn parameter is itself flagged. Methods that arm a
-// deadline on a receiver field (Client.armDeadline on c.conn) arm that
+// deadline on a receiver field (an arm() method on c.conn) arm that
 // field for the caller. Passing a conn to an unknown or external
 // function (io.ReadFull) counts as I/O; building a bufio.Reader over it
 // does not.
@@ -27,7 +27,7 @@
 // over the conn (handleConn's br); a parameter beside the function's one
 // conn parameter (readSessionFrame(conn, br)), whose reads count as I/O
 // on that conn parameter for the fixpoint; and a struct field beside the
-// struct's one conn field (Client's c.br beside c.conn).
+// struct's one conn field (clientConn's c.br beside c.conn).
 //
 // The scan is linear within each function body, the same deliberate
 // trade as lockscope: a branch-local false positive is annotated with
@@ -101,7 +101,7 @@ type funcInfo struct {
 	params []*ast.Ident // in signature order, nil for unnamed/_
 	kinds  []paramKind
 	// armsField is the receiver field (e.g. "conn") this method arms a
-	// deadline on, or "" — Client.armDeadline arms c.conn for its caller.
+	// deadline on, or "" — an arm() method on c.conn arms it for its caller.
 	armsField string
 	recvName  string // receiver ident name, for field matching
 	// readers maps each buffered reader over a conn to that conn.
@@ -519,7 +519,7 @@ func checkCall(pass *analysis.Pass, infos map[*types.Func]*funcInfo, readers map
 			return
 		}
 		// Method call that arms a deadline on a receiver field
-		// (c.armDeadline() arms c.conn).
+		// (c.arm() arms c.conn).
 		if fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func); fn != nil {
 			if fi := infos[fn]; fi != nil && fi.armsField != "" {
 				armed[exprString(sel.X)+"."+fi.armsField] = true

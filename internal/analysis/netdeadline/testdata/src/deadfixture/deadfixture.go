@@ -1,6 +1,6 @@
 // Package deadfixture exercises netdeadline: direct and helper-mediated
 // conn I/O with and without an armed deadline, discarded setter errors,
-// receiver-field arming (the Client.armDeadline shape), and reads
+// receiver-field arming (an arm method on a conn field), and reads
 // through a *bufio.Reader over a conn.
 package deadfixture
 
@@ -100,7 +100,7 @@ type client struct {
 }
 
 // arm arms a deadline on the receiver's conn field: calling it arms
-// c.conn for the caller (the relayd Client.armDeadline shape).
+// c.conn for the caller.
 func (c *client) arm() error {
 	return c.conn.SetDeadline(time.Now().Add(time.Second))
 }

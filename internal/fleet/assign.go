@@ -173,7 +173,9 @@ func (p *Pool) Clients() []*Client { return p.clients }
 func (p *Pool) Grants() uint64 { return p.grants }
 
 // AddClient registers a client and computes its fingerprint-ranked
-// preference order. The client starts unassigned.
+// preference order. The client starts unassigned. Every link must name a
+// registered relay; relays are never removed, so the placement walk
+// resolves each preference without a check.
 func (p *Pool) AddClient(c *Client) {
 	c.Assigned = Refused
 	c.prefs = rankPrefs(c.Links)
@@ -260,24 +262,42 @@ func (p *Pool) AssignAll() {
 	}
 }
 
-// assign walks the client's preference order and admits it to the first
-// live relay whose gate accepts. It reports success.
+// assign places an unassigned client, or leaves it Refused and counts
+// the refusal. It reports success.
 func (p *Pool) assign(c *Client) bool {
+	if p.place(c) {
+		return true
+	}
+	c.unassign()
+	p.Refusals++
+	return false
+}
+
+// place is the one placement walk. It tries the client's preferences in
+// rank order, skipping the relay it is on and every dark relay, and
+// admits it at the first gate that grants (admitAt). Only once the new
+// grant exists is the old leg, if any, released, so a move is
+// make-before-break and the aggregate admitted load never overshoots
+// either relay's budget. It books the grant and the enrolment, and
+// counts a spill when a better-ranked live relay refused. It reports
+// success; on failure the client's assignment is untouched.
+func (p *Pool) place(c *Client) bool {
 	sawLiveRefusal := false
 	for _, id := range c.prefs {
-		r, ok := p.reg.Get(id)
-		if !ok || !r.Live() {
+		if id == c.Assigned {
 			continue
 		}
-		l, ok := c.Link(id)
-		if !ok {
+		r, _ := p.reg.Get(id)
+		if !r.Live() {
 			continue
 		}
+		l, _ := c.Link(id)
 		dec, degraded, ok := p.admitAt(r, c, l)
 		if !ok {
 			sawLiveRefusal = true
 			continue
 		}
+		p.release(c)
 		c.Assigned = id
 		c.Grant = dec
 		c.Degraded = degraded
@@ -289,24 +309,23 @@ func (p *Pool) assign(c *Client) bool {
 		}
 		return true
 	}
-	c.Assigned = Refused
-	c.Grant = relay.AmpDecision{}
-	c.Degraded = false
-	c.Stranded = false
-	p.Refusals++
 	return false
 }
 
 // release undoes a client's current assignment: gate slot freed,
-// fingerprint forgotten.
+// fingerprint forgotten, assignment cleared.
 func (p *Pool) release(c *Client) {
 	if c.Assigned == Refused {
 		return
 	}
-	if r, ok := p.reg.Get(c.Assigned); ok {
-		r.ep.Release(sessionKey(c.ID))
-		r.cls.Forget(c.ID)
-	}
+	r, _ := p.reg.Get(c.Assigned)
+	r.ep.Release(sessionKey(c.ID))
+	r.cls.Forget(c.ID)
+	c.unassign()
+}
+
+// unassign clears the client's assignment state.
+func (c *Client) unassign() {
 	c.Assigned = Refused
 	c.Grant = relay.AmpDecision{}
 	c.Degraded = false

@@ -104,7 +104,7 @@ func BuildCell(cfg CellConfig) *Cell {
 				RelayID:    r.ID,
 				GainDB:     floorplan.AveragePowerGainDB(paths),
 				FP:         fp,
-				AffinityDB: fingerprintEnergyDB(fp),
+				AffinityDB: dsp.PowerDB(fp),
 			})
 		}
 		clients[i] = c
@@ -177,20 +177,6 @@ func randomPoint(src *rng.Source, plan *floorplan.Plan) floorplan.Point {
 	}
 }
 
-// fingerprintEnergyDB returns the mean subcarrier power of a fingerprint
-// in dB.
-func fingerprintEnergyDB(fp ident.Fingerprint) float64 {
-	if len(fp) == 0 {
-		return math.Inf(-1)
-	}
-	var e float64
-	for _, v := range fp {
-		e += real(v)*real(v) + imag(v)*imag(v)
-	}
-	e /= float64(len(fp))
-	return dsp.DB(e)
-}
-
 // Snapshot is one service-level evaluation of a cell: what every client
 // gets right now, TDMA-shared per serving node.
 type Snapshot struct {
@@ -222,20 +208,22 @@ func (cell *Cell) Evaluate() Snapshot {
 	params := ofdm.Default20MHz()
 	noiseFloorDBm := cfg.Pool.noiseFloorDBm()
 
+	// groups holds each serving node's client rates: one group per relay
+	// in registry order, then the AP's group of refused clients.
 	relays := p.reg.Relays()
-	relayClients := make([][]float64, len(relays))
+	groups := make([][]float64, len(relays)+1)
+	ap := len(relays)
 	relayIdx := make(map[int]int, len(relays))
 	for i, r := range relays {
 		relayIdx[r.ID] = i
 	}
 
 	var snap Snapshot
-	var apClients []float64
 	clientRates := make([]float64, 0, len(p.clients))
 	for _, c := range p.clients {
 		if c.Assigned == Refused {
 			rate := wifi.MaxSupportedRateMbps(params, c.DirectSNRdB, 1)
-			apClients = append(apClients, rate)
+			groups[ap] = append(groups[ap], rate)
 			clientRates = append(clientRates, rate)
 			snap.Refused++
 			continue
@@ -259,7 +247,7 @@ func (cell *Cell) Evaluate() Snapshot {
 		snrDB := dsp.DB(relayLin + directLin) // constructive combining
 		rate := wifi.MaxSupportedRateMbps(params, snrDB, 1)
 
-		relayClients[ri] = append(relayClients[ri], rate)
+		groups[ri] = append(groups[ri], rate)
 		clientRates = append(clientRates, rate)
 		snap.AmpsDB = append(snap.AmpsDB, c.Grant.AmpDB)
 		snap.Assigned++
@@ -267,7 +255,7 @@ func (cell *Cell) Evaluate() Snapshot {
 
 	// TDMA shares: each serving node splits its airtime equally.
 	shares := make([]float64, 0, len(clientRates))
-	for _, rates := range relayClients {
+	for _, rates := range groups {
 		if len(rates) == 0 {
 			continue
 		}
@@ -279,17 +267,6 @@ func (cell *Cell) Evaluate() Snapshot {
 		snap.AggregateMbps += mean
 		for range rates {
 			shares = append(shares, mean/float64(len(rates)))
-		}
-	}
-	if len(apClients) > 0 {
-		var mean float64
-		for _, v := range apClients {
-			mean += v
-		}
-		mean /= float64(len(apClients))
-		snap.AggregateMbps += mean
-		for range apClients {
-			shares = append(shares, mean/float64(len(apClients)))
 		}
 	}
 	if len(shares) > 0 {

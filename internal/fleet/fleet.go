@@ -105,15 +105,15 @@ func (r *Relay) Classifier() *ident.Classifier { return r.cls }
 // falls back to Config.RecoverSeverity.
 func (r *Relay) Live() bool { return !r.degraded }
 
+// severityLadder is the impair severity ladder a relay's health indexes;
+// SetHealth clamps every rank into it.
+var severityLadder = impair.SeverityLadder()
+
 // EffectiveCancellationDB returns the cancellation the relay achieves at
 // its current health: the ideal figure clipped by the severity rung's
 // impairment floor (impair.Profile.EffectiveCancellationDB).
 func (r *Relay) EffectiveCancellationDB(idealDB float64) float64 {
-	ladder := impair.SeverityLadder()
-	if r.severity < 0 || r.severity >= len(ladder) {
-		return idealDB
-	}
-	return ladder[r.severity].EffectiveCancellationDB(idealDB)
+	return severityLadder[r.severity].EffectiveCancellationDB(idealDB)
 }
 
 // Registry is the pool membership: relays in ascending-ID order. It is
@@ -136,16 +136,6 @@ func (g *Registry) Add(r *Relay) error {
 	copy(g.relays[i+1:], g.relays[i:])
 	g.relays[i] = r
 	return nil
-}
-
-// Remove deletes a relay by ID, reporting whether it was registered.
-func (g *Registry) Remove(id int) bool {
-	i := sort.Search(len(g.relays), func(i int) bool { return g.relays[i].ID >= id })
-	if i >= len(g.relays) || g.relays[i].ID != id {
-		return false
-	}
-	g.relays = append(g.relays[:i], g.relays[i+1:]...)
-	return true
 }
 
 // Get returns the relay with the given ID.

@@ -30,14 +30,14 @@ func TestRegistry(t *testing.T) {
 	if fmt.Sprint(ids) != "[1 2 3]" {
 		t.Fatalf("registry order %v, want ascending IDs", ids)
 	}
-	if !reg.Remove(2) || reg.Remove(2) {
-		t.Fatalf("Remove(2) should succeed once")
+	if r, ok := reg.Get(2); !ok || r.ID != 2 {
+		t.Fatalf("Get(2) = %v, %v; want relay 2", r, ok)
 	}
-	if _, ok := reg.Get(2); ok {
-		t.Fatalf("removed relay still resolvable")
+	if _, ok := reg.Get(4); ok {
+		t.Fatalf("unregistered relay resolvable")
 	}
-	if reg.Len() != 2 || reg.Live() != 2 {
-		t.Fatalf("Len=%d Live=%d, want 2/2", reg.Len(), reg.Live())
+	if reg.Len() != 3 || reg.Live() != 3 {
+		t.Fatalf("Len=%d Live=%d, want 3/3", reg.Len(), reg.Live())
 	}
 }
 

@@ -71,6 +71,16 @@ func TestHealthLatchTable(t *testing.T) {
 			seq:      []int{9, -3},
 			wantLive: []bool{false, true},
 		},
+		{
+			name:     "clamped-minus-one",
+			seq:      []int{3, -1},
+			wantLive: []bool{false, true},
+		},
+		{
+			name:     "clamped-ninety-nine",
+			seq:      []int{99, 2, 99, 1},
+			wantLive: []bool{false, false, false, true},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,6 +93,13 @@ func TestHealthLatchTable(t *testing.T) {
 				if r.Live() != tc.wantLive[i] {
 					t.Fatalf("step %d (severity %d): Live=%v, want %v",
 						i, sev, r.Live(), tc.wantLive[i])
+				}
+				// The clamp keeps the rank on the ladder, so the
+				// relay's cancellation is always a rung's floor.
+				want := min(max(sev, 0), len(severityLadder)-1)
+				if got, wantDB := r.EffectiveCancellationDB(110), severityLadder[want].EffectiveCancellationDB(110); got != wantDB {
+					t.Fatalf("step %d (severity %d): cancellation %v dB, want rung %d's %v dB",
+						i, sev, got, want, wantDB)
 				}
 			}
 		})

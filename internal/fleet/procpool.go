@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -193,19 +194,11 @@ func (pp *ProcessPool) Close() {
 				// A killed process always reports an error; only surface
 				// the unexpected shapes.
 				var ee *exec.ExitError
-				if !asExitError(err, &ee) {
+				if !errors.As(err, &ee) {
 					fmt.Fprintf(os.Stderr, "fleet: reaping relay %d daemon: %v\n", m.relay.ID, err)
 				}
 			}
 		}
 	}
 	pp.members = nil
-}
-
-func asExitError(err error, ee **exec.ExitError) bool {
-	e, ok := err.(*exec.ExitError)
-	if ok {
-		*ee = e
-	}
-	return ok
 }

@@ -17,8 +17,8 @@ func (p *Pool) SetHealth(relayID, severity int) bool {
 	if severity < 0 {
 		severity = 0
 	}
-	if severity > 4 {
-		severity = 4
+	if severity >= len(severityLadder) {
+		severity = len(severityLadder) - 1
 	}
 	r.severity = severity
 	if !r.degraded && severity >= p.cfg.DegradeSeverity {
@@ -53,15 +53,7 @@ func (p *Pool) Rebalance() int {
 			}
 			continue
 		}
-		r, ok := p.reg.Get(c.Assigned)
-		if !ok {
-			// Serving relay left the registry: the grant is gone with it.
-			c.Assigned = Refused
-			if p.assign(c) {
-				moved++
-			}
-			continue
-		}
+		r, _ := p.reg.Get(c.Assigned)
 		if r.Live() {
 			c.Stranded = false
 			continue
@@ -72,55 +64,13 @@ func (p *Pool) Rebalance() int {
 		if c.lastMoveGrant != 0 && p.grants-c.lastMoveGrant < p.cfg.MinDwellGrants {
 			continue
 		}
-		if p.migrate(c) {
+		if p.place(c) {
+			c.lastMoveGrant = p.grants
+			p.Migrations++
 			moved++
 		} else {
 			c.Stranded = true
 		}
 	}
 	return moved
-}
-
-// migrate moves a client off its current (dark) relay make-before-break:
-// admit on the best alternative first, release the old slot only after
-// the new grant exists. Reports success.
-func (p *Pool) migrate(c *Client) bool {
-	oldID := c.Assigned
-	sawLiveRefusal := false
-	for _, id := range c.prefs {
-		if id == oldID {
-			continue
-		}
-		r, ok := p.reg.Get(id)
-		if !ok || !r.Live() {
-			continue
-		}
-		l, ok := c.Link(id)
-		if !ok {
-			continue
-		}
-		dec, degraded, ok := p.admitAt(r, c, l)
-		if !ok {
-			sawLiveRefusal = true
-			continue
-		}
-		// Break the old leg only now that the new grant is sticky.
-		if old, ok := p.reg.Get(oldID); ok {
-			old.ep.Release(sessionKey(c.ID))
-			old.cls.Forget(c.ID)
-		}
-		c.Assigned = id
-		c.Grant = dec
-		c.Degraded = degraded
-		c.Stranded = false
-		r.cls.Enroll(c.ID, l.FP)
-		p.grants++
-		c.lastMoveGrant = p.grants
-		p.Migrations++
-		if sawLiveRefusal {
-			p.Spilled++
-		}
-		return true
-	}
-	return false
 }

@@ -228,10 +228,7 @@ func verifyOneWireSession(p *Pool) error {
 		if c.Assigned == Refused {
 			continue
 		}
-		r, ok := p.Registry().Get(c.Assigned)
-		if !ok {
-			continue
-		}
+		r, _ := p.Registry().Get(c.Assigned)
 		ep, ok := r.Endpoint().(*WireEndpoint)
 		if !ok {
 			return fmt.Errorf("fleet: relay %d is not wire-served", c.Assigned)

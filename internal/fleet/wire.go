@@ -27,7 +27,7 @@ type WireSpec struct {
 	CNFTaps      int
 	CFOHz        float64
 	// Timeout bounds each frame exchange; Attempts bounds dial retries
-	// (transient only — a refusal is terminal, relayd.Dial).
+	// (transient only — a refusal is terminal, relayd.DialTimeout).
 	Timeout  time.Duration
 	Attempts int
 }
@@ -73,11 +73,13 @@ func newWireMetrics(reg *obs.Registry) wireMetrics {
 	}
 }
 
-// wireSession is one admitted session's client plus everything needed to
-// rebuild its chain locally (bit-verification).
+// wireSession is one admitted session's client, its grant as decoded
+// from the ACCEPT frame, and everything needed to rebuild its chain
+// locally (bit-verification).
 type wireSession struct {
 	c      *relayd.Client
 	params relayd.SessionParams
+	dec    relay.AmpDecision
 }
 
 // WireEndpoint serves a relay's admission over the wire: Admit is a live
@@ -155,10 +157,10 @@ func (e *WireEndpoint) Admit(key string, sb relay.SessionBudget) (relay.AmpDecis
 	e.m.hellos.Inc(e.shard)
 	c, err := relayd.DialTimeout(e.addr, p, nil, e.spec.Attempts, e.spec.Timeout)
 	if err != nil {
-		var ref *relayd.RefusedError
+		var ref *relayd.Refuse
 		if errors.As(err, &ref) {
 			e.m.refused.Inc(e.shard)
-			return relay.AmpDecision{}, false, &relayd.Refuse{Code: ref.Code, Detail: ref.Detail}
+			return relay.AmpDecision{}, false, ref
 		}
 		e.m.ioErrors.Inc(e.shard)
 		return relay.AmpDecision{}, false, &relayd.Refuse{Code: relayd.RefuseUnreachable, Detail: err.Error()}
@@ -175,13 +177,14 @@ func (e *WireEndpoint) Admit(key string, sb relay.SessionBudget) (relay.AmpDecis
 		return relay.AmpDecision{}, false, &relayd.Refuse{
 			Code: relayd.RefuseProtocol, Detail: fmt.Sprintf("unknown amp bound %q", acc.AmpBound)}
 	}
-	e.sessions[key] = &wireSession{c: c, params: p}
-	e.m.accepted.Inc(e.shard)
-	return relay.AmpDecision{
+	dec := relay.AmpDecision{
 		AmpDB:               acc.AmpDB,
 		Bound:               bound,
 		StabilityHeadroomDB: acc.StabilityHeadroomDB,
-	}, acc.Degraded, nil
+	}
+	e.sessions[key] = &wireSession{c: c, params: p, dec: dec}
+	e.m.accepted.Inc(e.shard)
+	return dec, acc.Degraded, nil
 }
 
 // Release closes the session. The daemon frees the budget slot before it
@@ -200,75 +203,55 @@ func (e *WireEndpoint) Release(key string) bool {
 	return true
 }
 
-// query runs one QUERY/INFO round trip over the lazily-dialed control
-// connection, reconnecting once if the daemon idled it out.
-func (e *WireEndpoint) query() (relayd.Info, error) {
-	if e.info == nil {
-		ic, err := relayd.DialInfo(e.addr, e.spec.Timeout)
-		if err != nil {
-			return relayd.Info{}, err
+// query runs one QUERY/INFO round trip over the lazily dialed control
+// connection, redialing at most once (the daemon may have idled it out).
+// A success caches the daemon's load and session cap; a failure counts
+// one io_error.
+func (e *WireEndpoint) query() (relayd.Info, bool) {
+	for attempt := 0; attempt < 2; attempt++ {
+		if e.info == nil {
+			ic, err := relayd.DialInfo(e.addr, e.spec.Timeout)
+			if err != nil {
+				break
+			}
+			e.info = ic
 		}
-		e.info = ic
-	}
-	info, err := e.info.Query()
-	if err == nil {
-		e.m.loadQueries.Inc(e.shard)
-		return info, nil
-	}
-	e.info.Close() // stale control conn; the error told us all we need
-	ic, derr := relayd.DialInfo(e.addr, e.spec.Timeout)
-	if derr != nil {
+		info, err := e.info.Query()
+		if err == nil {
+			e.m.loadQueries.Inc(e.shard)
+			e.lastLoad = info.ResidualLoad
+			e.maxSessions, e.haveMax = info.MaxSessions, true
+			return info, true
+		}
+		e.info.Close() // stale control conn; the query error told us all we need
 		e.info = nil
-		return relayd.Info{}, derr
 	}
-	e.info = ic
-	info, err = e.info.Query()
-	if err != nil {
-		return relayd.Info{}, err
-	}
-	e.m.loadQueries.Inc(e.shard)
-	return info, nil
+	e.m.ioErrors.Inc(e.shard)
+	return relayd.Info{}, false
 }
 
-// ResidualLoad returns the daemon's aggregate residual load. A failed
-// query counts an io_error and returns the last observed value.
+// ResidualLoad returns the daemon's aggregate residual load, or the last
+// observed value if the query fails.
 func (e *WireEndpoint) ResidualLoad() float64 {
-	info, err := e.query()
-	if err != nil {
-		e.m.ioErrors.Inc(e.shard)
-		return e.lastLoad
-	}
-	e.lastLoad = info.ResidualLoad
-	e.maxSessions, e.haveMax = info.MaxSessions, true
-	return info.ResidualLoad
+	e.query()
+	return e.lastLoad
 }
 
-// Sessions returns the daemon's admitted session count. A failed query
-// counts an io_error and falls back to this endpoint's own books.
+// Sessions returns the daemon's admitted session count, or this
+// endpoint's own books if the query fails.
 func (e *WireEndpoint) Sessions() int {
-	info, err := e.query()
-	if err != nil {
-		e.m.ioErrors.Inc(e.shard)
-		return len(e.sessions)
+	if info, ok := e.query(); ok {
+		return info.Active
 	}
-	e.lastLoad = info.ResidualLoad
-	e.maxSessions, e.haveMax = info.MaxSessions, true
-	return info.Active
+	return len(e.sessions)
 }
 
-// MaxSessions returns the daemon's session cap (cached after the first
-// successful query; 0 — uncapped — if the daemon was never reachable).
+// MaxSessions returns the daemon's session cap, cached after the first
+// successful query (0 — uncapped — if the daemon was never reachable).
 func (e *WireEndpoint) MaxSessions() int {
-	if e.haveMax {
-		return e.maxSessions
+	if !e.haveMax {
+		e.query()
 	}
-	info, err := e.query()
-	if err != nil {
-		e.m.ioErrors.Inc(e.shard)
-		return 0
-	}
-	e.lastLoad = info.ResidualLoad
-	e.maxSessions, e.haveMax = info.MaxSessions, true
 	return e.maxSessions
 }
 
@@ -290,8 +273,7 @@ func (e *WireEndpoint) VerifySession(key string, blocks int) error {
 	rx := src.NoiseVector(blocks*n, 1)
 	out := make([]complex128, n)
 	want := make([]complex128, n)
-	dec, _ := e.Decision(key)
-	ref, refCancel := relayd.BuildSessionChain(p, dec.AmpDB)
+	ref, refCancel := relayd.BuildSessionChain(p, s.dec.AmpDB)
 	for b := 0; b < blocks; b++ {
 		off := b * n
 		if err := s.c.Process(out, rx[off:off+n], tx[off:off+n]); err != nil {
@@ -311,22 +293,6 @@ func (e *WireEndpoint) VerifySession(key string, blocks int) error {
 	}
 	e.m.verified.Inc(e.shard)
 	return nil
-}
-
-// Decision returns the amplification the daemon granted an admitted
-// session, reconstructed from its ACCEPT frame.
-func (e *WireEndpoint) Decision(key string) (relay.AmpDecision, bool) {
-	s, ok := e.sessions[key]
-	if !ok {
-		return relay.AmpDecision{}, false
-	}
-	acc := s.c.Accept()
-	bound, _ := relay.ParseAmpBound(acc.AmpBound)
-	return relay.AmpDecision{
-		AmpDB:               acc.AmpDB,
-		Bound:               bound,
-		StabilityHeadroomDB: acc.StabilityHeadroomDB,
-	}, true
 }
 
 // ActiveSessions returns the keys of this endpoint's admitted sessions

@@ -267,7 +267,7 @@ func (s *Session) RunSoundingExchange() error {
 	// 3. Amplification and filter from estimates. The receive power at the
 	// relay is measured directly (RSSI) rather than inferred from the
 	// channel estimate.
-	rdGain := meanGainDB(s.hrdEst)
+	rdGain := dsp.PowerDB(s.hrdEst)
 	s.ampDB = cnf.AmplificationLimitDB(s.CancellationDB, -rdGain)
 	rxAtRelayDBm := dsp.DBm(rxAtRelayMW / 1000)
 	if pa := s.RelayMaxTxDBm - rxAtRelayDBm; pa < s.ampDB {
@@ -369,18 +369,6 @@ func retryEstimate(n int, fn func() ([]complex128, float64, error)) ([]complex12
 		}
 	}
 	return nil, 0, err
-}
-
-// meanGainDB is the average power gain of a channel estimate in dB.
-func meanGainDB(h []complex128) float64 {
-	var g float64
-	for _, v := range h {
-		g += real(v)*real(v) + imag(v)*imag(v)
-	}
-	if len(h) == 0 || g == 0 {
-		return math.Inf(-1)
-	}
-	return dsp.DB(g / float64(len(h)))
 }
 
 // fitPreFilter least-squares fits the desired per-subcarrier response onto

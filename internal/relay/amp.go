@@ -115,10 +115,9 @@ func ChooseAmplificationResidualDB(cancellationDB, rdAttenDB, paHeadroomDB, rxOv
 	beta := math.Pow(10, (rxOverNoiseDB-cancellationDB)/10)
 	if beta > 0 && !math.IsInf(cancellationDB, 1) {
 		target := math.Pow(10, noiseBound/10)
-		// Positive root of βA² + A − target, in the rationalized form that
-		// stays numerically stable as β → 0 (the naive (√(1+4βt)−1)/(2β)
-		// cancels catastrophically there and collapses to zero gain).
-		a := 2 * target / (1 + math.Sqrt(1+4*beta*target))
+		// Positive root of βA² + A − target: the shared-floor root at
+		// zero external load.
+		a := noiseBoundShared(beta, 0, target)
 		noiseBound = 10 * math.Log10(a)
 	}
 	return chooseAmp(cancellationDB, noiseBound, paHeadroomDB, noiseRule)

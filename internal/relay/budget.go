@@ -54,8 +54,9 @@ func betaOf(s SessionBudget) float64 {
 // noiseBoundShared solves the shared-floor noise rule for the largest
 // admissible linear amplification: the positive root of
 // β·A² + (1+L)·A − target, in the rationalized form that stays stable as
-// β → 0 (see ChooseAmplificationResidualDB). extLoad is L, the other
-// sessions' aggregate residual load.
+// β → 0 (the naive (√((1+L)²+4βt)−(1+L))/(2β) cancels catastrophically
+// there and collapses to zero gain). extLoad is L, the other sessions'
+// aggregate residual load.
 func noiseBoundShared(beta, extLoad, target float64) float64 {
 	ext := 1 + extLoad
 	if beta <= 0 {

@@ -3,104 +3,107 @@ package relayd
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"time"
 )
 
-// Client is one side of a relay session: it performs the HELLO handshake,
-// streams DATA blocks, and collects the final STATS. A Client is not safe
-// for concurrent use; it mirrors the daemon's one-block-in-flight
+// clientConn is the client side of one daemon connection, shared by
+// Client and InfoClient. It is not safe for concurrent use: one exchange
+// is in flight at a time, mirroring the daemon's one-block-in-flight
 // discipline.
-type Client struct {
+type clientConn struct {
 	conn net.Conn
-	// br reads conn through a window of max(controlWindow, one OUT
-	// frame); the first Process grows it from the handshake's
-	// controlWindow when an OUT frame needs more.
-	br     *bufio.Reader
-	params SessionParams
-	accept Accept
-	// data is the DATA frame: header, then rx, then the reference.
-	data    []byte
-	blocks  uint64
+	// br reads conn through a window of at least controlWindow bytes;
+	// roundTrip grows it when a reply needs more.
+	br *bufio.Reader
+	// timeout bounds each exchange (zero: block indefinitely).
 	timeout time.Duration
 }
 
-// armConnDeadline arms (timeout > 0) or clears (timeout == 0) the conn's
-// combined read/write deadline ahead of a frame exchange.
-func armConnDeadline(conn net.Conn, timeout time.Duration) error {
-	var t time.Time
-	if timeout > 0 {
-		t = time.Now().Add(timeout)
+func newClientConn(conn net.Conn, timeout time.Duration) clientConn {
+	return clientConn{conn: conn, br: bufio.NewReaderSize(conn, controlWindow), timeout: timeout}
+}
+
+// roundTrip is every client exchange. It arms the conn's deadline (or
+// clears it when timeout is zero), writes frame as a typ frame, grows the
+// read window to window bytes if it is smaller, and reads one reply. A
+// REFUSE reply is returned as its *Refuse; any other type but want is a
+// protocol error. The payload is a view of the read window, valid until
+// the next exchange. A conn whose deadline cannot be armed is closed.
+func (c *clientConn) roundTrip(typ byte, frame []byte, want byte, window int) ([]byte, error) {
+	var deadline time.Time
+	if c.timeout > 0 {
+		deadline = time.Now().Add(c.timeout)
 	}
-	return conn.SetDeadline(t)
+	if err := c.conn.SetDeadline(deadline); err != nil {
+		c.conn.Close()
+		return nil, err
+	}
+	if err := writeFrame(c.conn, typ, frame); err != nil {
+		return nil, err
+	}
+	if c.br.Size() < window {
+		c.br = rewindow(c.conn, c.br, window)
+	}
+	got, payload, err := readFrame(c.br)
+	switch {
+	case err != nil:
+		return nil, err
+	case got == want:
+		return payload, nil
+	case got == FrameRefuse:
+		ref := &Refuse{}
+		if err := json.Unmarshal(payload, ref); err != nil {
+			return nil, err
+		}
+		return nil, ref
+	}
+	return nil, fmt.Errorf("relayd: got frame type %d, want %d", got, want)
 }
 
-// armDeadline arms the client's configured deadline before each round
-// trip, so a stuck daemon surfaces as a timeout instead of a hang.
-func (c *Client) armDeadline() error {
-	return armConnDeadline(c.conn, c.timeout)
+// Client is one side of a relay session: it performs the HELLO handshake,
+// streams DATA blocks, and collects the final STATS. A Client is not safe
+// for concurrent use.
+type Client struct {
+	clientConn
+	params SessionParams
+	accept Accept
+	// data is the DATA frame: header, then rx, then the reference.
+	data   []byte
+	blocks uint64
 }
 
-// NewClientConn runs the handshake over an established connection with no
-// I/O timeout. On refusal it returns a *RefusedError and closes the
+// NewClientConnTimeout runs the handshake over an established connection
+// with a per-exchange I/O timeout (zero means block indefinitely); the
+// handshake itself and every later Process/Close round trip are bounded
+// by it. On refusal it returns the daemon's *Refuse and closes the
 // connection.
-func NewClientConn(conn net.Conn, params SessionParams) (*Client, error) {
-	return NewClientConnTimeout(conn, params, 0)
-}
-
-// NewClientConnTimeout is NewClientConn with a per-exchange I/O timeout
-// (zero means block indefinitely); the handshake itself and every later
-// Process/Close round trip are bounded by it.
 func NewClientConnTimeout(conn net.Conn, params SessionParams, timeout time.Duration) (*Client, error) {
-	if err := armConnDeadline(conn, timeout); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := writeJSONFrame(conn, FrameHello, params); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	br := bufio.NewReaderSize(conn, controlWindow)
-	typ, payload, err := readFrame(br)
+	hello, err := jsonFrame(params)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	switch typ {
-	case FrameAccept:
-		c := &Client{conn: conn, br: br, params: params,
-			data:    make([]byte, frameHeaderLen+2*params.BlockSamples*SampleBytes),
-			timeout: timeout}
-		if err := json.Unmarshal(payload, &c.accept); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		return c, nil
-	case FrameRefuse:
-		var ref Refuse
-		if err := json.Unmarshal(payload, &ref); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		conn.Close()
-		return nil, &RefusedError{Code: ref.Code, Detail: ref.Detail}
-	default:
-		conn.Close()
-		return nil, fmt.Errorf("relayd: unexpected handshake frame type %d", typ)
+	c := &Client{clientConn: newClientConn(conn, timeout), params: params}
+	payload, err := c.roundTrip(FrameHello, hello, FrameAccept, 0)
+	if err == nil {
+		err = json.Unmarshal(payload, &c.accept)
 	}
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	c.data = make([]byte, frameHeaderLen+2*params.BlockSamples*SampleBytes)
+	return c, nil
 }
 
-// Dial connects to a daemon with reconnect backoff and no I/O timeout:
-// transient dial errors retry up to attempts times, but a refusal from
-// the daemon is terminal — the admission verdict will not change by
-// retrying.
-func Dial(addr string, params SessionParams, bo *Backoff, attempts int) (*Client, error) {
-	return DialTimeout(addr, params, bo, attempts, 0)
-}
-
-// DialTimeout is Dial with a per-exchange I/O timeout applied to the
-// handshake and every later round trip (zero means block indefinitely).
+// DialTimeout connects to a daemon with reconnect backoff and a
+// per-exchange I/O timeout applied to the handshake and every later
+// round trip (zero means block indefinitely). Transient dial errors retry
+// up to attempts times, but a refusal from the daemon is terminal — the
+// admission verdict will not change by retrying.
 func DialTimeout(addr string, params SessionParams, bo *Backoff, attempts int, timeout time.Duration) (*Client, error) {
 	if bo == nil {
 		bo = &Backoff{}
@@ -120,8 +123,8 @@ func DialTimeout(addr string, params SessionParams, bo *Backoff, attempts int, t
 		}
 		c, err := NewClientConnTimeout(conn, params, timeout)
 		if err != nil {
-			var ref *RefusedError
-			if asRefused(err, &ref) {
+			var ref *Refuse
+			if errors.As(err, &ref) {
 				return nil, err
 			}
 			lastErr = err
@@ -131,14 +134,6 @@ func DialTimeout(addr string, params SessionParams, bo *Backoff, attempts int, t
 		return c, nil
 	}
 	return nil, fmt.Errorf("relayd: dial %s failed after %d attempts: %w", addr, attempts, lastErr)
-}
-
-func asRefused(err error, ref **RefusedError) bool {
-	r, ok := err.(*RefusedError)
-	if ok {
-		*ref = r
-	}
-	return ok
 }
 
 // Accept returns the daemon's admission grant for this session.
@@ -155,46 +150,36 @@ func (c *Client) Process(out, rx, ref []complex128) error {
 	}
 	samplesToBytes(c.data[frameHeaderLen:frameHeaderLen+n*SampleBytes], rx)
 	samplesToBytes(c.data[frameHeaderLen+n*SampleBytes:], ref)
-	if err := c.armDeadline(); err != nil {
-		c.conn.Close()
-		return err
-	}
-	if err := writeFrame(c.conn, FrameData, c.data); err != nil {
-		return err
-	}
-	if size := frameHeaderLen + n*SampleBytes; c.br.Size() < size {
-		c.br = rewindow(c.conn, c.br, size)
-	}
-	typ, payload, err := readFrame(c.br)
+	payload, err := c.roundTrip(FrameData, c.data, FrameOut, frameHeaderLen+n*SampleBytes)
 	if err != nil {
 		return err
 	}
-	switch typ {
-	case FrameOut:
-		if len(payload) != n*SampleBytes {
-			return fmt.Errorf("relayd: OUT frame carries %d bytes, want %d", len(payload), n*SampleBytes)
-		}
-		bytesToSamples(out, payload)
-		c.blocks++
-		return nil
-	case FrameRefuse:
-		var ref Refuse
-		if err := json.Unmarshal(payload, &ref); err != nil {
-			return err
-		}
-		return &RefusedError{Code: ref.Code, Detail: ref.Detail}
-	default:
-		return fmt.Errorf("relayd: unexpected frame type %d mid-stream", typ)
+	if len(payload) != n*SampleBytes {
+		return fmt.Errorf("relayd: OUT frame carries %d bytes, want %d", len(payload), n*SampleBytes)
 	}
+	bytesToSamples(out, payload)
+	c.blocks++
+	return nil
+}
+
+// Close ends the stream with DONE, returns the daemon's final Stats, and
+// closes the connection.
+func (c *Client) Close() (Stats, error) {
+	defer c.conn.Close()
+	var st Stats
+	payload, err := c.roundTrip(FrameDone, make([]byte, frameHeaderLen), FrameStats, 0)
+	if err != nil {
+		return st, err
+	}
+	err = json.Unmarshal(payload, &st)
+	return st, err
 }
 
 // InfoClient is a control connection to a daemon: it issues QUERY frames
 // and reads back INFO snapshots of the admission state. Like Client it is
 // not safe for concurrent use — one query in flight at a time.
 type InfoClient struct {
-	conn    net.Conn
-	br      *bufio.Reader
-	timeout time.Duration
+	clientConn
 }
 
 // DialInfo opens a control connection with a per-exchange I/O timeout
@@ -208,59 +193,19 @@ func DialInfo(addr string, timeout time.Duration) (*InfoClient, error) {
 }
 
 func newInfoClient(conn net.Conn, timeout time.Duration) *InfoClient {
-	return &InfoClient{conn: conn, br: bufio.NewReaderSize(conn, controlWindow), timeout: timeout}
+	return &InfoClient{newClientConn(conn, timeout)}
 }
 
 // Query performs one QUERY/INFO round trip.
 func (c *InfoClient) Query() (Info, error) {
 	var info Info
-	if err := armConnDeadline(c.conn, c.timeout); err != nil {
-		c.conn.Close()
-		return info, err
-	}
-	if err := writeFrame(c.conn, FrameQuery, make([]byte, frameHeaderLen)); err != nil {
-		return info, err
-	}
-	typ, payload, err := readFrame(c.br)
+	payload, err := c.roundTrip(FrameQuery, make([]byte, frameHeaderLen), FrameInfo, 0)
 	if err != nil {
 		return info, err
 	}
-	switch typ {
-	case FrameInfo:
-		err = json.Unmarshal(payload, &info)
-		return info, err
-	case FrameRefuse:
-		var ref Refuse
-		if err := json.Unmarshal(payload, &ref); err != nil {
-			return info, err
-		}
-		return info, &RefusedError{Code: ref.Code, Detail: ref.Detail}
-	default:
-		return info, fmt.Errorf("relayd: unexpected frame type %d on query connection", typ)
-	}
+	err = json.Unmarshal(payload, &info)
+	return info, err
 }
 
 // Close closes the control connection.
 func (c *InfoClient) Close() error { return c.conn.Close() }
-
-// Close ends the stream with DONE, returns the daemon's final Stats, and
-// closes the connection.
-func (c *Client) Close() (Stats, error) {
-	defer c.conn.Close()
-	var st Stats
-	if err := c.armDeadline(); err != nil {
-		return st, err
-	}
-	if err := writeFrame(c.conn, FrameDone, make([]byte, frameHeaderLen)); err != nil {
-		return st, err
-	}
-	typ, payload, err := readFrame(c.br)
-	if err != nil {
-		return st, err
-	}
-	if typ != FrameStats {
-		return st, fmt.Errorf("relayd: expected STATS, got frame type %d", typ)
-	}
-	err = json.Unmarshal(payload, &st)
-	return st, err
-}

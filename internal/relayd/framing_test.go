@@ -80,7 +80,7 @@ func TestOneWritePerFrame(t *testing.T) {
 	t.Run("session", func(t *testing.T) {
 		p := testParams(5)
 		client, daemon := serve()
-		c, err := NewClientConn(client, p)
+		c, err := NewClientConnTimeout(client, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,10 +128,10 @@ func TestOneWritePerFrame(t *testing.T) {
 		p := testParams(6)
 		p.BlockSamples = 0
 		client, daemon := serve()
-		_, err := NewClientConn(client, p)
-		var ref *RefusedError
+		_, err := NewClientConnTimeout(client, p, 0)
+		var ref *Refuse
 		if !errors.As(err, &ref) || ref.Code != RefuseBadHello {
-			t.Fatalf("NewClientConn = %v, want a %s refusal", err, RefuseBadHello)
+			t.Fatalf("NewClientConnTimeout = %v, want a %s refusal", err, RefuseBadHello)
 		}
 		checkWrites(t, "client", client.log(), [][]byte{wireFrame(FrameHello, mustJSON(t, p))})
 		checkWrites(t, "daemon", daemon.log(), [][]byte{

@@ -158,10 +158,16 @@ const (
 	RefuseUnreachable = "unreachable"
 )
 
-// Refuse is the REFUSE payload.
+// Refuse is the REFUSE payload. It is also the error a client returns
+// when the daemon refused the session (or a frame mid-session).
 type Refuse struct {
 	Code   string `json:"code"`
 	Detail string `json:"detail,omitempty"`
+}
+
+// Error formats the refusal.
+func (r *Refuse) Error() string {
+	return fmt.Sprintf("relayd: refused (%s): %s", r.Code, r.Detail)
 }
 
 // Stats is the STATS payload: the session's final accounting.
@@ -188,18 +194,6 @@ type Info struct {
 	Draining bool `json:"draining"`
 }
 
-// RefusedError is returned by the client when the daemon refused the
-// session (or mid-session on a protocol violation).
-type RefusedError struct {
-	Code   string
-	Detail string
-}
-
-// Error formats the refusal.
-func (e *RefusedError) Error() string {
-	return fmt.Sprintf("relayd: refused (%s): %s", e.Code, e.Detail)
-}
-
 // writeFrame emits one frame with one Write. frame is the whole frame:
 // its first frameHeaderLen bytes are reserved for the header, which
 // writeFrame stamps for the payload that follows. The frame is borrowed
@@ -215,15 +209,25 @@ func writeFrame(w io.Writer, typ byte, frame []byte) error {
 	return err
 }
 
-// writeJSONFrame marshals v into a fresh frame of the given type and
-// emits it.
-func writeJSONFrame(w io.Writer, typ byte, v any) error {
+// jsonFrame marshals v into a fresh frame, its header left for
+// writeFrame to stamp.
+func jsonFrame(v any) ([]byte, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	frame := make([]byte, frameHeaderLen+len(body))
 	copy(frame[frameHeaderLen:], body)
+	return frame, nil
+}
+
+// writeJSONFrame marshals v into a fresh frame of the given type and
+// emits it.
+func writeJSONFrame(w io.Writer, typ byte, v any) error {
+	frame, err := jsonFrame(v)
+	if err != nil {
+		return err
+	}
 	return writeFrame(w, typ, frame)
 }
 

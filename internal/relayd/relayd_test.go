@@ -47,7 +47,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *obs.Registry) {
 func pipeSession(srv *Server, p SessionParams) (*Client, error) {
 	cs, ss := net.Pipe()
 	go srv.ServeConn(ss)
-	return NewClientConn(cs, p)
+	return NewClientConnTimeout(cs, p, 0)
 }
 
 // runVerifiedSession streams nBlocks of p.BlockSamples through the daemon
@@ -232,9 +232,9 @@ func TestAdmissionRefusalAtResidualBudgetBoundary(t *testing.T) {
 		if err == nil {
 			t.Fatalf("admission %d: mirror refused (%v), daemon accepted", i, mirrorErr)
 		}
-		var ref *RefusedError
+		var ref *Refuse
 		if !errors.As(err, &ref) || ref.Code != RefuseBudget {
-			t.Fatalf("admission %d: want RefusedError code %q, got %v", i, RefuseBudget, err)
+			t.Fatalf("admission %d: want *Refuse code %q, got %v", i, RefuseBudget, err)
 		}
 		refusedAt = i
 		break
@@ -365,9 +365,9 @@ func TestGracefulDrain(t *testing.T) {
 	if _, err := pipeSession(srv, testParams(8)); err == nil {
 		t.Fatal("daemon admitted a session while draining")
 	} else {
-		var refz *RefusedError
+		var refz *Refuse
 		if !errors.As(err, &refz) || refz.Code != RefuseDraining {
-			t.Fatalf("want RefusedError code %q, got %v", RefuseDraining, err)
+			t.Fatalf("want *Refuse code %q, got %v", RefuseDraining, err)
 		}
 	}
 
@@ -440,9 +440,9 @@ func TestSessionLimitRefusal(t *testing.T) {
 		clients = append(clients, c)
 	}
 	_, err := pipeSession(srv, testParams(30))
-	var ref *RefusedError
+	var ref *Refuse
 	if !errors.As(err, &ref) || ref.Code != RefuseSessionLimit {
-		t.Fatalf("want RefusedError code %q, got %v", RefuseSessionLimit, err)
+		t.Fatalf("want *Refuse code %q, got %v", RefuseSessionLimit, err)
 	}
 	if got := reg.Counter("relayd.sessions_refused.limit", "sessions").Value(); got != 1 {
 		t.Fatalf("relayd.sessions_refused.limit = %d, want 1", got)

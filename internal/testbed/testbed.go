@@ -461,7 +461,7 @@ func (tb *Testbed) evaluateSISO(ev *Evaluation, shard int, imp *impairState, sdP
 	// Half-duplex mesh.
 	r1 := phyrate.SISORateMbps(p, hsr, txMW, n0, nil)
 	r2 := phyrate.SISORateMbps(p, hrd, txMW, n0, nil)
-	ev.HalfDuplexMbps = bestHalfDuplex(ev.APOnlyMbps, r1, r2)
+	ev.HalfDuplexMbps = relay.BestHalfDuplexRate(ev.APOnlyMbps, r1, r2)
 
 	// Relay (FF or amplify-only; a client whose relay aged out its filter
 	// degrades to the amplify-only branch).
@@ -544,7 +544,7 @@ func (tb *Testbed) evaluateMIMO(ev *Evaluation, src *rng.Source, shard int, imp 
 	// Half-duplex mesh (MIMO on both hops).
 	r1 := phyrate.MIMORateMbps(p, Hsr, nil, txMW, n0).RateMbps
 	r2 := phyrate.MIMORateMbps(p, Hrd, nil, txMW, n0).RateMbps
-	ev.HalfDuplexMbps = bestHalfDuplex(ev.APOnlyMbps, r1, r2)
+	ev.HalfDuplexMbps = relay.BestHalfDuplexRate(ev.APOnlyMbps, r1, r2)
 
 	// Relay filter.
 	var FA []*linalg.Matrix
@@ -612,17 +612,6 @@ func (tb *Testbed) RunAll() []Evaluation {
 	return par.Map(len(grid), tb.cfg.Workers, func(i int) Evaluation {
 		return tb.EvaluateClient(grid[i])
 	})
-}
-
-func bestHalfDuplex(direct, r1, r2 float64) float64 {
-	two := 0.0
-	if r1 > 0 && r2 > 0 {
-		two = r1 * r2 / (r1 + r2)
-	}
-	if direct > two {
-		return direct
-	}
-	return two
 }
 
 func meanSNRdB(h []complex128, txMW, n0 float64) float64 {
