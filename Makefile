@@ -46,13 +46,13 @@ vet:
 # bin/fflint so repeated lints (and CI) reuse the compile. Before the
 # analyzers run, lint fails if gofmt -l lists any Go file of the root
 # module or of bench/ (hidden build directories such as .bench_build are
-# skipped).
-GOFMT ?= gofmt
+# skipped), or if gofmt cannot parse one. gofmt is the one shipped with
+# the toolchain $(GO) names, so the gate formats as the build does.
 bin/fflint: $(shell find cmd/fflint internal/analysis -name '*.go' -not -path '*/testdata/*')
 	$(GO) build -o bin/fflint ./cmd/fflint
 
 lint: build bin/fflint
-	@unformatted="$$(find . -name '*.go' -not -path './.*' | xargs $(GOFMT) -l)"; \
+	@unformatted="$$(find . -name '*.go' -not -path './.*' | xargs "$$($(GO) env GOROOT)/bin/gofmt" -l)" || exit 1; \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	./bin/fflint ./...
 
