@@ -9,14 +9,14 @@
 # internal/ident, and the testbed's parallel paths) with a drift guard
 # (racecheck) that fails if a concurrent package is missing from that
 # list, a manifest smoke run of ffsim's figure families (see
-# OBSERVABILITY.md), and the fleet sweep smokes — local gates and the
-# served wire mode against real ffrelayd subprocesses (DESIGN.md §11,
-# OPERATIONS.md).
+# OBSERVABILITY.md), a byte-for-byte check of the examples' stdout, and
+# the fleet sweep smokes — local gates and the served wire mode against
+# real ffrelayd subprocesses (DESIGN.md §11, OPERATIONS.md).
 
 GO ?= go
 SMOKE := .smoke
 
-.PHONY: all build test vet lint race racecheck check bench bench-allocs bench-sessions bench-kit manifest-smoke daemon-smoke fleet-smoke fleet-served-smoke fuzz-smoke
+.PHONY: all build test vet lint race racecheck check bench bench-allocs bench-sessions bench-kit manifest-smoke daemon-smoke fleet-smoke fleet-served-smoke fuzz-smoke examples-smoke
 
 all: check
 
@@ -74,7 +74,7 @@ race:
 racecheck:
 	$(GO) run ./cmd/racecheck
 
-check: test vet lint race racecheck manifest-smoke daemon-smoke fleet-smoke fleet-served-smoke
+check: test vet lint race racecheck manifest-smoke examples-smoke daemon-smoke fleet-smoke fleet-served-smoke
 
 # Run ffsim with -manifest on tiny configurations of its figure families
 # (the Fig 12 sweep, the Figs 1-2 maps, the Sec 3.3 cancellation stage
@@ -97,6 +97,21 @@ manifest-smoke: build
 	$(SMOKE)/manifestcheck -require sic.analog_db,sic.total_db,sic.tune_iterations $(SMOKE)/cancel.json
 	$(SMOKE)/ffsim -fig 21 -ident-locations 4 -ident-packets 50 -sic-trials 0 -manifest $(SMOKE)/fig21.json > /dev/null
 	$(SMOKE)/manifestcheck -require ident.locations,ident.packets $(SMOKE)/fig21.json
+	rm -rf $(SMOKE)
+
+# Every examples/ program is deterministic: build each once into $(SMOKE),
+# run it, and compare its stdout byte for byte with
+# examples/testdata/<name>.txt. An example without a recording fails.
+# After an intended output change, re-record with
+#   go run ./examples/<name> > examples/testdata/<name>.txt
+examples-smoke: build
+	rm -rf $(SMOKE) && mkdir -p $(SMOKE)
+	for m in examples/*/main.go; do \
+		e=$$(basename $$(dirname $$m)); \
+		$(GO) build -o $(SMOKE)/$$e ./examples/$$e && \
+		$(SMOKE)/$$e > $(SMOKE)/$$e.txt && \
+		cmp $(SMOKE)/$$e.txt examples/testdata/$$e.txt || exit 1; \
+	done
 	rm -rf $(SMOKE)
 
 # End-to-end daemon check (see OPERATIONS.md): one process starts a real
