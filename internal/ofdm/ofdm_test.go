@@ -280,7 +280,7 @@ func TestChannelEstimationFlat(t *testing.T) {
 	p, _, _, pr := defaultSetup()
 	g := complex(0.6, -0.3)
 	rx := dsp.ScaleC(pr.Samples(), g)
-	h := EstimateChannel(rx, pr)
+	h, _ := EstimateChannel(rx, pr)
 	for _, k := range p.UsedCarriers() {
 		if k < -26 || k > 26 {
 			continue // legacy LTF spans ±26 only
@@ -291,11 +291,34 @@ func TestChannelEstimationFlat(t *testing.T) {
 	}
 }
 
+func TestChannelEstimationNoiseVariance(t *testing.T) {
+	p, _, _, pr := defaultSetup()
+	clean := dsp.ScaleC(pr.Samples(), complex(0.6, -0.3))
+	if _, nv := EstimateChannel(clean, pr); nv != 1e-12 {
+		t.Errorf("noiseless noise variance %g, want the 1e-12 floor", nv)
+	}
+	// Unnormalized FFT: white noise of variance s2 per sample has variance
+	// NFFT·s2 per bin.
+	const s2 = 1e-3
+	src := rng.New(7)
+	noisy := dsp.Add(clean, src.NoiseVector(len(clean), s2))
+	h, nv := EstimateChannel(noisy, pr)
+	if h == nil {
+		t.Fatal("no estimate from a full preamble")
+	}
+	if want := float64(p.NFFT) * s2; math.Abs(nv-want) > 0.3*want {
+		t.Errorf("noise variance %g, want %g ± 30%%", nv, want)
+	}
+	if h, nv := EstimateChannel(noisy[:len(noisy)-1], pr); h != nil || nv != 0 {
+		t.Errorf("truncated preamble gave (%v, %g), want (nil, 0)", h != nil, nv)
+	}
+}
+
 func TestChannelEstimationMultipath(t *testing.T) {
 	p, _, _, pr := defaultSetup()
 	taps := []complex128{0.8, 0, 0.4i, 0, 0, -0.2}
 	rx := dsp.FilterSame(pr.Samples(), taps)
-	h := EstimateChannel(rx, pr)
+	h, _ := EstimateChannel(rx, pr)
 	for k := -26; k <= 26; k++ {
 		if k == 0 {
 			continue
@@ -318,7 +341,7 @@ func TestEqualizerRecoversData(t *testing.T) {
 	taps := []complex128{0.9, 0.3i, -0.1}
 	rx := dsp.FilterSame(tx, taps)
 
-	h := EstimateChannel(rx, pr)
+	h, _ := EstimateChannel(rx, pr)
 	// The legacy LTF only sounds ±26; extend the estimate to ±28 by copying
 	// the edge (adequate for smooth channels; wifi layer restricts to ±26).
 	for _, k := range []int{27, 28} {
@@ -351,7 +374,7 @@ func TestEqualizerTracksResidualPhase(t *testing.T) {
 	rot := cmplx.Exp(complex(0, 0.22)) // common phase error on the data symbol
 	rx := append(dsp.Clone(tx[:pr.Len()]), dsp.ScaleC(tx[pr.Len():], rot)...)
 
-	h := EstimateChannel(rx, pr)
+	h, _ := EstimateChannel(rx, pr)
 	eq := NewEqualizer(p, h)
 	raw, pilots, _ := dem.Symbol(rx[pr.Len():])
 	got := eq.Symbol(raw, pilots)

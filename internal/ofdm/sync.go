@@ -104,7 +104,7 @@ func DetectPacket(rx []complex128, pr *Preamble) (int, bool) {
 		return 0, false
 	}
 	// Derotate the search region once.
-	region := CorrectCFO(rx[lo:minI(hi+len(ltfRef), len(rx))], coarseCFO, pr.p.SampleRate)
+	region := CorrectCFO(rx[lo:min(hi+len(ltfRef), len(rx))], coarseCFO, pr.p.SampleRate)
 	ltfE := energyOf(ltfRef)
 	bestC := -1.0
 	ltfPos := -1
@@ -131,13 +131,6 @@ func DetectPacket(rx []complex128, pr *Preamble) (int, bool) {
 		start = 0
 	}
 	return start, true
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func sq(v complex128) float64 {
@@ -204,12 +197,15 @@ func CorrectCFO(rx []complex128, cfoHz float64, sampleRate float64) []complex128
 
 // EstimateChannel computes the per-subcarrier channel estimate from the two
 // LTF symbols of a synchronized, CFO-corrected preamble starting at rx[0].
-// It returns H over all NFFT bins (zero where the LTF has no energy).
-func EstimateChannel(rx []complex128, pr *Preamble) []complex128 {
+// It returns H over all NFFT bins (zero where the LTF has no energy) and
+// the post-FFT per-subcarrier noise variance, measured from the difference
+// of the two (identical when noiseless) LTF symbols over the used
+// subcarriers. A preamble cut short returns (nil, 0).
+func EstimateChannel(rx []complex128, pr *Preamble) ([]complex128, float64) {
 	p := pr.p
 	o1, o2 := pr.LTFSymbolOffsets()
 	if o2+p.NFFT > len(rx) {
-		return nil
+		return nil, 0
 	}
 	b1 := fft.Forward(rx[o1 : o1+p.NFFT])
 	b2 := fft.Forward(rx[o2 : o2+p.NFFT])
@@ -221,7 +217,17 @@ func EstimateChannel(rx []complex128, pr *Preamble) []complex128 {
 		}
 		h[i] = (b1[i] + b2[i]) / (2 * ref)
 	}
-	return h
+	used := p.UsedCarriers()
+	var acc float64
+	for _, k := range used {
+		acc += sq(b1[p.bin(k)] - b2[p.bin(k)])
+	}
+	// Var(B1-B2) = 2·Var(noise per bin).
+	v := acc / float64(len(used)) / 2
+	if v <= 0 {
+		v = 1e-12
+	}
+	return h, v
 }
 
 // ChannelAt returns the channel estimate for logical subcarrier k from an

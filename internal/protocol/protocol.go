@@ -174,7 +174,7 @@ func (s *Session) estimateAt(rx []complex128) ([]complex128, float64, error) {
 	rxPowerMW := dsp.Power(frame[:end])
 	cfo := ofdm.EstimateCFO(frame, pre)
 	frame = ofdm.CorrectCFO(frame, cfo, s.Params.SampleRate)
-	h := ofdm.EstimateChannel(frame, pre)
+	h, _ := ofdm.EstimateChannel(frame, pre)
 	if h == nil {
 		return nil, 0, fmt.Errorf("protocol: preamble truncated")
 	}
@@ -267,15 +267,8 @@ func (s *Session) RunSoundingExchange() error {
 	// 3. Amplification and filter from estimates. The receive power at the
 	// relay is measured directly (RSSI) rather than inferred from the
 	// channel estimate.
-	rdGain := dsp.PowerDB(s.hrdEst)
-	s.ampDB = cnf.AmplificationLimitDB(s.CancellationDB, -rdGain)
-	rxAtRelayDBm := dsp.DBm(rxAtRelayMW / 1000)
-	if pa := s.RelayMaxTxDBm - rxAtRelayDBm; pa < s.ampDB {
-		s.ampDB = pa
-	}
-	if s.ampDB < 0 {
-		s.ampDB = 0
-	}
+	paHeadroomDB := s.RelayMaxTxDBm - dsp.DBm(rxAtRelayMW/1000)
+	s.ampDB = relay.ChooseAmplificationDB(s.CancellationDB, -dsp.PowerDB(s.hrdEst), paHeadroomDB, true).AmpDB
 	// Denoise the estimates by projecting onto the physical channel
 	// manifold (a few delay-domain taps): estimation noise is white across
 	// subcarriers, the true channel is not. Without this, the noisy
@@ -300,19 +293,25 @@ func (s *Session) RunSoundingExchange() error {
 // to negative delays that a causal-only basis would destroy.
 func denoise(h []complex128, carriers []int, nfft, nTaps int) []complex128 {
 	const lead = 4
-	total := nTaps + lead
-	A := linalg.NewMatrix(len(carriers), total)
-	for i, k := range carriers {
-		f := float64(k) / float64(nfft)
-		for d := 0; d < total; d++ {
-			A.Set(i, d, cmplx.Exp(complex(0, -2*math.Pi*f*float64(d-lead))))
-		}
-	}
+	A := delayBasis(carriers, nfft, -lead, nTaps+lead)
 	taps, err := linalg.LeastSquares(A, h, 1e-9)
 	if err != nil {
 		return h
 	}
 	return A.MulVec(taps)
+}
+
+// delayBasis is the carriers × n matrix whose column d is the response
+// e^{−j2πkτ/nfft} of a unit tap at delay τ = first + d samples.
+func delayBasis(carriers []int, nfft, first, n int) *linalg.Matrix {
+	A := linalg.NewMatrix(len(carriers), n)
+	for i, k := range carriers {
+		f := float64(k) / float64(nfft)
+		for d := 0; d < n; d++ {
+			A.Set(i, d, cmplx.Exp(complex(0, -2*math.Pi*f*float64(first+d))))
+		}
+	}
+	return A
 }
 
 // AmplificationDB returns the relay's learned amplification (valid after
@@ -379,13 +378,7 @@ func retryEstimate(n int, fn func() ([]complex128, float64, error)) ([]complex12
 // ripple) at the cost of a slightly later relayed copy — still far inside
 // the CP.
 func fitPreFilter(desired []complex128, carriers []int, nfft, nTaps int) []complex128 {
-	A := linalg.NewMatrix(len(carriers), nTaps)
-	for i, k := range carriers {
-		f := float64(k) / float64(nfft)
-		for n := 0; n < nTaps; n++ {
-			A.Set(i, n, cmplx.Exp(complex(0, -2*math.Pi*f*float64(n))))
-		}
-	}
+	A := delayBasis(carriers, nfft, 0, nTaps)
 	var best []complex128
 	bestRes := math.Inf(1)
 	for m := 0; m < nTaps; m++ {

@@ -8,7 +8,6 @@ import (
 
 	"fastforward/internal/coding"
 	"fastforward/internal/dsp"
-	"fastforward/internal/fft"
 	"fastforward/internal/modulation"
 	"fastforward/internal/ofdm"
 )
@@ -58,35 +57,89 @@ const maxPayload = 1<<14 - 1
 // can verify integrity. The returned waveform is normalized to unit average
 // sample power.
 func (c *Codec) Encode(payload []byte, m MCS) ([]complex128, error) {
-	if len(payload)+4 > maxPayload {
-		return nil, fmt.Errorf("wifi: payload of %d bytes exceeds maximum", len(payload))
+	psdu, err := psduFor(payload)
+	if err != nil {
+		return nil, err
 	}
-	psdu := make([]byte, 0, len(payload)+4)
-	psdu = append(psdu, payload...)
-	fcs := crc32.ChecksumIEEE(payload)
-	psdu = append(psdu, byte(fcs), byte(fcs>>8), byte(fcs>>16), byte(fcs>>24))
-
-	wave := make([]complex128, 0, 4096)
-	wave = append(wave, c.pre.Samples()...)
-
 	sig, err := c.encodeSIG(m.Index, len(psdu))
 	if err != nil {
 		return nil, err
 	}
-	wave = append(wave, sig...)
+	wave := append(c.pre.Samples(), sig...)
+	nDBPS := m.BitsPerSymbol(c.p)
+	coded := codedBits(psdu, nDBPS, m)
+	nCBPS := c.p.NumData() * m.Scheme.BitsPerSymbol()
+	for s := range numSymbols(len(psdu), nDBPS) {
+		td, err := c.dataSymbol(coded[s*nCBPS:(s+1)*nCBPS], m.Scheme)
+		if err != nil {
+			return nil, err
+		}
+		wave = append(wave, td...)
+	}
+	// Normalize to unit average power so channel gains are meaningful.
+	normalize(wave)
+	return wave, nil
+}
 
-	data, err := c.encodeData(psdu, m)
+// psduFor appends the CRC-32 FCS to payload.
+func psduFor(payload []byte) ([]byte, error) {
+	if len(payload)+4 > maxPayload {
+		return nil, fmt.Errorf("wifi: payload of %d bytes exceeds maximum", len(payload))
+	}
+	fcs := crc32.ChecksumIEEE(payload)
+	psdu := make([]byte, 0, len(payload)+4)
+	psdu = append(psdu, payload...)
+	return append(psdu, byte(fcs), byte(fcs>>8), byte(fcs>>16), byte(fcs>>24)), nil
+}
+
+// numSymbols is how many OFDM symbols of nDBPS data bits carry the
+// SERVICE field, a PSDU of n bytes and the tail.
+func numSymbols(n, nDBPS int) int {
+	return (serviceBits + 8*n + tailBits + nDBPS - 1) / nDBPS
+}
+
+// codedBits lays out SERVICE | PSDU | tail | pad for symbols of nDBPS data
+// bits, scrambles it, re-zeroes the tail so the decoder trellis terminates
+// (802.11 17.3.5.3) and encodes it at m's code rate.
+func codedBits(psdu []byte, nDBPS int, m MCS) []byte {
+	total := numSymbols(len(psdu), nDBPS) * nDBPS
+	bits := make([]byte, serviceBits, total)
+	for _, b := range psdu {
+		for k := 0; k < 8; k++ { // LSB first, 802.11 convention
+			bits = append(bits, b>>k&1)
+		}
+	}
+	tailStart := len(bits)
+	bits = append(bits, make([]byte, total-len(bits))...) // tail + pad
+	scrambled := coding.Scramble(bits, scramblerSeed)
+	clear(scrambled[tailStart : tailStart+tailBits])
+	return coding.EncodePunctured(scrambled, m.Rate)
+}
+
+// dataSymbol interleaves one stream's coded bits for one OFDM symbol, maps
+// them onto scheme and modulates them.
+func (c *Codec) dataSymbol(bits []byte, scheme modulation.Scheme) ([]complex128, error) {
+	il := coding.Interleave(bits, len(bits), scheme.BitsPerSymbol())
+	syms, err := modulation.Map(scheme, il)
 	if err != nil {
 		return nil, err
 	}
-	wave = append(wave, data...)
+	return c.mod.Symbol(syms)
+}
 
-	// Normalize to unit average power so channel gains are meaningful.
-	pw := dsp.Power(wave)
-	if pw > 0 {
-		dsp.ScaleInPlace(wave, 1/math.Sqrt(pw))
+// normalize scales the per-antenna waveforms by one common gain so their
+// total average power is 1.
+func normalize(ants ...[]complex128) {
+	var pw float64
+	for _, a := range ants {
+		pw += dsp.Power(a)
 	}
-	return wave, nil
+	if pw > 0 {
+		g := 1 / math.Sqrt(pw)
+		for _, a := range ants {
+			dsp.ScaleInPlace(a, g)
+		}
+	}
 }
 
 // encodeSIG builds the one-symbol BPSK rate-1/2 SIG field.
@@ -110,58 +163,8 @@ func (c *Codec) encodeSIG(mcsIdx, lengthBytes int) ([]complex128, error) {
 	}
 	bits = append(bits, parity)
 	bits = append(bits, make([]byte, tailBits+1)...) // tail + pad
-	coded := coding.ConvEncode(bits)                 // rate 1/2: 52 bits
-	nCBPS := c.p.NumData()                           // BPSK: 1 bit/carrier
-	il := coding.Interleave(coded, nCBPS, 1)
-	syms, err := modulation.Map(modulation.BPSK, il)
-	if err != nil {
-		return nil, err
-	}
-	return c.mod.Symbol(syms)
-}
-
-// encodeData builds the data symbols for the PSDU at MCS m.
-func (c *Codec) encodeData(psdu []byte, m MCS) ([]complex128, error) {
-	nDBPS := m.BitsPerSymbol(c.p)
-	nBits := serviceBits + 8*len(psdu) + tailBits
-	nSym := (nBits + nDBPS - 1) / nDBPS
-	total := nSym * nDBPS
-
-	bits := make([]byte, 0, total)
-	bits = append(bits, make([]byte, serviceBits)...)
-	for _, b := range psdu {
-		for k := 0; k < 8; k++ { // LSB first, 802.11 convention
-			bits = append(bits, b>>k&1)
-		}
-	}
-	bits = append(bits, make([]byte, tailBits)...)
-	bits = append(bits, make([]byte, total-len(bits))...)
-
-	scrambled := coding.Scramble(bits, scramblerSeed)
-	// Restore zero tail so the decoder trellis terminates (802.11 17.3.5.3).
-	tailStart := serviceBits + 8*len(psdu)
-	for i := 0; i < tailBits; i++ {
-		scrambled[tailStart+i] = 0
-	}
-
-	coded := coding.EncodePunctured(scrambled, m.Rate)
-	nCBPS := c.p.NumData() * m.Scheme.BitsPerSymbol()
-
-	wave := make([]complex128, 0, nSym*c.p.SymbolLen())
-	for s := 0; s < nSym; s++ {
-		symBits := coded[s*nCBPS : (s+1)*nCBPS]
-		il := coding.Interleave(symBits, nCBPS, m.Scheme.BitsPerSymbol())
-		syms, err := modulation.Map(m.Scheme, il)
-		if err != nil {
-			return nil, err
-		}
-		td, err := c.mod.Symbol(syms)
-		if err != nil {
-			return nil, err
-		}
-		wave = append(wave, td...)
-	}
-	return wave, nil
+	// Rate 1/2: 52 coded bits, one per carrier of one BPSK symbol.
+	return c.dataSymbol(coding.ConvEncode(bits), modulation.BPSK)
 }
 
 // DecodeResult reports the outcome of frame reception.
@@ -199,15 +202,22 @@ const syncBackoff = 3
 // Decode runs the full receiver on rx: detect, synchronize, estimate CFO
 // and channel, decode SIG, then decode and verify the data.
 func (c *Codec) Decode(rx []complex128) (*DecodeResult, error) {
-	start, ok := ofdm.DetectPacket(rx, c.pre)
-	if !ok {
-		return nil, ErrNoPacket
-	}
-	start -= syncBackoff
-	if start < 0 {
-		start = 0
+	start, err := c.detect(rx)
+	if err != nil {
+		return nil, err
 	}
 	return c.DecodeAt(rx, start)
+}
+
+// detect locates the preamble on the first antenna whose capture holds
+// one and backs the start off by syncBackoff.
+func (c *Codec) detect(rx ...[]complex128) (int, error) {
+	for _, r := range rx {
+		if start, ok := ofdm.DetectPacket(r, c.pre); ok {
+			return max(start-syncBackoff, 0), nil
+		}
+	}
+	return 0, ErrNoPacket
 }
 
 // DecodeAt runs the receiver assuming the preamble starts at rx[start].
@@ -219,34 +229,18 @@ func (c *Codec) DecodeAt(rx []complex128, start int) (*DecodeResult, error) {
 	frame := rx[start:]
 	cfo := ofdm.EstimateCFO(frame, c.pre)
 	frame = ofdm.CorrectCFO(frame, cfo, p.SampleRate)
-
-	h := ofdm.EstimateChannel(frame, c.pre)
-	if h == nil {
-		return nil, fmt.Errorf("wifi: preamble truncated")
-	}
-	eq := ofdm.NewEqualizer(p, h)
-	noiseVar := c.estimateNoiseVar(frame, h)
-
-	res := &DecodeResult{CFOHz: cfo, StartIndex: start}
-	res.SNRdB = c.meanSNR(h, noiseVar)
-
-	// SIG symbol.
-	off := c.pre.Len()
-	mcsIdx, lengthBytes, err := c.decodeSIG(frame[off:], eq, noiseVar, h)
+	hdr, err := c.readHeader(frame)
 	if err != nil {
 		return nil, err
 	}
-	m, err := MCSByIndex(mcsIdx)
-	if err != nil {
-		return nil, ErrSIG
-	}
-	res.MCS = m
+	res := &DecodeResult{MCS: hdr.mcs, CFOHz: cfo, StartIndex: start}
+	res.SNRdB = c.meanSNR(hdr.h, hdr.noiseVar)
 
 	// Data symbols.
-	off += p.SymbolLen()
+	off := c.pre.Len() + p.SymbolLen()
+	m := hdr.mcs
 	nDBPS := m.BitsPerSymbol(p)
-	nBits := serviceBits + 8*lengthBytes + tailBits
-	nSym := (nBits + nDBPS - 1) / nDBPS
+	nSym := numSymbols(hdr.length, nDBPS)
 	if off+nSym*p.SymbolLen() > len(frame) {
 		return nil, fmt.Errorf("wifi: truncated data (%d symbols)", nSym)
 	}
@@ -257,15 +251,64 @@ func (c *Codec) DecodeAt(rx []complex128, start int) (*DecodeResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		eqd := eq.Symbol(raw, pilots)
-		symSoft := c.softDemapSymbol(eqd, m.Scheme, h, noiseVar)
+		eqd := hdr.eq.Symbol(raw, pilots)
+		symSoft := c.softDemapSymbol(eqd, m.Scheme, hdr.h, hdr.noiseVar)
 		soft = append(soft, coding.DeinterleaveSoft(symSoft, nCBPS, m.Scheme.BitsPerSymbol())...)
 	}
-	totalBits := nSym * nDBPS
-	scrambled := coding.DecodePunctured(soft, m.Rate, totalBits, false)
-	bits := coding.Scramble(scrambled, scramblerSeed)
+	res.Payload, res.FCSOK, err = unpackPSDU(soft, m, nSym*nDBPS, hdr.length)
+	return res, err
+}
 
-	psdu := make([]byte, lengthBytes)
+// header is what a receiver learns from the legacy preamble and SIG.
+type header struct {
+	h        []complex128 // legacy LTF channel estimate over NFFT bins
+	eq       *ofdm.Equalizer
+	noiseVar float64 // per-subcarrier noise variance after the FFT
+	mcs      MCS
+	length   int // PSDU bytes
+}
+
+// readHeader estimates the legacy channel and noise from the LTF of a
+// synchronized, CFO-corrected frame and decodes its SIG symbol.
+func (c *Codec) readHeader(frame []complex128) (header, error) {
+	h, noiseVar := ofdm.EstimateChannel(frame, c.pre)
+	if h == nil {
+		return header{}, fmt.Errorf("wifi: preamble truncated")
+	}
+	eq := ofdm.NewEqualizer(c.p, h)
+	raw, pilots, err := c.dem.Symbol(frame[c.pre.Len():])
+	if err != nil {
+		return header{}, err
+	}
+	soft := c.softDemapSymbol(eq.Symbol(raw, pilots), modulation.BPSK, h, noiseVar)
+	bits := coding.ViterbiDecode(coding.DeinterleaveSoft(soft, c.p.NumData(), 1), sigUncodedBits, false)
+	var mcsIdx, length int
+	for k := 0; k < 4; k++ {
+		mcsIdx = mcsIdx<<1 | int(bits[k])
+	}
+	for k := 4; k < 18; k++ {
+		length = length<<1 | int(bits[k])
+	}
+	var parity byte
+	for k := 0; k < 18; k++ {
+		parity ^= bits[k]
+	}
+	m, err := MCSByIndex(mcsIdx)
+	if parity != bits[18] || err != nil {
+		return header{}, ErrSIG
+	}
+	return header{h: h, eq: eq, noiseVar: noiseVar, mcs: m, length: length}, nil
+}
+
+// unpackPSDU Viterbi-decodes the nBits data bits behind soft, descrambles
+// them and checks the FCS of the length-byte PSDU they carry. The payload
+// is nil unless the FCS verifies.
+func unpackPSDU(soft []float64, m MCS, nBits, length int) ([]byte, bool, error) {
+	if length < 4 {
+		return nil, false, fmt.Errorf("wifi: PSDU too short for FCS")
+	}
+	bits := coding.Scramble(coding.DecodePunctured(soft, m.Rate, nBits, false), scramblerSeed)
+	psdu := make([]byte, length)
 	for i := range psdu {
 		var b byte
 		for k := 0; k < 8; k++ {
@@ -273,45 +316,13 @@ func (c *Codec) DecodeAt(rx []complex128, start int) (*DecodeResult, error) {
 		}
 		psdu[i] = b
 	}
-	if lengthBytes < 4 {
-		return res, fmt.Errorf("wifi: PSDU too short for FCS")
+	payload := psdu[:length-4]
+	want := uint32(psdu[length-4]) | uint32(psdu[length-3])<<8 |
+		uint32(psdu[length-2])<<16 | uint32(psdu[length-1])<<24
+	if crc32.ChecksumIEEE(payload) != want {
+		return nil, false, nil
 	}
-	payload := psdu[:lengthBytes-4]
-	want := uint32(psdu[lengthBytes-4]) | uint32(psdu[lengthBytes-3])<<8 |
-		uint32(psdu[lengthBytes-2])<<16 | uint32(psdu[lengthBytes-1])<<24
-	if crc32.ChecksumIEEE(payload) == want {
-		res.FCSOK = true
-		res.Payload = payload
-	}
-	return res, nil
-}
-
-// decodeSIG decodes the SIG symbol and returns the MCS index and PSDU
-// length.
-func (c *Codec) decodeSIG(sym []complex128, eq *ofdm.Equalizer, noiseVar float64, h []complex128) (int, int, error) {
-	raw, pilots, err := c.dem.Symbol(sym)
-	if err != nil {
-		return 0, 0, err
-	}
-	eqd := eq.Symbol(raw, pilots)
-	soft := c.softDemapSymbol(eqd, modulation.BPSK, h, noiseVar)
-	de := coding.DeinterleaveSoft(soft, c.p.NumData(), 1)
-	bits := coding.ViterbiDecode(de, sigUncodedBits, false)
-	var mcsIdx, lengthBytes int
-	for k := 0; k < 4; k++ {
-		mcsIdx = mcsIdx<<1 | int(bits[k])
-	}
-	for k := 4; k < 18; k++ {
-		lengthBytes = lengthBytes<<1 | int(bits[k])
-	}
-	var parity byte
-	for k := 0; k < 18; k++ {
-		parity ^= bits[k]
-	}
-	if parity != bits[18] {
-		return 0, 0, ErrSIG
-	}
-	return mcsIdx, lengthBytes, nil
+	return payload, true, nil
 }
 
 // softDemapSymbol demaps one equalized OFDM symbol with per-subcarrier
@@ -330,38 +341,6 @@ func (c *Codec) softDemapSymbol(eqd []complex128, s modulation.Scheme, h []compl
 		out = append(out, modulation.SoftDemap(s, eqd[i:i+1], nv)...)
 	}
 	return out
-}
-
-// estimateNoiseVar measures the post-FFT per-subcarrier noise variance from
-// the difference of the two (identical when noiseless) LTF symbols.
-func (c *Codec) estimateNoiseVar(frame []complex128, h []complex128) float64 {
-	p := c.p
-	o1, o2 := c.pre.LTFSymbolOffsets()
-	if o2+p.NFFT > len(frame) {
-		return 1e-6
-	}
-	var acc float64
-	n := 0
-	b1 := fft.Forward(frame[o1 : o1+p.NFFT])
-	b2 := fft.Forward(frame[o2 : o2+p.NFFT])
-	for _, k := range p.UsedCarriers() {
-		idx := k
-		if idx < 0 {
-			idx += p.NFFT
-		}
-		d := b1[idx] - b2[idx]
-		acc += real(d)*real(d) + imag(d)*imag(d)
-		n++
-	}
-	if n == 0 {
-		return 1e-6
-	}
-	// Var(B1-B2) = 2·Var(noise per bin).
-	v := acc / float64(n) / 2
-	if v <= 0 {
-		v = 1e-12
-	}
-	return v
 }
 
 // meanSNR averages |H|²/noiseVar over data subcarriers, in dB.

@@ -37,7 +37,7 @@ func identityMIMO(g complex128) *channel.MIMO {
 }
 
 func TestMIMOEncodeShape(t *testing.T) {
-	c := NewMIMOCodec(ofdm.Default20MHz())
+	c := NewCodec(ofdm.Default20MHz())
 	tx, err := c.EncodeMIMO(testPayload(200, 1), MCSList()[3])
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestMIMOEncodeShape(t *testing.T) {
 }
 
 func TestMIMOCleanRoundTrip(t *testing.T) {
-	c := NewMIMOCodec(ofdm.Default20MHz())
+	c := NewCodec(ofdm.Default20MHz())
 	payload := testPayload(300, 2)
 	src := rng.New(3)
 	for _, m := range []MCS{MCSList()[0], MCSList()[3], MCSList()[6], MCSList()[8]} {
@@ -81,7 +81,7 @@ func TestMIMOCleanRoundTrip(t *testing.T) {
 }
 
 func TestMIMORichChannelWithNoise(t *testing.T) {
-	c := NewMIMOCodec(ofdm.Default20MHz())
+	c := NewCodec(ofdm.Default20MHz())
 	payload := testPayload(150, 4)
 	src := rng.New(5)
 	decoded := 0
@@ -104,7 +104,7 @@ func TestMIMORichChannelWithNoise(t *testing.T) {
 func TestMIMOPinholeFails(t *testing.T) {
 	// The Fig 2 pathology at waveform level: a rank-one channel cannot
 	// carry two spatial streams no matter the SNR.
-	c := NewMIMOCodec(ofdm.Default20MHz())
+	c := NewCodec(ofdm.Default20MHz())
 	payload := testPayload(100, 6)
 	src := rng.New(7)
 	fails := 0
@@ -128,7 +128,7 @@ func TestMIMORelayRestoresSecondStream(t *testing.T) {
 	// The paper's headline MIMO mechanism, end to end at the waveform
 	// level: direct pinhole channel fails 2-stream decoding; adding the
 	// relayed path (direct + independent relay path) succeeds.
-	c := NewMIMOCodec(ofdm.Default20MHz())
+	c := NewCodec(ofdm.Default20MHz())
 	payload := testPayload(120, 8)
 	src := rng.New(9)
 
@@ -177,7 +177,7 @@ func TestMIMORelayRestoresSecondStream(t *testing.T) {
 }
 
 func TestMIMOWithCFO(t *testing.T) {
-	c := NewMIMOCodec(ofdm.Default20MHz())
+	c := NewCodec(ofdm.Default20MHz())
 	payload := testPayload(80, 10)
 	src := rng.New(11)
 	tx, _ := c.EncodeMIMO(payload, MCSList()[2])
@@ -198,7 +198,7 @@ func TestMIMOWithCFO(t *testing.T) {
 }
 
 func TestMIMOStreamSNREstimates(t *testing.T) {
-	c := NewMIMOCodec(ofdm.Default20MHz())
+	c := NewCodec(ofdm.Default20MHz())
 	payload := testPayload(80, 12)
 	src := rng.New(13)
 	tx, _ := c.EncodeMIMO(payload, MCSList()[2])
@@ -217,7 +217,7 @@ func TestMIMOStreamSNREstimates(t *testing.T) {
 }
 
 func BenchmarkMIMOEncodeDecode(b *testing.B) {
-	c := NewMIMOCodec(ofdm.Default20MHz())
+	c := NewCodec(ofdm.Default20MHz())
 	payload := testPayload(500, 1)
 	src := rng.New(2)
 	tx, _ := c.EncodeMIMO(payload, MCSList()[4])
