@@ -74,33 +74,6 @@ func TestBulkDelayPhaseRamp(t *testing.T) {
 	}
 }
 
-func TestMaxDelay(t *testing.T) {
-	c := &SISO{Taps: []complex128{1, 0, 0, 0.2}, Delay: 5}
-	if d := c.MaxDelay(); d != 8 {
-		t.Errorf("MaxDelay = %d, want 8", d)
-	}
-}
-
-func TestPathLoss(t *testing.T) {
-	// Free space at 1m, 2.45 GHz is ~40 dB.
-	if pl := PathLossDB(1, 2); math.Abs(pl-40.05) > 0.01 {
-		t.Errorf("PL(1m) = %v", pl)
-	}
-	// Doubling distance with exponent 2 adds ~6 dB.
-	d := PathLossDB(20, 2) - PathLossDB(10, 2)
-	if math.Abs(d-6.02) > 0.01 {
-		t.Errorf("doubling delta = %v, want ~6", d)
-	}
-	// Monotone in exponent.
-	if PathLossDB(10, 3) <= PathLossDB(10, 2) {
-		t.Error("higher exponent must lose more")
-	}
-	// Clamp below 0.1 m.
-	if PathLossDB(0, 2) != PathLossDB(0.1, 2) {
-		t.Error("distance clamp missing")
-	}
-}
-
 func TestNoiseFloor(t *testing.T) {
 	// -90 dBm = 1e-12 W = 1e-9 mW.
 	if nf := NoiseFloorMW(); math.Abs(nf-1e-9) > 1e-15 {
@@ -193,24 +166,6 @@ func TestMIMOApplySuperposition(t *testing.T) {
 		for i := range sum {
 			if cmplx.Abs(both[r][i]-sum[i]) > 1e-9 {
 				t.Fatalf("superposition violated at rx %d sample %d", r, i)
-			}
-		}
-	}
-}
-
-func TestReciprocal(t *testing.T) {
-	src := rng.New(8)
-	m := NewRichScattering(src, 2, 3, 4, 0.5, 1)
-	r := m.Reciprocal()
-	if r.NRx() != 3 || r.NTx() != 2 {
-		t.Fatal("reciprocal shape wrong")
-	}
-	h := m.FrequencyResponse(9, 64)
-	g := r.FrequencyResponse(9, 64)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			if cmplx.Abs(h.At(i, j)-g.At(j, i)) > 1e-12 {
-				t.Fatal("reciprocal is not the transpose")
 			}
 		}
 	}

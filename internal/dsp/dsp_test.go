@@ -23,16 +23,6 @@ func TestDBRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAmplitudeDB(t *testing.T) {
-	// A 10x amplitude gain is 20 dB.
-	if got := AmplitudeDB(10); !approx(got, 20, 1e-12) {
-		t.Errorf("AmplitudeDB(10) = %v, want 20", got)
-	}
-	if got := AmplitudeFromDB(20); !approx(got, 10, 1e-12) {
-		t.Errorf("AmplitudeFromDB(20) = %v, want 10", got)
-	}
-}
-
 func TestDBmConversions(t *testing.T) {
 	// 20 dBm = 100 mW.
 	if got := WattsFromDBm(20); !approx(got, 0.1, 1e-12) {
@@ -176,41 +166,6 @@ func TestSNRdB(t *testing.T) {
 	}
 }
 
-func TestFractionalDelayFilter(t *testing.T) {
-	// An integer delay through the fractional filter should align a sinusoid
-	// with its integer-delayed copy.
-	const taps = 31
-	h := FractionalDelayFilter(0.5, taps)
-	// The filter should have unit DC gain approximately.
-	var dc complex128
-	for _, v := range h {
-		dc += v
-	}
-	if math.Abs(cmplx.Abs(dc)-1) > 0.05 {
-		t.Errorf("DC gain %v, want ~1", cmplx.Abs(dc))
-	}
-
-	// Delay a complex tone by 0.5 samples and compare with the analytic shift.
-	const n = 256
-	freq := 0.05 // cycles/sample, low enough to avoid window edge effects
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = cmplx.Exp(complex(0, 2*math.Pi*freq*float64(i)))
-	}
-	y := Convolve(x, h)
-	center := (taps - 1) / 2
-	// y[center+i] should approximate x shifted by 0.5 sample:
-	// exp(j2πf(i-0.5))
-	var errsum float64
-	for i := 50; i < 200; i++ {
-		want := cmplx.Exp(complex(0, 2*math.Pi*freq*(float64(i)-0.5)))
-		errsum += cmplx.Abs(y[center+i] - want)
-	}
-	if avg := errsum / 150; avg > 0.02 {
-		t.Errorf("fractional delay error %v too large", avg)
-	}
-}
-
 func TestApplyCFOContinuity(t *testing.T) {
 	x := make([]complex128, 100)
 	for i := range x {
@@ -312,9 +267,6 @@ func TestRotateAndPhase(t *testing.T) {
 	y := Rotate(x, math.Pi/2)
 	if cmplx.Abs(y[0]-1i) > 1e-12 {
 		t.Errorf("Rotate 90deg: %v", y[0])
-	}
-	if !approx(PhaseOf(1i), math.Pi/2, 1e-12) {
-		t.Error("PhaseOf wrong")
 	}
 }
 

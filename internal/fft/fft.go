@@ -227,18 +227,6 @@ func (p *plan) bluestein(x []complex128, inverse bool) {
 	}
 }
 
-// Shift rearranges FFT output so the zero-frequency bin is centered
-// (equivalent to fftshift). For odd lengths the extra bin lands in the
-// second half, matching the usual convention.
-func Shift(x []complex128) []complex128 {
-	n := len(x)
-	y := make([]complex128, n)
-	half := (n + 1) / 2
-	copy(y, x[half:])
-	copy(y[n-half:], x[:half])
-	return y
-}
-
 // FrequencyResponse evaluates the frequency response of FIR taps h at the
 // normalized frequency f (cycles per sample, -0.5..0.5):
 // H(f) = sum_k h[k]·exp(-j2πfk).

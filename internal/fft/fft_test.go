@@ -107,25 +107,6 @@ func TestParseval(t *testing.T) {
 	}
 }
 
-func TestShift(t *testing.T) {
-	x := []complex128{0, 1, 2, 3}
-	y := Shift(x)
-	want := []complex128{2, 3, 0, 1}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("Shift even = %v", y)
-		}
-	}
-	x = []complex128{0, 1, 2, 3, 4}
-	y = Shift(x)
-	want = []complex128{3, 4, 0, 1, 2}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("Shift odd = %v", y)
-		}
-	}
-}
-
 func TestFrequencyResponse(t *testing.T) {
 	// A pure one-sample delay has response exp(-j2πf).
 	h := []complex128{0, 1}

@@ -116,17 +116,6 @@ func TestInverseSingular(t *testing.T) {
 	}
 }
 
-func TestSolve(t *testing.T) {
-	a := FromRows([][]complex128{{2, 0}, {0, 4}})
-	x, err := a.Solve([]complex128{2, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmplx.Abs(x[0]-1) > 1e-12 || cmplx.Abs(x[1]-2) > 1e-12 {
-		t.Errorf("Solve = %v", x)
-	}
-}
-
 func TestSingularValuesKnown(t *testing.T) {
 	// Diagonal matrix: singular values are |diagonal|, sorted.
 	a := FromRows([][]complex128{{3i, 0}, {0, -4}})

@@ -417,15 +417,6 @@ func (d divisor) quo(x, p complex128) complex128 {
 	return complex(e, f)
 }
 
-// Solve solves m·x = b for x, where b is a column vector.
-func (m *Matrix) Solve(b []complex128) ([]complex128, error) {
-	inv, err := m.Inverse()
-	if err != nil {
-		return nil, err
-	}
-	return inv.MulVec(b), nil
-}
-
 // row returns row i of m as a slice of its storage.
 func (m *Matrix) row(i int) []complex128 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 

@@ -56,27 +56,6 @@ func TestNoiseVector(t *testing.T) {
 	}
 }
 
-func TestRicianTapKFactor(t *testing.T) {
-	s := New(11)
-	const n = 100000
-	k := 10.0
-	var mean complex128
-	var p float64
-	for i := 0; i < n; i++ {
-		v := s.RicianTap(1, k)
-		mean += v
-		p += real(v)*real(v) + imag(v)*imag(v)
-	}
-	p /= n
-	if math.Abs(p-1) > 0.03 {
-		t.Errorf("Rician power %v, want 1", p)
-	}
-	// With random LOS phase the mean should be near zero even with high K.
-	if cmplx.Abs(mean)/n > 0.02 {
-		t.Errorf("Rician mean %v should be near 0", cmplx.Abs(mean)/n)
-	}
-}
-
 func TestUniformPhaseUnitMagnitude(t *testing.T) {
 	s := New(5)
 	for i := 0; i < 100; i++ {
@@ -106,20 +85,5 @@ func TestRandomUnitary(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestBits(t *testing.T) {
-	s := New(2)
-	b := s.Bits(1000)
-	ones := 0
-	for _, v := range b {
-		if v != 0 && v != 1 {
-			t.Fatal("bits must be 0/1")
-		}
-		ones += int(v)
-	}
-	if ones < 400 || ones > 600 {
-		t.Errorf("bit balance off: %d ones of 1000", ones)
 	}
 }

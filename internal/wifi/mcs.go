@@ -11,7 +11,6 @@ package wifi
 
 import (
 	"fmt"
-	"math"
 
 	"fastforward/internal/coding"
 	"fastforward/internal/modulation"
@@ -101,12 +100,4 @@ func MaxSupportedRateMbps(p *ofdm.Params, snrDB float64, nStreams int) float64 {
 		return 0
 	}
 	return m.PHYRateMbps(p, nStreams)
-}
-
-// ShannonRateMbps returns the Shannon capacity in Mbit/s of a single
-// stream of bandwidth p.SampleRate at snrDB, for analytic comparisons (the
-// paper's diminishing-returns argument in Sec 5.2).
-func ShannonRateMbps(p *ofdm.Params, snrDB float64) float64 {
-	snr := math.Pow(10, snrDB/10)
-	return p.SampleRate * math.Log2(1+snr) / 1e6
 }

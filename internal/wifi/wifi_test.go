@@ -247,20 +247,6 @@ func TestEncodeRejectsOversizedPayload(t *testing.T) {
 	}
 }
 
-func TestShannonRate(t *testing.T) {
-	p := ofdm.Default20MHz()
-	// 20 MHz at 0 dB -> 20 Mbps.
-	if got := ShannonRateMbps(p, 0); math.Abs(got-20) > 1e-9 {
-		t.Errorf("Shannon at 0dB = %v, want 20", got)
-	}
-	// Diminishing returns: +6 dB from 64QAM-ish SNR adds only ~33%%-ish.
-	lo := ShannonRateMbps(p, 22)
-	hi := ShannonRateMbps(p, 28)
-	if ratio := hi / lo; ratio > 1.35 {
-		t.Errorf("capacity gain 22->28 dB = %v, expected concave (<1.35)", ratio)
-	}
-}
-
 func BenchmarkEncodeMCS4(b *testing.B) {
 	c := NewCodec(ofdm.Default20MHz())
 	payload := testPayload(500, 1)
