@@ -26,10 +26,8 @@ type WireSpec struct {
 	CancelTaps   int
 	CNFTaps      int
 	CFOHz        float64
-	// Timeout bounds each frame exchange; Attempts bounds dial retries
-	// (transient only — a refusal is terminal, relayd.DialTimeout).
-	Timeout  time.Duration
-	Attempts int
+	// Timeout bounds each frame exchange.
+	Timeout time.Duration
 }
 
 // DefaultWireSpec matches the cell's 20 MHz OFDM calibration and the
@@ -43,7 +41,6 @@ func DefaultWireSpec() WireSpec {
 		CNFTaps:      16,
 		CFOHz:        1500,
 		Timeout:      10 * time.Second,
-		Attempts:     3,
 	}
 }
 
@@ -155,7 +152,10 @@ func (e *WireEndpoint) Admit(key string, sb relay.SessionBudget) (relay.AmpDecis
 		RxOverNoiseDB:  sb.RxOverNoiseDB,
 	}
 	e.m.hellos.Inc(e.shard)
-	c, err := relayd.DialTimeout(e.addr, p, nil, e.spec.Attempts, e.spec.Timeout)
+	// One dial: the daemon's address is known, so a refused connect means
+	// it is down, and the placement walk spills at once instead of
+	// sleeping through a backoff.
+	c, err := relayd.DialTimeout(e.addr, p, nil, 1, e.spec.Timeout)
 	if err != nil {
 		var ref *relayd.Refuse
 		if errors.As(err, &ref) {

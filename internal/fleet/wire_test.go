@@ -30,9 +30,7 @@ func TestWireEndpointFailurePaths(t *testing.T) {
 	go srv.Serve(ln)
 
 	reg := obs.New()
-	spec := DefaultWireSpec()
-	spec.Attempts = 1
-	ep := NewWireEndpoint(ln.Addr().String(), spec, reg, 0)
+	ep := NewWireEndpoint(ln.Addr().String(), DefaultWireSpec(), reg, 0)
 	queries := reg.Counter("fleet.wire.load_queries", "queries")
 	ioErrors := reg.Counter("fleet.wire.io_errors", "errors")
 
@@ -70,9 +68,12 @@ func TestWireEndpointFailurePaths(t *testing.T) {
 		name  string
 		check func() bool
 	}{
-		{"Admit refuses unreachable", func() bool {
+		{"Admit refuses unreachable within 50 ms", func() bool {
+			// One dial, no backoff: a dead relay costs the placement walk
+			// a refused connect, not a retry schedule.
+			t0 := time.Now()
 			_, _, ref := ep.Admit("c2", sb)
-			return ref != nil && ref.Code == relayd.RefuseUnreachable
+			return ref != nil && ref.Code == relayd.RefuseUnreachable && time.Since(t0) < 50*time.Millisecond
 		}},
 		{"Sessions falls back to the endpoint's books", func() bool { return ep.Sessions() == 1 }},
 		{"ResidualLoad returns the last load", func() bool { return ep.ResidualLoad() == load }},
