@@ -150,6 +150,28 @@ func PkgFunc(pass *Pass, fun ast.Expr) (string, string) {
 	return fn.Pkg().Path(), fn.Name()
 }
 
+// ExprString names an expression in a diagnostic, and keys it where an
+// analyzer tracks state per expression: parentheses dropped, identifiers
+// and selector chains verbatim, a call as its function plus "()", an
+// index as its operand plus "[...]", a binary expression with its
+// operator, and anything else as its source text.
+func ExprString(e ast.Expr) string {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return ExprString(e.X) + "." + e.Sel.Name
+	case *ast.CallExpr:
+		return ExprString(e.Fun) + "()"
+	case *ast.IndexExpr:
+		return ExprString(e.X) + "[...]"
+	case *ast.BinaryExpr:
+		return ExprString(e.X) + " " + e.Op.String() + " " + ExprString(e.Y)
+	default:
+		return types.ExprString(e)
+	}
+}
+
 // SortDiagnostics orders diags by file, line, column, then message.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {

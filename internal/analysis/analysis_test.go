@@ -170,3 +170,23 @@ func TestPathMatches(t *testing.T) {
 		t.Error("PathMatches with no suffixes matched")
 	}
 }
+
+func TestExprString(t *testing.T) {
+	for src, want := range map[string]string{
+		"x":             "x",
+		"(s.mu)":        "s.mu",
+		"s.conns[i].br": "s.conns[...].br",
+		"c.conn(a, b)":  "c.conn()",
+		"gainDB + p":    "gainDB + p",
+		"*p":            "*p",
+		"x.(net.Conn)":  "x.(net.Conn)",
+	} {
+		e, err := parser.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := analysis.ExprString(e); got != want {
+			t.Errorf("ExprString(%s) = %q, want %q", src, got, want)
+		}
+	}
+}

@@ -205,7 +205,7 @@ func checkBinary(pass *analysis.Pass, e *ast.BinaryExpr) {
 	}
 	lu, ru := classify(pass, e.X), classify(pass, e.Y)
 	if conflict(lu, ru) {
-		pass.Reportf(e.OpPos, "%s-named value %s %s %s-named value: convert explicitly (10*math.Log10(lin) or math.Pow(10, db/10)) before combining", lu, exprString(e.X), e.Op, ru)
+		pass.Reportf(e.OpPos, "%s-named value %s %s %s-named value: convert explicitly (10*math.Log10(lin) or math.Pow(10, db/10)) before combining", lu, analysis.ExprString(e.X), e.Op, ru)
 	}
 }
 
@@ -220,7 +220,7 @@ func checkAssign(pass *analysis.Pass, as *ast.AssignStmt) {
 		}
 		ru := classify(pass, as.Rhs[i])
 		if conflict(lu, ru) {
-			pass.Reportf(as.Pos(), "assigning %s-named value to %s-named %s", ru, lu, exprString(lhs))
+			pass.Reportf(as.Pos(), "assigning %s-named value to %s-named %s", ru, lu, analysis.ExprString(lhs))
 		}
 	}
 }
@@ -264,7 +264,7 @@ func checkCallArgs(pass *analysis.Pass, call *ast.CallExpr) {
 		}
 		au := classify(pass, arg)
 		if conflict(pu, au) {
-			pass.Reportf(arg.Pos(), "passing %s-named value %s to %s-named parameter %s", au, exprString(arg), pu, p.Name())
+			pass.Reportf(arg.Pos(), "passing %s-named value %s to %s-named parameter %s", au, analysis.ExprString(arg), pu, p.Name())
 		}
 	}
 }
@@ -287,20 +287,4 @@ func checkReturn(pass *analysis.Pass, fn *ast.FuncDecl, ret *ast.ReturnStmt) {
 	if conflict(fu, ru) {
 		pass.Reportf(ret.Pos(), "function %s returns a %s-named value; its name promises %s", fn.Name.Name, ru, fu)
 	}
-}
-
-func exprString(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.CallExpr:
-		return exprString(e.Fun) + "(...)"
-	case *ast.IndexExpr:
-		return exprString(e.X) + "[...]"
-	case *ast.BinaryExpr:
-		return exprString(e.X) + " " + e.Op.String() + " " + exprString(e.Y)
-	}
-	return "expression"
 }

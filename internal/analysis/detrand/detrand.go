@@ -196,7 +196,7 @@ func checkMapRangeAssign(pass *analysis.Pass, rng *ast.RangeStmt, body ast.Node,
 				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" {
 					if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
 						if !sortedAfter(pass, body, rng, lhs) {
-							pass.Reportf(as.Pos(), "append into %s inside range over map: element order follows random map iteration; sort the slice afterwards or iterate sorted keys", exprString(lhs))
+							pass.Reportf(as.Pos(), "append into %s inside range over map: element order follows random map iteration; sort the slice afterwards or iterate sorted keys", analysis.ExprString(lhs))
 						}
 						continue
 					}
@@ -208,7 +208,7 @@ func checkMapRangeAssign(pass *analysis.Pass, rng *ast.RangeStmt, body ast.Node,
 		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 			if tv, ok := pass.TypesInfo.Types[lhs]; ok {
 				if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&(types.IsFloat|types.IsComplex) != 0 {
-					pass.Reportf(as.Pos(), "float accumulation into %s inside range over map: float addition is not associative, so the sum depends on iteration order; iterate sorted keys or accumulate in fixed point", exprString(lhs))
+					pass.Reportf(as.Pos(), "float accumulation into %s inside range over map: float addition is not associative, so the sum depends on iteration order; iterate sorted keys or accumulate in fixed point", analysis.ExprString(lhs))
 				}
 			}
 		}
@@ -232,7 +232,7 @@ func sortedAfter(pass *analysis.Pass, body ast.Node, rng *ast.RangeStmt, target 
 	if body == nil {
 		return false
 	}
-	want := exprString(target)
+	want := analysis.ExprString(target)
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
@@ -246,7 +246,7 @@ func sortedAfter(pass *analysis.Pass, body ast.Node, rng *ast.RangeStmt, target 
 		if (path != "sort" && path != "slices") || !sortFuncs[name] {
 			return true
 		}
-		if exprString(ast.Unparen(call.Args[0])) == want {
+		if analysis.ExprString(ast.Unparen(call.Args[0])) == want {
 			found = true
 		}
 		return true
@@ -305,16 +305,4 @@ func isGaugeSet(pass *analysis.Pass, call *ast.CallExpr) bool {
 	}
 	path := named.Obj().Pkg().Path()
 	return path == "obs" || strings.HasSuffix(path, "/obs")
-}
-
-func exprString(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.IndexExpr:
-		return exprString(e.X) + "[...]"
-	}
-	return "value"
 }

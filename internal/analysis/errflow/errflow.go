@@ -149,7 +149,7 @@ func excluded(pass *analysis.Pass, call *ast.CallExpr) bool {
 func calleeName(call *ast.CallExpr) string {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
-		return exprString(fun.X) + "." + fun.Sel.Name
+		return analysis.ExprString(fun.X) + "." + fun.Sel.Name
 	case *ast.Ident:
 		return fun.Name
 	}
@@ -159,16 +159,4 @@ func calleeName(call *ast.CallExpr) string {
 func isBlank(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && id.Name == "_"
-}
-
-func exprString(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.CallExpr:
-		return exprString(e.Fun) + "()"
-	}
-	return "expr"
 }

@@ -31,7 +31,6 @@
 package lockscope
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -339,7 +338,7 @@ func mutexOp(pass *analysis.Pass, cfg Config, call *ast.CallExpr) (op, key strin
 	if n := rn.Obj().Name(); n != "Mutex" && n != "RWMutex" {
 		return "", "", nil, false
 	}
-	key = exprString(sel.X)
+	key = analysis.ExprString(sel.X)
 	// Owner: for `s.mu.Lock()` the owner is s's type; for an embedded
 	// mutex (`t.Lock()`), sel.X itself is the owner.
 	if xn := namedOf(typeOf(pass, sel.X)); xn != nil && !(xn.Obj().Pkg() != nil && xn.Obj().Pkg().Path() == "sync") {
@@ -408,18 +407,4 @@ func typeOf(pass *analysis.Pass, e ast.Expr) types.Type {
 		return tv.Type
 	}
 	return types.Typ[types.Invalid]
-}
-
-func exprString(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.IndexExpr:
-		return exprString(e.X) + "[...]"
-	case *ast.CallExpr:
-		return exprString(e.Fun) + "()"
-	}
-	return fmt.Sprintf("%T", e)
 }

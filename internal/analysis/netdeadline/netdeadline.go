@@ -438,7 +438,7 @@ func readerConn(pass *analysis.Pass, readers map[types.Object]ast.Expr, e ast.Ex
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		if conn, ok := readers[pass.TypesInfo.ObjectOf(e)]; ok {
-			return exprString(conn), true
+			return analysis.ExprString(conn), true
 		}
 	case *ast.SelectorExpr:
 		t := pass.TypesInfo.TypeOf(e.X)
@@ -459,7 +459,7 @@ func readerConn(pass *analysis.Pass, readers map[types.Object]ast.Expr, e ast.Ex
 			}
 		}
 		if field != "" {
-			return exprString(e.X) + "." + field, true
+			return analysis.ExprString(e.X) + "." + field, true
 		}
 	}
 	return "", false
@@ -499,7 +499,7 @@ func checkCall(pass *analysis.Pass, infos map[*types.Func]*funcInfo, readers map
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		// Direct method call on a conn-typed expression.
 		if tv, ok := pass.TypesInfo.Types[sel.X]; ok && isConn(tv.Type) {
-			key := exprString(sel.X)
+			key := analysis.ExprString(sel.X)
 			switch {
 			case setterNames[sel.Sel.Name]:
 				armed[key] = true
@@ -514,7 +514,7 @@ func checkCall(pass *analysis.Pass, infos map[*types.Func]*funcInfo, readers map
 		// Method call on a buffered reader over a conn: a read of the conn.
 		if key, ok := readerConn(pass, readers, sel.X); ok {
 			if !neutralReaderMethods[sel.Sel.Name] && !armed[key] {
-				pass.Reportf(call.Pos(), "%s.%s reads conn %s without a deadline armed on it in this function: unbounded block on a stuck peer (arm a Set{Read,Write}Deadline first)", exprString(sel.X), sel.Sel.Name, key)
+				pass.Reportf(call.Pos(), "%s.%s reads conn %s without a deadline armed on it in this function: unbounded block on a stuck peer (arm a Set{Read,Write}Deadline first)", analysis.ExprString(sel.X), sel.Sel.Name, key)
 			}
 			return
 		}
@@ -522,7 +522,7 @@ func checkCall(pass *analysis.Pass, infos map[*types.Func]*funcInfo, readers map
 		// (c.arm() arms c.conn).
 		if fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func); fn != nil {
 			if fi := infos[fn]; fi != nil && fi.armsField != "" {
-				armed[exprString(sel.X)+"."+fi.armsField] = true
+				armed[analysis.ExprString(sel.X)+"."+fi.armsField] = true
 			}
 		}
 	}
@@ -532,7 +532,7 @@ func checkCall(pass *analysis.Pass, infos map[*types.Func]*funcInfo, readers map
 	for argPos, arg := range call.Args {
 		if key, ok := readerConn(pass, readers, arg); ok {
 			if argKind(pass, callee, call, argPos) == kindIO && !armed[key] {
-				pass.Reportf(call.Pos(), "conn %s passed to I/O through %s without a deadline armed in this function: unbounded block on a stuck peer (arm a Set{Read,Write}Deadline first)", key, exprString(arg))
+				pass.Reportf(call.Pos(), "conn %s passed to I/O through %s without a deadline armed in this function: unbounded block on a stuck peer (arm a Set{Read,Write}Deadline first)", key, analysis.ExprString(arg))
 			}
 			continue
 		}
@@ -540,7 +540,7 @@ func checkCall(pass *analysis.Pass, infos map[*types.Func]*funcInfo, readers map
 		if !ok || !isConn(tv.Type) {
 			continue
 		}
-		key := exprString(arg)
+		key := analysis.ExprString(arg)
 		switch argKind(pass, callee, call, argPos) {
 		case kindArms:
 			armed[key] = true
@@ -563,7 +563,7 @@ func discardedSetter(pass *analysis.Pass, call *ast.CallExpr) string {
 	if !ok || !isConn(tv.Type) {
 		return ""
 	}
-	return exprString(sel.X) + "." + sel.Sel.Name
+	return analysis.ExprString(sel.X) + "." + sel.Sel.Name
 }
 
 func allBlank(exprs []ast.Expr) bool {
@@ -574,18 +574,4 @@ func allBlank(exprs []ast.Expr) bool {
 		}
 	}
 	return true
-}
-
-func exprString(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.IndexExpr:
-		return exprString(e.X) + "[...]"
-	case *ast.CallExpr:
-		return exprString(e.Fun) + "()"
-	}
-	return "conn"
 }
