@@ -190,19 +190,6 @@ func NewAnalogCanceller(refAmp float64) *AnalogCanceller {
 	return a
 }
 
-// FreqResponse evaluates the canceller's response at baseband frequency f.
-func (a *AnalogCanceller) FreqResponse(f float64) complex128 {
-	var acc complex128
-	for i, tau := range a.TapDelaysS {
-		if math.IsInf(a.AttenDB[i], 1) {
-			continue
-		}
-		amp := a.RefAmps[i] * math.Pow(10, -a.AttenDB[i]/20)
-		acc += cmplx.Rect(amp, -2*math.Pi*(CarrierHz+f)*tau)
-	}
-	return acc
-}
-
 // TuneStats records the work and intermediate quality of the most recent
 // Tune call, for run manifests: the unquantized NNLS fit is the ceiling
 // the attenuator grid is quantizing toward, so a drop in QuantizedDB with
@@ -220,6 +207,92 @@ type TuneStats struct {
 	RefineIterations int
 }
 
+// band is the tuning band sampled once per tune: nFreq points spread over
+// [-bw/2, +bw/2], the SI channel's response at each and each tap's unit
+// phasor there. Every fit and every measurement of one tune reads it, so
+// neither is recomputed per attenuator setting tried.
+type band struct {
+	si     []complex128   // the SI channel's response at each point
+	phasor [][]complex128 // phasor[i][k] is tap k's unit phasor at point i
+	raw    float64        // Σ|si|², the in-band SI power
+	amp    []float64      // scratch for the taps' current amplitudes
+	res    []complex128   // residual's output
+}
+
+// newBand samples the SI channel and the canceller's taps at nFreq points
+// of the band [-bw/2, +bw/2]; fewer than 2 points are raised to 2, the
+// band's edges.
+func (a *AnalogCanceller) newBand(si *SIChannel, bw float64, nFreq int) *band {
+	nFreq = max(nFreq, 2)
+	b := &band{
+		si:     make([]complex128, nFreq),
+		phasor: make([][]complex128, nFreq),
+		amp:    make([]float64, len(a.TapDelaysS)),
+		res:    make([]complex128, nFreq),
+	}
+	for i := range b.si {
+		f := -bw/2 + bw*float64(i)/float64(nFreq-1)
+		h := si.FreqResponse(f)
+		b.si[i] = h
+		b.raw += real(h)*real(h) + imag(h)*imag(h)
+		b.phasor[i] = make([]complex128, len(a.TapDelaysS))
+		for k, tau := range a.TapDelaysS {
+			s, c := math.Sincos(-2 * math.Pi * (CarrierHz + f) * tau)
+			b.phasor[i][k] = complex(c, s)
+		}
+	}
+	return b
+}
+
+// residual returns si − Σ_k amp[k]·φ_k at each point, adding the taps in
+// order; a zero amplitude (a tap that is off) adds nothing. The slice is
+// b's, overwritten by the next call.
+func (b *band) residual(amp []float64) []complex128 {
+	for i, ph := range b.phasor {
+		var acc complex128
+		for k, p := range ph {
+			if amp[k] != 0 {
+				acc += complex(amp[k]*real(p), amp[k]*imag(p))
+			}
+		}
+		b.res[i] = b.si[i] - acc
+	}
+	return b.res
+}
+
+// fitDB is the in-band cancellation of the fit Σ_k amp[k]·φ_k.
+func (b *band) fitDB(amp []float64) float64 {
+	var res float64
+	for _, r := range b.residual(amp) {
+		res += real(r)*real(r) + imag(r)*imag(r)
+	}
+	return ratioDB(b.raw, res)
+}
+
+// amps returns each tap's amplitude at its current attenuator setting, 0
+// for a tap that is off, in b's scratch.
+func (a *AnalogCanceller) amps(b *band) []float64 {
+	for k, att := range a.AttenDB {
+		b.amp[k] = a.RefAmps[k] * math.Pow(10, -att/20)
+	}
+	return b.amp
+}
+
+// cancellationDB measures the in-band cancellation of the current
+// attenuator setting.
+func (a *AnalogCanceller) cancellationDB(b *band) float64 {
+	return b.fitDB(a.amps(b))
+}
+
+// ratioDB is the power ratio raw/res in dB, capped at the physical
+// MaxCancellationDB; a zero residual reads as the cap.
+func ratioDB(raw, res float64) float64 {
+	if res <= 0 {
+		return MaxCancellationDB
+	}
+	return min(10*math.Log10(raw/res), MaxCancellationDB)
+}
+
 // Tune fits the attenuators to cancel the SI channel over the band
 // [-bw/2, +bw/2], sampled at nFreq points. The fit is a sequential
 // noise-shaping quantization: taps are fixed one at a time from the
@@ -230,29 +303,16 @@ type TuneStats struct {
 // returns the achieved in-band cancellation in dB and leaves per-call
 // observability in LastTune.
 func (a *AnalogCanceller) Tune(si *SIChannel, bw float64, nFreq int) float64 {
-	if nFreq < 2 {
-		nFreq = 2
-	}
-	freqs := make([]float64, nFreq)
-	for i := range freqs {
-		freqs[i] = -bw/2 + bw*float64(i)/float64(nFreq-1)
-	}
-	a.LastTune = TuneStats{UnquantizedDB: a.UnquantizedFitDB(si, bw, nFreq)}
+	b := a.newBand(si, bw, nFreq)
+	a.LastTune = TuneStats{UnquantizedDB: b.unquantizedFitDB()}
 	nT := len(a.TapDelaysS)
 	for i := range a.AttenDB {
 		a.AttenDB[i] = math.Inf(1)
 	}
-	free := make([]bool, nT)
-	for i := range free {
-		free[i] = true
-	}
+	fixed := make([]bool, nT)
 	for fix := 0; fix < nT; fix++ {
 		// Residual target: SI minus the taps already fixed.
-		target := make([]complex128, nFreq)
-		for fi, f := range freqs {
-			target[fi] = si.FreqResponse(f) - a.FreqResponse(f)
-		}
-		gains, ok := a.nnls(target, freqs, free, 1e-6)
+		gains, ok := b.nnls(b.residual(a.amps(b)), fixed)
 		if !ok {
 			break
 		}
@@ -261,7 +321,7 @@ func (a *AnalogCanceller) Tune(si *SIChannel, bw float64, nFreq int) float64 {
 		// error.
 		tap, bestG := -1, -1.0
 		for i := 0; i < nT; i++ {
-			if free[i] && gains[i] > bestG {
+			if !fixed[i] && gains[i] > bestG {
 				tap, bestG = i, gains[i]
 			}
 		}
@@ -269,14 +329,14 @@ func (a *AnalogCanceller) Tune(si *SIChannel, bw float64, nFreq int) float64 {
 			break
 		}
 		a.AttenDB[tap] = a.quantizeGain(tap, gains[tap])
-		free[tap] = false
+		fixed[tap] = true
 	}
-	a.LastTune.RefineIterations += a.refine(si, bw, nFreq)
-	a.LastTune.RefineIterations += a.pairRefine(si, bw, nFreq)
+	a.LastTune.RefineIterations += a.refine(b)
+	a.LastTune.RefineIterations += a.pairRefine(b)
 	// Basin hopping: the quantized landscape has local optima; perturb and
 	// re-descend, keeping the best setting found. This is the software
 	// analogue of the hardware tuner's repeated measurement-driven sweeps.
-	best := a.CancellationDB(si, bw, nFreq)
+	best := a.cancellationDB(b)
 	bestAtt := append([]float64(nil), a.AttenDB...)
 	h := uint64(0x9e3779b97f4a7c15)
 	for hop := 0; hop < 4; hop++ {
@@ -293,18 +353,15 @@ func (a *AnalogCanceller) Tune(si *SIChannel, bw float64, nFreq int) float64 {
 				}
 				continue
 			}
-			v := a.AttenDB[i] + step
-			if v < 0 {
-				v = 0
-			}
+			v := max(a.AttenDB[i]+step, 0)
 			if v > AttenMaxDB {
 				v = math.Inf(1)
 			}
 			a.AttenDB[i] = v
 		}
-		a.LastTune.RefineIterations += a.refine(si, bw, nFreq)
-		a.LastTune.RefineIterations += a.pairRefine(si, bw, nFreq)
-		if got := a.CancellationDB(si, bw, nFreq); got > best {
+		a.LastTune.RefineIterations += a.refine(b)
+		a.LastTune.RefineIterations += a.pairRefine(b)
+		if got := a.cancellationDB(b); got > best {
 			best = got
 			copy(bestAtt, a.AttenDB)
 		}
@@ -314,46 +371,36 @@ func (a *AnalogCanceller) Tune(si *SIChannel, bw float64, nFreq int) float64 {
 	return best
 }
 
-// UnquantizedFitDB solves the continuous non-negative least-squares fit
+// unquantizedFitDB solves the continuous non-negative least-squares fit
 // with every tap free and no attenuator quantization, and returns the
 // cancellation it would achieve — the upper bound the quantized tuner
-// works toward. The canceller's attenuator settings are not modified.
-func (a *AnalogCanceller) UnquantizedFitDB(si *SIChannel, bw float64, nFreq int) float64 {
-	if nFreq < 2 {
-		nFreq = 2
-	}
-	freqs := make([]float64, nFreq)
-	target := make([]complex128, nFreq)
-	for i := range freqs {
-		freqs[i] = -bw/2 + bw*float64(i)/float64(nFreq-1)
-		target[i] = si.FreqResponse(freqs[i])
-	}
-	free := make([]bool, len(a.TapDelaysS))
-	for i := range free {
-		free[i] = true
-	}
-	gains, ok := a.nnls(target, freqs, free, 1e-6)
+// works toward.
+func (b *band) unquantizedFitDB() float64 {
+	gains, ok := b.nnls(b.si, make([]bool, len(b.amp)))
 	if !ok {
 		return 0
 	}
-	var raw, res float64
-	for fi, f := range freqs {
-		var fit complex128
-		for k, tau := range a.TapDelaysS {
-			fit += complex(gains[k], 0) * cmplx.Exp(complex(0, -2*math.Pi*(CarrierHz+f)*tau))
+	return b.fitDB(gains)
+}
+
+// sweepTap tries every attenuator step of tap j, then off, and keeps the
+// first setting whose cancellation beats the bar floor, raising the bar to
+// each one it keeps. It leaves tap j at the kept setting (cur when none
+// beat floor) and returns it with its cancellation (floor when none did).
+func (a *AnalogCanceller) sweepTap(b *band, j int, cur, floor float64) (float64, float64) {
+	nLevels := int(AttenMaxDB/AttenStepDB) + 1
+	keep, bar := cur, floor
+	for l := 0; l <= nLevels; l++ {
+		a.AttenDB[j] = math.Inf(1)
+		if l < nLevels {
+			a.AttenDB[j] = float64(l) * AttenStepDB
 		}
-		r := target[fi] - fit
-		raw += real(target[fi])*real(target[fi]) + imag(target[fi])*imag(target[fi])
-		res += real(r)*real(r) + imag(r)*imag(r)
+		if got := a.cancellationDB(b); got > bar {
+			keep, bar = a.AttenDB[j], got
+		}
 	}
-	if res <= 0 {
-		return MaxCancellationDB
-	}
-	c := 10 * math.Log10(raw/res)
-	if c > MaxCancellationDB {
-		c = MaxCancellationDB
-	}
-	return c
+	a.AttenDB[j] = keep
+	return keep, bar
 }
 
 // pairRefine extends the coordinate descent with coordinated two-tap moves:
@@ -361,9 +408,8 @@ func (a *AnalogCanceller) UnquantizedFitDB(si *SIChannel, bw float64, nFreq int)
 // j. Single-tap moves stall once every tap is pinned by the bulk fit; pair
 // moves let one tap migrate to a deep-attenuation trim role while another
 // absorbs the bulk shift. Returns the number of sweeps performed.
-func (a *AnalogCanceller) pairRefine(si *SIChannel, bw float64, nFreq int) int {
-	best := a.CancellationDB(si, bw, nFreq)
-	nLevels := int(AttenMaxDB/AttenStepDB) + 1
+func (a *AnalogCanceller) pairRefine(b *band) int {
+	best := a.cancellationDB(b)
 	iters := 0
 	for iter := 0; iter < 2; iter++ {
 		iters++
@@ -378,37 +424,19 @@ func (a *AnalogCanceller) pairRefine(si *SIChannel, bw float64, nFreq int) int {
 					vi := saveI + di*AttenStepDB
 					if math.IsInf(saveI, 1) {
 						vi = AttenMaxDB + di*AttenStepDB
-						if vi > AttenMaxDB {
-							continue
-						}
 					}
 					if vi < 0 || vi > AttenMaxDB {
 						continue
 					}
 					a.AttenDB[i] = vi
-					// Exhaustive sweep of tap j.
-					bestJ, bestVal := saveJ, -1.0
-					for l := 0; l <= nLevels; l++ {
-						if l == nLevels {
-							a.AttenDB[j] = math.Inf(1)
-						} else {
-							a.AttenDB[j] = float64(l) * AttenStepDB
-						}
-						if got := a.CancellationDB(si, bw, nFreq); got > bestVal {
-							bestVal = got
-							bestJ = a.AttenDB[j]
-						}
-					}
-					if bestVal > best {
-						best = bestVal
-						a.AttenDB[j] = bestJ
-						saveI, saveJ = a.AttenDB[i], bestJ
+					if bestJ, got := a.sweepTap(b, j, saveJ, -1); got > best {
+						best = got
+						saveI, saveJ = vi, bestJ
 						improved = true
 					} else {
 						a.AttenDB[i], a.AttenDB[j] = saveI, saveJ
 					}
 				}
-				a.AttenDB[i], a.AttenDB[j] = saveI, saveJ
 			}
 		}
 		if !improved {
@@ -418,18 +446,18 @@ func (a *AnalogCanceller) pairRefine(si *SIChannel, bw float64, nFreq int) int {
 	return iters
 }
 
-// nnls solves min ||target(f) - Σ_free g_k φ_k(f)||² over g_k ≥ 0 by
-// iterated least squares with active-set clamping, returning per-tap gains.
-func (a *AnalogCanceller) nnls(target []complex128, freqs []float64, free []bool, ridge float64) ([]float64, bool) {
-	nT := len(a.TapDelaysS)
-	nFreq := len(freqs)
-	idx := make([]int, 0, nT)
-	for i, on := range free {
-		if on {
+// nnls solves min ||target - Σ g_k φ_k||² over the band's points and the
+// taps not yet fixed, with g_k ≥ 0, by iterated least squares with
+// active-set clamping and a small ridge, returning per-tap gains.
+func (b *band) nnls(target []complex128, fixed []bool) ([]float64, bool) {
+	nFreq := len(b.si)
+	var idx []int
+	for i, f := range fixed {
+		if !f {
 			idx = append(idx, i)
 		}
 	}
-	gains := make([]float64, nT)
+	gains := make([]float64, len(fixed))
 	if len(idx) == 0 {
 		return gains, true
 	}
@@ -438,19 +466,18 @@ func (a *AnalogCanceller) nnls(target []complex128, freqs []float64, free []bool
 	rows := 2 * nFreq
 	cols := len(idx)
 	A := make([][]float64, rows)
-	b := make([]float64, rows)
-	for fi, f := range freqs {
+	y := make([]float64, rows)
+	for fi, ph := range b.phasor {
 		A[fi] = make([]float64, cols)
 		A[nFreq+fi] = make([]float64, cols)
-		b[fi] = real(target[fi])
-		b[nFreq+fi] = imag(target[fi])
+		y[fi] = real(target[fi])
+		y[nFreq+fi] = imag(target[fi])
 		for ji, j := range idx {
-			phi := cmplx.Exp(complex(0, -2*math.Pi*(CarrierHz+f)*a.TapDelaysS[j]))
-			A[fi][ji] = real(phi)
-			A[nFreq+fi][ji] = imag(phi)
+			A[fi][ji] = real(ph[j])
+			A[nFreq+fi][ji] = imag(ph[j])
 		}
 	}
-	g, ok := linalg.NNLS(A, b, ridge)
+	g, ok := linalg.NNLS(A, y, 1e-6)
 	if !ok {
 		return gains, false
 	}
@@ -484,32 +511,17 @@ func (a *AnalogCanceller) quantizeGain(i int, g float64) float64 {
 // against the measured residual — exactly what the hardware's baseband
 // tuning loop does (Sec 4.3) — recovers the deep null. Returns the number
 // of sweeps performed.
-func (a *AnalogCanceller) refine(si *SIChannel, bw float64, nFreq int) int {
-	best := a.CancellationDB(si, bw, nFreq)
-	nLevels := int(AttenMaxDB/AttenStepDB) + 1
+func (a *AnalogCanceller) refine(b *band) int {
+	best := a.cancellationDB(b)
 	iters := 0
 	for iter := 0; iter < 200; iter++ {
 		iters++
 		improved := false
 		for i := range a.AttenDB {
-			orig := a.AttenDB[i]
-			bestLevel := orig
-			// Exhaustive sweep of this tap's attenuator, plus "off".
-			for l := 0; l <= nLevels; l++ {
-				var cand float64
-				if l == nLevels {
-					cand = math.Inf(1)
-				} else {
-					cand = float64(l) * AttenStepDB
-				}
-				a.AttenDB[i] = cand
-				if got := a.CancellationDB(si, bw, nFreq); got > best {
-					best = got
-					bestLevel = cand
-					improved = true
-				}
+			if _, got := a.sweepTap(b, i, a.AttenDB[i], best); got > best {
+				best = got
+				improved = true
 			}
-			a.AttenDB[i] = bestLevel
 		}
 		if !improved {
 			break
@@ -519,24 +531,10 @@ func (a *AnalogCanceller) refine(si *SIChannel, bw float64, nFreq int) int {
 }
 
 // CancellationDB measures the in-band power ratio between the raw SI and
-// the post-cancellation residual, in dB.
+// the post-cancellation residual, in dB, over nFreq points of the band
+// [-bw/2, +bw/2] (at least its two edges).
 func (a *AnalogCanceller) CancellationDB(si *SIChannel, bw float64, nFreq int) float64 {
-	var raw, res float64
-	for i := 0; i < nFreq; i++ {
-		f := -bw/2 + bw*float64(i)/float64(nFreq-1)
-		h := si.FreqResponse(f)
-		r := h - a.FreqResponse(f)
-		raw += real(h)*real(h) + imag(h)*imag(h)
-		res += real(r)*real(r) + imag(r)*imag(r)
-	}
-	if res <= 0 {
-		return MaxCancellationDB
-	}
-	c := 10 * math.Log10(raw/res)
-	if c > MaxCancellationDB {
-		c = MaxCancellationDB
-	}
-	return c
+	return a.cancellationDB(a.newBand(si, bw, nFreq))
 }
 
 // ResidualFIR returns the baseband sample-domain FIR of the SI channel
@@ -639,15 +637,5 @@ func MeasureCancellationDB(siPower, residualPower float64) float64 {
 	if siPower <= 0 {
 		return 0
 	}
-	if residualPower <= 0 {
-		return MaxCancellationDB
-	}
-	c := 10 * math.Log10(siPower/residualPower)
-	if c > MaxCancellationDB {
-		c = MaxCancellationDB
-	}
-	if c < 0 {
-		c = 0
-	}
-	return c
+	return max(ratioDB(siPower, residualPower), 0)
 }

@@ -118,6 +118,18 @@ func TestAnalogCancellerAttenuatorsQuantized(t *testing.T) {
 	}
 }
 
+func TestCancellationDBOnePointIsBandEdges(t *testing.T) {
+	// One point would sample the band at 0/0; like Tune, the measurement
+	// clamps to the band's two edges.
+	si := NewTypicalSIChannel(rng.New(12))
+	a := NewAnalogCanceller(1.0)
+	a.AttenDB[0], a.AttenDB[5] = 6, 12.5
+	got, want := a.CancellationDB(si, 20e6, 1), a.CancellationDB(si, 20e6, 2)
+	if math.IsNaN(got) || math.IsInf(got, 0) || got != want {
+		t.Errorf("CancellationDB at 1 point = %v, want the 2-point %v", got, want)
+	}
+}
+
 func TestEstimateFIRRecoversChannel(t *testing.T) {
 	src := rng.New(5)
 	h := []complex128{0.5, -0.2i, 0.1, 0, 0.05}
