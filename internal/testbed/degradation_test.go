@@ -147,3 +147,33 @@ func TestImpairZeroProfileBitIdentical(t *testing.T) {
 		t.Error("zero impairment profile changed evaluation results")
 	}
 }
+
+// TestHoldFilterPolicy runs the sounding-fault policy over fixed round
+// outcomes: a filter survives exactly maxStaleIntervals misses, the next
+// miss leaves the relay blind, and one OK round restores a fresh filter.
+func TestHoldFilterPolicy(t *testing.T) {
+	const o, x = true, false
+	misses := func(n int) []bool { return make([]bool, n) }
+	for _, tc := range []struct {
+		name   string
+		rounds []bool
+		stale  int
+		valid  bool
+	}{
+		{"never sounded", misses(3), 0, false},
+		{"fresh", []bool{x, o}, 0, true},
+		{"held at the limit", append([]bool{o}, misses(maxStaleIntervals)...), maxStaleIntervals, true},
+		{"dropped past the limit", append([]bool{o}, misses(maxStaleIntervals+1)...), maxStaleIntervals + 1, false},
+		{"blind stays blind", append([]bool{o}, misses(maxStaleIntervals+3)...), maxStaleIntervals + 1, false},
+		{"recovered after blind", append(append([]bool{o}, misses(maxStaleIntervals+1)...), o), 0, true},
+		{"aged after recovery", append(append([]bool{o}, misses(maxStaleIntervals+1)...), o, x, x), 2, true},
+	} {
+		stale, valid := 0, false
+		for _, ok := range tc.rounds {
+			stale, valid = holdFilter(ok, stale, valid)
+		}
+		if stale != tc.stale || valid != tc.valid {
+			t.Errorf("%s: stale %d valid %v, want %d %v", tc.name, stale, valid, tc.stale, tc.valid)
+		}
+	}
+}
