@@ -84,12 +84,12 @@ func (c *Client) Link(relayID int) (Link, bool) {
 // Config tunes the assignment scheduler.
 type Config struct {
 	// MinAmpDB is each relay gate's admission threshold
-	// (relay.NewBudgetAccount).
+	// (relayd.NewGate).
 	MinAmpDB float64
 	// MaxSessionsPerRelay caps each gate (<= 0: uncapped).
 	MaxSessionsPerRelay int
-	// Degrade selects the gates' soft admission policy
-	// (relay.BudgetAccount.AdmitDegraded).
+	// Degrade selects the gates' soft admission policy (relayd.Gate's
+	// degrade policy).
 	Degrade bool
 	// DegradeSeverity is the ladder rank at which a relay goes dark
 	// (stops accepting assignments and sheds clients); RecoverSeverity

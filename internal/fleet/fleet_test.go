@@ -68,7 +68,7 @@ func checkNoDoubleAssignment(t *testing.T, p *Pool) {
 	}
 	active := 0
 	for _, r := range p.Registry().Relays() {
-		active += r.Gate.Active()
+		active += r.Gate.Sessions()
 	}
 	if active != assigned {
 		t.Fatalf("gates hold %d sessions, pool assigned %d clients", active, assigned)

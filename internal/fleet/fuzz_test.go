@@ -100,13 +100,13 @@ func checkFuzzInvariants(t *testing.T, p *Pool, postRebalance bool) {
 			// left on a dark relay must be explicitly Stranded.
 			t.Fatalf("client %d on dark relay %d without Stranded", c.ID, r.ID)
 		}
-		if lim := r.Gate.MaxSessions(); lim > 0 && r.Gate.Active() > lim {
-			t.Fatalf("relay %d holds %d sessions over cap %d", r.ID, r.Gate.Active(), lim)
+		if lim := r.Gate.MaxSessions(); lim > 0 && r.Gate.Sessions() > lim {
+			t.Fatalf("relay %d holds %d sessions over cap %d", r.ID, r.Gate.Sessions(), lim)
 		}
 	}
 	active := 0
 	for _, r := range p.Registry().Relays() {
-		active += r.Gate.Active()
+		active += r.Gate.Sessions()
 	}
 	if active != assigned {
 		t.Fatalf("gates hold %d sessions, pool assigned %d clients", active, assigned)

@@ -29,23 +29,24 @@ const (
 	AmpBoundFloor
 	// AmpBoundBudget: the aggregate multi-session admission budget was
 	// active — the grant was bisected below the session's own bounds so
-	// already-admitted sessions keep theirs (BudgetAccount.AdmitDegraded).
+	// already-admitted sessions keep theirs (relayd.Gate's degrade policy).
 	AmpBoundBudget
 )
 
+// ampBoundNames is the one name table of AmpBound: the wire names an
+// ACCEPT frame, /status and a manifest carry, indexed by the enum value.
+var ampBoundNames = [...]string{
+	AmpBoundCancellation: "cancellation",
+	AmpBoundNoiseRule:    "noise_rule",
+	AmpBoundPALimit:      "pa_limit",
+	AmpBoundFloor:        "floor",
+	AmpBoundBudget:       "budget",
+}
+
 // String names the bound for metrics and manifests.
 func (b AmpBound) String() string {
-	switch b {
-	case AmpBoundCancellation:
-		return "cancellation"
-	case AmpBoundNoiseRule:
-		return "noise_rule"
-	case AmpBoundPALimit:
-		return "pa_limit"
-	case AmpBoundFloor:
-		return "floor"
-	case AmpBoundBudget:
-		return "budget"
+	if b >= 0 && int(b) < len(ampBoundNames) {
+		return ampBoundNames[b]
 	}
 	return "unknown"
 }
@@ -54,17 +55,10 @@ func (b AmpBound) String() string {
 // in an ACCEPT frame or a manifest) back to the enum value, reporting
 // whether the name is known.
 func ParseAmpBound(s string) (AmpBound, bool) {
-	switch s {
-	case "cancellation":
-		return AmpBoundCancellation, true
-	case "noise_rule":
-		return AmpBoundNoiseRule, true
-	case "pa_limit":
-		return AmpBoundPALimit, true
-	case "floor":
-		return AmpBoundFloor, true
-	case "budget":
-		return AmpBoundBudget, true
+	for b, name := range ampBoundNames {
+		if name == s {
+			return AmpBound(b), true
+		}
 	}
 	return 0, false
 }
@@ -96,31 +90,29 @@ func ChooseAmplificationDB(cancellationDB, rdAttenDB, paHeadroomDB float64, nois
 // ChooseAmplificationResidualDB is ChooseAmplificationDB with the noise
 // rule made self-interference-aware: with finite cancellation the relay's
 // receiver noise is not just thermal but n0 + rx·A/C (the residual its own
-// transmission leaves behind the canceller), and that elevated floor is
-// what gets amplified toward the destination. The Sec 3.5 condition
-// "injected noise ≥ 3 dB below the destination floor" then reads
+// transmission leaves behind the canceller), plus extLoad, the residual
+// load L other sessions sharing the receiver put on it (budget.go), and
+// that elevated floor is what gets amplified toward the destination. The
+// Sec 3.5 condition "injected noise ≥ 3 dB below the destination floor"
+// then reads
 //
-//	(n0 + rx·A/C) · A / a  ≤  n0 / margin
+//	(n0·(1+L) + rx·A/C) · A / a  ≤  n0 / margin
 //
-// whose positive root replaces the plain a − 3 dB bound. rxOverNoiseDB is
-// the relay's received signal-to-thermal-noise ratio (rx/n0 in dB). As
-// C → ∞ the residual term vanishes and the bound reduces exactly to
-// a − 3 dB, so this only backs off further when cancellation has degraded —
-// the graceful-degradation path uses it; the ideal path keeps the
-// closed-form rule.
-func ChooseAmplificationResidualDB(cancellationDB, rdAttenDB, paHeadroomDB, rxOverNoiseDB float64, noiseRule bool) AmpDecision {
-	noiseBound := rdAttenDB - cnf.NoiseMarginDB
-	// beta = rx/(n0·C): the residual's weight relative to thermal noise per
-	// unit of (linear) amplification.
-	beta := math.Pow(10, (rxOverNoiseDB-cancellationDB)/10)
-	if beta > 0 && !math.IsInf(cancellationDB, 1) {
+// whose positive root replaces the plain a − 3 dB bound. As C → ∞ with
+// L = 0 the residual term vanishes and the bound reduces exactly to
+// a − 3 dB, so this only backs off further when cancellation has degraded
+// or the floor is shared — the graceful-degradation path calls it with
+// L = 0, the admission ledger (relayd.Gate) with the other members' load;
+// the ideal path keeps the closed-form rule.
+func ChooseAmplificationResidualDB(s SessionBudget, extLoad float64, noiseRule bool) AmpDecision {
+	noiseBound := s.RDAttenDB - cnf.NoiseMarginDB
+	beta := s.ResidualWeight()
+	if extLoad > 0 || (beta > 0 && !math.IsInf(s.CancellationDB, 1)) {
 		target := math.Pow(10, noiseBound/10)
-		// Positive root of βA² + A − target: the shared-floor root at
-		// zero external load.
-		a := noiseBoundShared(beta, 0, target)
+		a := noiseBoundShared(beta, extLoad, target)
 		noiseBound = 10 * math.Log10(a)
 	}
-	return chooseAmp(cancellationDB, noiseBound, paHeadroomDB, noiseRule)
+	return chooseAmp(s.CancellationDB, noiseBound, s.PAHeadroomDB, noiseRule)
 }
 
 // chooseAmp is the shared min() core; noiseBoundDB is the already-margined

@@ -104,14 +104,14 @@ func TestResidualRuleProperties(t *testing.T) {
 
 	// C = +Inf: the residual term vanishes identically.
 	plain := ChooseAmplificationDB(math.Inf(1), rdAtten, paHead, true)
-	resid := ChooseAmplificationResidualDB(math.Inf(1), rdAtten, paHead, 60, true)
+	resid := residualDecision(math.Inf(1), rdAtten, paHead, 60, true)
 	if resid != plain {
 		t.Errorf("C=+Inf: residual rule %+v differs from plain %+v", resid, plain)
 	}
 
 	// beta → 0 (signal far below thermal noise): converges to the plain rule.
 	plain = ChooseAmplificationDB(110, rdAtten, paHead, true)
-	resid = ChooseAmplificationResidualDB(110, rdAtten, paHead, -300, true)
+	resid = residualDecision(110, rdAtten, paHead, -300, true)
 	if math.Abs(resid.AmpDB-plain.AmpDB) > 1e-9 || resid.Bound != plain.Bound {
 		t.Errorf("beta->0: residual %.12f/%s, plain %.12f/%s",
 			resid.AmpDB, resid.Bound, plain.AmpDB, plain.Bound)
@@ -120,7 +120,7 @@ func TestResidualRuleProperties(t *testing.T) {
 	// Never exceeds the plain rule, and is monotone in both arguments.
 	prevRx := math.Inf(1)
 	for _, rx := range []float64{-20, 0, 20, 40, 60, 80} {
-		r := ChooseAmplificationResidualDB(80, rdAtten, paHead, rx, true)
+		r := residualDecision(80, rdAtten, paHead, rx, true)
 		p := ChooseAmplificationDB(80, rdAtten, paHead, true)
 		if r.AmpDB > p.AmpDB+1e-12 {
 			t.Errorf("rx=%v: residual %.6f exceeds plain %.6f", rx, r.AmpDB, p.AmpDB)
@@ -132,7 +132,7 @@ func TestResidualRuleProperties(t *testing.T) {
 	}
 	prevC := 0.0
 	for _, c := range []float64{20, 40, 60, 80, 100, 120} {
-		r := ChooseAmplificationResidualDB(c, rdAtten, paHead, 45, true)
+		r := residualDecision(c, rdAtten, paHead, 45, true)
 		if r.AmpDB < prevC-1e-12 {
 			t.Errorf("C=%v: amplification fell as cancellation improved", c)
 		}
@@ -142,7 +142,7 @@ func TestResidualRuleProperties(t *testing.T) {
 	// When the residual-aware noise bound binds, the Sec 3.5 condition holds
 	// with equality: (1 + rx·A/(n0·C)) · A = a/margin in linear terms.
 	const c, rx = 50.0, 45.0
-	r := ChooseAmplificationResidualDB(c, rdAtten, paHead, rx, true)
+	r := residualDecision(c, rdAtten, paHead, rx, true)
 	if r.Bound != AmpBoundNoiseRule {
 		t.Fatalf("expected noise_rule to bind, got %s", r.Bound)
 	}
@@ -155,7 +155,7 @@ func TestResidualRuleProperties(t *testing.T) {
 	}
 
 	// noiseRule=false ignores the residual bound entirely.
-	off := ChooseAmplificationResidualDB(c, rdAtten, paHead, rx, false)
+	off := residualDecision(c, rdAtten, paHead, rx, false)
 	want := ChooseAmplificationDB(c, rdAtten, paHead, false)
 	if off != want {
 		t.Errorf("noiseRule=false: residual %+v, plain %+v", off, want)

@@ -62,7 +62,7 @@ func TestResidualBoundUnitDiscipline(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := ChooseAmplificationResidualDB(tc.cancellationDB, tc.rdAttenDB, paHead, tc.rxOverNoiseDB, true)
+			got := residualDecision(tc.cancellationDB, tc.rdAttenDB, paHead, tc.rxOverNoiseDB, true)
 			if got.Bound != tc.wantBound {
 				t.Fatalf("bound = %s, want %s", got.Bound, tc.wantBound)
 			}
@@ -112,4 +112,13 @@ func TestResidualBoundUnitDiscipline(t *testing.T) {
 			}
 		})
 	}
+}
+
+// residualDecision is the single-session residual rule (no external load)
+// in the positional form the table tests read best in.
+func residualDecision(cancellationDB, rdAttenDB, paHeadroomDB, rxOverNoiseDB float64, noiseRule bool) AmpDecision {
+	return ChooseAmplificationResidualDB(SessionBudget{
+		CancellationDB: cancellationDB, RDAttenDB: rdAttenDB,
+		PAHeadroomDB: paHeadroomDB, RxOverNoiseDB: rxOverNoiseDB,
+	}, 0, noiseRule)
 }

@@ -47,3 +47,32 @@ func TestChooseAmplificationMatchesCNFRule(t *testing.T) {
 		}
 	}
 }
+
+// TestAmpBoundNames round-trips every bound through its wire name (the
+// ACCEPT frame and /status carry it) and checks an unknown name and an
+// out-of-range value are rejected.
+func TestAmpBoundNames(t *testing.T) {
+	want := map[AmpBound]string{
+		AmpBoundCancellation: "cancellation",
+		AmpBoundNoiseRule:    "noise_rule",
+		AmpBoundPALimit:      "pa_limit",
+		AmpBoundFloor:        "floor",
+		AmpBoundBudget:       "budget",
+	}
+	for b, name := range want {
+		if got := b.String(); got != name {
+			t.Errorf("AmpBound(%d).String() = %q, want %q", int(b), got, name)
+		}
+		if got, ok := ParseAmpBound(name); !ok || got != b {
+			t.Errorf("ParseAmpBound(%q) = %v, %v; want %v, true", name, got, ok, b)
+		}
+	}
+	if got, ok := ParseAmpBound("saturated"); ok {
+		t.Errorf("ParseAmpBound of an unknown name = %v, true; want false", got)
+	}
+	for _, b := range []AmpBound{-1, AmpBound(len(want))} {
+		if got := b.String(); got != "unknown" {
+			t.Errorf("out-of-range AmpBound(%d).String() = %q, want \"unknown\"", int(b), got)
+		}
+	}
+}

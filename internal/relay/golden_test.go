@@ -32,7 +32,7 @@ func TestAmpDecisionGolden(t *testing.T) {
 	for _, tc := range cases {
 		var d AmpDecision
 		if tc.rxOverN0DB >= 0 {
-			d = ChooseAmplificationResidualDB(tc.cDB, tc.aDB, tc.paDB, tc.rxOverN0DB, tc.noiseRule)
+			d = residualDecision(tc.cDB, tc.aDB, tc.paDB, tc.rxOverN0DB, tc.noiseRule)
 		} else {
 			d = ChooseAmplificationDB(tc.cDB, tc.aDB, tc.paDB, tc.noiseRule)
 		}

@@ -15,9 +15,11 @@
 // A = min(C − stability margin, a − noise margin, PA headroom) — and
 // reports which bound was active (AmpDecision), the quantity behind the
 // relay.amp_db / relay.amp_bound.* run metrics of OBSERVABILITY.md.
-// BudgetAccount extends the rule to many concurrent sessions sharing one
-// receiver noise floor — the admission gate of the relay daemon
-// (internal/relayd, OPERATIONS.md).
+// ChooseAmplificationResidualDB makes the noise rule
+// self-interference-aware and extends it to many concurrent sessions
+// sharing one receiver noise floor (budget.go). The package holds only
+// this physics; the admission ledger that applies it across a daemon's
+// sessions is relayd.Gate (OPERATIONS.md).
 package relay
 
 import (

@@ -11,8 +11,10 @@
 // Admission is physics-aware: every HELLO declares its Sec 3.5 link
 // budget (cancellation, R→D attenuation, PA headroom, RX-over-noise) and
 // the daemon admits it only if the aggregate residual rule still holds
-// for every already-admitted session (relay.BudgetAccount). Grants are
-// sticky: an admitted session keeps its amplification for its lifetime.
+// for every already-admitted session (Gate, gate.go: the session cap, the
+// shared-floor ledger and the strict-or-degrade policy in one admission
+// domain). Grants are sticky: an admitted session keeps its amplification
+// for its lifetime.
 // Throughput is bounded by per-session and global token buckets measured
 // in samples.
 //
@@ -43,12 +45,12 @@ type Config struct {
 	// MaxSessions caps concurrently admitted sessions (<= 0: unlimited).
 	MaxSessions int
 	// MinAmpDB is the least useful amplification grant; candidates whose
-	// shared-floor grant falls below it are refused (relay.BudgetAccount).
+	// shared-floor grant falls below it are refused (NewGate).
 	MinAmpDB float64
 	// Degrade selects the soft admission policy: instead of refusing a
 	// candidate that would violate an admitted session's sticky grant,
-	// bisect the candidate's own amplification down until everyone fits
-	// (relay.BudgetAccount.AdmitDegraded).
+	// bisect the candidate's own amplification down until everyone fits,
+	// never below MinAmpDB or 0 dB (Gate.Admit).
 	Degrade bool
 	// SessionRate / GlobalRate bound throughput in samples per second,
 	// per session and across all sessions (<= 0: unlimited).
@@ -543,7 +545,7 @@ func (s *Server) serveQuery(conn net.Conn, br *bufio.Reader) {
 // usable.
 func (s *Server) answerQuery(conn net.Conn) bool {
 	info := Info{
-		Active:       s.gate.Active(),
+		Active:       s.gate.Sessions(),
 		MaxSessions:  s.gate.MaxSessions(),
 		MinAmpDB:     s.gate.MinAmpDB(),
 		ResidualLoad: s.gate.ResidualLoad(),

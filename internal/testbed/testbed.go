@@ -292,8 +292,10 @@ func (tb *Testbed) EvaluateClient(client floorplan.Point) Evaluation {
 		// relay's receiver; the noise rule must back amplification off for
 		// that elevated floor too, or the forwarded residual swamps the
 		// destination (the valley between "relay off" and "relay clean").
-		amp = relay.ChooseAmplificationResidualDB(effC, rdAttenDB, paHeadroomDB,
-			rxAtRelayDBm-dsp.DB(n0), tb.cfg.NoiseRule)
+		amp = relay.ChooseAmplificationResidualDB(relay.SessionBudget{
+			CancellationDB: effC, RDAttenDB: rdAttenDB, PAHeadroomDB: paHeadroomDB,
+			RxOverNoiseDB: rxAtRelayDBm - dsp.DB(n0),
+		}, 0, tb.cfg.NoiseRule)
 	} else {
 		amp = relay.ChooseAmplificationDB(effC, rdAttenDB, paHeadroomDB, tb.cfg.NoiseRule)
 	}
