@@ -190,36 +190,13 @@ func streamMode() error {
 	return nil
 }
 
-// streamVerified streams blocks of seeded noise through an admitted
-// session and, when verify is set, compares each returned block
-// bit-for-bit against a local replica of the daemon's chain.
+// streamVerified streams blocks of noise seeded from the session's own
+// seed through an admitted session (relayd.Client.Stream), comparing
+// each returned block bit for bit against a local replica of the
+// daemon's chain when verify is set.
 func streamVerified(c *relayd.Client, p relayd.SessionParams, blocks int, verify bool) error {
-	n := p.BlockSamples
-	src := rng.New(p.Seed ^ 0x0ff10ad)
-	tx := src.NoiseVector(blocks*n, 1)
-	rx := src.NoiseVector(blocks*n, 1)
-	out := make([]complex128, n)
-	want := make([]complex128, n)
-	ref, refCancel := relayd.BuildSessionChain(p, c.Accept().AmpDB)
-	for b := 0; b < blocks; b++ {
-		off := b * n
-		if err := c.Process(out, rx[off:off+n], tx[off:off+n]); err != nil {
-			return fmt.Errorf("block %d: %w", b, err)
-		}
-		if !verify {
-			continue
-		}
-		copy(want, rx[off:off+n])
-		refCancel.SetReference(tx[off : off+n])
-		ref.Process(want)
-		for j := range want {
-			if out[j] != want[j] {
-				return fmt.Errorf("block %d sample %d: daemon %v, local chain %v (bit-exact required)",
-					b, j, out[j], want[j])
-			}
-		}
-	}
-	return nil
+	_, err := c.Stream(rng.New(p.Seed^0x0ff10ad), blocks, verify)
+	return err
 }
 
 // smokeMode is the CI end-to-end check, self-contained in one process to

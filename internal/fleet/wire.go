@@ -70,15 +70,6 @@ func newWireMetrics(reg *obs.Registry) wireMetrics {
 	}
 }
 
-// wireSession is one admitted session's client, its grant as decoded
-// from the ACCEPT frame, and everything needed to rebuild its chain
-// locally (bit-verification).
-type wireSession struct {
-	c      *relayd.Client
-	params relayd.SessionParams
-	dec    relay.AmpDecision
-}
-
 // WireEndpoint serves a relay's admission over the wire: Admit is a live
 // HELLO to an ffrelayd, Release closes the session (the daemon frees the
 // budget slot before acknowledging), and occupancy/load come back over a
@@ -91,7 +82,7 @@ type WireEndpoint struct {
 	addr string
 	spec WireSpec
 
-	sessions map[string]*wireSession
+	sessions map[string]*relayd.Client
 	info     *relayd.InfoClient
 
 	// lastLoad / maxSessions cache the last successful QUERY so a
@@ -115,7 +106,7 @@ func NewWireEndpoint(addr string, spec WireSpec, reg *obs.Registry, shard int) *
 	return &WireEndpoint{
 		addr:     addr,
 		spec:     spec,
-		sessions: make(map[string]*wireSession),
+		sessions: make(map[string]*relayd.Client),
 		m:        newWireMetrics(reg),
 		shard:    shard,
 	}
@@ -182,7 +173,7 @@ func (e *WireEndpoint) Admit(key string, sb relay.SessionBudget) (relay.AmpDecis
 		Bound:               bound,
 		StabilityHeadroomDB: acc.StabilityHeadroomDB,
 	}
-	e.sessions[key] = &wireSession{c: c, params: p, dec: dec}
+	e.sessions[key] = c
 	e.m.accepted.Inc(e.shard)
 	return dec, acc.Degraded, nil
 }
@@ -191,12 +182,12 @@ func (e *WireEndpoint) Admit(key string, sb relay.SessionBudget) (relay.AmpDecis
 // writes the STATS frame Close reads, so the slot is observably free on
 // return — the make-before-break invariant holds over the wire.
 func (e *WireEndpoint) Release(key string) bool {
-	s, ok := e.sessions[key]
+	c, ok := e.sessions[key]
 	if !ok {
 		return false
 	}
 	delete(e.sessions, key)
-	if _, err := s.c.Close(); err != nil {
+	if _, err := c.Close(); err != nil {
 		e.m.ioErrors.Inc(e.shard)
 	}
 	e.m.releases.Inc(e.shard)
@@ -257,39 +248,22 @@ func (e *WireEndpoint) MaxSessions() int {
 
 // VerifySession streams blocks of seeded noise through an admitted
 // session and requires the daemon's output to be bit-identical to a
-// local replica of its chain (relayd.BuildSessionChain) — the proof that
-// the wire path executes the same pipeline the placement geometry
-// priced. The stream is seeded from the session's own chain seed, so
+// local replica of its chain (relayd.Client.Stream) — the proof that the
+// wire path executes the same pipeline the placement geometry priced.
+// The stream is seeded from the session's own chain seed, so
 // verification is deterministic per key.
 func (e *WireEndpoint) VerifySession(key string, blocks int) error {
-	s, ok := e.sessions[key]
+	c, ok := e.sessions[key]
 	if !ok {
 		return fmt.Errorf("fleet: no admitted wire session for %q", key)
 	}
-	p := s.params
-	n := p.BlockSamples
-	src := rng.New(rng.ItemSeed(p.Seed, 1))
-	tx := src.NoiseVector(blocks*n, 1)
-	rx := src.NoiseVector(blocks*n, 1)
-	out := make([]complex128, n)
-	want := make([]complex128, n)
-	ref, refCancel := relayd.BuildSessionChain(p, s.dec.AmpDB)
-	for b := 0; b < blocks; b++ {
-		off := b * n
-		if err := s.c.Process(out, rx[off:off+n], tx[off:off+n]); err != nil {
+	served, err := c.Stream(rng.New(rng.ItemSeed(seedForKey(key), 1)), blocks, true)
+	e.m.blocks.Add(e.shard, uint64(served))
+	if err != nil {
+		if !errors.Is(err, relayd.ErrNotBitExact) {
 			e.m.ioErrors.Inc(e.shard)
-			return fmt.Errorf("fleet: wire session %q block %d: %w", key, b, err)
 		}
-		e.m.blocks.Inc(e.shard)
-		copy(want, rx[off:off+n])
-		refCancel.SetReference(tx[off : off+n])
-		ref.Process(want)
-		for j := range want {
-			if out[j] != want[j] {
-				return fmt.Errorf("fleet: wire session %q block %d sample %d: daemon %v, local chain %v (bit-exact required)",
-					key, b, j, out[j], want[j])
-			}
-		}
+		return fmt.Errorf("fleet: wire session %q %w", key, err)
 	}
 	e.m.verified.Inc(e.shard)
 	return nil

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net"
 	"time"
+
+	"fastforward/internal/rng"
 )
 
 // clientConn is the client side of one daemon connection, shared by
@@ -160,6 +162,46 @@ func (c *Client) Process(out, rx, ref []complex128) error {
 	bytesToSamples(out, payload)
 	c.blocks++
 	return nil
+}
+
+// ErrNotBitExact marks a Stream failure in which the daemon's output
+// differed from the local chain, as opposed to a failed exchange.
+var ErrNotBitExact = errors.New("bit-exact required")
+
+// Stream sends blocks of seeded noise through the session: the transmit
+// reference and the received signal are drawn from src,
+// blocks·BlockSamples samples each. With verify set, each returned block
+// must be bit-identical to a local replica of the daemon's chain
+// (BuildSessionChain at the ACCEPT's grant) — the proof that the served
+// path runs the pipeline the grant priced. It returns how many blocks the
+// daemon returned and the first failure: a failed exchange, or an output
+// mismatch wrapping ErrNotBitExact.
+func (c *Client) Stream(src *rng.Source, blocks int, verify bool) (int, error) {
+	n := c.params.BlockSamples
+	tx := src.NoiseVector(blocks*n, 1)
+	rx := src.NoiseVector(blocks*n, 1)
+	out := make([]complex128, n)
+	want := make([]complex128, n)
+	ref, refCancel := BuildSessionChain(c.params, c.accept.AmpDB)
+	for b := 0; b < blocks; b++ {
+		off := b * n
+		if err := c.Process(out, rx[off:off+n], tx[off:off+n]); err != nil {
+			return b, fmt.Errorf("block %d: %w", b, err)
+		}
+		if !verify {
+			continue
+		}
+		copy(want, rx[off:off+n])
+		refCancel.SetReference(tx[off : off+n])
+		ref.Process(want)
+		for j := range want {
+			if out[j] != want[j] {
+				return b + 1, fmt.Errorf("block %d sample %d: daemon %v, local chain %v (%w)",
+					b, j, out[j], want[j], ErrNotBitExact)
+			}
+		}
+	}
+	return blocks, nil
 }
 
 // Close ends the stream with DONE, returns the daemon's final Stats, and
