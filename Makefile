@@ -9,9 +9,11 @@
 # internal/ident, and the testbed's parallel paths) with a drift guard
 # (racecheck) that fails if a concurrent package is missing from that
 # list, a manifest smoke run of ffsim's figure families (see
-# OBSERVABILITY.md), a byte-for-byte check of the examples' stdout, and
-# the fleet sweep smokes — local gates and the served wire mode against
-# real ffrelayd subprocesses (DESIGN.md §11, OPERATIONS.md).
+# OBSERVABILITY.md), a byte-for-byte check of the examples' stdout, the
+# fleet sweep smokes — local gates and the served wire mode against real
+# ffrelayd subprocesses (DESIGN.md §11, OPERATIONS.md) — and bench-kit,
+# which vets and tests the separate bench/ module against the internal
+# packages it imports.
 
 GO ?= go
 SMOKE := .smoke
@@ -74,7 +76,7 @@ race:
 racecheck:
 	$(GO) run ./cmd/racecheck
 
-check: test vet lint race racecheck manifest-smoke examples-smoke daemon-smoke fleet-smoke fleet-served-smoke
+check: test vet lint race racecheck manifest-smoke examples-smoke daemon-smoke fleet-smoke fleet-served-smoke bench-kit
 
 # Run ffsim with -manifest on tiny configurations of its figure families
 # (the Fig 12 sweep, the Figs 1-2 maps, the Sec 3.3 cancellation stage
@@ -209,7 +211,8 @@ bench-sessions: build
 
 # The bench/ module (ffbench and its kit) is a separate Go module, so the
 # root `go test ./...` never builds it: an API change in internal/ that
-# breaks it would otherwise surface only when the benchmark runs. Vet and
+# breaks it would otherwise surface only when the benchmark runs, which
+# is why `make check` runs this target. Vet and
 # test it in -short mode under the same offline environment bench/run.sh
 # uses (local toolchain, no module fetches, caches under .bench_build).
 BENCH_ENV = GOCACHE=$(CURDIR)/.bench_build/gocache GOTMPDIR=$(CURDIR)/.bench_build/tmp \
