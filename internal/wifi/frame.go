@@ -116,8 +116,8 @@ func codedBits(psdu []byte, nDBPS int, m MCS) []byte {
 	return coding.EncodePunctured(scrambled, m.Rate)
 }
 
-// dataSymbol interleaves one stream's coded bits for one OFDM symbol, maps
-// them onto scheme and modulates them.
+// dataSymbol interleaves the coded bits of one OFDM symbol, maps them
+// onto scheme and modulates them.
 func (c *Codec) dataSymbol(bits []byte, scheme modulation.Scheme) ([]complex128, error) {
 	il := coding.Interleave(bits, len(bits), scheme.BitsPerSymbol())
 	syms, err := modulation.Map(scheme, il)
@@ -127,18 +127,10 @@ func (c *Codec) dataSymbol(bits []byte, scheme modulation.Scheme) ([]complex128,
 	return c.mod.Symbol(syms)
 }
 
-// normalize scales the per-antenna waveforms by one common gain so their
-// total average power is 1.
-func normalize(ants ...[]complex128) {
-	var pw float64
-	for _, a := range ants {
-		pw += dsp.Power(a)
-	}
-	if pw > 0 {
-		g := 1 / math.Sqrt(pw)
-		for _, a := range ants {
-			dsp.ScaleInPlace(a, g)
-		}
+// normalize scales wave to unit average power.
+func normalize(wave []complex128) {
+	if pw := dsp.Power(wave); pw > 0 {
+		dsp.ScaleInPlace(wave, 1/math.Sqrt(pw))
 	}
 }
 
@@ -209,13 +201,11 @@ func (c *Codec) Decode(rx []complex128) (*DecodeResult, error) {
 	return c.DecodeAt(rx, start)
 }
 
-// detect locates the preamble on the first antenna whose capture holds
-// one and backs the start off by syncBackoff.
-func (c *Codec) detect(rx ...[]complex128) (int, error) {
-	for _, r := range rx {
-		if start, ok := ofdm.DetectPacket(r, c.pre); ok {
-			return max(start-syncBackoff, 0), nil
-		}
+// detect locates the preamble in rx and backs the start off by
+// syncBackoff.
+func (c *Codec) detect(rx []complex128) (int, error) {
+	if start, ok := ofdm.DetectPacket(rx, c.pre); ok {
+		return max(start-syncBackoff, 0), nil
 	}
 	return 0, ErrNoPacket
 }
