@@ -204,31 +204,6 @@ func NewPinhole(src *rng.Source, nRx, nTx, nTaps int, decay, gainLin float64) *M
 	return m
 }
 
-// Apply passes per-antenna transmit streams through the channel, returning
-// per-receive-antenna streams (no noise). All streams must share a length.
-func (m *MIMO) Apply(tx [][]complex128) [][]complex128 {
-	if len(tx) != m.NTx() {
-		panic("channel: MIMO Apply stream count mismatch")
-	}
-	var n int
-	for _, s := range tx {
-		if n == 0 {
-			n = len(s)
-		} else if len(s) != n {
-			panic("channel: MIMO Apply stream length mismatch")
-		}
-	}
-	out := make([][]complex128, m.NRx())
-	for r := 0; r < m.NRx(); r++ {
-		acc := make([]complex128, n)
-		for t := 0; t < m.NTx(); t++ {
-			dsp.AddInPlace(acc, m.Links[r][t].Apply(tx[t]))
-		}
-		out[r] = acc
-	}
-	return out
-}
-
 // FrequencyResponse returns the nRx×nTx channel matrix at logical
 // subcarrier k of an nfft-point system.
 func (m *MIMO) FrequencyResponse(k, nfft int) *linalg.Matrix {

@@ -152,25 +152,6 @@ func TestPinholeGainNormalization(t *testing.T) {
 	}
 }
 
-func TestMIMOApplySuperposition(t *testing.T) {
-	src := rng.New(7)
-	m := NewRichScattering(src, 2, 2, 3, 0.5, 1)
-	x1 := src.NoiseVector(50, 1)
-	x2 := src.NoiseVector(50, 1)
-	zero := make([]complex128, 50)
-	both := m.Apply([][]complex128{x1, x2})
-	only1 := m.Apply([][]complex128{x1, zero})
-	only2 := m.Apply([][]complex128{zero, x2})
-	for r := 0; r < 2; r++ {
-		sum := dsp.Add(only1[r], only2[r])
-		for i := range sum {
-			if cmplx.Abs(both[r][i]-sum[i]) > 1e-9 {
-				t.Fatalf("superposition violated at rx %d sample %d", r, i)
-			}
-		}
-	}
-}
-
 func TestScale(t *testing.T) {
 	c := NewFlat(1)
 	c.Scale(0.1)

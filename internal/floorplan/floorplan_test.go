@@ -200,7 +200,7 @@ func TestMIMOChannelRankFollowsGeometry(t *testing.T) {
 		{LossDB: 50, DelayS: 10e-9, AoDRad: 0.3, AoARad: -0.7},
 		{LossDB: 51, DelayS: 15e-9, AoDRad: -1.1, AoARad: 1.2},
 	}
-	m := MIMOChannel(rich, 2, 2, 20e6)
+	m := MIMOChannelDiffuse(rich, 2, 2, 20e6, nil, 0)
 	h := m.FrequencyResponse(5, 64)
 	sv := h.SingularValues()
 	if sv[1]/sv[0] < 0.05 {
@@ -208,7 +208,7 @@ func TestMIMOChannelRankFollowsGeometry(t *testing.T) {
 	}
 
 	pinhole := []Path{{LossDB: 50, DelayS: 10e-9, AoDRad: 0.4, AoARad: 0.9}}
-	m2 := MIMOChannel(pinhole, 2, 2, 20e6)
+	m2 := MIMOChannelDiffuse(pinhole, 2, 2, 20e6, nil, 0)
 	h2 := m2.FrequencyResponse(5, 64)
 	sv2 := h2.SingularValues()
 	if sv2[1]/sv2[0] > 1e-9 {
@@ -226,8 +226,8 @@ func TestCorridorCreatesPinhole(t *testing.T) {
 	roomClient := Point{5, 7.0} // inside the concrete-walled room
 	losPaths := plan.Trace(ap, losClient, 2)
 	roomPaths := plan.Trace(ap, roomClient, 2)
-	mLos := MIMOChannel(losPaths, 2, 2, 20e6)
-	mRoom := MIMOChannel(roomPaths, 2, 2, 20e6)
+	mLos := MIMOChannelDiffuse(losPaths, 2, 2, 20e6, nil, 0)
+	mRoom := MIMOChannelDiffuse(roomPaths, 2, 2, 20e6, nil, 0)
 	condLos := mLos.FrequencyResponse(3, 64).ConditionNumber()
 	condRoom := mRoom.FrequencyResponse(3, 64).ConditionNumber()
 	// The room client's matrix should be clearly worse conditioned.

@@ -227,21 +227,17 @@ func SISOChannel(paths []Path, sampleRate, extraDelayS float64) *channel.SISO {
 	return &channel.SISO{Taps: taps}
 }
 
-// MIMOChannel builds an nRx×nTx MIMO channel from traced paths using λ/2
-// uniform linear arrays at both ends. Each path contributes a rank-one
-// steering outer product; geometric angle diversity (or its absence, in a
-// corridor) determines the resulting rank.
-func MIMOChannel(paths []Path, nRx, nTx int, sampleRate float64) *channel.MIMO {
-	return MIMOChannelDiffuse(paths, nRx, nTx, sampleRate, nil, 0)
-}
-
-// MIMOChannelDiffuse is MIMOChannel plus a diffuse (dense multipath)
-// component: i.i.d. Rayleigh energy amounting to diffuseFrac of the total
-// specular path power, spread over the first taps. A 2-D specular tracer
-// under-represents the rich 3-D scatter (floor/ceiling, furniture) real
-// 2.4 GHz channels always carry; ~3% (−15 dB) diffuse power restores the
-// weak second eigen-channel observed indoors without materially changing
-// link budgets. src may be nil for a purely specular channel.
+// MIMOChannelDiffuse builds an nRx×nTx MIMO channel from traced paths
+// using λ/2 uniform linear arrays at both ends. Each path contributes a
+// rank-one steering outer product; geometric angle diversity (or its
+// absence, in a corridor) determines the resulting rank. On top of it
+// goes a diffuse (dense multipath) component: i.i.d. Rayleigh energy
+// amounting to diffuseFrac of the total specular path power, spread over
+// the first taps. A 2-D specular tracer under-represents the rich 3-D
+// scatter (floor/ceiling, furniture) real 2.4 GHz channels always carry;
+// ~3% (−15 dB) diffuse power restores the weak second eigen-channel
+// observed indoors without materially changing link budgets. src may be
+// nil for a purely specular channel.
 func MIMOChannelDiffuse(paths []Path, nRx, nTx int, sampleRate float64, src *rng.Source, diffuseFrac float64) *channel.MIMO {
 	m := channel.NewMIMO(nRx, nTx)
 	maxTap := 0

@@ -174,12 +174,6 @@ func New(cfg Config) *FFRelay {
 // LatencySamples returns the chain-accounted pipeline latency in samples.
 func (r *FFRelay) LatencySamples() int { return r.fwd.LatencySamples() }
 
-// ProcessingDelayS returns the relay's pipeline latency in seconds, as
-// accounted by the forward chain.
-func (r *FFRelay) ProcessingDelayS() float64 {
-	return float64(r.fwd.LatencySamples()) / r.cfg.SampleRate
-}
-
 // Step advances the relay by one sample: incoming is the signal arriving
 // over the air from the source (without self-interference — the relay adds
 // that internally). It returns the sample the relay transmits this instant.

@@ -242,15 +242,6 @@ func TestAmplifyForwardHasUnitFilter(t *testing.T) {
 	}
 }
 
-func TestProcessingDelayS(t *testing.T) {
-	cfg := basicConfig()
-	cfg.PipelineDelaySamples = 4
-	r := New(cfg)
-	if got := r.ProcessingDelayS(); math.Abs(got-200e-9) > 1e-15 {
-		t.Errorf("delay %v, want 200ns", got)
-	}
-}
-
 func TestReset(t *testing.T) {
 	cfg := basicConfig()
 	cfg.SIChannelTaps = []complex128{0, 0.5}
