@@ -10,42 +10,6 @@ import (
 	"fastforward/internal/rng"
 )
 
-func TestMonitorRetuneLogic(t *testing.T) {
-	m := NewMonitor(0)
-	if !m.Observe(50) {
-		t.Error("monitor without a baseline must demand a tune")
-	}
-	m.Retuned(TuneStats{QuantizedDB: 55})
-	if m.Retunes != 0 {
-		t.Error("initial tune counted as a re-tune")
-	}
-	if m.Observe(50) {
-		t.Error("5 dB erosion tripped the default 10 dB threshold")
-	}
-	if !m.Observe(44) {
-		t.Error("11 dB erosion did not trip")
-	}
-	m.Retuned(TuneStats{QuantizedDB: 54})
-	if m.Retunes != 1 || m.Erosions != 1 {
-		t.Errorf("retunes=%d erosions=%d, want 1/1", m.Retunes, m.Erosions)
-	}
-	if m.BaselineDB() != 54 {
-		t.Errorf("baseline %v, want 54", m.BaselineDB())
-	}
-	if m.WorstErosionDB != 11 {
-		t.Errorf("worst erosion %v, want 11", m.WorstErosionDB)
-	}
-	// Custom threshold.
-	m2 := NewMonitor(3)
-	m2.Retuned(TuneStats{QuantizedDB: 60})
-	if m2.Observe(57.5) {
-		t.Error("2.5 dB erosion tripped a 3 dB threshold")
-	}
-	if !m2.Observe(56) {
-		t.Error("4 dB erosion did not trip a 3 dB threshold")
-	}
-}
-
 func TestSIChannelDrift(t *testing.T) {
 	src := rng.New(5)
 	si := NewTypicalSIChannel(src)
@@ -92,13 +56,13 @@ func TestCharacterizeDriftRetunesAndCaps(t *testing.T) {
 	}
 	cfg := DefaultCharacterizeConfig(1)
 	// A coarser tuning band keeps the repeated re-tunes affordable; the
-	// monitor logic under test is insensitive to NFreq.
+	// re-tune logic under test is insensitive to NFreq.
 	cfg.NFreq = 8
 	cfg.Samples = 2000
 	p, _ := impair.ByName("severe")
 	reg := obs.New()
 	// Strong per-interval drift (rho 0.6) must erode a static tuning
-	// quickly and trip the monitor at least once over 3 intervals.
+	// quickly and trigger a re-tune at least once over 3 intervals.
 	out := CharacterizeDrift(rng.New(11), cfg, &p, 3, 0.6, reg)
 	if len(out) != 1 {
 		t.Fatalf("want 1 characterization, got %d", len(out))
@@ -111,7 +75,7 @@ func TestCharacterizeDriftRetunesAndCaps(t *testing.T) {
 		t.Error("drift never eroded cancellation")
 	}
 	if dc.Retunes == 0 {
-		t.Error("monitor never demanded a re-tune under rho=0.7 drift")
+		t.Error("no re-tune under rho=0.6 drift")
 	}
 	floor := p.CancellationFloorDB()
 	if dc.FloorDB != floor {
