@@ -80,7 +80,8 @@ check: test vet lint race racecheck manifest-smoke examples-smoke daemon-smoke f
 
 # Run ffsim with -manifest on tiny configurations of its figure families
 # (the Fig 12 sweep, the Figs 1-2 maps, the Sec 3.3 cancellation stage
-# and the Fig 21 study) and validate the JSON it writes; the Fig 12 run
+# and drift re-tuning, and the Fig 21 study) and validate the JSON it
+# writes; the Fig 12 run
 # additionally must report nonzero cancellation and amplification
 # metrics (the OBSERVABILITY.md acceptance assertion), and its manifest
 # metrics must be bit-identical between a serial and a 4-worker run.
@@ -97,6 +98,8 @@ manifest-smoke: build
 	$(SMOKE)/manifestcheck -require testbed.cells,relay.amp_db $(SMOKE)/fig1.json
 	$(SMOKE)/ffsim -fig cancel -sic-trials 2 -manifest $(SMOKE)/cancel.json > /dev/null
 	$(SMOKE)/manifestcheck -require sic.analog_db,sic.total_db,sic.tune_iterations $(SMOKE)/cancel.json
+	$(SMOKE)/ffsim -fig drift -sic-trials 2 -manifest $(SMOKE)/drift.json > /dev/null
+	$(SMOKE)/manifestcheck -require sic.drift_achieved_db,sic.drift_erosion_db,sic.drift_intervals,sic.retunes,sic.effective_total_db $(SMOKE)/drift.json
 	$(SMOKE)/ffsim -fig 21 -ident-locations 4 -ident-packets 50 -sic-trials 0 -manifest $(SMOKE)/fig21.json > /dev/null
 	$(SMOKE)/manifestcheck -require ident.locations,ident.packets $(SMOKE)/fig21.json
 	rm -rf $(SMOKE)

@@ -10,7 +10,10 @@
 // -fig names one entry of the figure table (see figures) or all, the
 // default, which runs Figs 12-18, deg and fleet. The rest run only by
 // name: 1 (the Figs 1-2 coverage maps of the home, on the -grid), cancel
-// (the Sec 3.3 characterization over -sic-trials placements), 21 (the
+// (the Sec 3.3 characterization over -sic-trials placements), drift (the
+// Sec 3.3 analog tuning under SI drift, re-tuned when it erodes, over
+// -sic-trials placements and capped by the -impair floor), staleness (the
+// Sec 4.2 CNF gain a held filter loses, per sounding interval), 21 (the
 // Fig 21 identification study, sized by -ident-locations and
 // -ident-packets) and sessions.
 //
@@ -48,6 +51,7 @@ import (
 	"strings"
 
 	"fastforward/cmd/internal/runmeta"
+	"fastforward/internal/cnf"
 	"fastforward/internal/fleet"
 	"fastforward/internal/floorplan"
 	"fastforward/internal/ident"
@@ -74,6 +78,8 @@ type figure struct {
 var figures = []figure{
 	{"1", false, fig1},
 	{"cancel", false, figCancel},
+	{"drift", false, figDrift},
+	{"staleness", false, figStaleness},
 	{"12", true, fig12},
 	{"13", true, fig13},
 	{"14", true, fig14},
@@ -239,6 +245,56 @@ func figCancel(r *runCtx) {
 	fmt.Printf("analog:  median %.1f dB (paper: ~70 dB; see EXPERIMENTS.md on the gap)\n", ac.Median())
 	fmt.Printf("total:   median %.1f dB, min %.1f dB (paper: 108-110 dB)\n", tc.Median(), tc.Min())
 	fmt.Printf("ceiling: %.0f dB (20 dBm TX over a -90 dBm floor)\n", sic.MaxCancellationDB)
+}
+
+// The -fig drift inputs. driftRho is the per-interval correlation of the
+// SI path gains: its innovation, 1 − ρ² ≈ −37 dB of each path's power, is
+// about what a 50–60 dB analog null tolerates, so some intervals erode it
+// past the re-tune threshold and some do not. driftIntervals is enough
+// intervals to show both; each re-tune costs a full tune.
+const (
+	driftIntervals = 5
+	driftRho       = 0.9999
+)
+
+func figDrift(r *runCtx) {
+	fmt.Printf("== Sec 3.3: analog cancellation under SI drift (rho %g per interval, %d intervals) ==\n",
+		driftRho, driftIntervals)
+	res := sic.CharacterizeDrift(rng.New(r.seed), sic.DefaultCharacterizeConfig(r.sicTrials),
+		r.cfg.Impair, driftIntervals, driftRho, r.cfg.Obs)
+	for i, dc := range res {
+		fmt.Printf("  placement %2d: initial %5.1f dB, worst %5.1f dB, re-tunes %d, effective total %5.1f dB (floor %.1f dB)\n",
+			i, dc.InitialDB, dc.MinAchievedDB, dc.Retunes, dc.EffectiveTotalDB, dc.FloorDB)
+	}
+	fmt.Println("  (a re-tune runs when the stale setting erodes 10 dB below its tune;")
+	fmt.Println("   the total counts the worst interval and is capped by the -impair floor)")
+}
+
+// The -fig staleness inputs: a 300 ms coherence time (pedestrian-speed
+// indoor channels), the paper's 20 dBm source over a -90 dBm floor, and
+// 55 dB of relay gain, under this geometry's noise-rule bound so the
+// relayed noise stays below the floor. The intervals bracket the paper's
+// 50 ms.
+const (
+	stalenessCoherenceMs = 300
+	stalenessAmpDB       = 55
+)
+
+var stalenessIntervalsMs = []float64{10, 25, 50, 100, 200, 400}
+
+func figStaleness(r *runCtx) {
+	fmt.Printf("== Sec 4.2: CNF gain lost to a held filter (coherence %d ms) ==\n", stalenessCoherenceMs)
+	for _, iv := range stalenessIntervalsMs {
+		res := cnf.StalenessStudy(rng.New(r.seed), cnf.SoundingConfig{
+			CoherenceMs:        stalenessCoherenceMs,
+			SoundingIntervalMs: iv,
+			AmpDB:              stalenessAmpDB,
+			Budget:             cnf.LinkBudget{TxPowerMW: 100, NoiseFloorMW: 1e-9, RelayNoiseMW: 1e-9},
+		})
+		fmt.Printf("  sounding every %4.0f ms: fresh %5.2f dB, stale %5.2f dB, loss %5.2f dB\n",
+			iv, res.FreshGainDB, res.StaleGainDB, res.LossDB)
+	}
+	fmt.Println("  (paper: sounding every 50 ms costs little of the constructive gain)")
 }
 
 func fig12(r *runCtx) {
@@ -448,8 +504,8 @@ func validate(o options) error {
 		return fmt.Errorf("-grid %v: want a positive spacing in meters", o.grid)
 	case o.sicTrials < 0:
 		return fmt.Errorf("-sic-trials %d: want 0 or more placements", o.sicTrials)
-	case o.fig == "cancel" && o.sicTrials < 1:
-		return fmt.Errorf("-fig cancel needs -sic-trials of at least 1 (got %d)", o.sicTrials)
+	case (o.fig == "cancel" || o.fig == "drift") && o.sicTrials < 1:
+		return fmt.Errorf("-fig %s needs -sic-trials of at least 1 (got %d)", o.fig, o.sicTrials)
 	case o.fig == "21" && (o.identLocations < 1 || o.identPackets < 1):
 		return fmt.Errorf("-fig 21 needs -ident-locations and -ident-packets of at least 1 (got %d, %d)",
 			o.identLocations, o.identPackets)

@@ -67,6 +67,8 @@ func TestValidate(t *testing.T) {
 		{[]string{"-fig", "12", "-sic-trials", "-1"}, false},
 		{[]string{"-fig", "cancel", "-sic-trials", "1"}, true},
 		{[]string{"-fig", "cancel", "-sic-trials", "0"}, false},
+		{[]string{"-fig", "drift", "-sic-trials", "1"}, true},
+		{[]string{"-fig", "drift", "-sic-trials", "0"}, false},
 		{[]string{"-fig", "21", "-ident-locations", "1", "-ident-packets", "1"}, true},
 		{[]string{"-fig", "21", "-ident-locations", "0"}, false},
 		{[]string{"-fig", "21", "-ident-packets", "0"}, false},
