@@ -81,10 +81,10 @@ check: test vet lint race racecheck manifest-smoke examples-smoke daemon-smoke f
 # Run ffsim with -manifest on tiny configurations of its figure families
 # (the Fig 12 sweep, the Figs 1-2 maps, the Sec 3.3 cancellation stage
 # and drift re-tuning, and the Fig 21 study) and validate the JSON it
-# writes; the Fig 12 run
-# additionally must report nonzero cancellation and amplification
-# metrics (the OBSERVABILITY.md acceptance assertion), and its manifest
-# metrics must be bit-identical between a serial and a 4-worker run.
+# writes; the Fig 12 run additionally must report nonzero cancellation
+# and amplification metrics (the OBSERVABILITY.md acceptance assertion),
+# and its manifest metrics must be bit-identical between a serial and a
+# 4-worker run.
 # Both binaries are built once into $(SMOKE).
 manifest-smoke: build
 	rm -rf $(SMOKE) && mkdir -p $(SMOKE)
