@@ -302,15 +302,22 @@ func TestAdmissionRefusalAtResidualBudgetBoundary(t *testing.T) {
 // TestDegradeMode checks the soft admission policy end to end: the
 // daemon's (grant, degraded) pair must bit-match a mirrored uncapped
 // degrading Gate fed the same sequence, and degraded admissions
-// must be flagged in the ACCEPT frame and the metrics.
+// must be flagged in the ACCEPT frame and the metrics. The first
+// session is PA-bound, so its shared-floor bound has slack; the
+// heavy-residual second session's own grant would break that bound, and
+// the daemon degrades it to the largest grant the first tolerates, as in
+// TestGateGolden's sequence. The noisy third finds no such grant.
 func TestDegradeMode(t *testing.T) {
-	alone := relay.ChooseAmplificationResidualDB(relay.SessionBudget{
-		CancellationDB: 55, RDAttenDB: 50, PAHeadroomDB: 40, RxOverNoiseDB: 52}, 0, true)
 	cfg := DefaultConfig()
 	cfg.Degrade = true
-	cfg.MinAmpDB = alone.AmpDB - 6 // room for degraded grants
+	cfg.MinAmpDB = 3
 	srv, reg := newTestServer(t, cfg)
 	mirror := NewGate(0, cfg.MinAmpDB, true)
+
+	paBound := testParams(0)
+	paBound.CancellationDB, paBound.RDAttenDB, paBound.PAHeadroomDB, paBound.RxOverNoiseDB = 95, 40, 10, 30
+	heavy := testParams(1)
+	heavy.CancellationDB, heavy.RDAttenDB, heavy.PAHeadroomDB, heavy.RxOverNoiseDB = 40, 60, 40, 60
 
 	degradedSeen := uint64(0)
 	var clients []*Client
@@ -319,9 +326,9 @@ func TestDegradeMode(t *testing.T) {
 			c.Close()
 		}
 	}()
-	for i := 0; i < 8; i++ {
-		dec, degraded, mirrorErr := mirror.Admit(strconv.Itoa(i), noisyParams(int64(i)).budget())
-		c, err := pipeSession(srv, noisyParams(int64(i)))
+	for i, p := range []SessionParams{paBound, heavy, noisyParams(2)} {
+		dec, degraded, mirrorErr := mirror.Admit(strconv.Itoa(i), p.budget())
+		c, err := pipeSession(srv, p)
 		if mirrorErr != nil {
 			if err == nil {
 				t.Fatalf("admission %d: mirror refused (%v), daemon accepted", i, mirrorErr)
@@ -345,7 +352,7 @@ func TestDegradeMode(t *testing.T) {
 		clients = append(clients, c)
 	}
 	if degradedSeen == 0 {
-		t.Skip("degrade policy never engaged for this parameter set")
+		t.Fatal("degrade policy never engaged for this session sequence")
 	}
 	if got := reg.Counter("relayd.sessions_degraded", "sessions").Value(); got != degradedSeen {
 		t.Fatalf("relayd.sessions_degraded = %d, want %d", got, degradedSeen)
