@@ -73,7 +73,7 @@ type figure struct {
 
 // figures is the one ordered list of -fig names: the flag's help,
 // validate and main's dispatch all read it. The entries -fig all skips
-// are single-result studies with their own sizing flags and, for
+// are single-result studies, most sized by their own flags, and, for
 // sessions, a wall-clock measurement of the host.
 var figures = []figure{
 	{"1", false, fig1},
@@ -272,19 +272,18 @@ func figDrift(r *runCtx) {
 
 // The -fig staleness inputs: a 300 ms coherence time (pedestrian-speed
 // indoor channels), the paper's 20 dBm source over a -90 dBm floor, and
-// 55 dB of relay gain, under this geometry's noise-rule bound so the
-// relayed noise stays below the floor. The intervals bracket the paper's
-// 50 ms.
+// 55 dB of relay gain, under the noise-rule bound (67 dB) of the study's
+// 70 dB relay-to-destination loss, so the relayed noise stays below the
+// floor.
 const (
 	stalenessCoherenceMs = 300
 	stalenessAmpDB       = 55
 )
 
-var stalenessIntervalsMs = []float64{10, 25, 50, 100, 200, 400}
-
 func figStaleness(r *runCtx) {
 	fmt.Printf("== Sec 4.2: CNF gain lost to a held filter (coherence %d ms) ==\n", stalenessCoherenceMs)
-	for _, iv := range stalenessIntervalsMs {
+	// The sounding intervals bracket the paper's 50 ms.
+	for _, iv := range []float64{10, 25, 50, 100, 200, 400} {
 		res := cnf.StalenessStudy(rng.New(r.seed), cnf.SoundingConfig{
 			CoherenceMs:        stalenessCoherenceMs,
 			SoundingIntervalMs: iv,
