@@ -79,12 +79,15 @@ racecheck:
 check: test vet lint race racecheck manifest-smoke examples-smoke daemon-smoke fleet-smoke fleet-served-smoke bench-kit
 
 # Run ffsim with -manifest on tiny configurations of its figure families
-# (the Fig 12 sweep, the Figs 1-2 maps, the Sec 3.3 cancellation stage
-# and drift re-tuning, and the Fig 21 study) and validate the JSON it
-# writes; the Fig 12 run additionally must report nonzero cancellation
-# and amplification metrics (the OBSERVABILITY.md acceptance assertion),
-# and its manifest metrics must be bit-identical between a serial and a
-# 4-worker run.
+# (the Fig 12 sweep, the Fig 16 latency sweep, the Figs 1-2 maps, the
+# Sec 3.3 cancellation stage and drift re-tuning, and the Fig 21 study)
+# and validate the JSON it writes; the Fig 12 run additionally must
+# report nonzero cancellation and amplification metrics (the
+# OBSERVABILITY.md acceptance assertion), and its manifest metrics must
+# be bit-identical between a serial and a 4-worker run. The stdout of the
+# Fig 16, drift and staleness runs is compared byte for byte with
+# cmd/ffsim/testdata/{fig16,drift,staleness}.txt; after an intended
+# output change, re-record with the same flags.
 # Both binaries are built once into $(SMOKE).
 manifest-smoke: build
 	rm -rf $(SMOKE) && mkdir -p $(SMOKE)
@@ -94,12 +97,18 @@ manifest-smoke: build
 	$(SMOKE)/ffsim -fig 12 -grid 4 -stride 13 -workers 4 -manifest $(SMOKE)/ffsim-w4.json > /dev/null
 	$(SMOKE)/manifestcheck -require sic.analog_db,sic.total_db,relay.amp_db,testbed.cells $(SMOKE)/ffsim.json
 	$(SMOKE)/manifestcheck -diff $(SMOKE)/ffsim.json $(SMOKE)/ffsim-w4.json
+	$(SMOKE)/ffsim -fig 16 -grid 4 -stride 13 -sic-trials 0 -manifest $(SMOKE)/fig16.json > $(SMOKE)/fig16.txt
+	$(SMOKE)/manifestcheck -require pipeline.latency_samples,pipeline.budget_violations $(SMOKE)/fig16.json
+	cmp $(SMOKE)/fig16.txt cmd/ffsim/testdata/fig16.txt
 	$(SMOKE)/ffsim -fig 1 -grid 3 -sic-trials 0 -manifest $(SMOKE)/fig1.json > /dev/null
 	$(SMOKE)/manifestcheck -require testbed.cells,relay.amp_db $(SMOKE)/fig1.json
 	$(SMOKE)/ffsim -fig cancel -sic-trials 2 -manifest $(SMOKE)/cancel.json > /dev/null
 	$(SMOKE)/manifestcheck -require sic.analog_db,sic.total_db,sic.tune_iterations $(SMOKE)/cancel.json
-	$(SMOKE)/ffsim -fig drift -sic-trials 2 -manifest $(SMOKE)/drift.json > /dev/null
+	$(SMOKE)/ffsim -fig drift -sic-trials 2 -manifest $(SMOKE)/drift.json > $(SMOKE)/drift.txt
 	$(SMOKE)/manifestcheck -require sic.drift_achieved_db,sic.drift_erosion_db,sic.drift_intervals,sic.retunes,sic.effective_total_db $(SMOKE)/drift.json
+	cmp $(SMOKE)/drift.txt cmd/ffsim/testdata/drift.txt
+	$(SMOKE)/ffsim -fig staleness -sic-trials 0 > $(SMOKE)/staleness.txt
+	cmp $(SMOKE)/staleness.txt cmd/ffsim/testdata/staleness.txt
 	$(SMOKE)/ffsim -fig 21 -ident-locations 4 -ident-packets 50 -sic-trials 0 -manifest $(SMOKE)/fig21.json > /dev/null
 	$(SMOKE)/manifestcheck -require ident.locations,ident.packets $(SMOKE)/fig21.json
 	rm -rf $(SMOKE)
