@@ -98,8 +98,10 @@ func main() {
 
 	deliver("AP only:", chSD2, nil, nil, nil, wifi.MCSList()[7], 10)
 
-	// Blind repeater: amplify to the cancellation limit, no noise rule.
-	af := relay.NewAmplifyForward(relay.Config{
+	// Blind repeater: the same full-duplex pipeline with the default unit
+	// pre-filter (no CNF), amplified to the cancellation limit with no
+	// noise rule.
+	af := relay.New(relay.Config{
 		SampleRate:           p.SampleRate,
 		AmplificationDB:      110 - cnf.StabilityMarginDB,
 		PipelineDelaySamples: 2,

@@ -253,9 +253,6 @@ func TestDelayLine(t *testing.T) {
 			t.Fatalf("DelayLine out[%d]=%v want %v", i, out, want[i])
 		}
 	}
-	if d.Delay() != 3 {
-		t.Error("Delay() wrong")
-	}
 	z := NewDelayLine(0)
 	if out := z.Push(7); out != 7 {
 		t.Error("zero delay line should pass through")

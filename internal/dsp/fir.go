@@ -33,24 +33,8 @@ func NewFIR(taps []complex128) *FIR {
 	}
 }
 
-// Taps returns a copy of the filter taps.
-func (f *FIR) Taps() []complex128 {
-	t := make([]complex128, len(f.taps))
-	copy(t, f.taps)
-	return t
-}
-
 // NumTaps returns the number of filter taps.
 func (f *FIR) NumTaps() int { return len(f.taps) }
-
-// SetTaps replaces the filter coefficients without clearing filter state.
-// The new taps must have the same length as the old ones.
-func (f *FIR) SetTaps(taps []complex128) {
-	if len(taps) != len(f.taps) {
-		panic("dsp: SetTaps length mismatch")
-	}
-	copy(f.taps, taps)
-}
 
 // Push feeds one input sample and returns the corresponding output sample.
 func (f *FIR) Push(x complex128) complex128 {
@@ -135,9 +119,6 @@ func NewDelayLine(d int) *DelayLine {
 	}
 	return &DelayLine{buf: make([]complex128, d)}
 }
-
-// Delay returns the configured delay in samples.
-func (d *DelayLine) Delay() int { return len(d.buf) }
 
 // Push feeds one sample and returns the sample delayed by the configured
 // number of samples.

@@ -33,16 +33,6 @@ func (m *Modulator) Symbol(data []complex128) ([]complex128, error) {
 	return addCP(td, p.CPLen), nil
 }
 
-// SymbolFromBins maps a full set of NFFT frequency bins (caller-controlled,
-// e.g. for preambles) to a CP-prefixed time symbol.
-func (m *Modulator) SymbolFromBins(bins []complex128) ([]complex128, error) {
-	if len(bins) != m.p.NFFT {
-		return nil, fmt.Errorf("ofdm: got %d bins, want %d", len(bins), m.p.NFFT)
-	}
-	td := fft.Inverse(bins)
-	return addCP(td, m.p.CPLen), nil
-}
-
 // Burst modulates a sequence of OFDM symbols back to back. data must hold a
 // multiple of NumData constellation points.
 func (m *Modulator) Burst(data []complex128) ([]complex128, error) {

@@ -16,11 +16,13 @@
 //     is no approximate path to arm. The CFO stage rotates by a resynced
 //     phasor recurrence (within 5e-14 of exact rotation by its own phase).
 //
-//   - Latency accounting. Every stage reports LatencySamples and a Chain
-//     sums them, making the paper's ≤100 ns processing-delay claim (and
-//     the OFDM CP budget it must fit inside, Fig 16) a first-class,
-//     monitored quantity: Obs.CheckBudget records the end-to-end latency
-//     and counts budget violations through internal/obs.
+//   - Configured processing delay. Stages report no latency; the relay's
+//     delay is its "pipe" DelayStage, which relay.New sizes from
+//     relay.Config.PipelineDelaySamples (less the one-sample handoff of
+//     its feedback loop), and TestPipelineDelayExact pins the relay's
+//     output as its input delayed by exactly that many samples.
+//     Obs.CheckBudget records the configured delay against the OFDM CP
+//     (the paper's ≤100 ns claim, Fig 16) through internal/obs.
 //
 // Chains emit pipeline.* counters/histograms (see OBSERVABILITY.md) and
 // per-stage wall-clock timers named pipeline.<chain>.<stage>. Metric
@@ -37,13 +39,11 @@ import (
 // the returned slice is only valid until the next call. State carries
 // across calls: feeding a signal in blocks of any size yields the same
 // output as one whole-signal call. Reset clears streaming state (not
-// configuration). LatencySamples is the stage's buffering delay: 0 for
-// causal tap-0 filters, d for a delay line.
+// configuration).
 type Stage interface {
 	Name() string
 	Process(block []complex128) []complex128
 	Reset()
-	LatencySamples() int
 }
 
 // Obs bundles the pipeline.* metric handles chains record into. A nil
@@ -97,8 +97,7 @@ type soaObservable interface {
 }
 
 // Chain composes stages into one Stage: the block flows through the
-// stages in order and latencies add. A Chain is itself a Stage, so chains
-// nest.
+// stages in order. A Chain is itself a Stage, so chains nest.
 type Chain struct {
 	name   string
 	stages []Stage
@@ -119,16 +118,6 @@ func (c *Chain) Name() string { return c.name }
 
 // Stages returns the chain's stages (shared, not a copy).
 func (c *Chain) Stages() []Stage { return c.stages }
-
-// LatencySamples sums the stages' latencies: the chain's end-to-end
-// buffering delay in samples.
-func (c *Chain) LatencySamples() int {
-	total := 0
-	for _, st := range c.stages {
-		total += st.LatencySamples()
-	}
-	return total
-}
 
 // Instrument attaches pipeline metrics: block/sample counters on the
 // given shard, the SoA block-path counter on capable stages, and
@@ -183,15 +172,12 @@ func (c *Chain) Reset() {
 	}
 }
 
-// CheckBudget holds an end-to-end latency in samples against a budget
-// in samples (typically the OFDM CP length, or the configured processing
-// delay) and reports whether it fits. On a non-nil o it records the
-// latency into pipeline.latency_samples and counts an overrun in
-// pipeline.budget_violations on the given shard — the check is soft
-// because the latency experiment (Fig 16) deliberately sweeps past the
-// CP. It takes the latency rather than a chain, so a caller can account
-// a chain's budget without instrumenting (and registering timers for) a
-// chain it never runs.
+// CheckBudget holds a processing delay in samples against a budget in
+// samples (typically the OFDM CP length) and reports whether it fits. On
+// a non-nil o it records the delay into pipeline.latency_samples and
+// counts an overrun in pipeline.budget_violations on the given shard —
+// the check is soft because the latency experiment (Fig 16) deliberately
+// sweeps past the CP.
 func (o *Obs) CheckBudget(shard, latencySamples, budgetSamples int) bool {
 	if o != nil {
 		o.Latency.Observe(shard, float64(latencySamples))

@@ -10,7 +10,7 @@ import (
 )
 
 // buildChain constructs a representative relay-shaped chain: cancel →
-// CFO remove → FIR → CFO restore → gain → delay → handoff marker.
+// CFO remove → FIR → CFO restore → gain → delay.
 func buildChain(taps, pre []complex128, step float64) (*pipeline.Chain, *pipeline.CancelStage) {
 	cancel := pipeline.NewCancelStage("si_cancel", taps)
 	ch := pipeline.NewChain("test.fwd",
@@ -20,7 +20,6 @@ func buildChain(taps, pre []complex128, step float64) (*pipeline.Chain, *pipelin
 		pipeline.NewCFOStage("cfo_restore", step),
 		pipeline.NewGainStage("amp", complex(1.3, 0)),
 		pipeline.NewDelayStage("pipe", 2),
-		pipeline.NewLatencyMarker("handoff", 1),
 	)
 	return ch, cancel
 }
@@ -104,20 +103,15 @@ func TestFIRStageMatchesDirectForm(t *testing.T) {
 	}
 }
 
-// TestChainLatencyAndBudget checks latency accounting and the soft
-// budget check.
+// TestChainLatencyAndBudget checks the soft budget check.
 func TestChainLatencyAndBudget(t *testing.T) {
-	ch, _ := buildChain([]complex128{0.1}, []complex128{1}, 0)
-	if got := ch.LatencySamples(); got != 3 {
-		t.Fatalf("LatencySamples = %d, want 3 (2 delay + 1 handoff)", got)
-	}
 	reg := obs.New()
 	o := pipeline.NewObs(reg)
-	if !o.CheckBudget(0, ch.LatencySamples(), 8) {
-		t.Fatal("3-sample chain should fit an 8-sample CP budget")
+	if !o.CheckBudget(0, 3, 8) {
+		t.Fatal("a 3-sample delay should fit an 8-sample CP budget")
 	}
-	if o.CheckBudget(0, ch.LatencySamples(), 2) {
-		t.Fatal("3-sample chain must not fit a 2-sample budget")
+	if o.CheckBudget(0, 3, 2) {
+		t.Fatal("a 3-sample delay must not fit a 2-sample budget")
 	}
 	if got := reg.Counter("pipeline.budget_violations", "chains").Value(); got != 1 {
 		t.Fatalf("pipeline.budget_violations = %d, want 1", got)
@@ -173,10 +167,10 @@ func TestCancelStagePushPairMatchesProcess(t *testing.T) {
 }
 
 // TestPusherStage wraps a stateful per-sample processor and checks
-// latency declaration plus reset.
+// that it sees every sample and that Reset reaches it.
 func TestPusherStage(t *testing.T) {
 	p := &countingPusher{}
-	st := pipeline.NewPusherStage("imp", 0, p)
+	st := pipeline.NewPusherStage("imp", p)
 	ch := pipeline.NewChain("test.push", st)
 	ch.Process(make([]complex128, 10))
 	if p.n != 10 {
@@ -185,9 +179,6 @@ func TestPusherStage(t *testing.T) {
 	ch.Reset()
 	if p.n != 0 {
 		t.Fatal("reset did not reach the wrapped pusher")
-	}
-	if ch.LatencySamples() != 0 {
-		t.Fatal("memoryless pusher must declare zero latency")
 	}
 }
 

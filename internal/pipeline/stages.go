@@ -35,15 +35,6 @@ func NewFIRStage(name string, taps []complex128) *FIRStage {
 // Name returns the stage name.
 func (s *FIRStage) Name() string { return s.name }
 
-// LatencySamples is 0: the filter is causal with an immediate tap 0.
-func (s *FIRStage) LatencySamples() int { return 0 }
-
-// NumTaps returns the filter length.
-func (s *FIRStage) NumTaps() int { return s.fir.NumTaps() }
-
-// Taps returns a copy of the filter taps.
-func (s *FIRStage) Taps() []complex128 { return s.fir.Taps() }
-
 func (s *FIRStage) setSoAObs(c *obs.Counter, shard int) {
 	s.soaBlocks = c
 	s.shard = shard
@@ -100,12 +91,6 @@ func NewCancelStage(name string, taps []complex128) *CancelStage {
 
 // Name returns the stage name.
 func (s *CancelStage) Name() string { return s.name }
-
-// LatencySamples is 0: cancellation buffers no received samples.
-func (s *CancelStage) LatencySamples() int { return 0 }
-
-// NumTaps returns the canceller length.
-func (s *CancelStage) NumTaps() int { return s.fir.NumTaps() }
 
 func (s *CancelStage) setSoAObs(c *obs.Counter, shard int) { s.fir.setSoAObs(c, shard) }
 
@@ -200,9 +185,6 @@ func NewCFOStage(name string, stepRad float64) *CFOStage {
 // Name returns the stage name.
 func (s *CFOStage) Name() string { return s.name }
 
-// LatencySamples is 0.
-func (s *CFOStage) LatencySamples() int { return 0 }
-
 // wrapPhase folds p into [−π, π]. math.Round rounds half away from zero,
 // so wrapPhase(−p) == −wrapPhase(p) bit for bit.
 func wrapPhase(p float64) float64 {
@@ -253,9 +235,6 @@ func NewGainStage(name string, g complex128) *GainStage {
 // Name returns the stage name.
 func (s *GainStage) Name() string { return s.name }
 
-// LatencySamples is 0.
-func (s *GainStage) LatencySamples() int { return 0 }
-
 // Process scales the block in place.
 func (s *GainStage) Process(block []complex128) []complex128 {
 	for i := range block {
@@ -283,9 +262,6 @@ func NewDelayStage(name string, d int) *DelayStage {
 // Name returns the stage name.
 func (s *DelayStage) Name() string { return s.name }
 
-// LatencySamples returns the configured delay.
-func (s *DelayStage) LatencySamples() int { return s.dl.Delay() }
-
 // Process delays the block in place.
 func (s *DelayStage) Process(block []complex128) []complex128 {
 	for i, v := range block {
@@ -308,21 +284,16 @@ type Pusher interface {
 // PusherStage adapts a Pusher into a Stage.
 type PusherStage struct {
 	name string
-	lat  int
 	p    Pusher
 }
 
-// NewPusherStage wraps p, declaring its buffering latency (0 for
-// memoryless impairment chains).
-func NewPusherStage(name string, latencySamples int, p Pusher) *PusherStage {
-	return &PusherStage{name: name, lat: latencySamples, p: p}
+// NewPusherStage wraps p.
+func NewPusherStage(name string, p Pusher) *PusherStage {
+	return &PusherStage{name: name, p: p}
 }
 
 // Name returns the stage name.
 func (s *PusherStage) Name() string { return s.name }
-
-// LatencySamples returns the declared latency.
-func (s *PusherStage) LatencySamples() int { return s.lat }
 
 // Process pushes the block through in place.
 func (s *PusherStage) Process(block []complex128) []complex128 {
@@ -334,23 +305,3 @@ func (s *PusherStage) Process(block []complex128) []complex128 {
 
 // Reset resets the wrapped processor.
 func (s *PusherStage) Reset() { s.p.Reset() }
-
-// markerStage declares latency that is realized outside the chain's
-// Process — e.g. the relay's pending-sample handoff register, which adds
-// one sample of delay structurally in the feedback loop. Process is the
-// identity; only the latency accounting sees it.
-type markerStage struct {
-	name string
-	lat  int
-}
-
-// NewLatencyMarker builds a pass-through stage carrying latency
-// accounting for delay realized outside the chain.
-func NewLatencyMarker(name string, samples int) Stage {
-	return &markerStage{name: name, lat: samples}
-}
-
-func (s *markerStage) Name() string                            { return s.name }
-func (s *markerStage) LatencySamples() int                     { return s.lat }
-func (s *markerStage) Process(block []complex128) []complex128 { return block }
-func (s *markerStage) Reset()                                  {}

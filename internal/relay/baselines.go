@@ -4,8 +4,8 @@ package relay
 // decode-and-forward mesh router (Apple Airport Express style) and the
 // blind amplify-and-forward repeater. The mesh router operates at packet
 // granularity, so it is modeled as a rate combinator rather than a sample
-// pipeline; the blind repeater is an FFRelay with a unit pre-filter and
-// cancellation-limited amplification.
+// pipeline; the blind repeater is an FFRelay built by New with the
+// default unit pre-filter and cancellation-limited amplification.
 
 // HalfDuplexMeshRate returns the end-to-end PHY throughput of a two-hop
 // half-duplex relay under the paper's idealized MAC: the AP and the mesh
@@ -28,12 +28,4 @@ func BestHalfDuplexRate(direct, r1, r2 float64) float64 {
 		return direct
 	}
 	return two
-}
-
-// NewAmplifyForward builds the blind repeater baseline of Sec 5.5: the
-// same full-duplex pipeline with no constructive filter and amplification
-// pushed to the cancellation limit (no noise-aware back-off).
-func NewAmplifyForward(cfg Config) *FFRelay {
-	cfg.PreFilterTaps = []complex128{1}
-	return New(cfg)
 }

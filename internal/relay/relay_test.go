@@ -231,17 +231,6 @@ func TestBestHalfDuplexPrefersDirectWhenGood(t *testing.T) {
 	}
 }
 
-func TestAmplifyForwardHasUnitFilter(t *testing.T) {
-	cfg := basicConfig()
-	cfg.PreFilterTaps = []complex128{0.1, 0.9} // must be overridden
-	cfg.AmplificationDB = 0
-	r := NewAmplifyForward(cfg)
-	out := r.Process([]complex128{1, 0, 0, 0})
-	if cmplx.Abs(out[2]-1) > 1e-12 {
-		t.Errorf("amplify-forward impulse = %v, want 1 (unit filter)", out[2])
-	}
-}
-
 func TestReset(t *testing.T) {
 	cfg := basicConfig()
 	cfg.SIChannelTaps = []complex128{0, 0.5}

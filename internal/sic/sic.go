@@ -600,9 +600,6 @@ func NewDigitalCanceller(taps []complex128) *DigitalCanceller {
 	return &DigitalCanceller{stage: pipeline.NewCancelStage("sic_cancel", taps)}
 }
 
-// NumTaps returns the canceller length.
-func (d *DigitalCanceller) NumTaps() int { return d.stage.NumTaps() }
-
 // Push consumes one transmitted sample and one received sample and returns
 // the cleaned received sample.
 func (d *DigitalCanceller) Push(tx, rx complex128) complex128 {

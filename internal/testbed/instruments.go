@@ -40,8 +40,8 @@ type instruments struct {
 	staleFilter   *obs.Counter
 	blindFallback *obs.Counter
 
-	// pipe carries the pipeline.* handles the reference relay chain
-	// records its latency budget into (nil when observability is off).
+	// pipe carries the pipeline.* handles New records the configured
+	// processing delay into (nil when observability is off).
 	pipe *pipeline.Obs
 }
 

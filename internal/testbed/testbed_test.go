@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fastforward/internal/floorplan"
+	"fastforward/internal/obs"
 	"fastforward/internal/phyrate"
 )
 
@@ -289,24 +290,35 @@ func TestRelativeGainsSkipsDeadBaseline(t *testing.T) {
 	}
 }
 
-// TestRelayChainLatencyBudget asserts the relay forward chain's accounted
-// latency fits the configured processing-delay budget — the paper's
-// ≤100 ns claim as a monitored, testable quantity — and that the default
-// operating point also sits inside the OFDM CP.
-func TestRelayChainLatencyBudget(t *testing.T) {
+// TestNewRecordsDelayBudget reads what New records: the configured
+// processing delay in whole samples into pipeline.latency_samples, and an
+// overrun of the 8-sample (400 ns) CP into pipeline.budget_violations.
+// The paper's 100 ns operating point fits with room to spare; Fig 16's
+// 450 ns does not.
+func TestNewRecordsDelayBudget(t *testing.T) {
 	sc := floorplan.Scenarios()[0]
-	for _, ns := range []float64{100, 300, 450} {
+	for _, c := range []struct {
+		ns                  float64
+		samples, violations int
+	}{
+		{100, 2, 0},
+		{300, 6, 0},
+		{450, 9, 1},
+	} {
+		reg := obs.New()
 		cfg := coarse(1)
-		cfg.ProcessingDelayNs = ns
-		tb := New(sc, cfg)
-		if got, budget := tb.RelayLatencySamples(), tb.RelayDelayBudgetSamples(); got > budget {
-			t.Fatalf("%v ns: relay chain latency %d samples exceeds configured budget %d", ns, got, budget)
+		cfg.ProcessingDelayNs = c.ns
+		cfg.Obs = reg
+		if cp := New(sc, cfg).Params().CPLen; cp != 8 {
+			t.Fatalf("CP is %d samples, want 8", cp)
 		}
-	}
-	// The default 100 ns operating point must fit the CP with room to
-	// spare (CP is 400 ns at 20 Msps).
-	tb := New(sc, coarse(1))
-	if lat := tb.RelayLatencySamples(); lat > tb.Params().CPLen {
-		t.Fatalf("default relay latency %d samples exceeds the %d-sample CP", lat, tb.Params().CPLen)
+		lat := reg.Histogram("pipeline.latency_samples", "samples", nil)
+		if lat.Count() != 1 || lat.Sum() != float64(c.samples) {
+			t.Errorf("%v ns: pipeline.latency_samples has %d observations summing to %v, want one of %d",
+				c.ns, lat.Count(), lat.Sum(), c.samples)
+		}
+		if got := reg.Counter("pipeline.budget_violations", "chains").Value(); got != uint64(c.violations) {
+			t.Errorf("%v ns: pipeline.budget_violations = %d, want %d", c.ns, got, c.violations)
+		}
 	}
 }
