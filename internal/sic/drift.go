@@ -113,7 +113,10 @@ func CharacterizeDrift(src *rng.Source, cfg CharacterizeConfig, profile *impair.
 			if achieved < dc.MinAchievedDB {
 				dc.MinAchievedDB = achieved
 			}
-			if baselineDB-achieved > retuneThresholdDB {
+			// The erosion is against the tune in force this interval,
+			// taken before a re-tune resets the baseline.
+			erosion := baselineDB - achieved
+			if erosion > retuneThresholdDB {
 				a.Tune(si, cfg.BandwidthHz, cfg.NFreq)
 				baselineDB = a.LastTune.QuantizedDB
 				st.Retuned = true
@@ -121,7 +124,7 @@ func CharacterizeDrift(src *rng.Source, cfg CharacterizeConfig, profile *impair.
 			}
 			dc.Steps = append(dc.Steps, st)
 			achievedHist.Observe(shard, achieved)
-			erosionHist.Observe(shard, baselineDB-achieved)
+			erosionHist.Observe(shard, erosion)
 			intervalsRun.Inc(shard)
 		}
 		// End-to-end: the digital stage cleans what the (worst-interval)

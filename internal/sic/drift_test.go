@@ -92,6 +92,37 @@ func TestCharacterizeDriftRetunesAndCaps(t *testing.T) {
 	}
 }
 
+// TestDriftErosionIsPreRetuneLoss pins what sic.drift_erosion_db records:
+// the loss below the last tune, before any re-tune. An interval re-tunes
+// exactly when that loss exceeds retuneThresholdDB, so the histogram holds
+// as many observations above the threshold as there were re-tunes. The
+// mild drift of ffsim -fig drift (rho 0.9999) re-tunes to a setting not
+// far above the eroded one, so recording the distance from the new tune
+// instead would put some re-tunes below the threshold.
+func TestDriftErosionIsPreRetuneLoss(t *testing.T) {
+	cfg := DefaultCharacterizeConfig(2)
+	cfg.NFreq = 8
+	cfg.Samples = 2000
+	reg := obs.New()
+	retunes := 0
+	for _, dc := range CharacterizeDrift(rng.New(11), cfg, nil, 5, 0.9999, reg) {
+		retunes += dc.Retunes
+	}
+	if retunes == 0 {
+		t.Fatal("no re-tune; the check below would be vacuous")
+	}
+	var above uint64
+	for _, b := range reg.Snapshot().Metrics["sic.drift_erosion_db"].Buckets {
+		if b.LE == nil || *b.LE > retuneThresholdDB {
+			above += b.Count
+		}
+	}
+	if above != uint64(retunes) {
+		t.Errorf("sic.drift_erosion_db has %d observations above %v dB, want one per re-tune (%d)",
+			above, retuneThresholdDB, retunes)
+	}
+}
+
 // Concurrent placements recording into one shared registry — the pattern
 // cmd/ffsim's parallel sweep uses. Run under -race (make race includes
 // internal/sic) this exercises the obs sharded accumulators against the
