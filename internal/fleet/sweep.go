@@ -21,7 +21,8 @@ type SweepConfig struct {
 	// Seed is the base seed; cell i derives rng.ItemSeed(Seed, i).
 	Seed int64
 	// FailSeverity is the ladder rank the forced event drives the
-	// busiest relay to (default severe).
+	// busiest relay to: DefaultSweepConfig sets 3 (severe), and 0
+	// (ideal) leaves every cell as it was.
 	FailSeverity int
 	// Workers bounds the parallel sweep pool (internal/par): 1 is the
 	// serial reference, 0 one worker per CPU. Results are bit-identical
@@ -98,9 +99,6 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 	}
 	if len(cfg.RelayCounts) == 0 || len(cfg.ClientCounts) == 0 {
 		return nil, fmt.Errorf("fleet: empty sweep grid")
-	}
-	if cfg.FailSeverity <= 0 {
-		cfg.FailSeverity = 3
 	}
 
 	type handles struct {

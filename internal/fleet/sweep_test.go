@@ -57,6 +57,25 @@ func TestRunSweepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRunSweepIdealFailureChangesNothing drives the busiest relay to
+// rank 0 (ideal): nothing degrades, so no client migrates or is
+// stranded and every cell's service after the event equals its healthy
+// service.
+func TestRunSweepIdealFailureChangesNothing(t *testing.T) {
+	cfg := smallSweepConfig(2)
+	cfg.FailSeverity = 0
+	res, err := RunSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range res.Cells {
+		if c.Migrations != 0 || c.Stranded != 0 || !reflect.DeepEqual(c.Failed, c.Healthy) {
+			t.Errorf("%d relays x %d clients: %d migrations, %d stranded, failed == healthy %v; want 0, 0, true",
+				c.Relays, c.Clients, c.Migrations, c.Stranded, reflect.DeepEqual(c.Failed, c.Healthy))
+		}
+	}
+}
+
 func TestRunSweepUnknownScenario(t *testing.T) {
 	cfg := DefaultSweepConfig(1)
 	cfg.ScenarioName = "no-such-floor"
