@@ -27,7 +27,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"fastforward/internal/analysis"
 )
@@ -38,9 +37,6 @@ type Config struct {
 	// HotPackages are import-path suffixes whose hot-path functions are
 	// checked (the packages on the per-block signal path).
 	HotPackages []string
-	// HotFuncs are the function/method names treated as per-block hot
-	// paths.
-	HotFuncs []string
 }
 
 var defaultHotPackages = []string{
@@ -48,8 +44,9 @@ var defaultHotPackages = []string{
 	"internal/cnf", "internal/channel", "internal/impair",
 }
 
-var defaultHotFuncs = []string{
-	"Process", "ProcessInto", "ProcessM", "Push", "PushPair",
+// hotFuncs are the function/method names treated as per-block hot paths.
+var hotFuncs = map[string]bool{
+	"Process": true, "ProcessInto": true, "ProcessM": true, "Push": true, "PushPair": true,
 }
 
 // allocHelpers maps each allocating dsp helper to the zero-allocation
@@ -73,9 +70,6 @@ func New(cfg Config) *analysis.Analyzer {
 	if cfg.HotPackages == nil {
 		cfg.HotPackages = defaultHotPackages
 	}
-	if cfg.HotFuncs == nil {
-		cfg.HotFuncs = defaultHotFuncs
-	}
 	return &analysis.Analyzer{
 		Name: "allocfree",
 		Doc:  "forbid per-block allocation (slice make, allocating dsp helpers) in Process/ProcessInto hot paths",
@@ -93,14 +87,10 @@ func run(pass *analysis.Pass, cfg Config) {
 	if !analysis.PathMatches(pass.Pkg.Path(), cfg.HotPackages) {
 		return
 	}
-	hot := map[string]bool{}
-	for _, n := range cfg.HotFuncs {
-		hot[n] = true
-	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hot[fd.Name.Name] {
+			if !ok || fd.Body == nil || !hotFuncs[fd.Name.Name] {
 				continue
 			}
 			checkHotBody(pass, fd)
@@ -216,21 +206,10 @@ func isSliceMake(pass *analysis.Pass, call *ast.CallExpr) bool {
 // helpers, returning its name and the suggested replacement. The dsp
 // package is matched by import-path suffix so fixtures can stub it.
 func dspAllocHelper(pass *analysis.Pass, call *ast.CallExpr) (name, alt string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
+	path, name := analysis.PkgFunc(pass, call.Fun)
+	if !analysis.PathMatches(path, []string{"dsp"}) {
 		return "", "", false
 	}
-	fn, isFn := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !isFn || fn.Pkg() == nil {
-		return "", "", false
-	}
-	if sig, isSig := fn.Type().(*types.Signature); isSig && sig.Recv() != nil {
-		return "", "", false
-	}
-	path := fn.Pkg().Path()
-	if path != "dsp" && !strings.HasSuffix(path, "/dsp") {
-		return "", "", false
-	}
-	alt, ok = allocHelpers[fn.Name()]
-	return fn.Name(), alt, ok
+	alt, ok = allocHelpers[name]
+	return name, alt, ok
 }

@@ -150,6 +150,34 @@ func PkgFunc(pass *Pass, fun ast.Expr) (string, string) {
 	return fn.Pkg().Path(), fn.Name()
 }
 
+// Method resolves a call `x.M(...)` to the method M and its named
+// receiver type, with a pointer receiver unwrapped; named interface
+// types (net.Conn) count. It returns nils for package-level functions,
+// function values, and receivers without a named, package-level type.
+func Method(pass *Pass, call *ast.CallExpr) (*types.Func, *types.Named) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil, nil
+	}
+	fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if fn == nil {
+		return nil, nil
+	}
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return nil, nil
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, _ := t.(*types.Named)
+	if named == nil || named.Obj().Pkg() == nil {
+		return nil, nil
+	}
+	return fn, named
+}
+
 // ExprString names an expression in a diagnostic, and keys it where an
 // analyzer tracks state per expression: parentheses dropped, identifiers
 // and selector chains verbatim, a call as its function plus "()", an

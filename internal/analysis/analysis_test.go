@@ -7,6 +7,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -188,5 +189,57 @@ func TestExprString(t *testing.T) {
 		if got := analysis.ExprString(e); got != want {
 			t.Errorf("ExprString(%s) = %q, want %q", src, got, want)
 		}
+	}
+}
+
+// TestMethod pins the resolver the analyzers share: value, pointer and
+// named-interface receivers resolve to their named type; package
+// functions, function values and a method of an unnamed interface
+// resolve to nothing.
+func TestMethod(t *testing.T) {
+	const src = `package p
+
+type T struct{}
+
+func (T) V()  {}
+func (*T) P() {}
+
+type I interface{ M() }
+
+func F() {}
+
+func use(t T, pt *T, i I, f func(), u interface{ N() }) {
+	t.V()
+	pt.P()
+	(i).M()
+	F()
+	f()
+	u.N()
+}
+`
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	pkg, err := new(types.Config).Check("p", fset, []*ast.File{file}, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := &analysis.Pass{Fset: fset, Files: []*ast.File{file}, Pkg: pkg, TypesInfo: info}
+	var got []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn, recv := analysis.Method(pass, call); fn != nil {
+				got = append(got, recv.Obj().Name()+"."+fn.Name())
+			} else {
+				got = append(got, "-")
+			}
+		}
+		return true
+	})
+	if want := []string{"T.V", "T.P", "I.M", "-", "-", "-"}; !slices.Equal(got, want) {
+		t.Errorf("Method over the calls = %v, want %v", got, want)
 	}
 }

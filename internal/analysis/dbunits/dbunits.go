@@ -53,9 +53,9 @@ func (u unit) String() string {
 	return "unknown"
 }
 
-// New returns the dbunits analyzer (it has no configuration: the naming
-// convention is the interface).
-func New() *analysis.Analyzer {
+// Default returns the dbunits analyzer (it has no configuration: the
+// naming convention is the interface).
+func Default() *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name: "dbunits",
 		Doc:  "flag mixing of dB-named and linear-named float quantities across operators, assignments, calls, and returns",
@@ -65,9 +65,6 @@ func New() *analysis.Analyzer {
 		},
 	}
 }
-
-// Default mirrors the other analyzers' constructor shape.
-func Default() *analysis.Analyzer { return New() }
 
 // unitOfName classifies an identifier by suffix. dBm (absolute power in
 // log domain) counts as the dB family: adding dB to dBm is legal log

@@ -31,7 +31,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"fastforward/internal/analysis"
 )
@@ -279,30 +278,7 @@ func declaredOutside(pass *analysis.Pass, expr ast.Expr, rng *ast.RangeStmt) boo
 // isGaugeSet matches (*obs.Gauge).Set calls by method name and receiver
 // type, using a package-path suffix so fixtures can stub the obs package.
 func isGaugeSet(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Set" {
-		return false
-	}
-	obj, ok := pass.TypesInfo.Uses[sel.Sel]
-	if !ok {
-		return false
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Gauge" || named.Obj().Pkg() == nil {
-		return false
-	}
-	path := named.Obj().Pkg().Path()
-	return path == "obs" || strings.HasSuffix(path, "/obs")
+	fn, recv := analysis.Method(pass, call)
+	return fn != nil && fn.Name() == "Set" && recv.Obj().Name() == "Gauge" &&
+		analysis.PathMatches(recv.Obj().Pkg().Path(), []string{"obs"})
 }

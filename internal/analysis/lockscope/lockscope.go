@@ -226,7 +226,7 @@ func callEvents(pass *analysis.Pass, cfg Config, call *ast.CallExpr) []event {
 	if path, name := analysis.PkgFunc(pass, call.Fun); path == "time" && name == "Sleep" {
 		return []event{{kind: evBlock, pos: call.Pos(), desc: "time.Sleep"}}
 	}
-	if fn, recv := methodRecv(pass, call); fn != nil && recv != nil {
+	if fn, recv := analysis.Method(pass, call); fn != nil {
 		full := pkgBase(recv.Obj().Pkg().Path()) + "." + recv.Obj().Name() + "." + fn.Name()
 		if blockingMethods[full] {
 			return []event{{kind: evBlock, pos: call.Pos(), desc: full}}
@@ -323,16 +323,8 @@ func mutexOp(pass *analysis.Pass, cfg Config, call *ast.CallExpr) (op, key strin
 	default:
 		return "", "", nil, false
 	}
-	fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if fn == nil {
-		return "", "", nil, false
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return "", "", nil, false
-	}
-	rn := namedOf(sig.Recv().Type())
-	if rn == nil || rn.Obj().Pkg() == nil || rn.Obj().Pkg().Path() != "sync" {
+	_, rn := analysis.Method(pass, call)
+	if rn == nil || rn.Obj().Pkg().Path() != "sync" {
 		return "", "", nil, false
 	}
 	if n := rn.Obj().Name(); n != "Mutex" && n != "RWMutex" {
@@ -347,28 +339,6 @@ func mutexOp(pass *analysis.Pass, cfg Config, call *ast.CallExpr) (op, key strin
 		owner = namedOf(typeOf(pass, inner.X))
 	}
 	return sel.Sel.Name, key, owner, true
-}
-
-// methodRecv resolves a method call to its *types.Func and the named
-// receiver type, or nils for non-method calls.
-func methodRecv(pass *analysis.Pass, call *ast.CallExpr) (*types.Func, *types.Named) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil, nil
-	}
-	fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if fn == nil {
-		return nil, nil
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return nil, nil
-	}
-	named := namedOf(sig.Recv().Type())
-	if named == nil || named.Obj().Pkg() == nil {
-		return nil, nil
-	}
-	return fn, named
 }
 
 // levelOf returns the LockOrder index of the named type, or -1.
@@ -392,8 +362,7 @@ func pkgBase(path string) string {
 	return path
 }
 
-// namedOf unwraps pointers and returns the named type, including named
-// interface types (net.Conn).
+// namedOf unwraps a pointer and returns the named type, or nil.
 func namedOf(t types.Type) *types.Named {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()

@@ -39,11 +39,12 @@ type Config struct {
 	RegistryFile      string // default internal/obs/METRICS.txt
 	ObservabilityFile string // default OBSERVABILITY.md
 	MakefileFile      string // default Makefile
-	// ObsSuffixes identify the metrics package: method calls on its
-	// Registry type are checked, and analyzing the package itself
-	// triggers registry cross-validation.
-	ObsSuffixes []string
 }
+
+// obsSuffixes identify the metrics package: method calls on its Registry
+// type are checked, and analyzing the package itself triggers registry
+// cross-validation.
+var obsSuffixes = []string{"obs"}
 
 // metricMethods are the Registry constructors whose first argument is a
 // metric name. Stage timers are deliberately out of scope: timings are
@@ -60,9 +61,6 @@ func New(cfg Config) *analysis.Analyzer {
 	}
 	if cfg.MakefileFile == "" {
 		cfg.MakefileFile = "Makefile"
-	}
-	if cfg.ObsSuffixes == nil {
-		cfg.ObsSuffixes = []string{"obs"}
 	}
 	registries := map[string]*registry{}
 	return &analysis.Analyzer{
@@ -119,9 +117,9 @@ func run(pass *analysis.Pass, cfg Config, registries map[string]*registry) error
 		registries[pass.ModuleDir] = reg
 	}
 
-	usesObs := analysis.PathMatches(pass.Pkg.Path(), cfg.ObsSuffixes)
+	usesObs := analysis.PathMatches(pass.Pkg.Path(), obsSuffixes)
 	for _, imp := range pass.Pkg.Imports() {
-		if analysis.PathMatches(imp.Path(), cfg.ObsSuffixes) {
+		if analysis.PathMatches(imp.Path(), obsSuffixes) {
 			usesObs = true
 		}
 	}
@@ -139,14 +137,14 @@ func run(pass *analysis.Pass, cfg Config, registries map[string]*registry) error
 			if !ok {
 				return true
 			}
-			if method := registryMethod(pass, call, cfg); method != "" && len(call.Args) > 0 {
+			if method := registryMethod(pass, call); method != "" && len(call.Args) > 0 {
 				checkName(pass, call.Args[0], method, reg)
 			}
 			return true
 		})
 	}
 
-	if analysis.PathMatches(pass.Pkg.Path(), cfg.ObsSuffixes) {
+	if analysis.PathMatches(pass.Pkg.Path(), obsSuffixes) {
 		crossValidate(pass, cfg, reg)
 	}
 	return nil
@@ -154,35 +152,13 @@ func run(pass *analysis.Pass, cfg Config, registries map[string]*registry) error
 
 // registryMethod returns the metric-constructor name when call is
 // (*obs.Registry).Counter/Gauge/Histogram, else "".
-func registryMethod(pass *analysis.Pass, call *ast.CallExpr, cfg Config) string {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !metricMethods[sel.Sel.Name] {
+func registryMethod(pass *analysis.Pass, call *ast.CallExpr) string {
+	fn, recv := analysis.Method(pass, call)
+	if fn == nil || !metricMethods[fn.Name()] || recv.Obj().Name() != "Registry" ||
+		!analysis.PathMatches(recv.Obj().Pkg().Path(), obsSuffixes) {
 		return ""
 	}
-	obj, ok := pass.TypesInfo.Uses[sel.Sel]
-	if !ok {
-		return ""
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return ""
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Registry" || named.Obj().Pkg() == nil {
-		return ""
-	}
-	if !analysis.PathMatches(named.Obj().Pkg().Path(), cfg.ObsSuffixes) {
-		return ""
-	}
-	return sel.Sel.Name
+	return fn.Name()
 }
 
 func checkName(pass *analysis.Pass, arg ast.Expr, method string, reg *registry) {

@@ -15,53 +15,42 @@ import (
 	"fastforward/internal/analysis"
 )
 
-// Config tunes package recognition for tests; the zero value matches this
-// repository (packages named par and rng).
-type Config struct {
-	// ParSuffixes / RngSuffixes are import-path suffixes identifying the
-	// parallel-execution and rng packages.
-	ParSuffixes []string
-	RngSuffixes []string
-}
+// parSuffixes / rngSuffixes are import-path suffixes identifying the
+// parallel-execution and rng packages.
+var (
+	parSuffixes = []string{"par"}
+	rngSuffixes = []string{"rng"}
+)
 
 // parEntryPoints are the fan-out functions whose closure arguments are
 // work-item bodies.
 var parEntryPoints = map[string]bool{"ForEach": true, "Map": true, "FlatMap": true}
 
-// New returns the seedflow analyzer.
-func New(cfg Config) *analysis.Analyzer {
-	if cfg.ParSuffixes == nil {
-		cfg.ParSuffixes = []string{"par"}
-	}
-	if cfg.RngSuffixes == nil {
-		cfg.RngSuffixes = []string{"rng"}
-	}
+// Default returns the seedflow analyzer.
+func Default() *analysis.Analyzer {
 	return &analysis.Analyzer{
 		Name: "seedflow",
 		Doc:  "require rngs constructed inside par work-item bodies to be seeded via rng.ItemSeed",
 		Run: func(pass *analysis.Pass) error {
-			run(pass, cfg)
+			run(pass)
 			return nil
 		},
 	}
 }
 
-// Default is the production-configured analyzer.
-func Default() *analysis.Analyzer { return New(Config{}) }
-
-func run(pass *analysis.Pass, cfg Config) {
+func run(pass *analysis.Pass) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			if !isPkgFunc(pass, call.Fun, cfg.ParSuffixes, parEntryPoints) {
+			if !isPkgFunc(pass, call.Fun, parSuffixes, parEntryPoints) {
 				return true
 			}
 			for _, arg := range call.Args {
 				if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-					checkWorkBody(pass, lit, cfg)
+					checkWorkBody(pass, lit)
 				}
 			}
 			return true
@@ -70,8 +59,8 @@ func run(pass *analysis.Pass, cfg Config) {
 }
 
 // checkWorkBody inspects one work-item closure.
-func checkWorkBody(pass *analysis.Pass, lit *ast.FuncLit, cfg Config) {
-	tainted := itemSeedTainted(pass, lit, cfg)
+func checkWorkBody(pass *analysis.Pass, lit *ast.FuncLit) {
+	tainted := itemSeedTainted(pass, lit)
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -79,14 +68,14 @@ func checkWorkBody(pass *analysis.Pass, lit *ast.FuncLit, cfg Config) {
 		}
 		// Source constructors whose seed argument must derive from
 		// ItemSeed: rng.New(seed) and math/rand's NewSource(seed).
-		if isRngConstructor(pass, call, cfg) && len(call.Args) > 0 {
-			if !exprTainted(pass, call.Args[0], tainted, cfg) {
+		if isRngConstructor(pass, call) && len(call.Args) > 0 {
+			if !exprTainted(pass, call.Args[0], tainted) {
 				pass.Reportf(call.Pos(), "rng constructed inside a par work-item body with a seed not derived from rng.ItemSeed: results become schedule-dependent (seed with rng.ItemSeed(base, i))")
 			}
 		}
 		// Fork() on a source shared across items draws from one
 		// sequential stream in work-item order.
-		if recv, ok := forkReceiver(pass, call, cfg); ok {
+		if recv, ok := forkReceiver(pass, call); ok {
 			if declaredOutside(pass, recv, lit) {
 				pass.Reportf(call.Pos(), "Fork of a source declared outside the par work-item body: forks consume a shared sequential stream in schedule order; construct rng.New(rng.ItemSeed(base, i)) instead")
 			}
@@ -97,7 +86,7 @@ func checkWorkBody(pass *analysis.Pass, lit *ast.FuncLit, cfg Config) {
 
 // itemSeedTainted computes the set of objects inside lit that
 // (transitively) hold a value derived from rng.ItemSeed.
-func itemSeedTainted(pass *analysis.Pass, lit *ast.FuncLit, cfg Config) map[types.Object]bool {
+func itemSeedTainted(pass *analysis.Pass, lit *ast.FuncLit) map[types.Object]bool {
 	tainted := map[types.Object]bool{}
 	for changed := true; changed; {
 		changed = false
@@ -112,7 +101,7 @@ func itemSeedTainted(pass *analysis.Pass, lit *ast.FuncLit, cfg Config) map[type
 					if !ok {
 						continue
 					}
-					if taintIdent(pass, id, n.Rhs[i], tainted, cfg) {
+					if taintIdent(pass, id, n.Rhs[i], tainted) {
 						changed = true
 					}
 				}
@@ -121,7 +110,7 @@ func itemSeedTainted(pass *analysis.Pass, lit *ast.FuncLit, cfg Config) map[type
 					return true
 				}
 				for i, id := range n.Names {
-					if taintIdent(pass, id, n.Values[i], tainted, cfg) {
+					if taintIdent(pass, id, n.Values[i], tainted) {
 						changed = true
 					}
 				}
@@ -133,7 +122,7 @@ func itemSeedTainted(pass *analysis.Pass, lit *ast.FuncLit, cfg Config) map[type
 }
 
 // taintIdent marks id tainted when rhs is; reports whether the set grew.
-func taintIdent(pass *analysis.Pass, id *ast.Ident, rhs ast.Expr, tainted map[types.Object]bool, cfg Config) bool {
+func taintIdent(pass *analysis.Pass, id *ast.Ident, rhs ast.Expr, tainted map[types.Object]bool) bool {
 	obj := pass.TypesInfo.Defs[id]
 	if obj == nil {
 		obj = pass.TypesInfo.Uses[id]
@@ -141,7 +130,7 @@ func taintIdent(pass *analysis.Pass, id *ast.Ident, rhs ast.Expr, tainted map[ty
 	if obj == nil || tainted[obj] {
 		return false
 	}
-	if exprTainted(pass, rhs, tainted, cfg) {
+	if exprTainted(pass, rhs, tainted) {
 		tainted[obj] = true
 		return true
 	}
@@ -150,12 +139,12 @@ func taintIdent(pass *analysis.Pass, id *ast.Ident, rhs ast.Expr, tainted map[ty
 
 // exprTainted reports whether expr contains a call to rng.ItemSeed or a
 // use of an already-tainted object.
-func exprTainted(pass *analysis.Pass, expr ast.Expr, tainted map[types.Object]bool, cfg Config) bool {
+func exprTainted(pass *analysis.Pass, expr ast.Expr, tainted map[types.Object]bool) bool {
 	found := false
 	ast.Inspect(expr, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if isPkgFunc(pass, n.Fun, cfg.RngSuffixes, map[string]bool{"ItemSeed": true}) {
+			if isPkgFunc(pass, n.Fun, rngSuffixes, map[string]bool{"ItemSeed": true}) {
 				found = true
 			}
 		case *ast.Ident:
@@ -170,8 +159,8 @@ func exprTainted(pass *analysis.Pass, expr ast.Expr, tainted map[types.Object]bo
 
 // isRngConstructor matches rng.New(seed) (the repo's Source constructor)
 // and math/rand NewSource(seed).
-func isRngConstructor(pass *analysis.Pass, call *ast.CallExpr, cfg Config) bool {
-	if isPkgFunc(pass, call.Fun, cfg.RngSuffixes, map[string]bool{"New": true}) {
+func isRngConstructor(pass *analysis.Pass, call *ast.CallExpr) bool {
+	if isPkgFunc(pass, call.Fun, rngSuffixes, map[string]bool{"New": true}) {
 		return true
 	}
 	path, name := analysis.PkgFunc(pass, call.Fun)
@@ -180,27 +169,12 @@ func isRngConstructor(pass *analysis.Pass, call *ast.CallExpr, cfg Config) bool 
 
 // forkReceiver matches (rng.Source).Fork() calls and returns the receiver
 // expression.
-func forkReceiver(pass *analysis.Pass, call *ast.CallExpr, cfg Config) (ast.Expr, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Fork" {
+func forkReceiver(pass *analysis.Pass, call *ast.CallExpr) (ast.Expr, bool) {
+	fn, recv := analysis.Method(pass, call)
+	if fn == nil || fn.Name() != "Fork" || !analysis.PathMatches(recv.Obj().Pkg().Path(), rngSuffixes) {
 		return nil, false
 	}
-	obj, ok := pass.TypesInfo.Uses[sel.Sel]
-	if !ok {
-		return nil, false
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return nil, false
-	}
-	if !analysis.PathMatches(fn.Pkg().Path(), cfg.RngSuffixes) {
-		return nil, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil, false
-	}
-	return sel.X, true
+	return ast.Unparen(call.Fun).(*ast.SelectorExpr).X, true
 }
 
 // declaredOutside reports whether the root identifier of expr was

@@ -44,21 +44,17 @@ type Config struct {
 	// RegistryPackages are import-path suffixes of the package declaring
 	// the Refuse* and Frame* constants.
 	RegistryPackages []string
-	// OperationsFile is the runbook path relative to the module root.
-	OperationsFile string
 }
 
 var defaultRegistry = []string{"internal/relayd"}
 
-const defaultOperationsFile = "OPERATIONS.md"
+// operationsFile is the runbook path relative to the module root.
+const operationsFile = "OPERATIONS.md"
 
 // New returns the wirecodes analyzer.
 func New(cfg Config) *analysis.Analyzer {
 	if cfg.RegistryPackages == nil {
 		cfg.RegistryPackages = defaultRegistry
-	}
-	if cfg.OperationsFile == "" {
-		cfg.OperationsFile = defaultOperationsFile
 	}
 	return &analysis.Analyzer{
 		Name: "wirecodes",
@@ -103,7 +99,7 @@ func run(pass *analysis.Pass, cfg Config) {
 		checkLiterals(pass, f, reg, self)
 	}
 	if self && pass.ModuleDir != "" {
-		crossValidate(pass, cfg, reg)
+		crossValidate(pass, reg)
 	}
 }
 
@@ -205,12 +201,12 @@ var codePhraseRE = regexp.MustCompile("code `([a-z_]+)`")
 var framePhraseRE = regexp.MustCompile(`([A-Z]{2,})\((\d+)`)
 
 // crossValidate checks the registry against OPERATIONS.md both ways.
-func crossValidate(pass *analysis.Pass, cfg Config, reg registry) {
+func crossValidate(pass *analysis.Pass, reg registry) {
 	pos := pass.Files[0].Pos()
-	path := filepath.Join(pass.ModuleDir, cfg.OperationsFile)
+	path := filepath.Join(pass.ModuleDir, operationsFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		pass.Reportf(pos, "cannot read %s to cross-validate the wire-code registry: %v", cfg.OperationsFile, err)
+		pass.Reportf(pos, "cannot read %s to cross-validate the wire-code registry: %v", operationsFile, err)
 		return
 	}
 	doc := string(data)
@@ -222,13 +218,13 @@ func crossValidate(pass *analysis.Pass, cfg Config, reg registry) {
 	}
 	for _, v := range sortedKeys(reg.codes) {
 		if !documented[v] {
-			pass.Reportf(pos, "refuse code %q (%s) missing from the %s troubleshooting table: add a \"code `%s`\" row", v, reg.codes[v], cfg.OperationsFile, v)
+			pass.Reportf(pos, "refuse code %q (%s) missing from the %s troubleshooting table: add a \"code `%s`\" row", v, reg.codes[v], operationsFile, v)
 		}
 	}
 	// Documented codes must be declared.
 	for _, v := range sortedKeys(documented) {
 		if _, ok := reg.codes[v]; !ok {
-			pass.Reportf(pos, "%s documents refuse code %q that the protocol registry does not declare", cfg.OperationsFile, v)
+			pass.Reportf(pos, "%s documents refuse code %q that the protocol registry does not declare", operationsFile, v)
 		}
 	}
 
@@ -249,14 +245,14 @@ func crossValidate(pass *analysis.Pass, cfg Config, reg registry) {
 		dv, ok := docFrames[name]
 		switch {
 		case !ok:
-			pass.Reportf(pos, "frame type %s(%d) missing from the %s wire protocol section", name, v, cfg.OperationsFile)
+			pass.Reportf(pos, "frame type %s(%d) missing from the %s wire protocol section", name, v, operationsFile)
 		case dv != v:
-			pass.Reportf(pos, "%s documents frame %s(%d) but the protocol registry declares %s(%d)", cfg.OperationsFile, name, dv, name, v)
+			pass.Reportf(pos, "%s documents frame %s(%d) but the protocol registry declares %s(%d)", operationsFile, name, dv, name, v)
 		}
 	}
 	for _, name := range sortedKeys(docFrames) {
 		if _, ok := declFrames[name]; !ok {
-			pass.Reportf(pos, "%s documents frame %s(%d) that the protocol registry does not declare", cfg.OperationsFile, name, docFrames[name])
+			pass.Reportf(pos, "%s documents frame %s(%d) that the protocol registry does not declare", operationsFile, name, docFrames[name])
 		}
 	}
 }
