@@ -4,11 +4,8 @@
 # suite) plus `go vet`, the fflint domain analyzers (determinism, seed
 # flow, dB-unit discipline, metric-name registry, and the daemon/fleet
 # service discipline: lockscope, netdeadline, errflow, wirecodes — see
-# DESIGN.md §7), a race-detector pass over the packages the parallel
-# sweep engine made concurrent (internal/par, internal/fft,
-# internal/ident, and the testbed's parallel paths) with a drift guard
-# (racecheck) that fails if a concurrent package is missing from that
-# list, a manifest smoke run of ffsim's figure families (see
+# DESIGN.md §7), the full test suite again under the race detector, a
+# manifest smoke run of ffsim's figure families (see
 # OBSERVABILITY.md), a byte-for-byte check of the examples' stdout, the
 # fleet sweep smokes — local gates and the served wire mode against real
 # ffrelayd subprocesses (DESIGN.md §11, OPERATIONS.md) — and bench-kit,
@@ -18,7 +15,7 @@
 GO ?= go
 SMOKE := .smoke
 
-.PHONY: all build test vet lint race racecheck check bench bench-allocs bench-sessions bench-kit manifest-smoke daemon-smoke fleet-smoke fleet-served-smoke fuzz-smoke examples-smoke
+.PHONY: all build test vet lint race check bench bench-allocs bench-sessions bench-kit manifest-smoke daemon-smoke fleet-smoke fleet-served-smoke fuzz-smoke examples-smoke
 
 all: check
 
@@ -58,25 +55,13 @@ lint: build bin/fflint
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	./bin/fflint ./...
 
-# The race pass runs the concurrent packages in full, plus the testbed's
-# parallel-vs-serial determinism tests (the full testbed suite under the
-# race detector takes tens of minutes; the determinism tests exercise every
-# concurrent code path). internal/obs is written to from every worker and
-# internal/sic publishes through shared registries, so both run here too
-# (sic in -short mode: the long characterization sweeps are Short-gated,
-# the concurrent-registry tests are not).
+# Every tested package runs in full under the race detector, so a package
+# that turns concurrent is covered without a list to keep. The slowest,
+# internal/testbed, takes under three minutes on 2 vCPU.
 race:
-	$(GO) test -race ./internal/par ./internal/fft ./internal/ident ./internal/obs ./internal/pipeline ./internal/relayd ./internal/fleet
-	$(GO) test -race -short ./internal/sic
-	$(GO) test -race -run 'Parallel|Slot|Determinism' ./internal/testbed
+	$(GO) test -race ./...
 
-# Drift guard for the hand-maintained race list above: any package with
-# tests whose sources spawn goroutines, use channels/select, import
-# sync, or fan out through internal/par must appear in the race recipe.
-racecheck:
-	$(GO) run ./cmd/racecheck
-
-check: test vet lint race racecheck manifest-smoke examples-smoke daemon-smoke fleet-smoke fleet-served-smoke bench-kit
+check: test vet lint race manifest-smoke examples-smoke daemon-smoke fleet-smoke fleet-served-smoke bench-kit
 
 # Run ffsim with -manifest on tiny configurations of its figure families
 # (the Fig 12 sweep, the Fig 16 latency sweep, the Figs 1-2 maps, the
@@ -169,26 +154,24 @@ fleet-served-smoke: build
 	$(GO) run ./cmd/manifestcheck -diff -ignore fleet.wire. $(SMOKE)/fleet-local.json $(SMOKE)/fleet-wire.json
 	rm -rf $(SMOKE)
 
-# Short fuzz runs over every fuzz target (go accepts one -fuzz target per
-# invocation; TestRepositoryFuzzListIsCurrent in internal/analysis/racelist
-# fails when a func Fuzz* is missing here). Seed corpora make even short
-# runs meaningful; CI runs this with the default budget. Override with
-# e.g. FUZZTIME=2m. -fuzzminimizetime 50x caps the minimization of each
-# new input: under go's default of 60s per input, FuzzDecode spends its
-# whole budget minimizing and executes next to nothing.
+# Short fuzz runs over every fuzz target of the module. `go test -list`
+# names each package's Fuzz* functions ahead of its `ok <pkg>` line; go
+# accepts one -fuzz target per invocation, so each runs on its own. The
+# target fails if the listing does not build or finds no target. Seed
+# corpora make even short runs meaningful; CI runs this with the default
+# budget. Override with e.g. FUZZTIME=2m. -fuzzminimizetime 50x caps the
+# minimization of each new input: under go's default of 60s per input,
+# FuzzDecode spends its whole budget minimizing and executes next to
+# nothing.
 FUZZTIME ?= 30s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDetectPacket$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/ofdm
-	$(GO) test -run '^$$' -fuzz '^FuzzEstimateCFO$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/ofdm
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/wifi
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFeedback$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/protocol
-	$(GO) test -run '^$$' -fuzz '^FuzzDetect$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/ident
-	$(GO) test -run '^$$' -fuzz '^FuzzChainSegmentation$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/pipeline
-	$(GO) test -run '^$$' -fuzz '^FuzzSoAMatchesPush$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/pipeline
-	$(GO) test -run '^$$' -fuzz '^FuzzSoARoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/dsp
-	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/relayd
-	$(GO) test -run '^$$' -fuzz '^FuzzAssignment$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/fleet
-	$(GO) test -run '^$$' -fuzz '^FuzzKernelsMatchReference$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x ./internal/linalg
+	@list="$$($(GO) test -list '^Fuzz' ./...)" || { echo "$$list"; exit 1; }; \
+	targets="$$(echo "$$list" | awk '/^Fuzz/ { f[n++] = $$1 } /^ok / { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }')"; \
+	if [ -z "$$targets" ]; then echo "fuzz-smoke: go test -list found no Fuzz target"; exit 1; fi; \
+	echo "$$targets" | while read -r pkg target; do \
+		echo "$(GO) test -run '^$$' -fuzz '^$$target\$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 50x $$pkg"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 50x $$pkg || exit 1; \
+	done
 
 # Record the perf baseline (see EXPERIMENTS.md "Performance baseline").
 # The pipeline micro-benchmarks (relay block path + SIC filter per-sample
