@@ -25,8 +25,12 @@ build:
 test: build
 	$(GO) test ./...
 
+# The arm64 vet compiles the packages whose non-amd64 files the amd64
+# build never sees (internal/dsp's Go-only firMAC4 dispatch), so a break
+# there fails here rather than on another architecture.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/dsp ./internal/pipeline
 
 # Domain-specific static analysis: detrand (no wall-clock or unseeded
 # randomness in sweep-path packages), seedflow (worker rngs derive from

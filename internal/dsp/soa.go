@@ -66,10 +66,11 @@ func FIRFilterSoA(yr, yi, xr, xi, hr, hi []float64) {
 	}
 	// Four taps per pass: each pass loads and stores every output element
 	// once per four taps instead of once per tap (y traffic is where the
-	// time goes; the MAC count is fixed), and on amd64 firMAC4 runs the
-	// pass with SSE2 packed doubles. Within a pass the accumulator adds
-	// taps k, k+1, k+2, k+3 in order, so the ascending-k association is
-	// preserved exactly.
+	// time goes; the MAC count is fixed), and firMAC4 runs the pass with
+	// AVX2 on amd64 hosts that have it (a CPUID check at package init),
+	// the Go body otherwise. Within a pass the accumulator adds taps k,
+	// k+1, k+2, k+3 in order, so the ascending-k association is preserved
+	// exactly.
 	k := 0
 	for ; k+4 <= t; k += 4 {
 		// Tap k+j reads x[t-1-(k+j)+i]; the pass base is tap k+3's

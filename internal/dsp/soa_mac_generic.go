@@ -1,11 +1,10 @@
-//go:build !amd64
-
 package dsp
 
-// firMAC4 accumulates four consecutive taps into yr/yi across the whole
-// block; see soa_mac_amd64.go for the contract. This generic body is the
-// semantics reference: the assembly version must match it bit for bit.
-func firMAC4(yr, yi, xr, xi []float64, h0r, h0i, h1r, h1i, h2r, h2i, h3r, h3i float64) {
+// firMAC4Go is the Go body of firMAC4 and its semantics reference (see
+// soa_mac_amd64.go for the contract): the assembly kernel must match it
+// bit for bit. It runs every pass on hosts without AVX2 and the last
+// len(yr)%4 outputs of each pass on hosts with it.
+func firMAC4Go(yr, yi, xr, xi []float64, h0r, h0i, h1r, h1i, h2r, h2i, h3r, h3i float64) {
 	n := len(yr)
 	yi = yi[:n]
 	x3r, x3i := xr[:n], xi[:n]

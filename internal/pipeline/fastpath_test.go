@@ -18,8 +18,9 @@ var soaTapCounts = []int{1, 3, 4, 5, 16, 24, 120}
 // soaSplits segments a 4096-sample signal so planar blocks alternate with
 // blocks below minSoABlock (7, 1, 17, 31), which run the direct form: the
 // shared delay line hands off in both directions, including blocks
-// shorter than the filter.
-var soaSplits = []int{64, 7, 1000, 1, 17, 2048, 31, 32, 33}
+// shorter than the filter. The planar blocks 33, 34 and 35 leave every
+// tail (1, 2 and 3 samples) that firMAC4 runs after its four-wide loop.
+var soaSplits = []int{64, 7, 1000, 1, 17, 2048, 31, 32, 33, 34, 35}
 
 // processSplits feeds sig through process in soaSplits segments, then the
 // remainder in one call.
@@ -62,7 +63,7 @@ func TestSoAPathMatchesDirect(t *testing.T) {
 		}
 		wantSoA := uint64(0)
 		if ntaps >= 4 {
-			wantSoA = 6 // 64, 1000, 2048, 32, 33 and the 863-sample remainder
+			wantSoA = 8 // 64, 1000, 2048, 32, 33, 34, 35 and the 794-sample remainder
 		}
 		if n := reg.Counter("pipeline.soa_blocks", "blocks").Value(); n != wantSoA {
 			t.Fatalf("%d taps: pipeline.soa_blocks = %d, want %d", ntaps, n, wantSoA)
