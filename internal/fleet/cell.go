@@ -199,7 +199,8 @@ type Snapshot struct {
 
 // Evaluate computes the cell's current service snapshot. Rates follow
 // the standard amplify-and-forward two-hop SINR with the relay's first
-// hop clipped by its health's effective cancellation, constructively
+// hop clipped by the residual self-interference its health's effective
+// cancellation leaves at the client's granted amplification, constructively
 // power-combined with the direct AP path (the CNF property), mapped to
 // PHY rate through the 802.11 MCS table.
 func (cell *Cell) Evaluate() Snapshot {
@@ -232,10 +233,12 @@ func (cell *Cell) Evaluate() Snapshot {
 		r := relays[ri]
 		l, _ := c.Link(c.Assigned)
 
-		// First hop: AP→relay SNR, clipped by the relay's effective
-		// cancellation (residual self-interference floors the SINR).
+		// First hop: AP→relay SNR, clipped by the residual
+		// self-interference. The relay transmits at rx + A and cancels
+		// C of it, so the residual sits C − A below the received signal
+		// (the testbed's relayNoiseMW).
 		g1DB := r.RxAtRelayDBm - noiseFloorDBm
-		if cDB := r.EffectiveCancellationDB(cfg.Pool.BaseCancellationDB); cDB < g1DB {
+		if cDB := r.EffectiveCancellationDB(cfg.Pool.BaseCancellationDB) - c.Grant.AmpDB; cDB < g1DB {
 			g1DB = cDB
 		}
 		// Second hop: granted amplification, PA-capped by construction.

@@ -76,6 +76,35 @@ func TestRunSweepIdealFailureChangesNothing(t *testing.T) {
 	}
 }
 
+// TestRunSweepDarkRelayCostsRate fails the only relay of a one-relay
+// cell at severe: the clients left stranded on it are served by a relay
+// whose residual self-interference rises with its transmit power, so
+// the cell's service after the event must fall below its healthy
+// service.
+func TestRunSweepDarkRelayCostsRate(t *testing.T) {
+	res, err := RunSweep(smallSweepConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, c := range res.Cells {
+		if c.Relays != 1 {
+			continue
+		}
+		if c.Stranded == 0 {
+			t.Fatalf("1 relay x %d clients: no client stranded by a severe failure", c.Clients)
+		}
+		if c.Failed.AggregateMbps >= c.Healthy.AggregateMbps {
+			t.Errorf("1 relay x %d clients, %d stranded: aggregate %.3f Mbps after the failure, %.3f healthy; want lower",
+				c.Clients, c.Stranded, c.Failed.AggregateMbps, c.Healthy.AggregateMbps)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("test grid has no one-relay cell")
+	}
+}
+
 func TestRunSweepUnknownScenario(t *testing.T) {
 	cfg := DefaultSweepConfig(1)
 	cfg.ScenarioName = "no-such-floor"
