@@ -6,12 +6,14 @@
 // analyzer makes visible at the line that breaks it.
 //
 // Two rules, applied inside hot-path function bodies (Process,
-// ProcessInto, ProcessM, Push, PushPair) of the signal-path packages:
+// ProcessInto, ProcessM, Push, PushPair, and dsp.FIR's block methods
+// FilterBlock and CancelBlock) of the signal-path packages:
 //
 //  1. Slice make: `make([]T, ...)` allocates per call unless it sits
 //     behind the grow-once idiom — a surrounding `if cap(buf) < n`
 //     guard, which amortizes to zero at steady state and is the pattern
-//     the pipeline's scratch buffers use.
+//     the streaming scratch buffers use (dsp.FIR's planar scratch among
+//     them).
 //
 //  2. Allocating dsp helpers: dsp.Scale, ScaleC, Add, Sub, Mul, Conj,
 //     Clone and friends return freshly allocated slices by design (they
@@ -47,6 +49,7 @@ var defaultHotPackages = []string{
 // hotFuncs are the function/method names treated as per-block hot paths.
 var hotFuncs = map[string]bool{
 	"Process": true, "ProcessInto": true, "ProcessM": true, "Push": true, "PushPair": true,
+	"FilterBlock": true, "CancelBlock": true,
 }
 
 // allocHelpers maps each allocating dsp helper to the zero-allocation
@@ -59,7 +62,7 @@ var allocHelpers = map[string]string{
 	"Mul":            "MulInto",
 	"Clone":          "copy into reused scratch",
 	"Delay":          "a dsp.DelayLine pushed per block",
-	"Convolve":       "a dsp.FIR or a pipeline.FIRStage",
+	"Convolve":       "dsp.FIR.FilterBlock",
 	"Rotate":         "ScaleCInPlace with a precomputed phasor",
 	"ApplyCFO":       "a pipeline.CFOStage",
 	"CrossCorrelate": "a preallocated correlator scratch",

@@ -38,6 +38,24 @@ func (s *stage) PushPair(tx, rx complex128) complex128 {
 	return rx - complex(dsp.Power(pair), 0)
 }
 
+// FilterBlock and CancelBlock are the block methods of a streaming
+// filter: the planar scratch grows behind the guard, anything else is a
+// finding.
+func (s *stage) FilterBlock(block []complex128) bool {
+	if cap(s.est) < 2*len(block) {
+		s.est = make([]complex128, 2*len(block)) // grow-once: allowed
+	}
+	copy(s.est, block)
+	return true
+}
+
+func (s *stage) CancelBlock(block, ref []complex128) bool {
+	est := make([]complex128, len(ref)) // want `slice make in per-block hot path CancelBlock`
+	copy(est, ref)
+	dsp.SubInPlace(block, est)
+	return true
+}
+
 // Process2 is outside the hot set: hot-path names match exactly.
 func (s *stage) Process2(block []complex128) []complex128 { return block }
 

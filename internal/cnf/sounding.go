@@ -16,6 +16,10 @@ import (
 // stale. StalenessStudy quantifies the resulting SNR-gain loss as a
 // function of the sounding interval — the knob the paper fixes at 50 ms.
 
+// soundingSubcarriers is the number of subcarriers the staleness study
+// evaluates.
+const soundingSubcarriers = 13
+
 // SoundingConfig parameterizes the staleness study.
 type SoundingConfig struct {
 	// CoherenceMs is the channel's 50% coherence time in milliseconds
@@ -24,8 +28,6 @@ type SoundingConfig struct {
 	// SoundingIntervalMs is the refresh period of the direct-channel
 	// estimate the relay snoops (the paper: 50 ms).
 	SoundingIntervalMs float64
-	// Subcarriers is the number of evaluated subcarriers.
-	Subcarriers int
 	// AmpDB is the relay amplification.
 	AmpDB float64
 	// Budget is the link budget for SNR accounting.
@@ -50,10 +52,7 @@ type StalenessResult struct {
 // that a 50 ms sounding interval costs little gain: ffsim -fig staleness
 // prints it, and TestStalenessPaper50msIsCheap pins it.
 func StalenessStudy(src *rng.Source, cfg SoundingConfig) StalenessResult {
-	n := cfg.Subcarriers
-	if n <= 0 {
-		n = 13
-	}
+	const n = soundingSubcarriers
 	// Gauss-Markov per-step correlation: step = 1 ms; rho chosen so the
 	// autocorrelation halves after CoherenceMs steps.
 	steps := int(cfg.SoundingIntervalMs)

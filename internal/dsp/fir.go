@@ -8,6 +8,11 @@ package dsp
 // FIR with h[0] != 0 contributes to the output in the same sample instant it
 // receives the input. This models the paper's causal cancellation filter,
 // which adds no buffering delay (Sec 3.3, Fig 9a).
+//
+// FilterBlock and CancelBlock run a block on the planar kernel
+// FIRFilterSoA or on the direct form, chosen by size; both paths are
+// bit-exact with Push and share its delay line, so Push and block calls
+// interleave freely.
 type FIR struct {
 	taps []complex128
 	// line is the delay line stored twice over (length 2·T): every input
@@ -17,7 +22,23 @@ type FIR struct {
 	// buffer, so outputs are bit-exact with it.
 	line []complex128
 	pos  int
+	// hr/hi are the taps in planar form, nil below minPlanarTaps taps.
+	hr, hi []float64
+	// scratch holds the planar history + block (2·(T−1+n)) and output
+	// (2·n) of the largest block seen. It grows once and is reused, and
+	// carries no state between calls.
+	scratch []float64
 }
+
+// minPlanarTaps is the filter length below which blocks stay on the
+// direct form: with a handful of taps the conversion passes cost more
+// than the planar MAC saves.
+const minPlanarTaps = 4
+
+// minPlanarBlock is the block length below which blocks stay on the
+// direct form (the relay's one-sample feedback drive among them), whose
+// per-sample cost is already low at those sizes.
+const minPlanarBlock = 32
 
 // NewFIR creates a streaming FIR with the given taps. The taps slice is
 // copied. A nil or empty taps slice yields an all-zero filter with one tap.
@@ -27,10 +48,15 @@ func NewFIR(taps []complex128) *FIR {
 	}
 	t := make([]complex128, len(taps))
 	copy(t, taps)
-	return &FIR{
+	f := &FIR{
 		taps: t,
 		line: make([]complex128, 2*len(taps)),
 	}
+	if len(t) >= minPlanarTaps {
+		f.hr, f.hi = make([]float64, len(t)), make([]float64, len(t))
+		Deinterleave(f.hr, f.hi, t)
+	}
+	return f
 }
 
 // NumTaps returns the number of filter taps.
@@ -61,43 +87,80 @@ func (f *FIR) Reset() {
 	f.pos = 0
 }
 
-// RecentSoA writes the most recent len(re) inputs into planar
-// components, oldest first: re[len-1]/im[len-1] are the last pushed
-// sample. Positions never pushed read as zero, matching the reset state.
-// len(re) must equal len(im) and not exceed NumTaps.
-func (f *FIR) RecentSoA(re, im []float64) {
-	n := len(re)
-	if len(im) != n || n > len(f.taps) {
-		panic("dsp: RecentSoA needs len(re) == len(im) <= NumTaps")
+// planarFor reports whether an n-sample block takes the planar kernel.
+func (f *FIR) planarFor(n int) bool { return n >= minPlanarBlock && f.hr != nil }
+
+// FilterBlock filters block in place, bit-exact with pushing it sample
+// by sample, and reports whether the planar kernel ran.
+func (f *FIR) FilterBlock(block []complex128) (planar bool) {
+	n := len(block)
+	if !f.planarFor(n) {
+		for i, v := range block {
+			block[i] = f.Push(v)
+		}
+		return false
 	}
-	win := f.line[f.pos : f.pos+n]
-	for j, v := range win {
-		re[n-1-j] = real(v)
-		im[n-1-j] = imag(v)
+	if need := 2*(len(f.taps)-1) + 4*n; cap(f.scratch) < need {
+		f.scratch = make([]float64, need)
 	}
+	yr, yi := f.filterPlanar(block)
+	Interleave(block, yr, yi)
+	return true
 }
 
-// LoadRecentSoA replaces the delay line with the given input history in
-// planar components, newest last. len(re) and len(im) must equal
-// NumTaps. The planar block kernel uses RecentSoA/LoadRecentSoA to keep
-// the streaming state consistent with the direct form across calls.
-func (f *FIR) LoadRecentSoA(re, im []float64) {
-	t := len(f.taps)
-	if len(re) != t || len(im) != t {
-		panic("dsp: LoadRecentSoA needs len(re) == len(im) == NumTaps")
+// CancelBlock is the causal canceller over a block: it pushes ref
+// through the filter and subtracts the output from block, block[i] −=
+// Σ_k h[k]·ref[i−k], bit-exact with block[i] − Push(ref[i]) sample by
+// sample. len(ref) must equal len(block). It reports whether the planar
+// kernel ran.
+func (f *FIR) CancelBlock(block, ref []complex128) (planar bool) {
+	n := len(block)
+	if len(ref) != n {
+		panic("dsp: CancelBlock needs len(ref) == len(block)")
 	}
+	if !f.planarFor(n) {
+		for i, v := range ref {
+			block[i] -= f.Push(v)
+		}
+		return false
+	}
+	if need := 2*(len(f.taps)-1) + 4*n; cap(f.scratch) < need {
+		f.scratch = make([]float64, need)
+	}
+	yr, yi := f.filterPlanar(ref)
+	SubInPlaceSoA(block, yr, yi)
+	return true
+}
+
+// filterPlanar runs the planar MAC over x, which it only reads, and
+// returns the planar output views (valid until the next block call). It
+// reads the T−1 most recent inputs from the delay line as history and
+// writes the T newest back, so the direct form continues where the
+// planar kernel left off. The caller has grown scratch for len(x).
+func (f *FIR) filterPlanar(x []complex128) (yr, yi []float64) {
+	t, n := len(f.taps), len(x)
+	m := t - 1 + n
+	xr, xi := f.scratch[:m], f.scratch[m:2*m]
+	yr, yi = f.scratch[2*m:2*m+n], f.scratch[2*m+n:2*m+2*n]
+	// History, oldest first: line[pos] is the newest input.
+	for j, v := range f.line[f.pos : f.pos+t-1] {
+		xr[t-2-j], xi[t-2-j] = real(v), imag(v)
+	}
+	Deinterleave(xr[t-1:], xi[t-1:], x)
+	FIRFilterSoA(yr, yi, xr, xi, f.hr, f.hi)
+	// The newest T inputs become the delay line, newest at pos = 0.
 	f.pos = 0
 	for j := 0; j < t; j++ {
-		v := complex(re[t-1-j], im[t-1-j])
-		f.line[j] = v
-		f.line[j+t] = v
+		v := complex(xr[m-1-j], xi[m-1-j])
+		f.line[j], f.line[j+t] = v, v
 	}
+	return yr, yi
 }
 
 // Process filters a whole block, sample by sample, preserving state across
 // calls.
 func (f *FIR) Process(x []complex128) []complex128 {
-	y := make([]complex128, len(x)) //fflint:allow allocfree allocating convenience form; streaming block paths filter in place through pipeline.FIRStage
+	y := make([]complex128, len(x)) //fflint:allow allocfree allocating convenience form; streaming block paths filter in place through FilterBlock
 	for i, v := range x {
 		y[i] = f.Push(v)
 	}

@@ -100,37 +100,62 @@ func TestSubInPlaceSoAMatchesComplex(t *testing.T) {
 	}
 }
 
-// TestFIRRecentSoAMatchesRecent pins the planar delay-line handoff to the
-// samples actually pushed: RecentSoA reads the most recent inputs oldest
-// first, with never-pushed positions as zero, and LoadRecentSoA leaves the
-// filter in the state pushing that history would.
-func TestFIRRecentSoAMatchesRecent(t *testing.T) {
+// TestFIRBlockMethodsMatchPush pins FilterBlock and CancelBlock to the
+// per-sample direct form bit for bit, over one signal fed in segments
+// that straddle minPlanarBlock, so the two paths hand the delay line to
+// each other in both directions, and checks that each block reports the
+// planar kernel exactly when it has at least minPlanarBlock samples
+// through at least minPlanarTaps taps.
+func TestFIRBlockMethodsMatchPush(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
-	taps := randVec(r, 9)
-	hist := randVec(r, 9)
-	pushed := randVec(r, 5)
-	a := NewFIR(taps)
-	for _, v := range pushed {
-		a.Push(v)
+	segments := []int{1, 31, 32, 33, 4096, 33, 32, 31, 1}
+	total := 0
+	for _, n := range segments {
+		total += n
 	}
-	want := append([]complex128{0}, pushed...)
-	re, im := make([]float64, len(want)), make([]float64, len(want))
-	a.RecentSoA(re, im)
-	for i := range want {
-		if complex(re[i], im[i]) != want[i] {
-			t.Fatalf("RecentSoA[%d] = %v, want %v", i, complex(re[i], im[i]), want[i])
-		}
+	same := func(a, b complex128) bool {
+		return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 	}
+	for _, ntaps := range []int{1, 3, 4, 5, 16, 24} {
+		taps := randVec(r, ntaps)
+		sig, ref := randVec(r, total), randVec(r, total)
 
-	hr, hi := split(hist)
-	a.LoadRecentSoA(hr, hi)
-	b := NewFIR(taps)
-	for _, v := range hist {
-		b.Push(v)
-	}
-	for _, v := range randVec(r, 20) {
-		if ya, yb := a.Push(v), b.Push(v); ya != yb {
-			t.Fatalf("after LoadRecentSoA: %v, after pushing the history: %v", ya, yb)
+		fOracle, cOracle := NewFIR(taps), NewFIR(taps)
+		wantF := make([]complex128, total)
+		wantC := make([]complex128, total)
+		for i := range sig {
+			wantF[i] = fOracle.Push(sig[i])
+			wantC[i] = sig[i] - cOracle.Push(ref[i])
+		}
+
+		filt, canc := NewFIR(taps), NewFIR(taps)
+		gotF := append([]complex128(nil), sig...)
+		gotC := append([]complex128(nil), sig...)
+		pos := 0
+		for _, n := range segments {
+			wantPlanar := n >= 32 && ntaps >= 4
+			if p := filt.FilterBlock(gotF[pos : pos+n]); p != wantPlanar {
+				t.Fatalf("%d taps, %d-sample FilterBlock: planar = %v, want %v", ntaps, n, p, wantPlanar)
+			}
+			if p := canc.CancelBlock(gotC[pos:pos+n], ref[pos:pos+n]); p != wantPlanar {
+				t.Fatalf("%d taps, %d-sample CancelBlock: planar = %v, want %v", ntaps, n, p, wantPlanar)
+			}
+			pos += n
+		}
+		for i := range wantF {
+			if !same(gotF[i], wantF[i]) {
+				t.Fatalf("%d taps: FilterBlock sample %d = %v, Push %v (bit-exact)", ntaps, i, gotF[i], wantF[i])
+			}
+			if !same(gotC[i], wantC[i]) {
+				t.Fatalf("%d taps: CancelBlock sample %d = %v, Push %v (bit-exact)", ntaps, i, gotC[i], wantC[i])
+			}
+		}
+		// The delay line the blocks leave is the one pushing leaves.
+		for _, v := range randVec(r, 2*ntaps) {
+			if a, b := filt.Push(v), fOracle.Push(v); !same(a, b) {
+				t.Fatalf("%d taps: Push after the blocks = %v, after pushing = %v", ntaps, a, b)
+			}
 		}
 	}
 }

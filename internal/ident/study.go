@@ -16,27 +16,28 @@ import (
 // measuring false-positive and false-negative rates of the uplink
 // fingerprint classifier for a given threshold.
 
+// The Fig 21 study's fixed setup: four clients per location (the
+// paper's), fingerprints measured at 20 dB SNR over the 10 STF
+// subcarriers, a per-packet relative channel drift of 0.008 (Gaussian,
+// cumulative over the observation window), and the relay re-enrolling
+// each client every 250 packets — it learns fingerprints on the fly from
+// ongoing traffic (Sec 6), so the database tracks slow drift.
+const (
+	studyClients       = 4
+	studySNRdB         = 20
+	studyDriftStd      = 0.008
+	studyReenrollEvery = 250
+	studySubcarriers   = 10
+)
+
 // StudyConfig parameterizes the Fig 21 experiment.
 type StudyConfig struct {
-	// NClients per location (the paper uses 4).
-	NClients int
 	// NLocations of independent client placements (the paper uses 100).
 	NLocations int
 	// PacketsPerClient per location (the paper uses ≥1000).
 	PacketsPerClient int
 	// Threshold is the classifier threshold (Aggressive/PassiveThreshold).
 	Threshold float64
-	// SNRdB of the fingerprint measurement at the relay.
-	SNRdB float64
-	// DriftStd is the per-packet relative channel drift (Gaussian,
-	// cumulative over the observation window).
-	DriftStd float64
-	// ReenrollEvery refreshes the relay's fingerprint database every this
-	// many packets (0 = never). The relay learns fingerprints on the fly
-	// from ongoing traffic (Sec 6), so the database tracks slow drift.
-	ReenrollEvery int
-	// Subcarriers is the fingerprint dimension (10 STF subcarriers).
-	Subcarriers int
 	// Workers bounds the sweep engine's worker pool for the per-location
 	// Monte-Carlo fan-out: 1 forces the serial reference path, 0 means one
 	// worker per CPU. Results are identical for every value.
@@ -50,14 +51,9 @@ type StudyConfig struct {
 // DefaultStudyConfig mirrors the paper's setup.
 func DefaultStudyConfig(threshold float64) StudyConfig {
 	return StudyConfig{
-		NClients:         4,
 		NLocations:       100,
 		PacketsPerClient: 1000,
 		Threshold:        threshold,
-		SNRdB:            20,
-		DriftStd:         0.008,
-		ReenrollEvery:    250,
-		Subcarriers:      10,
 	}
 }
 
@@ -88,7 +84,7 @@ func RunStudy(src *rng.Source, cfg StudyConfig) StudyResult {
 	fpPct := cfg.Obs.Histogram("ident.fp_pct", "%", obs.LinearBuckets(0, 1, 21))
 	fnPct := cfg.Obs.Histogram("ident.fn_pct", "%", obs.LinearBuckets(0, 1, 21))
 
-	carriers := stfCarriers(cfg.Subcarriers)
+	carriers := stfCarriers(studySubcarriers)
 	srcs := make([]*rng.Source, cfg.NLocations)
 	for i := range srcs {
 		srcs[i] = src.Fork()
@@ -107,8 +103,8 @@ func RunStudy(src *rng.Source, cfg StudyConfig) StudyResult {
 		rho := 0.3 + 0.68*src.Float64()
 		cs := complex(math.Sqrt(rho), 0)
 		co := complex(math.Sqrt(1-rho), 0)
-		chans := make([][]complex128, cfg.NClients)
-		for c := 0; c < cfg.NClients; c++ {
+		chans := make([][]complex128, studyClients)
+		for c := 0; c < studyClients; c++ {
 			ch := channel.NewRayleigh(src, 4, 0.5, 1)
 			own := ch.ResponseVector(carriers, 64)
 			v := make([]complex128, len(own))
@@ -118,20 +114,20 @@ func RunStudy(src *rng.Source, cfg StudyConfig) StudyResult {
 			chans[c] = v
 			// Enroll from a noisy measurement (the relay's DB comes from
 			// real packets too).
-			cls.Enroll(c, measure(src, chans[c], cfg.SNRdB))
+			cls.Enroll(c, measure(src, chans[c], studySNRdB))
 		}
 		var fp, fn, total int
-		for c := 0; c < cfg.NClients; c++ {
+		for c := 0; c < studyClients; c++ {
 			state := append([]complex128(nil), chans[c]...)
 			for p := 0; p < cfg.PacketsPerClient; p++ {
 				// Slow drift: random walk on the channel vector.
 				for i := range state {
-					state[i] += src.ComplexGaussian(cfg.DriftStd * cfg.DriftStd)
+					state[i] += src.ComplexGaussian(studyDriftStd * studyDriftStd)
 				}
-				if cfg.ReenrollEvery > 0 && p%cfg.ReenrollEvery == cfg.ReenrollEvery-1 {
-					cls.Enroll(c, measure(src, state, cfg.SNRdB))
+				if p%studyReenrollEvery == studyReenrollEvery-1 {
+					cls.Enroll(c, measure(src, state, studySNRdB))
 				}
-				got, ok := cls.Classify(measure(src, state, cfg.SNRdB))
+				got, ok := cls.Classify(measure(src, state, studySNRdB))
 				total++
 				switch {
 				case !ok:

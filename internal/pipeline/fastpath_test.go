@@ -10,15 +10,15 @@ import (
 	"fastforward/internal/rng"
 )
 
-// soaTapCounts spans the direct-form-only filters (below minSoATaps), the
-// session chain's 16/24-tap filters, odd lengths that leave a firMAC4 tail,
-// and the paper's 120-tap canceller.
+// soaTapCounts spans the direct-form-only filters (below dsp.FIR's
+// four-tap planar minimum), the session chain's 16/24-tap filters, odd
+// lengths that leave a firMAC4 tail, and the paper's 120-tap canceller.
 var soaTapCounts = []int{1, 3, 4, 5, 16, 24, 120}
 
 // soaSplits segments a 4096-sample signal so planar blocks alternate with
-// blocks below minSoABlock (7, 1, 17, 31), which run the direct form: the
-// shared delay line hands off in both directions, including blocks
-// shorter than the filter. The planar blocks 33, 34 and 35 leave every
+// blocks below dsp.FIR's 32-sample planar minimum (7, 1, 17, 31), which
+// run the direct form: the shared delay line hands off in both
+// directions, including blocks shorter than the filter. The planar blocks 33, 34 and 35 leave every
 // tail (1, 2 and 3 samples) that firMAC4 runs after its four-wide loop.
 var soaSplits = []int{64, 7, 1000, 1, 17, 2048, 31, 32, 33, 34, 35}
 
@@ -37,7 +37,7 @@ func processSplits(sig []complex128, process func([]complex128) []complex128) {
 // direct form (dsp.FIR.Push) bit for bit across filter lengths and mixed
 // segmentations, and checks that the planar kernel is armed by
 // construction: it runs exactly on the eligible blocks of filters of
-// minSoATaps (4) taps or more.
+// four taps or more.
 func TestSoAPathMatchesDirect(t *testing.T) {
 	src := rng.New(19)
 	for _, ntaps := range soaTapCounts {
@@ -84,7 +84,7 @@ func TestSoABlockCounter(t *testing.T) {
 	ch.Instrument(pipeline.NewObs(reg), 0)
 
 	ch.Process(sig[:256])    // planar
-	ch.Process(sig[256:264]) // below minSoABlock: direct
+	ch.Process(sig[256:264]) // below 32 samples: direct
 	ch.Process(sig[264:])    // planar
 
 	if got := reg.Counter("pipeline.soa_blocks", "blocks").Value(); got != 2 {

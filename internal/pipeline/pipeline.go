@@ -1,5 +1,5 @@
-// Package pipeline is the streaming block-DSP layer: the relay, SIC, and
-// CNF sample paths are expressed as chains of composable stages instead of
+// Package pipeline is the streaming block-DSP layer: the relay and CNF
+// sample paths are expressed as chains of composable stages instead of
 // hand-written per-sample loops. A Stage transforms one block of complex
 // baseband samples at a time while carrying its own streaming state, so
 // the same chain produces bit-identical output whether it is driven one
@@ -9,12 +9,12 @@
 // Two properties are contractual:
 //
 //   - Determinism. Every stage computes the same bits however its input
-//     is segmented, and the filter stages' planar block kernel computes
-//     the exact arithmetic, in the exact order, of the per-sample direct
-//     form — so golden vectors and the -workers bit-identity guarantee
-//     hold. Every filter block path is bit-exact with dsp.FIR.Push; there
-//     is no approximate path to arm. The CFO stage rotates by a resynced
-//     phasor recurrence (within 5e-14 of exact rotation by its own phase).
+//     is segmented, so golden vectors and the -workers bit-identity
+//     guarantee hold. The filter stages run their blocks through
+//     dsp.FIR, which picks the block path by size and is bit-exact with
+//     dsp.FIR.Push on every path; there is no approximate path to arm.
+//     The CFO stage rotates by a resynced phasor recurrence (within 5e-14
+//     of exact rotation by its own phase).
 //
 //   - Configured processing delay. Stages report no latency; the relay's
 //     delay is its "pipe" DelayStage, which relay.New sizes from
@@ -55,8 +55,8 @@ type Obs struct {
 	// Blocks counts Process calls; Samples counts samples through them.
 	Blocks  *obs.Counter
 	Samples *obs.Counter
-	// SOABlocks counts blocks that took a filter stage's planar SoA block
-	// kernel rather than the per-sample direct form.
+	// SOABlocks counts filter-stage blocks that dsp.FIR reports ran the
+	// planar SoA kernel rather than the per-sample direct form.
 	SOABlocks *obs.Counter
 	// Latency distributes chain end-to-end latencies seen by CheckBudget.
 	Latency *obs.Histogram
@@ -91,7 +91,8 @@ func NewObs(reg *obs.Registry) *Obs {
 	}
 }
 
-// soaObservable is implemented by stages with a planar SoA block path.
+// soaObservable is implemented by the stages that filter through dsp.FIR
+// and count its planar blocks.
 type soaObservable interface {
 	setSoAObs(c *obs.Counter, shard int)
 }

@@ -7,63 +7,46 @@ import (
 	"fastforward/internal/obs"
 )
 
+// soaCount counts a filter stage's planar blocks into pipeline.soa_blocks
+// (the soaObservable hook).
+type soaCount struct {
+	c     *obs.Counter
+	shard int
+}
+
+func (s *soaCount) setSoAObs(c *obs.Counter, shard int) {
+	s.c = c
+	s.shard = shard
+}
+
+// count records one block that dsp.FIR reports as planar.
+func (s *soaCount) count(planar bool) {
+	if planar && s.c != nil {
+		s.c.Inc(s.shard)
+	}
+}
+
 // FIRStage is a causal streaming FIR filter stage (zero buffering delay:
 // tap 0 applies to the current sample, as the paper's digital canceller
-// requires, Fig 9a). Blocks of at least minSoABlock samples through a
-// filter of at least minSoATaps taps run the planar structure-of-arrays
-// MAC kernel, armed at construction; Push, shorter blocks and shorter
-// filters run the direct form. These are the only two block paths, both
-// bit-identical to dsp.FIR.Push, and they share one delay line, so they
-// mix freely across calls.
+// requires, Fig 9a) over dsp.FIR.FilterBlock, which picks the block path
+// and is bit-exact with dsp.FIR.Push on every path.
 type FIRStage struct {
-	name      string
-	fir       *dsp.FIR
-	soa       *soaFIR
-	soaBlocks *obs.Counter
-	shard     int
+	name string
+	fir  *dsp.FIR
+	soaCount
 }
 
 // NewFIRStage builds a FIR stage with the given taps (copied).
 func NewFIRStage(name string, taps []complex128) *FIRStage {
-	s := &FIRStage{name: name, fir: dsp.NewFIR(taps)}
-	if s.fir.NumTaps() >= minSoATaps {
-		s.soa = newSoAFIR(taps)
-	}
-	return s
+	return &FIRStage{name: name, fir: dsp.NewFIR(taps)}
 }
 
 // Name returns the stage name.
 func (s *FIRStage) Name() string { return s.name }
 
-func (s *FIRStage) setSoAObs(c *obs.Counter, shard int) {
-	s.soaBlocks = c
-	s.shard = shard
-}
-
-// Push filters one sample through the direct form.
-func (s *FIRStage) Push(x complex128) complex128 { return s.fir.Push(x) }
-
-// soaBlock returns the planar engine when an n-sample block is eligible
-// for it, nil otherwise.
-func (s *FIRStage) soaBlock(n int) *soaFIR {
-	if n < minSoABlock {
-		return nil
-	}
-	return s.soa
-}
-
 // Process filters the block in place.
 func (s *FIRStage) Process(block []complex128) []complex128 {
-	if o := s.soaBlock(len(block)); o != nil {
-		o.filter(s.fir, block)
-		if s.soaBlocks != nil {
-			s.soaBlocks.Inc(s.shard)
-		}
-		return block
-	}
-	for i, v := range block {
-		block[i] = s.fir.Push(v)
-	}
+	s.count(s.fir.FilterBlock(block))
 	return block
 }
 
@@ -71,28 +54,27 @@ func (s *FIRStage) Process(block []complex128) []complex128 {
 func (s *FIRStage) Reset() { s.fir.Reset() }
 
 // CancelStage subtracts a FIR-filtered reference from the block:
-// out[n] = in[n] − Σ_k h[k]·ref[n−k]. This is the causal digital
-// self-interference canceller as a stage: the block is the received
-// signal, the reference is the known transmitted signal. SetReference
-// must supply at least as many reference samples as the blocks that
-// follow consume; segmented processing consumes the reference
-// incrementally, so one SetReference call covers any block split.
+// out[n] = in[n] − Σ_k h[k]·ref[n−k], through dsp.FIR.CancelBlock. This
+// is the causal digital self-interference canceller as a stage: the
+// block is the received signal, the reference is the known transmitted
+// signal. SetReference must supply at least as many reference samples as
+// the blocks that follow consume; segmented processing consumes the
+// reference incrementally, so one SetReference call covers any block
+// split.
 type CancelStage struct {
 	name string
-	fir  *FIRStage
+	fir  *dsp.FIR
 	ref  []complex128
-	est  []complex128
+	soaCount
 }
 
 // NewCancelStage builds the canceller from estimated leakage taps.
 func NewCancelStage(name string, taps []complex128) *CancelStage {
-	return &CancelStage{name: name, fir: NewFIRStage(name+"_fir", taps)}
+	return &CancelStage{name: name, fir: dsp.NewFIR(taps)}
 }
 
 // Name returns the stage name.
 func (s *CancelStage) Name() string { return s.name }
-
-func (s *CancelStage) setSoAObs(c *obs.Counter, shard int) { s.fir.setSoAObs(c, shard) }
 
 // SetReference supplies the transmitted samples the following Process
 // calls cancel against. The slice is consumed, not copied: keep it alive
@@ -112,26 +94,7 @@ func (s *CancelStage) Process(block []complex128) []complex128 {
 	}
 	ref := s.ref[:len(block)]
 	s.ref = s.ref[len(block):]
-	// Planar path: filter the reference through the SoA MAC and subtract
-	// the planar estimate straight from the block — no interleave pass
-	// for the estimate.
-	if o := s.fir.soaBlock(len(block)); o != nil {
-		er, ei := o.filterPlanar(s.fir.fir, ref)
-		dsp.SubInPlaceSoA(block, er, ei)
-		if s.fir.soaBlocks != nil {
-			s.fir.soaBlocks.Inc(s.fir.shard)
-		}
-		return block
-	}
-	if cap(s.est) < len(block) {
-		s.est = make([]complex128, len(block))
-	}
-	est := s.est[:len(block)]
-	copy(est, ref)
-	s.fir.Process(est)
-	for i := range block {
-		block[i] -= est[i]
-	}
+	s.count(s.fir.CancelBlock(block, ref))
 	return block
 }
 

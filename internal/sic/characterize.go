@@ -3,7 +3,6 @@ package sic
 import (
 	"fastforward/internal/dsp"
 	"fastforward/internal/obs"
-	"fastforward/internal/pipeline"
 	"fastforward/internal/rng"
 )
 
@@ -85,12 +84,11 @@ func Characterize(src *rng.Source, cfg CharacterizeConfig, reg *obs.Registry) []
 		residual := a.ResidualFIR(si, cfg.BandwidthHz, cfg.ResidualTaps, 2)
 		tx := src.NoiseVector(cfg.Samples, cfg.TxPowerMW)
 		noise := src.NoiseVector(cfg.Samples, cfg.NoiseMW)
-		// Streaming FIR stage from zero state is bit-exact with the old
-		// dsp.FilterSame call (identical summation order), so the golden
-		// characterization vectors are unchanged.
+		// A streaming FIR from zero state is bit-exact with
+		// dsp.FilterSame (identical summation order).
 		leak := make([]complex128, len(tx))
 		copy(leak, tx)
-		pipeline.NewFIRStage("sic_residual", residual).Process(leak)
+		dsp.NewFIR(residual).FilterBlock(leak)
 		dsp.AddInPlace(leak, noise) // leak is locally owned: sum in place
 		rx := leak
 		c := Characterization{

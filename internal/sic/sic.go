@@ -19,8 +19,8 @@ import (
 	"math"
 	"math/cmplx"
 
+	"fastforward/internal/dsp"
 	"fastforward/internal/linalg"
-	"fastforward/internal/pipeline"
 	"fastforward/internal/rng"
 )
 
@@ -587,23 +587,22 @@ func EstimateFIR(ref, rx []complex128, nTaps int, lambda float64) ([]complex128,
 // DigitalCanceller is the streaming causal digital cancellation stage: it
 // subtracts FIR(tx) from the received samples with *zero* added latency —
 // tap 0 applies to the sample currently being transmitted, so no received
-// samples are ever buffered (Fig 9a). It wraps pipeline.CancelStage, the
-// cancel stage of the relay's forward chain. Every path is bit-exact with
-// Push: block workloads run the stage's planar SoA kernel, short blocks
-// the direct form.
+// samples are ever buffered (Fig 9a). Every path is bit-exact with Push:
+// blocks go through dsp.FIR.CancelBlock, the canceller of the relay's
+// forward chain.
 type DigitalCanceller struct {
-	stage *pipeline.CancelStage
+	fir *dsp.FIR
 }
 
 // NewDigitalCanceller builds the canceller from estimated SI taps.
 func NewDigitalCanceller(taps []complex128) *DigitalCanceller {
-	return &DigitalCanceller{stage: pipeline.NewCancelStage("sic_cancel", taps)}
+	return &DigitalCanceller{fir: dsp.NewFIR(taps)}
 }
 
 // Push consumes one transmitted sample and one received sample and returns
 // the cleaned received sample.
 func (d *DigitalCanceller) Push(tx, rx complex128) complex128 {
-	return d.stage.PushPair(tx, rx)
+	return rx - d.fir.Push(tx)
 }
 
 // Process cleans whole blocks (state is preserved across calls).
@@ -620,12 +619,11 @@ func (d *DigitalCanceller) ProcessInto(out, tx, rx []complex128) {
 		panic("sic: Process length mismatch")
 	}
 	copy(out, rx)
-	d.stage.SetReference(tx)
-	d.stage.Process(out)
+	d.fir.CancelBlock(out, tx)
 }
 
 // Reset clears canceller state.
-func (d *DigitalCanceller) Reset() { d.stage.Reset() }
+func (d *DigitalCanceller) Reset() { d.fir.Reset() }
 
 // MeasureCancellationDB returns the achieved cancellation: the power ratio
 // of the self-interference before and after cancellation, capped at the
