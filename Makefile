@@ -26,11 +26,14 @@ test: build
 	$(GO) test ./...
 
 # The arm64 vet compiles the packages whose non-amd64 files the amd64
-# build never sees (internal/dsp's Go-only firMAC4 dispatch), so a break
-# there fails here rather than on another architecture.
+# build never sees (internal/dsp's Go-only firMAC4 dispatch), and the
+# s390x vet compiles internal/relayd for a big-endian host, where its
+# portable sample codec runs, so a break there fails here rather than on
+# another architecture.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/dsp ./internal/pipeline
+	GOARCH=s390x $(GO) vet ./internal/relayd
 
 # Domain-specific static analysis: detrand (no wall-clock or unseeded
 # randomness in sweep-path packages), seedflow (worker rngs derive from
@@ -191,9 +194,10 @@ bench:
 
 # Alloc-regression gate: the per-block hot paths (SIC filter, relay
 # forward chain, multi-session session chains) and the served round trip
-# (Client.Process against a loopback relayd.Server, daemon side included)
-# must stay at 0 allocs/op. Any benchmark line reporting nonzero
-# allocs/op, or a failed benchmark run, fails the target.
+# (Client.Process against a loopback relayd.Server, daemon side included,
+# at 64 and at 4096 samples a block) must stay at 0 allocs/op. Any
+# benchmark line reporting nonzero allocs/op, or a failed benchmark run,
+# fails the target.
 bench-allocs: build
 	{ $(GO) test -run '^$$' -bench 'SICFilter|FFRelayProcess|SessionChains' -benchmem -benchtime 100x . ; \
 	  $(GO) test -run '^$$' -bench 'ServedRoundTrip' -benchmem -benchtime 1000x ./internal/relayd ; } \

@@ -55,9 +55,8 @@ func FIRFilterSoA(yr, yi, xr, xi, hr, hi []float64) {
 		panic("dsp: FIRFilterSoA component length mismatch")
 	}
 	yi = yi[:n] // bounds-check elimination in the MAC loops
-	for i := range yr {
-		yr[i], yi[i] = 0, 0
-	}
+	clear(yr)
+	clear(yi)
 	if t == 0 || n == 0 {
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -286,11 +287,18 @@ func TestHelloAndDataInOneWrite(t *testing.T) {
 	}
 }
 
-// BenchmarkServedRoundTrip times one served 64-sample block round trip,
-// Client.Process against a Server over loopback TCP: the per-frame cost
-// of the served path. make bench-allocs requires 0 allocs/op, daemon
-// side included.
+// BenchmarkServedRoundTrip times one served block round trip,
+// Client.Process against a Server over loopback TCP, at 64 samples (the
+// per-frame cost of the served path) and at 4096 (the block serve-4096
+// serves, where the codec and the chain dominate). make bench-allocs
+// requires 0 allocs/op at both, daemon side included.
 func BenchmarkServedRoundTrip(b *testing.B) {
+	for _, n := range []int{64, 4096} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) { benchServedRoundTrip(b, n) })
+	}
+}
+
+func benchServedRoundTrip(b *testing.B, n int) {
 	cfg := DefaultConfig()
 	srv := New(cfg)
 	defer srv.Close()
@@ -300,7 +308,7 @@ func BenchmarkServedRoundTrip(b *testing.B) {
 	}
 	go srv.Serve(ln)
 	p := testParams(1)
-	p.BlockSamples = 64
+	p.BlockSamples = n
 	c, err := DialTimeout(ln.Addr().String(), p, nil, 1, 10*time.Second)
 	if err != nil {
 		b.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 )
 
 // Wire protocol: length-prefixed frames over any byte stream (TCP in
@@ -24,7 +25,11 @@ import (
 // answers with STATS (JSON Stats) and closes. Samples travel as raw
 // little-endian IEEE-754 float64 (re, im) pairs, 16 bytes per sample, so
 // the daemon path is bit-transparent: what the chain computed is what
-// the client reads back, exactly.
+// the client reads back, exactly. On a little-endian host that byte
+// sequence is the []complex128 memory itself, so both ends encode and
+// decode a block with one memory copy; a big-endian host runs the
+// portable per-float bodies. The bytes on the wire are the same either
+// way.
 //
 // Each frame goes out in one Write: the sender's frame buffer reserves
 // the header in front of the payload. Each connection reads through one
@@ -293,18 +298,57 @@ func rewindow(conn io.Reader, br *bufio.Reader, size int) *bufio.Reader {
 	return bufio.NewReaderSize(io.MultiReader(io.LimitReader(br, int64(br.Buffered())), conn), size)
 }
 
+// littleEndian reports that the host stores a float64 in the wire's byte
+// order: its native encoding of 1 puts the low byte first. It is set
+// once, at package init; there the codec is a memory copy, and elsewhere
+// the portable bodies run.
+var littleEndian = binary.NativeEndian.AppendUint16(nil, 1)[0] != 0
+
 // samplesToBytes serializes samples as little-endian float64 (re, im)
-// pairs into dst, which must hold SampleBytes·len(s) bytes.
+// pairs into dst, which must hold SampleBytes·len(s) bytes. On a
+// little-endian host the sample memory already is that byte sequence, so
+// it is copied as bytes; samplesToBytesGo runs otherwise.
 func samplesToBytes(dst []byte, s []complex128) {
+	if !littleEndian {
+		samplesToBytesGo(dst, s)
+		return
+	}
+	n := len(s) * SampleBytes
+	if len(dst) < n {
+		panic("relayd: samplesToBytes dst too short")
+	}
+	copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), n))
+}
+
+// bytesToSamples is the exact inverse of samplesToBytes; len(src) must be
+// SampleBytes·len(dst). On a little-endian host the bytes are copied
+// into the sample memory, viewed as bytes; bytesToSamplesGo runs
+// otherwise. src itself is never viewed as samples: a payload sits at an
+// unaligned offset of its frame.
+func bytesToSamples(dst []complex128, src []byte) {
+	if !littleEndian {
+		bytesToSamplesGo(dst, src)
+		return
+	}
+	n := len(dst) * SampleBytes
+	if len(src) < n {
+		panic("relayd: bytesToSamples src too short")
+	}
+	copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), n), src)
+}
+
+// samplesToBytesGo is samplesToBytes's portable body, one float64 at a
+// time through binary.LittleEndian; it runs on big-endian hosts.
+func samplesToBytesGo(dst []byte, s []complex128) {
 	for i, v := range s {
 		binary.LittleEndian.PutUint64(dst[i*SampleBytes:], math.Float64bits(real(v)))
 		binary.LittleEndian.PutUint64(dst[i*SampleBytes+8:], math.Float64bits(imag(v)))
 	}
 }
 
-// bytesToSamples is the exact inverse of samplesToBytes; len(src) must be
-// SampleBytes·len(dst).
-func bytesToSamples(dst []complex128, src []byte) {
+// bytesToSamplesGo is bytesToSamples's portable body; it runs on
+// big-endian hosts.
+func bytesToSamplesGo(dst []complex128, src []byte) {
 	for i := range dst {
 		re := math.Float64frombits(binary.LittleEndian.Uint64(src[i*SampleBytes:]))
 		im := math.Float64frombits(binary.LittleEndian.Uint64(src[i*SampleBytes+8:]))

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/iotest"
 
@@ -80,6 +81,95 @@ func TestSamplesRoundTripBitExact(t *testing.T) {
 			t.Fatalf("sample %d: %v round-tripped to %v (bit-exact required)", i, in[i], out[i])
 		}
 	}
+}
+
+// TestSampleCodecMatchesPortable pins the dispatching codec (a memory
+// copy on little-endian hosts, the portable bodies elsewhere) to the
+// portable bodies byte for byte, in both directions. The samples are
+// random 64-bit patterns, so signalling and quiet NaN payloads occur,
+// with ±0, ±Inf, subnormals and NaNs of both kinds mixed in; the byte
+// side sits at offset 0 and at offset frameHeaderLen, where a frame's
+// payload starts, so an unaligned window is covered too.
+func TestSampleCodecMatchesPortable(t *testing.T) {
+	t.Logf("sample codec: littleEndian=%v (memory copy when true, portable bodies otherwise)", littleEndian)
+	specials := []uint64{
+		0, 1 << 63, // ±0
+		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+		1, 0x000fffffffffffff, 0x8000000000000001, // subnormals
+		0x7ff0000000000001, 0xfff4000000000000, // signalling NaNs
+		0x7ff8000000000000, 0xfff8000000000001, // quiet NaNs
+	}
+	r := rand.New(rand.NewSource(31))
+	word := func() float64 {
+		if r.Intn(4) == 0 {
+			return math.Float64frombits(specials[r.Intn(len(specials))])
+		}
+		return math.Float64frombits(r.Uint64())
+	}
+	lengths := make([]int, 0, 35)
+	for n := 0; n <= 33; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 4096)
+	for _, n := range lengths {
+		for _, off := range []int{0, frameHeaderLen} {
+			s := make([]complex128, n)
+			for i := range s {
+				s[i] = complex(word(), word())
+			}
+			// Encode into frames prefilled alike, so a byte written
+			// outside the sample range, or one left unwritten, differs.
+			got, want := make([]byte, off+n*SampleBytes+8), make([]byte, off+n*SampleBytes+8)
+			for i := range got {
+				got[i], want[i] = 0xa5, 0xa5
+			}
+			samplesToBytes(got[off:off+n*SampleBytes], s)
+			samplesToBytesGo(want[off:off+n*SampleBytes], s)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("n=%d offset %d: samplesToBytes differs from samplesToBytesGo", n, off)
+			}
+			// Decode that encoding back, one spare sample past the range.
+			src := want[off : off+n*SampleBytes]
+			gs, ws := make([]complex128, n+1), make([]complex128, n+1)
+			gs[n], ws[n] = complex(7, 7), complex(7, 7)
+			bytesToSamples(gs[:n], src)
+			bytesToSamplesGo(ws[:n], src)
+			for i := range gs {
+				if math.Float64bits(real(gs[i])) != math.Float64bits(real(ws[i])) ||
+					math.Float64bits(imag(gs[i])) != math.Float64bits(imag(ws[i])) {
+					t.Fatalf("n=%d offset %d: sample %d decodes to %#x/%#x, portable %#x/%#x", n, off, i,
+						math.Float64bits(real(gs[i])), math.Float64bits(imag(gs[i])),
+						math.Float64bits(real(ws[i])), math.Float64bits(imag(ws[i])))
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSampleCodec times the codec on one served 4096-sample block:
+// encode is a DATA payload's worth of samples into a frame, decode an
+// OUT payload back, both at the payload's unaligned frame offset.
+func BenchmarkSampleCodec(b *testing.B) {
+	const n = 4096
+	s := rng.New(3).NoiseVector(n, 1)
+	frame := make([]byte, frameHeaderLen+n*SampleBytes)
+	payload := frame[frameHeaderLen:]
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(n * SampleBytes)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			samplesToBytes(payload, s)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		samplesToBytes(payload, s)
+		out := make([]complex128, n)
+		b.SetBytes(n * SampleBytes)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			bytesToSamples(out, payload)
+		}
+	})
 }
 
 func TestValidateRejectsBadParams(t *testing.T) {
