@@ -193,13 +193,15 @@ bench:
 	$(GO) test -run '^$$' -bench 'FFRelayProcess|SICFilter' -benchmem -json . > BENCH_pipeline.json
 
 # Alloc-regression gate: the per-block hot paths (SIC filter, relay
-# forward chain, multi-session session chains) and the served round trip
-# (Client.Process against a loopback relayd.Server, daemon side included,
-# at 64 and at 4096 samples a block) must stay at 0 allocs/op. Any
-# benchmark line reporting nonzero allocs/op, or a failed benchmark run,
-# fails the target.
+# forward chain, multi-session session chains, one CFO rotator at 4096
+# and 64 samples a block) and the served round trip (Client.Process
+# against a loopback relayd.Server, daemon side included, at 64 and at
+# 4096 samples a block) must stay at 0 allocs/op. Any benchmark line
+# reporting nonzero allocs/op, or a failed benchmark run, fails the
+# target.
 bench-allocs: build
 	{ $(GO) test -run '^$$' -bench 'SICFilter|FFRelayProcess|SessionChains' -benchmem -benchtime 100x . ; \
+	  $(GO) test -run '^$$' -bench 'CFOStage' -benchmem -benchtime 1000x ./internal/pipeline ; \
 	  $(GO) test -run '^$$' -bench 'ServedRoundTrip' -benchmem -benchtime 1000x ./internal/relayd ; } \
 		| tee /dev/stderr \
 		| awk '/allocs\/op/ { if ($$(NF-1)+0 != 0) bad = 1 } /^(FAIL|--- FAIL)/ { bad = 1 } END { if (bad) { print "FAIL: nonzero allocs/op in a per-block hot path"; exit 1 } }'

@@ -63,14 +63,20 @@ func FIRFilterSoA(yr, yi, xr, xi, hr, hi []float64) {
 	if len(xr) != n+t-1 || len(xi) != n+t-1 {
 		panic("dsp: FIRFilterSoA needs len(x) == len(y)+taps-1")
 	}
-	// Four taps per pass: each pass loads and stores every output element
-	// once per four taps instead of once per tap (y traffic is where the
-	// time goes; the MAC count is fixed), and firMAC4 runs the pass with
-	// AVX2 on amd64 hosts that have it (a CPUID check at package init),
-	// the Go body otherwise. Within a pass the accumulator adds taps k,
-	// k+1, k+2, k+3 in order, so the ascending-k association is preserved
-	// exactly.
+	// Eight taps per pass on amd64 hosts with AVX-512F, then four taps per
+	// pass: each pass loads and stores every output element once per
+	// eight or four taps instead of once per tap (y traffic is where the
+	// time goes; the MAC count is fixed). firMAC4 runs its pass with AVX2
+	// on hosts that have it, the Go body otherwise (CPUID checks at
+	// package init). Within a pass the accumulator adds taps k, k+1, ...
+	// in order, so the ascending-k association is preserved exactly.
 	k := 0
+	if useAVX512 {
+		for ; k+8 <= t; k += 8 {
+			base := t - 8 - k
+			firMAC8(yr, yi, xr[base:base+n+7], xi[base:base+n+7], hr[k:k+8], hi[k:k+8])
+		}
+	}
 	for ; k+4 <= t; k += 4 {
 		// Tap k+j reads x[t-1-(k+j)+i]; the pass base is tap k+3's
 		// window (the earliest sample), and firMAC4 offsets from there.

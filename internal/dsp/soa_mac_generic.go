@@ -28,3 +28,14 @@ func firMAC4Go(yr, yi, xr, xi []float64, h0r, h0i, h1r, h1i, h2r, h2i, h3r, h3i 
 		yr[i], yi[i] = ar, ai
 	}
 }
+
+// firMAC8Go is the Go body of firMAC8 and its semantics reference: two
+// firMAC4Go passes, taps 0–3 and then taps 4–7. A four-tap pass stores
+// y[i] and the next reloads it, where the ZMM kernel keeps it in a
+// register; the value and the order of the additions are the same, so
+// the bits are too. It runs the last len(yr)%8 outputs of each eight-tap
+// pass.
+func firMAC8Go(yr, yi, xr, xi, hr, hi []float64) {
+	firMAC4Go(yr, yi, xr[4:], xi[4:], hr[0], hi[0], hr[1], hi[1], hr[2], hi[2], hr[3], hi[3])
+	firMAC4Go(yr, yi, xr, xi, hr[4], hi[4], hr[5], hi[5], hr[6], hi[6], hr[7], hi[7])
+}

@@ -167,6 +167,32 @@ func maxInt(a, b int) int {
 	return b
 }
 
+// kernelSpecials are the IEEE edge values the kernel-body tests mix into
+// their inputs and taps.
+var kernelSpecials = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -0x1p-1040, math.NaN()}
+
+// fillKernel fills v with Gaussians from r, with one element in eight
+// (when special) replaced by one of kernelSpecials.
+func fillKernel(r *rand.Rand, v []float64, special bool) {
+	for i := range v {
+		v[i] = r.NormFloat64()
+		if special && r.Intn(8) == 0 {
+			v[i] = kernelSpecials[r.Intn(len(kernelSpecials))]
+		}
+	}
+}
+
+// kernelLengths are the output lengths the kernel-body tests run: every
+// tail of an eight- or four-wide loop, and a served-size block.
+func kernelLengths() []int {
+	lengths := make([]int, 0, 69)
+	for n := 0; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	return append(lengths, 4096)
+}
+
 // TestFirMAC4MatchesGoBody pins the dispatching firMAC4 (the AVX2 kernel
 // plus the Go body's tail on hosts with AVX2, the Go body alone
 // otherwise) to the Go body bit for bit, over every tail length and a
@@ -175,35 +201,18 @@ func maxInt(a, b int) int {
 // body's operands, and x86 propagates the first operand's NaN payload.
 func TestFirMAC4MatchesGoBody(t *testing.T) {
 	t.Logf("firMAC4 kernel: avx2=%v", useAVX2)
-	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
-		math.SmallestNonzeroFloat64, -0x1p-1040, math.NaN()}
 	r := rand.New(rand.NewSource(11))
-	// fill draws Gaussians, with one element in eight (when special)
-	// replaced by a special value.
-	fill := func(v []float64, special bool) {
-		for i := range v {
-			v[i] = r.NormFloat64()
-			if special && r.Intn(8) == 0 {
-				v[i] = specials[r.Intn(len(specials))]
-			}
-		}
-	}
-	lengths := make([]int, 0, 69)
-	for n := 0; n <= 67; n++ {
-		lengths = append(lengths, n)
-	}
-	lengths = append(lengths, 4096)
 	h := make([]float64, 8)
-	for _, n := range lengths {
+	for _, n := range kernelLengths() {
 		for trial := 0; trial < 4; trial++ {
 			special := trial > 0
-			fill(h, trial >= 2)
+			fillKernel(r, h, trial >= 2)
 			xr, xi := make([]float64, n+3), make([]float64, n+3)
-			fill(xr, special)
-			fill(xi, special)
+			fillKernel(r, xr, special)
+			fillKernel(r, xi, special)
 			wr, wi := make([]float64, n), make([]float64, n)
-			fill(wr, special)
-			fill(wi, special)
+			fillKernel(r, wr, special)
+			fillKernel(r, wi, special)
 			gr, gi := append([]float64(nil), wr...), append([]float64(nil), wi...)
 
 			firMAC4Go(wr, wi, xr, xi, h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7])

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -113,5 +114,23 @@ func TestCFOStageRoundTrip(t *testing.T) {
 		if d := cmplx.Abs(out2[i]-want) / cmplx.Abs(sig[i]); d > rotatorTol {
 			t.Fatalf("rotation drifts from closed form by %g at %d (tolerance %g)", d, i, rotatorTol)
 		}
+	}
+}
+
+// BenchmarkCFOStage times one rotator over the served chain's block
+// sizes at its 1.5 kHz CFO: 4096 samples, which rotates interleaved
+// groups of whole resync windows, and 64, which runs the one-sample loop.
+func BenchmarkCFOStage(b *testing.B) {
+	for _, n := range []int{4096, 64} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			st := NewCFOStage("cfo", 2*math.Pi*SessionCFOHz/SessionSampleRateHz)
+			block := rng.New(37).NoiseVector(n, 1)
+			b.SetBytes(int64(n) * 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.Process(block)
+			}
+		})
 	}
 }

@@ -12,15 +12,18 @@ import (
 
 // soaTapCounts spans the direct-form-only filters (below dsp.FIR's
 // four-tap planar minimum), the session chain's 16/24-tap filters, odd
-// lengths that leave a firMAC4 tail, and the paper's 120-tap canceller.
-var soaTapCounts = []int{1, 3, 4, 5, 16, 24, 120}
+// lengths that leave a firMAC4 tail, lengths that leave an eight-tap
+// pass followed by a four-tap pass and a scalar tap (12, 15), and the
+// paper's 120-tap canceller.
+var soaTapCounts = []int{1, 3, 4, 5, 12, 15, 16, 24, 120}
 
 // soaSplits segments a 4096-sample signal so planar blocks alternate with
 // blocks below dsp.FIR's 32-sample planar minimum (7, 1, 17, 31), which
 // run the direct form: the shared delay line hands off in both
-// directions, including blocks shorter than the filter. The planar blocks 33, 34 and 35 leave every
-// tail (1, 2 and 3 samples) that firMAC4 runs after its four-wide loop.
-var soaSplits = []int{64, 7, 1000, 1, 17, 2048, 31, 32, 33, 34, 35}
+// directions, including blocks shorter than the filter. The planar blocks
+// 32 to 39 leave every tail (0 to 7 samples) that firMAC8 and firMAC4 run
+// after their eight- and four-wide loops.
+var soaSplits = []int{64, 7, 1000, 1, 17, 2048, 31, 32, 33, 34, 35, 36, 37, 38, 39}
 
 // processSplits feeds sig through process in soaSplits segments, then the
 // remainder in one call.
@@ -63,7 +66,7 @@ func TestSoAPathMatchesDirect(t *testing.T) {
 		}
 		wantSoA := uint64(0)
 		if ntaps >= 4 {
-			wantSoA = 8 // 64, 1000, 2048, 32, 33, 34, 35 and the 794-sample remainder
+			wantSoA = 12 // 64, 1000, 2048, 32 to 39 and the 644-sample remainder
 		}
 		if n := reg.Counter("pipeline.soa_blocks", "blocks").Value(); n != wantSoA {
 			t.Fatalf("%d taps: pipeline.soa_blocks = %d, want %d", ntaps, n, wantSoA)

@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"math"
 	"testing"
 
 	"fastforward/internal/dsp"
@@ -37,14 +38,16 @@ func randTaps(src *rng.Source, n int) []complex128 {
 }
 
 // TestBlockSizeInvariance is the segmentation property: blocks of size 1,
-// 7, 64, and the whole signal must yield bit-identical output on the
-// direct path, and the obs counters must agree modulo block counts.
+// 7, 64, 1000, 4096 and the whole signal must yield bit-identical output,
+// and the obs counters must agree modulo block counts. The 4096-sample
+// blocks and the whole signal hold groups of whole CFO resync windows, so
+// the interleaved rotator runs against the one-sample loop.
 func TestBlockSizeInvariance(t *testing.T) {
 	src := rng.New(41)
 	taps := randTaps(src, 24)
 	pre := randTaps(src, 5)
-	sig := testSignal(src, 1000)
-	ref := testSignal(src, 1000)
+	sig := testSignal(src, 8192)
+	ref := testSignal(src, 8192)
 
 	run := func(blockSize int, reg *obs.Registry) []complex128 {
 		ch, cancel := buildChain(taps, pre, 0.01)
@@ -63,11 +66,12 @@ func TestBlockSizeInvariance(t *testing.T) {
 	}
 
 	whole := run(len(sig), nil)
-	for _, bs := range []int{1, 7, 64} {
+	for _, bs := range []int{1, 7, 64, 1000, 4096} {
 		reg := obs.New()
 		got := run(bs, reg)
 		for i := range whole {
-			if got[i] != whole[i] {
+			if math.Float64bits(real(got[i])) != math.Float64bits(real(whole[i])) ||
+				math.Float64bits(imag(got[i])) != math.Float64bits(imag(whole[i])) {
 				t.Fatalf("block size %d: sample %d = %v, want %v (bit-exact)", bs, i, got[i], whole[i])
 			}
 		}

@@ -108,8 +108,14 @@ func (s *CancelStage) Reset() {
 // recurrence before recomputing the phasor from the accumulated phase.
 // Each recurrence step adds a few ulps of error, so the drift between
 // resyncs stays near 1e-14 while sin/cos is paid once per 256 samples
-// instead of once per sample.
+// instead of once per sample. A window's phasors depend only on its start
+// phasor, so rotGroup whole windows can advance side by side.
 const rotResync = 256
+
+// rotGroup is how many whole resync windows CFOStage.Process rotates at
+// once: four independent recurrences hide the latency of each one's
+// multiply-add chain.
+const rotGroup = 4
 
 // CFOStage rotates the block by a per-sample phase ramp: y[n] = x[n] ·
 // exp(j·n·step), with the phase carrying across calls. A negative step
@@ -122,7 +128,12 @@ const rotResync = 256
 // there by the odd-symmetric rule φ −= 2π·round(φ/2π): it stays bounded
 // however long a session streams, and a remove/restore pair built from
 // ±step stays exact negations of each other (IEEE negation distributes
-// over every operation involved).
+// over every operation involved). Process finishes the current window
+// one sample at a time, rotates the following whole windows rotGroup at
+// a time with their recurrences interleaved, and runs the rest one sample
+// at a time; every sample sees the same multiply, recurrence step and
+// resync on either path, so the output and the state are bit-identical
+// for any segmentation.
 type CFOStage struct {
 	name string
 	step float64
@@ -156,6 +167,24 @@ func wrapPhase(p float64) float64 {
 
 // Process rotates the block in place.
 func (s *CFOStage) Process(block []complex128) []complex128 {
+	rest := block
+	if len(rest) >= rotGroup*rotResync {
+		if s.cnt != 0 {
+			n := rotResync - s.cnt
+			s.rotate(rest[:n])
+			rest = rest[n:]
+		}
+		for len(rest) >= rotGroup*rotResync {
+			s.rotateGroup((*[rotGroup * rotResync]complex128)(rest))
+			rest = rest[rotGroup*rotResync:]
+		}
+	}
+	s.rotate(rest)
+	return block
+}
+
+// rotate rotates block one sample at a time from the current state.
+func (s *CFOStage) rotate(block []complex128) {
 	wCos, wSin := s.wCos, s.wSin
 	rotCos, rotSin := s.rotCos, s.rotSin
 	cnt := s.cnt
@@ -175,7 +204,43 @@ func (s *CFOStage) Process(block []complex128) []complex128 {
 	}
 	s.wCos, s.wSin = wCos, wSin
 	s.cnt = cnt
-	return block
+}
+
+// rotateGroup rotates rotGroup whole windows starting at a resync (cnt ==
+// 0). Window 0 starts at the current phasor and windows 1 to 3 at the
+// phasors of the next three resync phases; the loop then advances the
+// four recurrences side by side, one sample of each window per
+// iteration. The last iteration's step is discarded, as the resync
+// replaces it.
+func (s *CFOStage) rotateGroup(g *[rotGroup * rotResync]complex128) {
+	c0, s0 := s.wCos, s.wSin
+	p := wrapPhase(s.phase + s.span)
+	s1, c1 := math.Sincos(p)
+	p = wrapPhase(p + s.span)
+	s2, c2 := math.Sincos(p)
+	p = wrapPhase(p + s.span)
+	s3, c3 := math.Sincos(p)
+	s.phase = wrapPhase(p + s.span)
+	s.wSin, s.wCos = math.Sincos(s.phase)
+	rotCos, rotSin := s.rotCos, s.rotSin
+	w0 := (*[rotResync]complex128)(g[0*rotResync:])
+	w1 := (*[rotResync]complex128)(g[1*rotResync:])
+	w2 := (*[rotResync]complex128)(g[2*rotResync:])
+	w3 := (*[rotResync]complex128)(g[3*rotResync:])
+	for i := range w0 {
+		a, b := real(w0[i]), imag(w0[i])
+		w0[i] = complex(a*c0-b*s0, a*s0+b*c0)
+		a, b = real(w1[i]), imag(w1[i])
+		w1[i] = complex(a*c1-b*s1, a*s1+b*c1)
+		a, b = real(w2[i]), imag(w2[i])
+		w2[i] = complex(a*c2-b*s2, a*s2+b*c2)
+		a, b = real(w3[i]), imag(w3[i])
+		w3[i] = complex(a*c3-b*s3, a*s3+b*c3)
+		c0, s0 = c0*rotCos-s0*rotSin, c0*rotSin+s0*rotCos
+		c1, s1 = c1*rotCos-s1*rotSin, c1*rotSin+s1*rotCos
+		c2, s2 = c2*rotCos-s2*rotSin, c2*rotSin+s2*rotCos
+		c3, s3 = c3*rotCos-s3*rotSin, c3*rotSin+s3*rotCos
+	}
 }
 
 // Reset rewinds the phase and the phasor to sample 0.
@@ -200,8 +265,9 @@ func (s *GainStage) Name() string { return s.name }
 
 // Process scales the block in place.
 func (s *GainStage) Process(block []complex128) []complex128 {
+	g := s.g // a local: the block store could alias s.g, forcing a reload per sample
 	for i := range block {
-		block[i] *= s.g
+		block[i] *= g
 	}
 	return block
 }
