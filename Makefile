@@ -194,15 +194,17 @@ bench:
 
 # Alloc-regression gate: the per-block hot paths (SIC filter, relay
 # forward chain, multi-session session chains, one CFO rotator at 4096
-# and 64 samples a block) and the served round trip (Client.Process
+# and 64 samples a block), the served round trip (Client.Process
 # against a loopback relayd.Server, daemon side included, at 64 and at
-# 4096 samples a block) must stay at 0 allocs/op. Any benchmark line
-# reporting nonzero allocs/op, or a failed benchmark run, fails the
-# target.
+# 4096 samples a block) and the CNF ascent's per-step 2×2 kernels
+# (linalg.Mat2's Inverse, Det and ProjectUnitary) must stay at 0
+# allocs/op. Any benchmark line reporting nonzero allocs/op, or a failed
+# benchmark run, fails the target.
 bench-allocs: build
 	{ $(GO) test -run '^$$' -bench 'SICFilter|FFRelayProcess|SessionChains' -benchmem -benchtime 100x . ; \
 	  $(GO) test -run '^$$' -bench 'CFOStage' -benchmem -benchtime 1000x ./internal/pipeline ; \
-	  $(GO) test -run '^$$' -bench 'ServedRoundTrip' -benchmem -benchtime 1000x ./internal/relayd ; } \
+	  $(GO) test -run '^$$' -bench 'ServedRoundTrip' -benchmem -benchtime 1000x ./internal/relayd ; \
+	  $(GO) test -run '^$$' -bench 'Mat2' -benchmem -benchtime 1000x ./internal/linalg ; } \
 		| tee /dev/stderr \
 		| awk '/allocs\/op/ { if ($$(NF-1)+0 != 0) bad = 1 } /^(FAIL|--- FAIL)/ { bad = 1 } END { if (bad) { print "FAIL: nonzero allocs/op in a per-block hot path"; exit 1 } }'
 

@@ -12,7 +12,8 @@
 // subject to A ≤ Amax, where Amax is bounded both by the achieved
 // self-interference cancellation (feedback stability, Fig 7) and by the
 // noise-amplification rule of Sec 3.5 (relay noise must land below the
-// destination's noise floor).
+// destination's noise floor). The MIMO ascent is 2×2: two antennas at the
+// source, the relay and the destination, as in the paper's testbed.
 //
 // It also synthesizes the implementable form of the filter: a 4-tap
 // digital pre-filter at 80 Msps (50 ns delay budget) cascaded with the
@@ -26,6 +27,7 @@
 package cnf
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 
@@ -142,49 +144,59 @@ func absSq(z complex128) float64 {
 }
 
 // DesiredMIMO solves Eq. 2 per subcarrier: F maximizing
-// |det(Hsd + Hrd·F·A·Hsr)| over unitary K×K matrices F, with A fixed at
+// |det(Hsd + Hrd·F·A·Hsr)| over unitary 2×2 matrices F, with A fixed at
 // the amplitude corresponding to ampDB. It uses projected gradient ascent
 // on the unitary manifold with multiple restarts (the "non-linear
 // optimization technique" of Sec 3.2). The returned slice holds F·A (the
 // combined filter, as the paper solves for) per subcarrier.
+//
+// The ascent is 2×2: two antennas at the source, the relay and the
+// destination, as every caller has. It panics on a carrier whose channels
+// are not all 2×2.
 func DesiredMIMO(Hsd, Hsr, Hrd []*linalg.Matrix, ampDB float64, src *rng.Source) []*linalg.Matrix {
 	if len(Hsd) != len(Hsr) || len(Hsr) != len(Hrd) {
 		panic("cnf: channel matrix count mismatch")
 	}
 	amp := dsp.AmplitudeFromDB(ampDB)
 	out := make([]*linalg.Matrix, len(Hsd))
-	var warm *linalg.Matrix
+	var warm *linalg.Mat2
+	var prevF linalg.Mat2
 	for i := range Hsd {
 		// Warm-start from the previous subcarrier's solution: channels are
 		// smooth in frequency, and keeping the optimizer on one solution
 		// branch keeps F(f) smooth — which is what makes the filter
 		// implementable by the short digital+analog cascade (Sec 3.4).
-		out[i] = optimizeF(Hsd[i], Hsr[i], Hrd[i], amp, src, warm)
-		warm = out[i].Scale(1 / amp)
+		fa := optimizeF(Hsd[i], Hsr[i], Hrd[i], amp, src, warm)
+		out[i] = fa.Matrix()
+		prevF = scaled(fa, 1/amp)
+		warm = &prevF
 	}
 	return out
 }
 
-// optimizeF maximizes |det(Hsd + A·Hrd·F·Hsr)| over unitary F. A non-nil
-// warm start is tried first and, when it converges to a competitive value,
-// preferred (it keeps per-subcarrier solutions on one smooth branch).
-func optimizeF(Hsd, Hsr, Hrd *linalg.Matrix, amp float64, src *rng.Source, warm *linalg.Matrix) *linalg.Matrix {
-	k := Hrd.Cols // relay antenna count
-	if Hsr.Rows != k {
-		panic("cnf: relay antenna dimension mismatch")
+// scaled returns m with every entry multiplied by s.
+func scaled(m linalg.Mat2, s float64) linalg.Mat2 {
+	for i := range m {
+		m[i] *= complex(s, 0)
 	}
+	return m
+}
+
+// optimizeF maximizes |det(Hsd + A·Hrd·F·Hsr)| over unitary F and returns
+// F·A. A non-nil warm start is tried first and, when it converges to a
+// competitive value, preferred (it keeps per-subcarrier solutions on one
+// smooth branch).
+func optimizeF(Hsd, Hsr, Hrd *linalg.Matrix, amp float64, src *rng.Source, warm *linalg.Mat2) linalg.Mat2 {
 	a := newAscent(Hsd, Hsr, Hrd, amp, src)
 	// Every start is drawn before any climb: the climbs' singular-channel
 	// nudges draw from src too, and the order of draws is part of the
 	// result.
 	ns := 0
 	if warm != nil {
-		copy(a.starts[ns].Data, warm.Data)
+		a.starts[ns] = *warm
 		ns++
 	}
-	for i := 0; i < k; i++ {
-		a.starts[ns].Set(i, i, 1)
-	}
+	a.starts[ns] = linalg.Mat2{1, 0, 0, 1}
 	ns++
 	if src != nil {
 		n := 4
@@ -192,16 +204,16 @@ func optimizeF(Hsd, Hsr, Hrd *linalg.Matrix, amp float64, src *rng.Source, warm 
 			n = 1 // cold restarts only as a safety net once warm
 		}
 		for r := 0; r < n; r++ {
-			a.randomUnitary(&a.starts[ns])
+			a.starts[ns] = a.randomUnitary()
 			ns++
 		}
 	}
-	var bestF *linalg.Matrix
+	var bestF linalg.Mat2
 	bestVal := math.Inf(-1)
 	warmVal := math.Inf(-1)
 	for si := range a.starts[:ns] {
 		F := &a.starts[si]
-		var held *linalg.Matrix
+		var held *linalg.Mat2
 		if warm != nil && si == 0 {
 			held = &a.held
 		}
@@ -211,140 +223,126 @@ func optimizeF(Hsd, Hsr, Hrd *linalg.Matrix, amp float64, src *rng.Source, warm 
 		}
 		if val > bestVal {
 			bestVal = val
-			bestF = F
+			bestF = *F
 		}
+	}
+	if math.IsInf(bestVal, -1) {
+		// |det M| is never −Inf, so every climb ended on NaN: a channel
+		// entry is not finite.
+		panic("cnf: DesiredMIMO objective is NaN from every start")
 	}
 	// Prefer the warm branch when it is within 1% of the best restart:
 	// the smoothness benefit outweighs a marginal det difference. The
 	// branch is what the warm climb holds (see climb), not where its
 	// random nudges took it.
 	if warm != nil && warmVal >= 0.99*bestVal {
-		return a.held.Scale(amp)
+		return scaled(a.held, amp)
 	}
-	return bestF.Scale(amp)
+	return scaled(bestF, amp)
 }
 
-// ascent is optimizeF's workspace for one subcarrier: the channels, their
-// adjoints (computed once), and every buffer the climbs reuse, carved from
-// one allocation. A climb allocates only when it draws a random unitary.
+// ascent is optimizeF's state for one subcarrier: the channels and their
+// adjoints (computed once), the effective channel of the current climb,
+// the starts and the warm climb's held branch, all 2×2 values. A climb
+// allocates only when it draws a random unitary.
 type ascent struct {
-	hsd, hsr, hrd *linalg.Matrix
+	hsd, hsr, hrd linalg.Mat2
+	hrdH, hsrH    linalg.Mat2
 	amp           complex128
 	src           *rng.Source
 
-	hrdH, hsrH linalg.Matrix // K×n and n×K adjoints of Hrd and Hsr
 	// m holds the effective channel Hsd + A·Hrd·F·Hsr of the climb's
-	// current F, mNext that of the candidate being evaluated; they swap
-	// when a step is accepted.
-	m, mNext    *linalg.Matrix
-	mBuf        [2]linalg.Matrix
-	minv, minvH linalg.Matrix // n×n
-	work        linalg.Matrix // n×n elimination scratch for Det and Inverse
-	rf          linalg.Matrix // n×K: Hrd·F
-	hm          linalg.Matrix // K×n: Hrdᴴ·M⁻ᴴ
-	grad, cand  linalg.Matrix // K×K
-	proj, held  linalg.Matrix // K×K
-	unitary     *linalg.UnitaryScratch
-	starts      [6]linalg.Matrix // K×K: warm, identity, up to 4 random
+	// current F.
+	m      linalg.Mat2
+	starts [6]linalg.Mat2 // warm, identity, up to 4 random
+	held   linalg.Mat2
 }
 
 func newAscent(Hsd, Hsr, Hrd *linalg.Matrix, amp float64, src *rng.Source) *ascent {
-	n, k := Hsd.Rows, Hrd.Cols
-	a := &ascent{hsd: Hsd, hsr: Hsr, hrd: Hrd, amp: complex(amp, 0), src: src,
-		unitary: linalg.NewUnitaryScratch(k)}
-	slab := make([]complex128, 5*n*n+4*n*k+(4+len(a.starts))*k*k)
-	carve := func(m *linalg.Matrix, rows, cols int) {
-		*m = linalg.Matrix{Rows: rows, Cols: cols, Data: slab[: rows*cols : rows*cols]}
-		slab = slab[rows*cols:]
+	for _, h := range []*linalg.Matrix{Hsd, Hsr, Hrd} {
+		if h.Rows != 2 || h.Cols != 2 {
+			panic(fmt.Sprintf("cnf: the MIMO ascent is 2×2, got channels Hsd %dx%d, Hsr %dx%d, Hrd %dx%d",
+				Hsd.Rows, Hsd.Cols, Hsr.Rows, Hsr.Cols, Hrd.Rows, Hrd.Cols))
+		}
 	}
-	for _, m := range []*linalg.Matrix{&a.mBuf[0], &a.mBuf[1], &a.minv, &a.minvH, &a.work} {
-		carve(m, n, n)
-	}
-	carve(&a.hrdH, k, n)
-	carve(&a.hsrH, n, k)
-	carve(&a.rf, n, k)
-	carve(&a.hm, k, n)
-	for _, m := range []*linalg.Matrix{&a.grad, &a.cand, &a.proj, &a.held} {
-		carve(m, k, k)
-	}
-	for i := range a.starts {
-		carve(&a.starts[i], k, k)
-	}
-	a.m, a.mNext = &a.mBuf[0], &a.mBuf[1]
-	linalg.AdjointInto(&a.hrdH, Hrd)
-	linalg.AdjointInto(&a.hsrH, Hsr)
+	a := &ascent{hsd: linalg.ToMat2(Hsd), hsr: linalg.ToMat2(Hsr), hrd: linalg.ToMat2(Hrd),
+		amp: complex(amp, 0), src: src}
+	a.hrdH, a.hsrH = a.hrd.Adjoint(), a.hsr.Adjoint()
 	return a
 }
 
-// randomUnitary overwrites F with a random unitary drawn from src and
-// returns it.
-func (a *ascent) randomUnitary(F *linalg.Matrix) *linalg.Matrix {
-	for i, row := range a.src.RandomUnitary(F.Rows) {
-		copy(F.Data[i*F.Cols:(i+1)*F.Cols], row)
-	}
-	return F
+// randomUnitary returns a random unitary drawn from src.
+func (a *ascent) randomUnitary() linalg.Mat2 {
+	u := a.src.RandomUnitary(2)
+	return linalg.Mat2{u[0][0], u[0][1], u[1][0], u[1][1]}
 }
 
-// eval writes the effective channel Hsd + A·Hrd·F·Hsr into M and returns
-// the objective |det M|.
-func (a *ascent) eval(M, F *linalg.Matrix) float64 {
-	linalg.MulInto(M, linalg.MulInto(&a.rf, a.hrd, F), a.hsr)
-	for i, v := range M.Data {
-		M.Data[i] = a.hsd.Data[i] + v*a.amp
+// eval returns the effective channel Hsd + A·Hrd·F·Hsr and the objective
+// |det M|.
+func (a *ascent) eval(F linalg.Mat2) (M linalg.Mat2, val float64) {
+	M = a.hrd.Mul(F).Mul(a.hsr)
+	for i, v := range M {
+		M[i] = a.hsd[i] + v*a.amp
 	}
-	return cmplx.Abs(linalg.DetInto(&a.work, M))
+	return M, cmplx.Abs(M.Det())
 }
 
 // climb runs the projected gradient ascent from F, which it updates in
 // place, and returns the final objective. A non-nil held receives F as it
 // stood at the first singular effective channel — where a climb that
 // cannot re-draw F stops — or the final F when there was none.
-func (a *ascent) climb(F, held *linalg.Matrix) float64 {
-	val := a.eval(a.m, F)
+func (a *ascent) climb(F, held *linalg.Mat2) float64 {
+	x := *F
+	var val float64
+	a.m, val = a.eval(x)
 	step := 0.5
-	// The inverse and gradient depend only on F, so a rejected step (F
-	// unchanged, step halved) reuses them.
+	// The gradient depends only on F, so a rejected step (F unchanged,
+	// step halved) reuses it.
+	var grad linalg.Mat2
 	stale := true
 	for iter := 0; iter < 200 && step > 1e-6; iter++ {
 		if stale {
-			if err := linalg.InverseInto(&a.minv, &a.work, a.m); err != nil {
+			minv, err := a.m.Inverse()
+			if err != nil {
 				if held != nil {
-					copy(held.Data, F.Data)
+					*held = x
 					held = nil
 				}
 				// Singular effective channel: nudge F randomly.
 				if a.src != nil {
-					val = a.eval(a.m, a.randomUnitary(F))
+					x = a.randomUnitary()
+					a.m, val = a.eval(x)
 					continue
 				}
 				break
 			}
 			// Gradient of log|det M| w.r.t. conj(F): A·Hrdᴴ·M⁻ᴴ·Hsrᴴ.
-			linalg.MulInto(&a.grad, linalg.MulInto(&a.hm, &a.hrdH, linalg.AdjointInto(&a.minvH, &a.minv)), &a.hsrH)
-			for i, g := range a.grad.Data {
-				a.grad.Data[i] = g * a.amp
+			grad = a.hrdH.Mul(minv.Adjoint()).Mul(a.hsrH)
+			for i, g := range grad {
+				grad[i] = g * a.amp
 			}
 			stale = false
 		}
 		sc := complex(step, 0)
-		for i, f := range F.Data {
-			a.cand.Data[i] = f + a.grad.Data[i]*sc
+		var cand linalg.Mat2
+		for i, f := range x {
+			cand[i] = f + grad[i]*sc
 		}
-		if err := linalg.ProjectUnitaryInto(&a.proj, &a.cand, a.unitary); err != nil {
+		proj, err := cand.ProjectUnitary()
+		if err != nil {
 			step /= 2
 			continue
 		}
-		if v := a.eval(a.mNext, &a.proj); v > val {
-			copy(F.Data, a.proj.Data)
-			a.m, a.mNext = a.mNext, a.m
-			val = v
+		if mNext, v := a.eval(proj); v > val {
+			x, a.m, val = proj, mNext, v
 			stale = true
 		} else {
 			step /= 2
 		}
 	}
+	*F = x
 	if held != nil {
-		copy(held.Data, F.Data)
+		*held = x
 	}
 	return val
 }

@@ -3,6 +3,7 @@ package cnf
 import (
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"fastforward/internal/channel"
@@ -334,6 +335,64 @@ func TestDesiredMIMOAllocs(t *testing.T) {
 	if per := allocs / float64(len(Hsd)); per > 64 {
 		t.Errorf("DesiredMIMO allocates %.0f objects per carrier, want ≤ 64", per)
 	}
+}
+
+// TestClimbAllocatesNothing pins the value kernels on the stack: one
+// climb from the identity, with no restart source, on the warm chain's
+// first carrier allocates nothing.
+func TestClimbAllocatesNothing(t *testing.T) {
+	Hsd, Hsr, Hrd := warmChain(31)
+	a := newAscent(Hsd[0], Hsr[0], Hrd[0], dsp.AmplitudeFromDB(60), nil)
+	if n := testing.AllocsPerRun(3, func() {
+		F := linalg.Mat2{1, 0, 0, 1}
+		a.climb(&F, nil)
+	}); n != 0 {
+		t.Errorf("climb allocates %v objects, want 0", n)
+	}
+}
+
+// TestDesiredMIMORejectsNon2x2: the ascent is 2×2 and has no general
+// fallback, so a carrier of any other shape panics naming the requirement.
+func TestDesiredMIMORejectsNon2x2(t *testing.T) {
+	src := rng.New(6)
+	mk := func(rows, cols int) []*linalg.Matrix {
+		m := linalg.NewMatrix(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = src.ComplexGaussian(1e-6)
+		}
+		return []*linalg.Matrix{m}
+	}
+	for _, tc := range []struct {
+		name          string
+		Hsd, Hsr, Hrd []*linalg.Matrix
+	}{
+		{"3x3", mk(3, 3), mk(3, 3), mk(3, 3)},
+		{"2x3", mk(2, 2), mk(3, 2), mk(2, 3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "2×2") {
+					t.Errorf("panic %q, want one naming the 2×2 requirement", msg)
+				}
+			}()
+			DesiredMIMO(tc.Hsd, tc.Hsr, tc.Hrd, 55, src)
+		})
+	}
+}
+
+// TestDesiredMIMOPanicsOnNaNChannel: a NaN channel entry makes every
+// start's objective NaN, so no filter is better than another; DesiredMIMO
+// panics rather than return one.
+func TestDesiredMIMOPanicsOnNaNChannel(t *testing.T) {
+	Hsd, Hsr, Hrd := warmChain(31)
+	Hsd[0].Set(0, 0, complex(math.NaN(), 0))
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic on a NaN channel")
+		}
+	}()
+	DesiredMIMO(Hsd[:1], Hsr[:1], Hrd[:1], 60, rng.New(1))
 }
 
 // TestSynthesizeAllocs guards the synthesis workspace: a call allocates

@@ -12,7 +12,6 @@ func TestInPlaceKernelsAllocateNothing(t *testing.T) {
 	a, b := randMatrix(3, 3, 1), randMatrix(3, 3, 2)
 	singular := FromRows([][]complex128{{1, 2, 3}, {2, 4, 6}, {0, 1, 1}})
 	dst, work := NewMatrix(3, 3), NewMatrix(3, 3)
-	s := NewUnitaryScratch(3)
 	tall, rhs, x := randMatrix(5, 3, 5), make([]complex128, 5), make([]complex128, 3)
 	ls := NewLSScratch(3)
 	realA := [][]float64{{1, 0.5, 0}, {0.2, 1, 0.3}, {0, 0.4, 1}, {0.5, 0.5, 0.5}}
@@ -28,9 +27,8 @@ func TestInPlaceKernelsAllocateNothing(t *testing.T) {
 				t.Fatalf("InverseInto(singular) = %v, want ErrSingular", err)
 			}
 		},
-		"ProjectUnitaryInto": func() { _ = ProjectUnitaryInto(dst, a, s) },
-		"LeastSquaresInto":   func() { _ = LeastSquaresInto(x, tall, rhs, 1e-9, ls) },
-		"NNLSInto":           func() { NNLSInto(g, realA, realB, 1e-9, nn) },
+		"LeastSquaresInto": func() { _ = LeastSquaresInto(x, tall, rhs, 1e-9, ls) },
+		"NNLSInto":         func() { NNLSInto(g, realA, realB, 1e-9, nn) },
 	} {
 		if n := testing.AllocsPerRun(20, f); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, n)
@@ -57,8 +55,6 @@ func TestInPlaceKernelsRejectWrongSize(t *testing.T) {
 		{"InverseInto/dst", func() { _ = InverseInto(NewMatrix(3, 3), NewMatrix(2, 2), sq) }},
 		{"InverseInto/work", func() { _ = InverseInto(NewMatrix(2, 2), short, sq) }},
 		{"InverseInto/nonsquare", func() { _ = InverseInto(NewMatrix(2, 3), NewMatrix(2, 3), rect) }},
-		{"ProjectUnitaryInto/dst", func() { _ = ProjectUnitaryInto(NewMatrix(3, 3), sq, NewUnitaryScratch(2)) }},
-		{"ProjectUnitaryInto/scratch", func() { _ = ProjectUnitaryInto(NewMatrix(2, 2), sq, NewUnitaryScratch(3)) }},
 		{"LeastSquaresInto/x", func() { _ = LeastSquaresInto(make([]complex128, 2), rect, make([]complex128, 2), 0, NewLSScratch(3)) }},
 		{"LeastSquaresInto/scratch", func() { _ = LeastSquaresInto(make([]complex128, 3), rect, make([]complex128, 2), 0, NewLSScratch(2)) }},
 		{"NNLSInto/x", func() { NNLSInto(make([]float64, 1), [][]float64{{1, 2}}, []float64{1}, 0, NewNNLSScratch(1, 2)) }},

@@ -292,10 +292,7 @@ func gaussJordan(inv, a *Matrix) error {
 			piv = pivotRow(a, col)
 		}
 		p := ad[piv*n+col]
-		// Singular when cmplx.Abs(p) < 1e-300. cmplx.Abs is never below
-		// either part's magnitude, so it is computed only when both parts
-		// are below the threshold.
-		if math.Abs(real(p)) < 1e-300 && math.Abs(imag(p)) < 1e-300 && cmplx.Abs(p) < 1e-300 {
+		if singularPivot(p) {
 			return ErrSingular
 		}
 		if piv != col {
@@ -346,35 +343,39 @@ const (
 
 // pivotRow returns the row at or below col whose column-col entry has the
 // largest cmplx.Abs, the first such row on ties — the partial-pivoting
-// choice. Squared magnitudes decide a comparison when both lie in
-// [sqLo, sqHi] and differ by more than tieTol; near-ties and extreme or
-// non-finite entries compare cmplx.Abs values, so the row is exactly the
-// one a cmplx.Abs search picks.
+// choice.
 func pivotRow(a *Matrix, col int) int {
 	n := a.Cols
 	piv := col
 	best := a.Data[col*n+col]
-	bestSq := absSq(best)
-	var bestAbs float64
-	haveAbs := false
 	for r := col + 1; r < a.Rows; r++ {
-		v := a.Data[r*n+col]
-		vSq := absSq(v)
-		if vSq >= sqLo && vSq <= sqHi && bestSq >= sqLo && bestSq <= sqHi &&
-			(vSq > bestSq*(1+tieTol) || vSq*(1+tieTol) < bestSq) {
-			if vSq > bestSq {
-				piv, best, bestSq, haveAbs = r, v, vSq, false
-			}
-			continue
-		}
-		if !haveAbs {
-			bestAbs, haveAbs = cmplx.Abs(best), true
-		}
-		if vAbs := cmplx.Abs(v); vAbs > bestAbs {
-			piv, best, bestSq, bestAbs = r, v, vSq, vAbs
+		if v := a.Data[r*n+col]; absExceeds(v, best) {
+			piv, best = r, v
 		}
 	}
 	return piv
+}
+
+// absExceeds reports whether cmplx.Abs(v) > cmplx.Abs(best), the pivot
+// comparison of every elimination here. Squared magnitudes decide when
+// both lie in [sqLo, sqHi] and differ by more than tieTol; near-ties and
+// extreme or non-finite entries compare cmplx.Abs values, so the answer
+// is exactly the one cmplx.Abs gives.
+func absExceeds(v, best complex128) bool {
+	vSq, bestSq := absSq(v), absSq(best)
+	if vSq >= sqLo && vSq <= sqHi && bestSq >= sqLo && bestSq <= sqHi &&
+		(vSq > bestSq*(1+tieTol) || vSq*(1+tieTol) < bestSq) {
+		return vSq > bestSq
+	}
+	return cmplx.Abs(v) > cmplx.Abs(best)
+}
+
+// singularPivot reports whether an elimination pivot is unusable:
+// cmplx.Abs(p) < 1e-300. cmplx.Abs is never below either part's
+// magnitude, so it is computed only when both parts are below the
+// threshold.
+func singularPivot(p complex128) bool {
+	return math.Abs(real(p)) < 1e-300 && math.Abs(imag(p)) < 1e-300 && cmplx.Abs(p) < 1e-300
 }
 
 func absSq(z complex128) float64 { return real(z)*real(z) + imag(z)*imag(z) }
@@ -383,7 +384,7 @@ func absSq(z complex128) float64 { return real(z)*real(z) + imag(z)*imag(z) }
 // and denominator of Smith's algorithm, computed once exactly as the
 // runtime's complex division computes them on every call, so d.quo(x, p)
 // returns the bits of x / p. Both are small enough to inline, which the
-// 2×2 eliminations of the CNF ascent depend on.
+// Mat2 eliminations of the CNF ascent depend on.
 type divisor struct {
 	ratio, denom float64
 	realMajor    bool // |re p| ≥ |im p|

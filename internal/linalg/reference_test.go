@@ -9,8 +9,9 @@ import (
 
 // The ref* kernels below are the textbook forms InverseInto, DetInto,
 // LeastSquares and NNLS had before their elimination and workspace were
-// streamlined, kept verbatim as the oracle FuzzKernelsMatchReference holds
-// the production kernels to, bit for bit.
+// streamlined, and the n×n polar Newton projection Mat2.ProjectUnitary
+// specializes, kept as the oracle FuzzKernelsMatchReference holds the
+// production kernels to, bit for bit.
 
 func refDetInto(work, m *Matrix) complex128 {
 	if m.Rows != m.Cols {
@@ -107,6 +108,33 @@ func refInverse(m *Matrix) (*Matrix, error) {
 		return nil, err
 	}
 	return inv, nil
+}
+
+func refProjectUnitary(m *Matrix) (*Matrix, error) {
+	if m.Rows != m.Cols {
+		panic("linalg: ProjectUnitary needs square matrix")
+	}
+	n := m.Rows
+	x, adj, inv, work := NewMatrix(n, n), NewMatrix(n, n), NewMatrix(n, n), NewMatrix(n, n)
+	copy(x.Data, m.Data)
+	for iter := 0; iter < 100; iter++ {
+		if err := refInverseInto(inv, work, AdjointInto(adj, x)); err != nil {
+			return nil, err
+		}
+		// next = (x + x⁻ᴴ)/2 element by element; diff accumulates
+		// ‖next − x‖² in storage order before x takes the step.
+		var diff float64
+		for i, v := range x.Data {
+			next := (v + inv.Data[i]) * complex(0.5, 0)
+			d := next - v
+			diff += real(d)*real(d) + imag(d)*imag(d)
+			x.Data[i] = next
+		}
+		if math.Sqrt(diff) < 1e-12 {
+			break
+		}
+	}
+	return x, nil
 }
 
 func refLeastSquares(A *Matrix, b []complex128, lambda float64) ([]complex128, error) {
@@ -322,17 +350,62 @@ func sameComplexBits(x, y []complex128) bool {
 	return true
 }
 
+// mat2MatchesReference holds the Mat2 kernels on the 2×2 matrices m and b
+// to the general ones: Mul (both orders), Adjoint, Det and Inverse to
+// MulInto, AdjointInto, DetInto and InverseInto, and ProjectUnitary to
+// refProjectUnitary.
+func mat2MatchesReference(t *testing.T, m, b *Matrix) {
+	t.Helper()
+	m2, b2 := ToMat2(m), ToMat2(b)
+	same := func(name string, got Mat2, want *Matrix) {
+		t.Helper()
+		if !sameComplexBits(got[:], want.Data) {
+			t.Fatalf("Mat2.%s %v, reference %v", name, got, want.Data)
+		}
+	}
+	same("Mul", m2.Mul(b2), MulInto(NewMatrix(2, 2), m, b))
+	same("Mul", b2.Mul(m2), MulInto(NewMatrix(2, 2), b, m))
+	same("Adjoint", m2.Adjoint(), AdjointInto(NewMatrix(2, 2), m))
+
+	if det, want := m2.Det(), DetInto(NewMatrix(2, 2), m); !sameComplexBits([]complex128{det}, []complex128{want}) {
+		t.Fatalf("Mat2.Det %v, reference %v", det, want)
+	}
+
+	inv, err := m2.Inverse()
+	wantInv := NewMatrix(2, 2)
+	if wantErr := InverseInto(wantInv, NewMatrix(2, 2), m); err != wantErr {
+		t.Fatalf("Mat2.Inverse error %v, reference %v", err, wantErr)
+	}
+	if err == nil {
+		same("Inverse", inv, wantInv)
+	}
+
+	u, err := m2.ProjectUnitary()
+	wantU, wantErr := refProjectUnitary(m)
+	if err != wantErr {
+		t.Fatalf("Mat2.ProjectUnitary error %v, reference %v", err, wantErr)
+	}
+	if err == nil {
+		same("ProjectUnitary", u, wantU)
+	}
+}
+
 // FuzzKernelsMatchReference holds InverseInto, DetInto, LeastSquares and
-// NNLS to the reference kernels above: the same error, and the same
+// NNLS to the reference kernels above, and every Mat2 kernel to its
+// general counterpart on each 2×2 case: the same error, and the same
 // Float64bits in every output (NaN matching any NaN), on 1×1 to 4×4
 // inputs of any float64 values.
 // The seeds aim at the places a faster pivot search or a hoisted division
 // could diverge: pivots tied to within an ulp, magnitudes whose squares
 // overflow or underflow, signed zeros, NaN and Inf, and pivots either
-// side of the 1e-300 singularity threshold.
+// side of the 1e-300 singularity threshold; and at the Mat2 kernels'
+// own: a zero factor beside −0, Inf and NaN, a near-unitary projection,
+// and projections whose Newton iterate is singular or runs to the
+// 100-iterate cap.
 func FuzzKernelsMatchReference(f *testing.F) {
 	up := math.Nextafter(1, 2)
 	tiny := math.SmallestNonzeroFloat64
+	negZero := math.Copysign(0, -1)
 	for _, seed := range [][]byte{
 		// Pivot near-ties: |0.6+0.8i| and |0.8+0.6i| agree up to rounding,
 		// 1 and its successor differ by one ulp.
@@ -365,6 +438,20 @@ func FuzzKernelsMatchReference(f *testing.F) {
 			0.5, 0.5, -1, 2, 0.25, -0.75, 1.5, 0.1, -0.3, 0.7, 0.9, -1.1, 0.2, 0.4, 0.6, -0.8,
 			1, 0, 2, 0, 0.5, 1, 1, 1, 0.3, -2, 1, 0, 0, 1, 2, 1,
 			1, -1, 0.5, -0.5, 2, 1, 1, 0, -1, 3, 2, 1, 0.5, -0.5, 1, 0.25, -1, 0.5, 2, 1),
+		// Mat2: zero entries of m (one of them −0) facing Inf and NaN in
+		// the other factor, where Mul's zero skip keeps 0·Inf out.
+		kernelCase(2, 2, 0, 0, 0, 1, 0, negZero, negZero, 2, 0,
+			math.Inf(1), 0, math.NaN(), 1, 1, 0, 2, 0),
+		kernelCase(2, 2, 0, 1, 0, negZero, 0, math.Inf(-1), 0, 0, negZero,
+			0, 0, 1, 1, negZero, 0, math.NaN(), 0),
+		// Mat2: a near-unitary matrix, as the CNF ascent projects.
+		kernelCase(2, 2, 0, 0.6, 0, 0, 0.8, 0, 0.8, 0.6+1e-7, -1e-8),
+		// Mat2: a projection whose first Newton iterate is singular, one
+		// with a singular value of about 2⁻⁵² that converges, and one still
+		// moving at the 100-iterate cap.
+		kernelCase(2, 2, 0, 1, 1, 2, 2, 2, 2, 4, 4),
+		kernelCase(2, 2, 0, 1, 0, 1, 0, 1, 0, up, 0),
+		kernelCase(2, 2, 0, 1e300, 0, 0, 0, 0, 0, 1, 0),
 	} {
 		f.Add(seed)
 	}
@@ -397,6 +484,14 @@ func FuzzKernelsMatchReference(f *testing.F) {
 		}
 		if !sameComplexBits(x, wantX) {
 			t.Fatalf("LeastSquares %v, reference %v", x, wantX)
+		}
+
+		if n == 2 {
+			b := in.m
+			if in.A.Rows == 2 {
+				b = in.A
+			}
+			mat2MatchesReference(t, in.m, b)
 		}
 
 		g, ok := NNLS(in.Ar, in.br, in.lambda)
