@@ -29,11 +29,14 @@ test: build
 # build never sees (internal/dsp's Go-only firMAC4 dispatch), and the
 # s390x vet compiles internal/relayd for a big-endian host, where its
 # portable sample codec runs, so a break there fails here rather than on
-# another architecture.
+# another architecture. The 386 vet compiles internal/rng where int is 32
+# bits, which its generator's tap and feed counters are, beside the
+# seed's uint64 products.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/dsp ./internal/pipeline
 	GOARCH=s390x $(GO) vet ./internal/relayd
+	GOARCH=386 $(GO) vet ./internal/rng
 
 # Domain-specific static analysis: detrand (no wall-clock or unseeded
 # randomness in sweep-path packages), seedflow (worker rngs derive from

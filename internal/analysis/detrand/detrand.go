@@ -16,8 +16,8 @@
 //  2. Global rand: package-level math/rand draws (rand.Float64,
 //     rand.Intn, rand.Shuffle, ...) read a process-global sequential
 //     stream whose order depends on goroutine scheduling. Constructing
-//     seeded sources (rand.New, rand.NewSource) stays legal — that is
-//     exactly what internal/rng wraps.
+//     seeded sources (rand.New, rand.NewSource) stays legal; internal/rng
+//     wraps rand.New over its own seeded source, not rand.NewSource.
 //
 //  3. Map ranges: a `for ... range m` over a map inside a sweep-path
 //     package must not feed an order-sensitive sink — appending to a

@@ -13,12 +13,17 @@ import (
 
 // Source is a deterministic random source for simulation components.
 type Source struct {
-	r *rand.Rand
+	r  *rand.Rand
+	lf lfSource // r's generator
 }
 
-// New returns a Source seeded with seed.
+// New returns a Source seeded with seed. Its stream is the one
+// rand.New(rand.NewSource(seed)) draws, bit for bit.
 func New(seed int64) *Source {
-	return &Source{r: rand.New(rand.NewSource(seed))}
+	s := new(Source)
+	s.lf.Seed(seed)
+	s.r = rand.New(&s.lf)
+	return s
 }
 
 // Fork derives an independent Source from this one; useful for giving each
