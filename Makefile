@@ -26,12 +26,12 @@ test: build
 	$(GO) test ./...
 
 # The arm64 vet compiles the packages whose non-amd64 files the amd64
-# build never sees (internal/dsp's Go-only firMAC4 dispatch), and the
-# s390x vet compiles internal/relayd for a big-endian host, where its
-# portable sample codec runs, so a break there fails here rather than on
-# another architecture. The 386 vet compiles internal/rng where int is 32
-# bits, which its generator's tap and feed counters are, beside the
-# seed's uint64 products.
+# build never sees (internal/dsp's Go-only kernel dispatch and its test
+# helper), and the s390x vet compiles internal/relayd for a big-endian
+# host, where its portable sample codec runs, so a break there fails
+# here rather than on another architecture. The 386 vet compiles
+# internal/rng where int is 32 bits, which its generator's tap and feed
+# counters are, beside the seed's uint64 products.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/dsp ./internal/pipeline
@@ -197,7 +197,8 @@ bench:
 
 # Alloc-regression gate: the per-block hot paths (SIC filter, relay
 # forward chain, multi-session session chains, one CFO rotator at 4096
-# and 64 samples a block), the served round trip (Client.Process
+# and 64 samples a block, dsp.FIR's block methods at the served chain's
+# shapes and the 120-tap canceller's), the served round trip (Client.Process
 # against a loopback relayd.Server, daemon side included, at 64 and at
 # 4096 samples a block) and the CNF ascent's per-step 2×2 kernels
 # (linalg.Mat2's Inverse, Det and ProjectUnitary) must stay at 0
@@ -206,6 +207,7 @@ bench:
 bench-allocs: build
 	{ $(GO) test -run '^$$' -bench 'SICFilter|FFRelayProcess|SessionChains' -benchmem -benchtime 100x . ; \
 	  $(GO) test -run '^$$' -bench 'CFOStage' -benchmem -benchtime 1000x ./internal/pipeline ; \
+	  $(GO) test -run '^$$' -bench 'FIRKernel' -benchmem -benchtime 100x ./internal/dsp ; \
 	  $(GO) test -run '^$$' -bench 'ServedRoundTrip' -benchmem -benchtime 1000x ./internal/relayd ; \
 	  $(GO) test -run '^$$' -bench 'Mat2' -benchmem -benchtime 1000x ./internal/linalg ; } \
 		| tee /dev/stderr \

@@ -1,5 +1,7 @@
 package dsp
 
+import "unsafe"
+
 // FIR is a streaming causal finite-impulse-response filter. It keeps its own
 // delay line so that samples can be pushed one at a time, which is how the
 // FastForward relay processes IQ streams: output y[n] = sum_k h[k]·x[n-k].
@@ -10,7 +12,7 @@ package dsp
 // which adds no buffering delay (Sec 3.3, Fig 9a).
 //
 // FilterBlock and CancelBlock run a block on the planar kernel
-// FIRFilterSoA or on the direct form, chosen by size; both paths are
+// firFilterSoA or on the direct form, chosen by size; both paths are
 // bit-exact with Push and share its delay line, so Push and block calls
 // interleave freely.
 type FIR struct {
@@ -24,9 +26,9 @@ type FIR struct {
 	pos  int
 	// hr/hi are the taps in planar form, nil below minPlanarTaps taps.
 	hr, hi []float64
-	// scratch holds the planar history + block (2·(T−1+n)) and output
-	// (2·n) of the largest block seen. It grows once and is reused, and
-	// carries no state between calls.
+	// scratch holds the planar history + block of the largest block
+	// seen, laid out by planes. It grows once and is reused, and carries
+	// no state between calls.
 	scratch []float64
 }
 
@@ -100,11 +102,11 @@ func (f *FIR) FilterBlock(block []complex128) (planar bool) {
 		}
 		return false
 	}
-	if need := 2*(len(f.taps)-1) + 4*n; cap(f.scratch) < need {
+	if need := planarScratch(len(f.taps), n); cap(f.scratch) < need {
 		f.scratch = make([]float64, need)
 	}
-	yr, yi := f.filterPlanar(block)
-	Interleave(block, yr, yi)
+	xr, xi := f.loadPlanar(block)
+	firFilterSoA(block, xr, xi, f.hr, f.hi, false)
 	return true
 }
 
@@ -124,37 +126,53 @@ func (f *FIR) CancelBlock(block, ref []complex128) (planar bool) {
 		}
 		return false
 	}
-	if need := 2*(len(f.taps)-1) + 4*n; cap(f.scratch) < need {
+	if need := planarScratch(len(f.taps), n); cap(f.scratch) < need {
 		f.scratch = make([]float64, need)
 	}
-	yr, yi := f.filterPlanar(ref)
-	SubInPlaceSoA(block, yr, yi)
+	xr, xi := f.loadPlanar(ref)
+	firFilterSoA(block, xr, xi, f.hr, f.hi, true)
 	return true
 }
 
-// filterPlanar runs the planar MAC over x, which it only reads, and
-// returns the planar output views (valid until the next block call). It
-// reads the T−1 most recent inputs from the delay line as history and
-// writes the T newest back, so the direct form continues where the
-// planar kernel left off. The caller has grown scratch for len(x).
-func (f *FIR) filterPlanar(x []complex128) (yr, yi []float64) {
+// planarScratch is the scratch length an n-sample block through t taps
+// needs: two planes of history padded to pad8(t−1) plus the block padded
+// to pad8(n), and up to seven floats of slack to reach a 64-byte
+// boundary.
+func planarScratch(t, n int) int { return 2*(pad8(t-1)+pad8(n)) + 7 }
+
+// pad8 rounds n up to a multiple of eight floats (64 bytes).
+func pad8(n int) int { return (n + 7) &^ 7 }
+
+// loadPlanar lays the T−1 most recent inputs from the delay line and
+// then x out as the planes xr/xi (history oldest first, len T−1+len(x)),
+// and writes the T newest inputs back to the delay line, so the direct
+// form continues where the planar kernel leaves off. It only reads x.
+// The block region of each plane starts on a 64-byte boundary, so the
+// deinterleave stores and the kernel's tap-0 loads do not split cache
+// lines; the views are valid until the next block call. The caller has
+// grown scratch for len(x).
+func (f *FIR) loadPlanar(x []complex128) (xr, xi []float64) {
 	t, n := len(f.taps), len(x)
-	m := t - 1 + n
-	xr, xi := f.scratch[:m], f.scratch[m:2*m]
-	yr, yi = f.scratch[2*m:2*m+n], f.scratch[2*m+n:2*m+2*n]
+	pad := pad8(t - 1)
+	// Floats from the scratch base to the next 64-byte boundary (the heap
+	// does not move objects, so the address is stable).
+	base := int(-uintptr(unsafe.Pointer(&f.scratch[0])) % 64 / 8)
+	im := base + pad + pad8(n)
+	xr = f.scratch[base+pad-(t-1) : base+pad+n]
+	xi = f.scratch[im+pad-(t-1) : im+pad+n]
 	// History, oldest first: line[pos] is the newest input.
 	for j, v := range f.line[f.pos : f.pos+t-1] {
 		xr[t-2-j], xi[t-2-j] = real(v), imag(v)
 	}
 	Deinterleave(xr[t-1:], xi[t-1:], x)
-	FIRFilterSoA(yr, yi, xr, xi, f.hr, f.hi)
 	// The newest T inputs become the delay line, newest at pos = 0.
+	m := t - 1 + n
 	f.pos = 0
 	for j := 0; j < t; j++ {
 		v := complex(xr[m-1-j], xi[m-1-j])
 		f.line[j], f.line[j+t] = v, v
 	}
-	return yr, yi
+	return xr, xi
 }
 
 // Process filters a whole block, sample by sample, preserving state across

@@ -4,47 +4,54 @@ package dsp
 // at package init, from the CPU's feature bits.
 var useAVX2, useAVX512 = x86Features()
 
-// firMAC4 accumulates four consecutive taps into yr/yi across the whole
-// block: for each i, yr[i]/yi[i] gain the tap contributions in ascending
-// tap order (h0 first), with each contribution computed as
-// hr*a − hi*b / hr*b + hi*a exactly like the direct form. xr/xi start at
-// the window of the LAST of the four taps (the earliest input sample);
-// tap j reads xr[i+3−j]. len(xr) and len(xi) must be ≥ len(yr)+3.
-//
-// On amd64 hosts with AVX2 the assembly kernel runs four outputs per
-// iteration and the Go body the last len(yr)%4; without AVX2 the Go body
-// runs the whole pass. VMULPD/VSUBPD/VADDPD are exact per-lane IEEE ops
-// (no FMA contraction), so both give the same bits.
-func firMAC4(yr, yi, xr, xi []float64, h0r, h0i, h1r, h1i, h2r, h2i, h3r, h3i float64) {
+// firFilterSoAVec runs firFilterSoA's vector body over the first outputs
+// and reports how many it wrote: len(dst)&^7 in ZMM tiles of eight on
+// hosts with AVX-512F, len(dst)&^3 in YMM tiles of four on hosts with
+// AVX2, none otherwise. Both kernels accumulate with
+// VMULPD/VSUBPD/VADDPD, which are exact per-lane IEEE operations (no FMA
+// contraction), in firFilterSoAGo's order, so they give its bits.
+func firFilterSoAVec(dst []complex128, xr, xi, hr, hi []float64, sub bool) int {
 	m := 0
-	if useAVX2 {
-		m = len(yr) &^ 3
-		firMAC4AVX2(yr, yi, xr, xi, h0r, h0i, h1r, h1i, h2r, h2i, h3r, h3i)
+	switch {
+	case useAVX512:
+		m = len(dst) &^ 7
+		firFilterSoAAVX512(dst[:m], xr, xi, hr, hi, sub)
+	case useAVX2:
+		m = len(dst) &^ 3
+		firFilterSoAAVX2(dst[:m], xr, xi, hr, hi, sub)
 	}
-	firMAC4Go(yr[m:], yi[m:], xr[m:], xi[m:], h0r, h0i, h1r, h1i, h2r, h2i, h3r, h3i)
+	return m
 }
 
-// firMAC8 is firMAC4 over eight consecutive taps, hr/hi[0] through [7],
-// with xr/xi starting at the window of tap 7; len(xr) and len(xi) must
-// be ≥ len(yr)+7. It runs only on hosts with AVX-512F: the ZMM kernel
-// runs eight outputs per iteration and firMAC8Go the last len(yr)%8.
-func firMAC8(yr, yi, xr, xi, hr, hi []float64) {
-	m := len(yr) &^ 7
-	firMAC8AVX512(yr, yi, xr, xi, hr, hi)
-	firMAC8Go(yr[m:], yi[m:], xr[m:], xi[m:], hr, hi)
+// deinterleaveVec runs Deinterleave's ZMM body over the first
+// len(x)&^7 samples on hosts with AVX-512F and reports how many it
+// split.
+func deinterleaveVec(re, im []float64, x []complex128) int {
+	if !useAVX512 {
+		return 0
+	}
+	deinterleaveAVX512(re, im, x)
+	return len(x) &^ 7
 }
 
-// firMAC4AVX2 is firMAC4 over the first len(yr)&^3 outputs, in
-// soa_mac_amd64.s.
+// firFilterSoAAVX512 is firFilterSoA over the first len(dst)&^7 outputs,
+// in soa_mac_amd64.s. It reads len(hr) taps and xr/xi from index 0,
+// unchecked; len(hr) ≥ 1.
 //
 //go:noescape
-func firMAC4AVX2(yr, yi, xr, xi []float64, h0r, h0i, h1r, h1i, h2r, h2i, h3r, h3i float64)
+func firFilterSoAAVX512(dst []complex128, xr, xi, hr, hi []float64, sub bool)
 
-// firMAC8AVX512 is firMAC8 over the first len(yr)&^7 outputs, in
-// soa_mac_amd64.s. It reads hr/hi[0] through [7] unchecked.
+// firFilterSoAAVX2 is firFilterSoA over the first len(dst)&^3 outputs,
+// in soa_mac_amd64.s, with firFilterSoAAVX512's preconditions.
 //
 //go:noescape
-func firMAC8AVX512(yr, yi, xr, xi, hr, hi []float64)
+func firFilterSoAAVX2(dst []complex128, xr, xi, hr, hi []float64, sub bool)
+
+// deinterleaveAVX512 is Deinterleave over the first len(x)&^7 samples,
+// in soa_mac_amd64.s; it writes re/im unchecked.
+//
+//go:noescape
+func deinterleaveAVX512(re, im []float64, x []complex128)
 
 // x86Features reports whether the CPU has AVX2 and AVX-512F, each only
 // if the OS also saves the registers the kernel uses across context

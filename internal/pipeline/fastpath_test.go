@@ -12,18 +12,20 @@ import (
 
 // soaTapCounts spans the direct-form-only filters (below dsp.FIR's
 // four-tap planar minimum), the session chain's 16/24-tap filters, odd
-// lengths that leave a firMAC4 tail, lengths that leave an eight-tap
-// pass followed by a four-tap pass and a scalar tap (12, 15), and the
-// paper's 120-tap canceller.
+// lengths and lengths whose T−1 history is not a multiple of eight
+// (the planar scratch pads it to one: 4, 5, 12, 15), and the paper's
+// 120-tap canceller.
 var soaTapCounts = []int{1, 3, 4, 5, 12, 15, 16, 24, 120}
 
 // soaSplits segments a 4096-sample signal so planar blocks alternate with
 // blocks below dsp.FIR's 32-sample planar minimum (7, 1, 17, 31), which
 // run the direct form: the shared delay line hands off in both
-// directions, including blocks shorter than the filter. The planar blocks
-// 32 to 39 leave every tail (0 to 7 samples) that firMAC8 and firMAC4 run
-// after their eight- and four-wide loops.
-var soaSplits = []int{64, 7, 1000, 1, 17, 2048, 31, 32, 33, 34, 35, 36, 37, 38, 39}
+// directions, including blocks shorter than the filter. The planar
+// kernel writes tiles of 32 outputs (four of eight on AVX-512 hosts),
+// then single tiles of eight, then a Go tail: the planar blocks 32 to 39
+// leave every tail (0 to 7 samples) after a whole tile, and 40, 48 and
+// 56 (n%32 = 8, 16, 24) run one to three single tiles after it.
+var soaSplits = []int{64, 7, 1000, 1, 17, 2048, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 48, 56}
 
 // processSplits feeds sig through process in soaSplits segments, then the
 // remainder in one call.
@@ -66,7 +68,7 @@ func TestSoAPathMatchesDirect(t *testing.T) {
 		}
 		wantSoA := uint64(0)
 		if ntaps >= 4 {
-			wantSoA = 12 // 64, 1000, 2048, 32 to 39 and the 644-sample remainder
+			wantSoA = 15 // 64, 1000, 2048, 32 to 40, 48, 56 and the 500-sample remainder
 		}
 		if n := reg.Counter("pipeline.soa_blocks", "blocks").Value(); n != wantSoA {
 			t.Fatalf("%d taps: pipeline.soa_blocks = %d, want %d", ntaps, n, wantSoA)
