@@ -174,12 +174,15 @@ func TestApplyCFOContinuity(t *testing.T) {
 	full, _ := ApplyCFO(x, 1000, 20e6, 0)
 	a, ph := ApplyCFO(x[:50], 1000, 20e6, 0)
 	b, _ := ApplyCFO(x[50:], 1000, 20e6, ph)
+	same := func(x, y complex128) bool {
+		return sameBits(real(x), real(y)) && sameBits(imag(x), imag(y))
+	}
 	for i := 0; i < 50; i++ {
-		if cmplx.Abs(full[i]-a[i]) > 1e-12 {
-			t.Fatal("first block mismatch")
+		if !same(full[i], a[i]) {
+			t.Fatalf("sample %d: first block %v, whole signal %v (bit-exact required)", i, a[i], full[i])
 		}
-		if cmplx.Abs(full[50+i]-b[i]) > 1e-9 {
-			t.Fatal("second block not continuous")
+		if !same(full[50+i], b[i]) {
+			t.Fatalf("sample %d: second block %v, whole signal %v (bit-exact required)", 50+i, b[i], full[50+i])
 		}
 	}
 }

@@ -10,6 +10,13 @@ import (
 	"fastforward/internal/rng"
 )
 
+// sameSample reports whether a and b hold the same bits in both parts:
+// the relay's delay line, unit taps and 20 dB gain are exact arithmetic.
+func sameSample(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
 func basicConfig() Config {
 	return Config{
 		SampleRate:           20e6,
@@ -33,8 +40,8 @@ func TestPipelineDelayExact(t *testing.T) {
 			if i >= d {
 				want = in[i-d]
 			}
-			if cmplx.Abs(out[i]-want) > 1e-12 {
-				t.Fatalf("delay %d: out[%d] = %v, want %v", d, i, out[i], want)
+			if !sameSample(out[i], want) {
+				t.Fatalf("delay %d: out[%d] = %v, want %v bit for bit", d, i, out[i], want)
 			}
 		}
 	}
@@ -45,8 +52,8 @@ func TestAmplification(t *testing.T) {
 	cfg.AmplificationDB = 20 // 10x amplitude
 	r := New(cfg)
 	out := r.Process([]complex128{1, 0, 0, 0, 0})
-	if cmplx.Abs(out[2]-10) > 1e-9 {
-		t.Errorf("amplified impulse = %v, want 10", out[2])
+	if !sameSample(out[2], 10) {
+		t.Errorf("amplified impulse = %v, want 10 bit for bit", out[2])
 	}
 }
 
@@ -67,8 +74,8 @@ func TestPreFilterApplied(t *testing.T) {
 	cfg.PreFilterTaps = []complex128{0.5i}
 	r := New(cfg)
 	out := r.Process([]complex128{1, 0, 0, 0})
-	if cmplx.Abs(out[2]-0.5i) > 1e-12 {
-		t.Errorf("pre-filtered impulse = %v, want 0.5i", out[2])
+	if !sameSample(out[2], 0.5i) {
+		t.Errorf("pre-filtered impulse = %v, want 0.5i bit for bit", out[2])
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -17,8 +18,7 @@ import (
 // discipline.
 type clientConn struct {
 	conn net.Conn
-	// br reads conn through a window of at least controlWindow bytes;
-	// roundTrip grows it when a reply needs more.
+	// br reads conn through a buffer of controlWindow bytes.
 	br *bufio.Reader
 	// timeout bounds each exchange (zero: block indefinitely).
 	timeout time.Duration
@@ -28,28 +28,29 @@ func newClientConn(conn net.Conn, timeout time.Duration) clientConn {
 	return clientConn{conn: conn, br: bufio.NewReaderSize(conn, controlWindow), timeout: timeout}
 }
 
-// roundTrip is every client exchange. It arms the conn's deadline (or
-// clears it when timeout is zero), writes frame as a typ frame, grows the
-// read window to window bytes if it is smaller, and reads one reply. A
-// REFUSE reply is returned as its *Refuse; any other type but want is a
-// protocol error. The payload is a view of the read window, valid until
-// the next exchange. A conn whose deadline cannot be armed is closed.
-func (c *clientConn) roundTrip(typ byte, frame []byte, want byte, window int) ([]byte, error) {
+// send starts every client exchange: it arms the conn's deadline (or
+// clears it when timeout is zero; a conn it cannot arm is closed), writes
+// frame as a typ frame and reads the reply's header (readHeader).
+func (c *clientConn) send(typ byte, frame []byte, bulk byte, bulkLen int) (got byte, n int, err error) {
 	var deadline time.Time
 	if c.timeout > 0 {
 		deadline = time.Now().Add(c.timeout)
 	}
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		c.conn.Close()
-		return nil, err
+		return 0, 0, err
 	}
 	if err := writeFrame(c.conn, typ, frame); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	if c.br.Size() < window {
-		c.br = rewindow(c.conn, c.br, window)
-	}
-	got, payload, err := readFrame(c.br)
+	return readHeader(c.br, bulk, bulkLen)
+}
+
+// readReply reads the n-byte control payload of a got reply off br and
+// returns it, a view valid until the next exchange, if got is want; a
+// REFUSE comes back as its *Refuse and any other type as an error.
+func readReply(br *bufio.Reader, got byte, n int, want byte) ([]byte, error) {
+	payload, err := readPayload(br, n)
 	switch {
 	case err != nil:
 		return nil, err
@@ -65,6 +66,15 @@ func (c *clientConn) roundTrip(typ byte, frame []byte, want byte, window int) ([
 	return nil, fmt.Errorf("relayd: got frame type %d, want %d", got, want)
 }
 
+// roundTrip is a control exchange: send, then readReply.
+func (c *clientConn) roundTrip(typ byte, frame []byte, want byte) ([]byte, error) {
+	got, n, err := c.send(typ, frame, 0, 0) // every reply is a control frame
+	if err != nil {
+		return nil, err
+	}
+	return readReply(c.br, got, n, want)
+}
+
 // Client is one side of a relay session: it performs the HELLO handshake,
 // streams DATA blocks, and collects the final STATS. A Client is not safe
 // for concurrent use.
@@ -72,7 +82,9 @@ type Client struct {
 	clientConn
 	params SessionParams
 	accept Accept
-	// data is the DATA frame: header, then rx, then the reference.
+	// mem is the DATA frame's sample memory (a header slot, rx, the
+	// reference); data views it as the frame, from the slot's tail on.
+	mem    []complex128
 	data   []byte
 	blocks uint64
 }
@@ -89,7 +101,7 @@ func NewClientConnTimeout(conn net.Conn, params SessionParams, timeout time.Dura
 		return nil, err
 	}
 	c := &Client{clientConn: newClientConn(conn, timeout), params: params}
-	payload, err := c.roundTrip(FrameHello, hello, FrameAccept, 0)
+	payload, err := c.roundTrip(FrameHello, hello, FrameAccept)
 	if err == nil {
 		err = json.Unmarshal(payload, &c.accept)
 	}
@@ -97,7 +109,8 @@ func NewClientConnTimeout(conn net.Conn, params SessionParams, timeout time.Dura
 		conn.Close()
 		return nil, err
 	}
-	c.data = make([]byte, frameHeaderLen+2*params.BlockSamples*SampleBytes)
+	c.mem = make([]complex128, 1+2*params.BlockSamples)
+	c.data = sampleBytes(c.mem)[SampleBytes-frameHeaderLen:]
 	return c, nil
 }
 
@@ -142,24 +155,30 @@ func DialTimeout(addr string, params SessionParams, bo *Backoff, attempts int, t
 func (c *Client) Accept() Accept { return c.accept }
 
 // Process sends one block round trip: rx and the transmit reference go
-// out in a DATA frame, and the daemon's processed block is written back
-// into out (which may alias rx). All three slices must hold exactly
-// BlockSamples samples.
+// out in a DATA frame, and the daemon's processed block is read straight
+// into out (which may alias rx); on an error out may be partly written.
+// All three slices must hold exactly BlockSamples samples. The caller
+// owns rx and ref, so they are copied into the frame: the one
+// whole-block copy left on either end of the served path.
 func (c *Client) Process(out, rx, ref []complex128) error {
 	n := c.params.BlockSamples
 	if len(rx) != n || len(ref) != n || len(out) != n {
 		return fmt.Errorf("relayd: Process slices must hold %d samples", n)
 	}
-	samplesToBytes(c.data[frameHeaderLen:frameHeaderLen+n*SampleBytes], rx)
-	samplesToBytes(c.data[frameHeaderLen+n*SampleBytes:], ref)
-	payload, err := c.roundTrip(FrameData, c.data, FrameOut, frameHeaderLen+n*SampleBytes)
+	copy(c.mem[1:1+n], rx)
+	copy(c.mem[1+n:], ref)
+	wireOrder(c.mem[1:])
+	got, size, err := c.send(FrameData, c.data, FrameOut, n*SampleBytes)
+	if err == nil && got != FrameOut {
+		_, err = readReply(c.br, got, size, FrameOut) // a REFUSE, or a protocol error
+	}
 	if err != nil {
 		return err
 	}
-	if len(payload) != n*SampleBytes {
-		return fmt.Errorf("relayd: OUT frame carries %d bytes, want %d", len(payload), n*SampleBytes)
+	if _, err := io.ReadFull(c.br, sampleBytes(out)); err != nil {
+		return err
 	}
-	bytesToSamples(out, payload)
+	wireOrder(out)
 	c.blocks++
 	return nil
 }
@@ -209,7 +228,7 @@ func (c *Client) Stream(src *rng.Source, blocks int, verify bool) (int, error) {
 func (c *Client) Close() (Stats, error) {
 	defer c.conn.Close()
 	var st Stats
-	payload, err := c.roundTrip(FrameDone, make([]byte, frameHeaderLen), FrameStats, 0)
+	payload, err := c.roundTrip(FrameDone, make([]byte, frameHeaderLen), FrameStats)
 	if err != nil {
 		return st, err
 	}
@@ -241,7 +260,7 @@ func newInfoClient(conn net.Conn, timeout time.Duration) *InfoClient {
 // Query performs one QUERY/INFO round trip.
 func (c *InfoClient) Query() (Info, error) {
 	var info Info
-	payload, err := c.roundTrip(FrameQuery, make([]byte, frameHeaderLen), FrameInfo, 0)
+	payload, err := c.roundTrip(FrameQuery, make([]byte, frameHeaderLen), FrameInfo)
 	if err != nil {
 		return info, err
 	}

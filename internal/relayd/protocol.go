@@ -25,17 +25,19 @@ import (
 // answers with STATS (JSON Stats) and closes. Samples travel as raw
 // little-endian IEEE-754 float64 (re, im) pairs, 16 bytes per sample, so
 // the daemon path is bit-transparent: what the chain computed is what
-// the client reads back, exactly. On a little-endian host that byte
-// sequence is the []complex128 memory itself, so both ends encode and
-// decode a block with one memory copy; a big-endian host runs the
-// portable per-float bodies. The bytes on the wire are the same either
-// way.
+// the client reads back, exactly. That byte sequence is a little-endian
+// host's []complex128 memory, so neither end encodes or decodes a block:
+// each reads sample payloads into, and writes frames out of, one sample
+// memory (a header slot, then the samples); a big-endian host swaps each
+// float64's bytes in place (wireOrder). The wire is the same either way.
 //
-// Each frame goes out in one Write: the sender's frame buffer reserves
-// the header in front of the payload. Each connection reads through one
-// bufio.Reader whose size is that side's frame cap (its window), and a
-// payload is decoded straight out of the window; a frame larger than the
-// window is a protocol error.
+// Each frame goes out in one Write, its header stamped in front of the
+// payload. Each connection reads through one controlWindow-byte
+// bufio.Reader, and a frame's length is checked at its header, before
+// any payload byte is read (readHeader). A sample payload is read
+// through that reader, which hands any read larger than its buffer
+// straight to the conn: only bytes it buffered past the header are
+// copied.
 
 // Frame types.
 const (
@@ -46,9 +48,9 @@ const (
 	// FrameRefuse rejects it (or a DATA violation): JSON Refuse.
 	FrameRefuse byte = 3
 	// FrameData carries one block: n rx samples then n reference samples
-	// (payload length divisible by 32).
+	// (payload length exactly 32n, n the session's BlockSamples).
 	FrameData byte = 4
-	// FrameOut returns the processed block: n samples.
+	// FrameOut returns the processed block: n samples (16n bytes).
 	FrameOut byte = 5
 	// FrameDone ends the stream cleanly (empty payload).
 	FrameDone byte = 6
@@ -65,8 +67,8 @@ const (
 )
 
 // MaxFramePayload caps any frame's payload (16 MiB: a 512k-sample block
-// with its reference). No sender emits more and no read window is
-// larger, so an oversized frame is a protocol error.
+// with its reference). No sender emits more, and BlockSamples is bounded
+// so that no session's DATA frame is larger.
 const MaxFramePayload = 16 << 20
 
 // frameHeaderLen is the fixed prefix: 4-byte length + 1-byte type.
@@ -236,20 +238,20 @@ func writeJSONFrame(w io.Writer, typ byte, v any) error {
 	return writeFrame(w, typ, frame)
 }
 
-// controlWindow is the read window for control traffic: the daemon's
-// before admission (HELLO, QUERY) and the smallest a client uses. Every
-// JSON frame fits in it.
+// controlWindow is every connection's read buffer size and the largest
+// frame but a session's sample frames; every JSON frame fits in it.
 const controlWindow = 4 << 10
 
-// errFrameTooLarge rejects a frame that does not fit the reader's window
-// before any of its payload is read: a protocol error, never an
+// errFrameLength rejects a frame whose declared length its type does not
+// allow, before any of its payload is read: a protocol error, never an
 // allocation.
-var errFrameTooLarge = errors.New("relayd: frame exceeds the read window")
+var errFrameLength = errors.New("relayd: frame length not allowed for its type")
 
-// readFrame reads one frame through br, whose buffer size is the frame
-// cap. The payload is a view of br's window: valid until br's next read.
+// readFrame reads one control frame through br: every type must fit the
+// control window. The payload is a view of br's buffer, valid until br's
+// next read.
 func readFrame(br *bufio.Reader) (typ byte, payload []byte, err error) {
-	typ, n, err := readHeader(br)
+	typ, n, err := readHeader(br, 0, 0) // no frame has type 0
 	if err != nil {
 		return 0, nil, err
 	}
@@ -258,25 +260,25 @@ func readFrame(br *bufio.Reader) (typ byte, payload []byte, err error) {
 }
 
 // readHeader takes one frame header off br and returns the frame's type
-// and payload length; a frame that would not fit br's window is
-// errFrameTooLarge. It is readFrame's first half, split out so the daemon
-// can re-arm its read deadline between header and payload.
-func readHeader(br *bufio.Reader) (typ byte, n int, err error) {
+// and payload length. A frame of type bulk (DATA at the daemon, OUT at a
+// client) must declare exactly bulkLen bytes and any other must fit the
+// control window; any other length is errFrameLength, returned with the
+// type and length and none of the payload read.
+func readHeader(br *bufio.Reader, bulk byte, bulkLen int) (typ byte, n int, err error) {
 	hdr, err := br.Peek(frameHeaderLen)
 	if err != nil {
 		return 0, 0, err
 	}
-	n = int(binary.BigEndian.Uint32(hdr[:4]))
-	if n > br.Size()-frameHeaderLen {
-		return 0, 0, errFrameTooLarge
+	typ, n = hdr[4], int(binary.BigEndian.Uint32(hdr[:4]))
+	if typ == bulk && n != bulkLen || typ != bulk && n > controlWindow-frameHeaderLen {
+		return typ, n, errFrameLength
 	}
-	typ = hdr[4]
 	_, err = br.Discard(frameHeaderLen)
 	return typ, n, err
 }
 
-// readPayload takes the n-byte payload that follows a header off br and
-// returns it as a view of br's window.
+// readPayload takes the n-byte control payload that follows a header off
+// br and returns it as a view of br's buffer.
 func readPayload(br *bufio.Reader, n int) ([]byte, error) {
 	payload, err := br.Peek(n)
 	if err != nil {
@@ -286,72 +288,25 @@ func readPayload(br *bufio.Reader, n int) ([]byte, error) {
 	return payload, err
 }
 
-// rewindow returns a reader over conn with a window of size bytes that
-// first yields whatever br, conn's reader so far, had already buffered,
-// so no byte is lost when the window changes (a client may send its
-// first DATA frame in the same write as HELLO). Like readFrame it takes
-// the conn as a plain reader; the caller arms the read deadline.
-func rewindow(conn io.Reader, br *bufio.Reader, size int) *bufio.Reader {
-	if br.Buffered() == 0 {
-		return bufio.NewReaderSize(conn, size)
-	}
-	return bufio.NewReaderSize(io.MultiReader(io.LimitReader(br, int64(br.Buffered())), conn), size)
-}
-
 // littleEndian reports that the host stores a float64 in the wire's byte
-// order: its native encoding of 1 puts the low byte first. It is set
-// once, at package init; there the codec is a memory copy, and elsewhere
-// the portable bodies run.
+// order: its native encoding of 1 puts the low byte first.
 var littleEndian = binary.NativeEndian.AppendUint16(nil, 1)[0] != 0
 
-// samplesToBytes serializes samples as little-endian float64 (re, im)
-// pairs into dst, which must hold SampleBytes·len(s) bytes. On a
-// little-endian host the sample memory already is that byte sequence, so
-// it is copied as bytes; samplesToBytesGo runs otherwise.
-func samplesToBytes(dst []byte, s []complex128) {
-	if !littleEndian {
-		samplesToBytesGo(dst, s)
+// sampleBytes views samples as the bytes of their memory: after
+// wireOrder, their wire encoding.
+func sampleBytes(s []complex128) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*SampleBytes)
+}
+
+// wireOrder swaps samples in place between host and wire byte order: a
+// no-op on a little-endian host, a byte reversal of each float64 (its own
+// inverse, through integers, so NaN payloads survive) on a big-endian one.
+func wireOrder(s []complex128) {
+	if littleEndian {
 		return
 	}
-	n := len(s) * SampleBytes
-	if len(dst) < n {
-		panic("relayd: samplesToBytes dst too short")
-	}
-	copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), n))
-}
-
-// bytesToSamples is the exact inverse of samplesToBytes; len(src) must be
-// SampleBytes·len(dst). On a little-endian host the bytes are copied
-// into the sample memory, viewed as bytes; bytesToSamplesGo runs
-// otherwise. src itself is never viewed as samples: a payload sits at an
-// unaligned offset of its frame.
-func bytesToSamples(dst []complex128, src []byte) {
-	if !littleEndian {
-		bytesToSamplesGo(dst, src)
-		return
-	}
-	n := len(dst) * SampleBytes
-	if len(src) < n {
-		panic("relayd: bytesToSamples src too short")
-	}
-	copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), n), src)
-}
-
-// samplesToBytesGo is samplesToBytes's portable body, one float64 at a
-// time through binary.LittleEndian; it runs on big-endian hosts.
-func samplesToBytesGo(dst []byte, s []complex128) {
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(dst[i*SampleBytes:], math.Float64bits(real(v)))
-		binary.LittleEndian.PutUint64(dst[i*SampleBytes+8:], math.Float64bits(imag(v)))
-	}
-}
-
-// bytesToSamplesGo is bytesToSamples's portable body; it runs on
-// big-endian hosts.
-func bytesToSamplesGo(dst []complex128, src []byte) {
-	for i := range dst {
-		re := math.Float64frombits(binary.LittleEndian.Uint64(src[i*SampleBytes:]))
-		im := math.Float64frombits(binary.LittleEndian.Uint64(src[i*SampleBytes+8:]))
-		dst[i] = complex(re, im)
+	b := sampleBytes(s)
+	for i := 0; i < len(b); i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], binary.NativeEndian.Uint64(b[i:]))
 	}
 }

@@ -60,9 +60,48 @@ func TestWriteFrameRejectsOversizedPayload(t *testing.T) {
 	}
 }
 
+// samplesToBytesGo is the wire encoding of s spelled out: each float64
+// little-endian, real part first, one binary.LittleEndian store at a
+// time. The sample-memory path is pinned to it.
+func samplesToBytesGo(s []complex128) []byte {
+	dst := make([]byte, len(s)*SampleBytes)
+	for i, v := range s {
+		binary.LittleEndian.PutUint64(dst[i*SampleBytes:], math.Float64bits(real(v)))
+		binary.LittleEndian.PutUint64(dst[i*SampleBytes+8:], math.Float64bits(imag(v)))
+	}
+	return dst
+}
+
+// bytesToSamplesGo is the inverse of samplesToBytesGo.
+func bytesToSamplesGo(src []byte) []complex128 {
+	dst := make([]complex128, len(src)/SampleBytes)
+	for i := range dst {
+		re := math.Float64frombits(binary.LittleEndian.Uint64(src[i*SampleBytes:]))
+		im := math.Float64frombits(binary.LittleEndian.Uint64(src[i*SampleBytes+8:]))
+		dst[i] = complex(re, im)
+	}
+	return dst
+}
+
+// sameSamples reports whether a and b hold the same bits, sample for
+// sample.
+func sameSamples(a, b []complex128) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestSamplesRoundTripBitExact pins the bit-transparency of the sample
-// encoding, including signed zero and subnormals: the daemon must return
-// exactly the floats the chain computed.
+// encoding, including signed zero and subnormals: samples put on the
+// wire from one sample memory and read off it into another come back
+// exactly, so the daemon returns exactly the floats the chain computed.
 func TestSamplesRoundTripBitExact(t *testing.T) {
 	src := rng.New(42)
 	in := src.NoiseVector(61, 1)
@@ -71,27 +110,27 @@ func TestSamplesRoundTripBitExact(t *testing.T) {
 		complex(5e-324, -5e-324),
 		complex(math.MaxFloat64, -math.MaxFloat64),
 	)
-	raw := make([]byte, len(in)*SampleBytes)
-	samplesToBytes(raw, in)
+	sent := append([]complex128(nil), in...)
+	wireOrder(sent)
+	wire := bytes.Clone(sampleBytes(sent))
 	out := make([]complex128, len(in))
-	bytesToSamples(out, raw)
-	for i := range in {
-		if math.Float64bits(real(in[i])) != math.Float64bits(real(out[i])) ||
-			math.Float64bits(imag(in[i])) != math.Float64bits(imag(out[i])) {
-			t.Fatalf("sample %d: %v round-tripped to %v (bit-exact required)", i, in[i], out[i])
-		}
+	copy(sampleBytes(out), wire)
+	wireOrder(out)
+	if !sameSamples(out, in) {
+		t.Fatalf("samples did not round-trip bit for bit:\n got %v\nwant %v", out, in)
 	}
 }
 
-// TestSampleCodecMatchesPortable pins the dispatching codec (a memory
-// copy on little-endian hosts, the portable bodies elsewhere) to the
-// portable bodies byte for byte, in both directions. The samples are
-// random 64-bit patterns, so signalling and quiet NaN payloads occur,
-// with ±0, ±Inf, subnormals and NaNs of both kinds mixed in; the byte
-// side sits at offset 0 and at offset frameHeaderLen, where a frame's
-// payload starts, so an unaligned window is covered too.
+// TestSampleCodecMatchesPortable pins the sample memory's wire bytes
+// (sampleBytes after wireOrder: a view on little-endian hosts, a byte
+// swap per float64 elsewhere) to samplesToBytesGo byte for byte, and the
+// decode (wireOrder over bytes read into the memory) to
+// bytesToSamplesGo bit for bit. The samples are random 64-bit patterns,
+// so signalling and quiet NaN payloads occur, with ±0, ±Inf, subnormals
+// and NaNs of both kinds mixed in; a spare sample past the range must
+// come through untouched.
 func TestSampleCodecMatchesPortable(t *testing.T) {
-	t.Logf("sample codec: littleEndian=%v (memory copy when true, portable bodies otherwise)", littleEndian)
+	t.Logf("sample codec: littleEndian=%v (wireOrder is a no-op when true, a byte swap otherwise)", littleEndian)
 	specials := []uint64{
 		0, 1 << 63, // ±0
 		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
@@ -111,65 +150,36 @@ func TestSampleCodecMatchesPortable(t *testing.T) {
 		lengths = append(lengths, n)
 	}
 	lengths = append(lengths, 4096)
+	spare := complex(7, 7)
 	for _, n := range lengths {
-		for _, off := range []int{0, frameHeaderLen} {
-			s := make([]complex128, n)
-			for i := range s {
-				s[i] = complex(word(), word())
-			}
-			// Encode into frames prefilled alike, so a byte written
-			// outside the sample range, or one left unwritten, differs.
-			got, want := make([]byte, off+n*SampleBytes+8), make([]byte, off+n*SampleBytes+8)
-			for i := range got {
-				got[i], want[i] = 0xa5, 0xa5
-			}
-			samplesToBytes(got[off:off+n*SampleBytes], s)
-			samplesToBytesGo(want[off:off+n*SampleBytes], s)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("n=%d offset %d: samplesToBytes differs from samplesToBytesGo", n, off)
-			}
-			// Decode that encoding back, one spare sample past the range.
-			src := want[off : off+n*SampleBytes]
-			gs, ws := make([]complex128, n+1), make([]complex128, n+1)
-			gs[n], ws[n] = complex(7, 7), complex(7, 7)
-			bytesToSamples(gs[:n], src)
-			bytesToSamplesGo(ws[:n], src)
-			for i := range gs {
-				if math.Float64bits(real(gs[i])) != math.Float64bits(real(ws[i])) ||
-					math.Float64bits(imag(gs[i])) != math.Float64bits(imag(ws[i])) {
-					t.Fatalf("n=%d offset %d: sample %d decodes to %#x/%#x, portable %#x/%#x", n, off, i,
-						math.Float64bits(real(gs[i])), math.Float64bits(imag(gs[i])),
-						math.Float64bits(real(ws[i])), math.Float64bits(imag(ws[i])))
-				}
-			}
+		s := make([]complex128, n)
+		for i := range s {
+			s[i] = complex(word(), word())
+		}
+		want := samplesToBytesGo(s)
+
+		// Encode: the memory's bytes after wireOrder are the wire's.
+		mem := append(append([]complex128(nil), s...), spare)
+		wireOrder(mem[:n])
+		if got := sampleBytes(mem[:n]); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: encoded sample memory differs from samplesToBytesGo", n)
+		}
+		if !sameSamples(mem[n:], []complex128{spare}) {
+			t.Fatalf("n=%d: encoding wrote the spare sample past the range", n)
+		}
+
+		// Decode those bytes read into a fresh memory back.
+		mem = make([]complex128, n+1)
+		mem[n] = spare
+		copy(sampleBytes(mem[:n]), want)
+		wireOrder(mem[:n])
+		if ws := bytesToSamplesGo(want); !sameSamples(mem[:n], ws) {
+			t.Fatalf("n=%d: decoded sample memory differs from bytesToSamplesGo", n)
+		}
+		if !sameSamples(mem[:n], s) || !sameSamples(mem[n:], []complex128{spare}) {
+			t.Fatalf("n=%d: decode did not restore the samples bit for bit, or wrote the spare", n)
 		}
 	}
-}
-
-// BenchmarkSampleCodec times the codec on one served 4096-sample block:
-// encode is a DATA payload's worth of samples into a frame, decode an
-// OUT payload back, both at the payload's unaligned frame offset.
-func BenchmarkSampleCodec(b *testing.B) {
-	const n = 4096
-	s := rng.New(3).NoiseVector(n, 1)
-	frame := make([]byte, frameHeaderLen+n*SampleBytes)
-	payload := frame[frameHeaderLen:]
-	b.Run("encode", func(b *testing.B) {
-		b.SetBytes(n * SampleBytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			samplesToBytes(payload, s)
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		samplesToBytes(payload, s)
-		out := make([]complex128, n)
-		b.SetBytes(n * SampleBytes)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bytesToSamples(out, payload)
-		}
-	})
 }
 
 func TestValidateRejectsBadParams(t *testing.T) {
@@ -202,10 +212,11 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	}
 }
 
-// FuzzReadFrame asserts the frame reader never panics and never returns
-// a payload over its window on arbitrary wire bytes, and rejects a frame
-// over the window without allocating. Every frame it parsed, and the raw
-// input itself as one DATA payload when that fits, is then re-emitted
+// FuzzReadFrame asserts the control-frame reader never panics and never
+// returns a payload over the control window on arbitrary wire bytes, and
+// rejects a frame of a length it does not take (over the window, or of
+// the unused type 0 and not empty) without allocating. Every frame it
+// parsed, and the raw input itself as one DATA payload when that fits, is then re-emitted
 // with writeFrame — each as exactly [length BE32][type][payload] — and
 // must read back byte-identical through the window over sources that
 // deliver the wire one byte, or half a read, at a time.
@@ -228,15 +239,15 @@ func FuzzReadFrame(f *testing.F) {
 		for {
 			off := len(raw) - src.Len() - br.Buffered()
 			typ, payload, err := readFrame(br)
-			if errors.Is(err, errFrameTooLarge) {
+			if errors.Is(err, errFrameLength) {
 				rest := raw[off:]
 				allocs := testing.AllocsPerRun(5, func() {
 					src.Reset(rest)
 					br.Reset(&src)
 					_, _, err = readFrame(br)
 				})
-				if !errors.Is(err, errFrameTooLarge) || allocs != 0 {
-					t.Fatalf("frame over the window: err %v, %v allocs; want errFrameTooLarge, 0 allocs", err, allocs)
+				if !errors.Is(err, errFrameLength) || allocs != 0 {
+					t.Fatalf("frame over the window: err %v, %v allocs; want errFrameLength, 0 allocs", err, allocs)
 				}
 			}
 			if err != nil {

@@ -29,6 +29,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -407,30 +408,28 @@ func (s *Server) release(sess *Session, completed bool) {
 // and counted by the time a caller sees it.
 var errDeadline = errors.New("relayd: failed to arm conn deadline")
 
-// readSessionFrame reads one frame through br with the two-phase
-// deadline: the idle timeout governs waiting for the 5-byte header
-// (expiry means the peer went quiet — idle=true), the read timeout
-// governs the payload once the header landed (expiry is an I/O error).
-// The payload is a view of br's window, as readFrame's is.
-func (s *Server) readSessionFrame(conn net.Conn, br *bufio.Reader) (typ byte, payload []byte, idle bool, err error) {
+// readSessionHeader reads one frame header through br (readHeader, DATA
+// of dataLen bytes) with the two-phase deadline: the idle timeout governs
+// waiting for the header (expiry means the peer went quiet — idle=true),
+// the read timeout the payload the caller then reads (an I/O error).
+func (s *Server) readSessionHeader(conn net.Conn, br *bufio.Reader, dataLen int) (typ byte, n int, idle bool, err error) {
 	idleBy := time.Time{}
 	if s.cfg.IdleTimeout > 0 {
 		idleBy = time.Now().Add(s.cfg.IdleTimeout)
 	}
 	if !s.armReadDeadline(conn, idleBy) {
-		return 0, nil, false, errDeadline
+		return 0, 0, false, errDeadline
 	}
-	typ, n, err := readHeader(br)
+	typ, n, err = readHeader(br, FrameData, dataLen)
 	if err != nil {
-		return 0, nil, isTimeout(err), err
+		return typ, n, isTimeout(err), err
 	}
 	if s.cfg.ReadTimeout > 0 {
 		if !s.armReadDeadline(conn, time.Now().Add(s.cfg.ReadTimeout)) {
-			return 0, nil, false, errDeadline
+			return 0, 0, false, errDeadline
 		}
 	}
-	payload, err = readPayload(br, n)
-	return typ, payload, false, err
+	return typ, n, false, nil
 }
 
 func isTimeout(err error) bool {
@@ -510,8 +509,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 
-	// The session's window is exactly one DATA frame.
-	completed := s.streamSession(conn, rewindow(conn, br, frameHeaderLen+2*p.BlockSamples*SampleBytes), sess)
+	// br may already hold the first DATA frame: a client can send it in
+	// the same write as HELLO.
+	completed := s.streamSession(conn, br, sess)
 	s.release(sess, completed)
 }
 
@@ -526,7 +526,10 @@ func (s *Server) serveQuery(conn net.Conn, br *bufio.Reader) {
 		if !s.answerQuery(conn) {
 			return
 		}
-		typ, _, idle, err := s.readSessionFrame(conn, br)
+		typ, n, idle, err := s.readSessionHeader(conn, br, -1) // no DATA frame fits
+		if err == nil && typ == FrameQuery {
+			_, err = br.Discard(n)
+		}
 		if err != nil {
 			if !idle {
 				s.m.ioErrors.Inc(0)
@@ -564,24 +567,29 @@ func (s *Server) answerQuery(conn net.Conn) bool {
 }
 
 // streamSession runs the admitted session's frame loop and reports
-// whether the stream ended cleanly with DONE.
+// whether the stream ended cleanly with DONE. A DATA payload is read into
+// the sample memory (a header slot, rx, the reference), the chain runs on
+// rx in place, and OUT leaves from the header slot's tail through rx.
 func (s *Server) streamSession(conn net.Conn, br *bufio.Reader, sess *Session) bool {
 	n := sess.Params.BlockSamples
-	rx := make([]complex128, n)
-	refSamples := make([]complex128, n)
-	out := make([]byte, frameHeaderLen+n*SampleBytes) // OUT frame: header, then samples
+	mem := make([]complex128, 1+2*n)
+	rx, refSamples := mem[1:1+n], mem[1+n:]
+	raw := sampleBytes(mem)
+	data := raw[SampleBytes:]
+	out := raw[SampleBytes-frameHeaderLen : SampleBytes*(1+n)]
 	bucket := newTokenBucket(s.cfg.SessionRate, float64(s.cfg.BurstSamples))
 
 	for {
-		typ, payload, idle, err := s.readSessionFrame(conn, br)
+		typ, size, idle, err := s.readSessionHeader(conn, br, len(data))
 		if err != nil {
 			switch {
 			case idle:
 				s.m.evictedIdle.Inc(sess.shard)
-			case errors.Is(err, errFrameTooLarge):
-				// An admitted client learns why, as for a DATA frame of
-				// the wrong size; nothing of the frame is read.
-				s.refuse(conn, RefuseProtocol, "frame over the session's "+strconv.Itoa(br.Size())+"-byte window")
+			case errors.Is(err, errFrameLength):
+				// An admitted client learns why; nothing of the frame is read.
+				s.refuse(conn, RefuseProtocol, "frame type "+strconv.Itoa(int(typ))+" declares "+
+					strconv.Itoa(size)+" bytes, not "+strconv.Itoa(len(data))+" (data) or at most "+
+					strconv.Itoa(controlWindow-frameHeaderLen))
 				s.m.ioErrors.Inc(sess.shard)
 			default:
 				s.m.ioErrors.Inc(sess.shard)
@@ -591,21 +599,19 @@ func (s *Server) streamSession(conn net.Conn, br *bufio.Reader, sess *Session) b
 		s.m.framesIn.Inc(sess.shard)
 		switch typ {
 		case FrameData:
-			if len(payload) != 2*n*SampleBytes {
-				s.refuse(conn, RefuseProtocol,
-					"data frame carries "+strconv.Itoa(len(payload))+
-						" bytes, want "+strconv.Itoa(2*n*SampleBytes))
+			if _, err := io.ReadFull(br, data); err != nil {
 				s.m.ioErrors.Inc(sess.shard)
 				return false
 			}
+			wireOrder(mem[1:])
 			s.throttle(bucket, float64(n), sess)
-			bytesToSamples(rx, payload[:n*SampleBytes])
-			bytesToSamples(refSamples, payload[n*SampleBytes:])
 			sess.cancel.SetReference(refSamples)
 			sess.state.Store(int32(StateStreaming))
 			// A served block is a round of one session (the
-			// pipeline.batch.* round counters).
-			samplesToBytes(out[frameHeaderLen:], sess.chain.Process(rx))
+			// pipeline.batch.* round counters). Every session stage runs
+			// in place, so OUT's samples are rx.
+			sess.chain.Process(rx)
+			wireOrder(rx)
 			s.po.BatchSweeps.Inc(sess.shard)
 			s.po.BatchSessions.Inc(sess.shard)
 			if !s.setWriteDeadline(conn) {
