@@ -160,7 +160,7 @@ fleet-served-smoke: build
 	$(GO) build -o $(SMOKE)/ffrelayd ./cmd/ffrelayd
 	$(GO) run ./cmd/ffsim -fig fleet -fleet-relays 1,3 -fleet-clients 20,40 -fleet-cap 8 -workers 4 -sic-trials 0 -seed 2 -manifest $(SMOKE)/fleet-local.json > /dev/null
 	$(GO) run ./cmd/ffsim -fig fleet -fleet-relays 1,3 -fleet-clients 20,40 -fleet-cap 8 -workers 4 -sic-trials 0 -seed 2 -serve-mode wire -fleet-exec $(SMOKE)/ffrelayd -manifest $(SMOKE)/fleet-wire.json > /dev/null
-	$(GO) run ./cmd/manifestcheck -require fleet.spilled,fleet.wire.hellos,fleet.wire.accepted,fleet.wire.refused,fleet.wire.releases,fleet.wire.load_queries,fleet.wire.blocks,fleet.wire.verified_sessions $(SMOKE)/fleet-wire.json
+	$(GO) run ./cmd/manifestcheck -require fleet.spilled,fleet.wire.hellos,fleet.wire.accepted,fleet.wire.refused,fleet.wire.releases,fleet.wire.load_queries,fleet.wire.blocks,fleet.wire.verified_sessions,fleet.wire.dials $(SMOKE)/fleet-wire.json
 	$(GO) run ./cmd/manifestcheck -diff -ignore fleet.wire. $(SMOKE)/fleet-local.json $(SMOKE)/fleet-wire.json
 	rm -rf $(SMOKE)
 

@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"fastforward/internal/obs"
 	"fastforward/internal/rng"
@@ -152,5 +154,38 @@ func TestServeModeSweepManifestsMatch(t *testing.T) {
 	}
 	if n := counterVal(wireOnly, "fleet.wire.io_errors"); n != 0 {
 		t.Errorf("fleet.wire.io_errors = %v, want 0 (loopback daemons must not flap)", n)
+	}
+	// Connections outlive their conversations: a dial per admission would
+	// mean they are not reused.
+	if d, h := counterVal(wireOnly, "fleet.wire.dials"), counterVal(wireOnly, "fleet.wire.hellos"); !(d > 0 && d < h) {
+		t.Errorf("fleet.wire.dials = %v for %v hellos, want fewer dials than hellos", d, h)
+	}
+}
+
+// TestProcessPoolCloseRightAfterSpawn: a pool closed before its daemons'
+// accept loops have started leaves nothing running — each Serve that
+// starts after its server closed returns at once — so the goroutine count
+// comes back to where it was.
+func TestProcessPoolCloseRightAfterSpawn(t *testing.T) {
+	sc, err := scenarioByName("home")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg := DefaultCellConfig(sc, 4, 10, rng.ItemSeed(serveTestSeed, 1))
+	reg := BuildCell(ccfg).Pool.Registry()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		pp, err := NewProcessPool(reg, ProcessPoolConfig{Pool: ccfg.Pool, Spec: DefaultWireSpec()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > before; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5 s after 50 pools closed, %d before", n, before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

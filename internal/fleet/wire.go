@@ -55,6 +55,7 @@ type wireMetrics struct {
 	blocks      *obs.Counter
 	verified    *obs.Counter
 	ioErrors    *obs.Counter
+	dials       *obs.Counter
 }
 
 func newWireMetrics(reg *obs.Registry) wireMetrics {
@@ -67,15 +68,21 @@ func newWireMetrics(reg *obs.Registry) wireMetrics {
 		blocks:      reg.Counter("fleet.wire.blocks", "blocks"),
 		verified:    reg.Counter("fleet.wire.verified_sessions", "sessions"),
 		ioErrors:    reg.Counter("fleet.wire.io_errors", "errors"),
+		dials:       reg.Counter("fleet.wire.dials", "connections"),
 	}
 }
 
 // WireEndpoint serves a relay's admission over the wire: Admit is a live
-// HELLO to an ffrelayd, Release closes the session (the daemon frees the
-// budget slot before acknowledging), and occupancy/load come back over a
-// QUERY control connection. REFUSE codes pass through untouched, so the
-// scheduler's spill decisions are driven by the same vocabulary as in
-// local mode; a transport failure synthesizes RefuseUnreachable.
+// HELLO to an ffrelayd, Release ends the session (the daemon frees the
+// budget slot before acknowledging), and occupancy/load come back over
+// QUERY. REFUSE codes pass through untouched, so the scheduler's spill
+// decisions are driven by the same vocabulary as in local mode; a
+// transport failure synthesizes RefuseUnreachable.
+//
+// Connections to the daemon are kept alive between conversations: a
+// QUERY, a refused HELLO or a released session leaves its connection on
+// a stack of idle ones, and the next conversation takes the top one,
+// dialing only when the stack is empty.
 //
 // Not concurrency-safe — the Pool serializes all calls.
 type WireEndpoint struct {
@@ -83,7 +90,9 @@ type WireEndpoint struct {
 	spec WireSpec
 
 	sessions map[string]*relayd.Client
-	info     *relayd.InfoClient
+	// idle holds the connections between conversations, the most recently
+	// used on top.
+	idle []*relayd.Conn
 
 	// lastLoad / maxSessions cache the last successful QUERY so a
 	// transient control-connection failure degrades to stale data (and an
@@ -143,10 +152,11 @@ func (e *WireEndpoint) Admit(key string, sb relay.SessionBudget) (relay.AmpDecis
 		RxOverNoiseDB:  sb.RxOverNoiseDB,
 	}
 	e.m.hellos.Inc(e.shard)
-	// One dial: the daemon's address is known, so a refused connect means
-	// it is down, and the placement walk spills at once instead of
-	// sleeping through a backoff.
-	c, err := relayd.DialTimeout(e.addr, p, nil, 1, e.spec.Timeout)
+	var c *relayd.Client
+	_, err := e.converse(func(conn *relayd.Conn) (err error) {
+		c, err = conn.Open(p)
+		return err
+	})
 	if err != nil {
 		var ref *relayd.Refuse
 		if errors.As(err, &ref) {
@@ -161,9 +171,7 @@ func (e *WireEndpoint) Admit(key string, sb relay.SessionBudget) (relay.AmpDecis
 	if !ok {
 		// The daemon speaks a vocabulary this scheduler does not; treat
 		// the grant as unusable and walk it back.
-		if _, cerr := c.Close(); cerr != nil {
-			e.m.ioErrors.Inc(e.shard)
-		}
+		e.end(c)
 		e.m.ioErrors.Inc(e.shard)
 		return relay.AmpDecision{}, false, &relayd.Refuse{
 			Code: relayd.RefuseProtocol, Detail: fmt.Sprintf("unknown amp bound %q", acc.AmpBound)}
@@ -178,8 +186,8 @@ func (e *WireEndpoint) Admit(key string, sb relay.SessionBudget) (relay.AmpDecis
 	return dec, acc.Degraded, nil
 }
 
-// Release closes the session. The daemon frees the budget slot before it
-// writes the STATS frame Close reads, so the slot is observably free on
+// Release ends the session. The daemon frees the budget slot before it
+// writes the STATS frame End reads, so the slot is observably free on
 // return — the make-before-break invariant holds over the wire.
 func (e *WireEndpoint) Release(key string) bool {
 	c, ok := e.sessions[key]
@@ -187,38 +195,89 @@ func (e *WireEndpoint) Release(key string) bool {
 		return false
 	}
 	delete(e.sessions, key)
-	if _, err := c.Close(); err != nil {
-		e.m.ioErrors.Inc(e.shard)
-	}
+	e.end(c)
 	e.m.releases.Inc(e.shard)
 	return true
 }
 
-// query runs one QUERY/INFO round trip over the lazily dialed control
-// connection, redialing at most once (the daemon may have idled it out).
-// A success caches the daemon's load and session cap; a failure counts
-// one io_error.
-func (e *WireEndpoint) query() (relayd.Info, bool) {
-	for attempt := 0; attempt < 2; attempt++ {
-		if e.info == nil {
-			ic, err := relayd.DialInfo(e.addr, e.spec.Timeout)
-			if err != nil {
-				break
-			}
-			e.info = ic
-		}
-		info, err := e.info.Query()
-		if err == nil {
-			e.m.loadQueries.Inc(e.shard)
-			e.lastLoad = info.ResidualLoad
-			e.maxSessions, e.haveMax = info.MaxSessions, true
-			return info, true
-		}
-		e.info.Close() // stale control conn; the query error told us all we need
-		e.info = nil
+// end closes a session with DONE/STATS and puts its connection back on
+// the idle stack; a failed close counts one io_error and drops the
+// connection.
+func (e *WireEndpoint) end(c *relayd.Client) {
+	if _, err := c.End(); err != nil {
+		c.Conn().Close()
+		e.m.ioErrors.Inc(e.shard)
+		return
 	}
-	e.m.ioErrors.Inc(e.shard)
-	return relayd.Info{}, false
+	e.idle = append(e.idle, c.Conn())
+}
+
+// converse runs one conversation, f, on the top idle connection, or on a
+// new dial when none is idle, and returns the connection f ran on. A
+// refusal leaves the connection idle: it goes back on the stack. Any
+// other failure closes it; if the connection was reused and the daemon
+// had closed it before answering (relayd.ErrPeerClosed — it idled the
+// connection out, or restarted), the rest of the stack, idle longer
+// still, is closed too and f runs once more on a new dial. A dial is
+// tried once, with no backoff: the daemon's address is known, so a
+// refused connect means it is down, and the placement walk spills at
+// once instead of sleeping through a backoff.
+func (e *WireEndpoint) converse(f func(*relayd.Conn) error) (*relayd.Conn, error) {
+	for {
+		reused := len(e.idle) > 0
+		var conn *relayd.Conn
+		if reused {
+			conn = e.idle[len(e.idle)-1]
+			e.idle = e.idle[:len(e.idle)-1]
+		} else {
+			e.m.dials.Inc(e.shard)
+			var err error
+			if conn, err = relayd.Dial(e.addr, e.spec.Timeout); err != nil {
+				return nil, err
+			}
+		}
+		err := f(conn)
+		var ref *relayd.Refuse
+		switch {
+		case err == nil:
+			return conn, nil
+		case errors.As(err, &ref):
+			e.idle = append(e.idle, conn)
+			return nil, err
+		}
+		conn.Close() // the error told us all we need
+		if !reused || !errors.Is(err, relayd.ErrPeerClosed) {
+			return nil, err
+		}
+		e.closeIdle()
+	}
+}
+
+// closeIdle closes every idle connection.
+func (e *WireEndpoint) closeIdle() {
+	for _, conn := range e.idle {
+		conn.Close() // nothing is in flight on an idle connection
+	}
+	e.idle = nil
+}
+
+// query runs one QUERY/INFO round trip (converse). A success caches the
+// daemon's load and session cap; a failure counts one io_error.
+func (e *WireEndpoint) query() (relayd.Info, bool) {
+	var info relayd.Info
+	conn, err := e.converse(func(conn *relayd.Conn) (err error) {
+		info, err = conn.Query()
+		return err
+	})
+	if err != nil {
+		e.m.ioErrors.Inc(e.shard)
+		return relayd.Info{}, false
+	}
+	e.idle = append(e.idle, conn)
+	e.m.loadQueries.Inc(e.shard)
+	e.lastLoad = info.ResidualLoad
+	e.maxSessions, e.haveMax = info.MaxSessions, true
+	return info, true
 }
 
 // ResidualLoad returns the daemon's aggregate residual load, or the last
@@ -280,9 +339,9 @@ func (e *WireEndpoint) ActiveSessions() []string {
 	return keys
 }
 
-// CloseSessions closes every admitted session and the control
-// connection; the endpoint stays usable (sessions can be admitted
-// again). Returns the number of sessions closed.
+// CloseSessions releases every admitted session and closes every
+// connection; the endpoint stays usable (sessions can be admitted again).
+// Returns the number of sessions released.
 func (e *WireEndpoint) CloseSessions() int {
 	n := 0
 	for k := range e.sessions {
@@ -290,9 +349,6 @@ func (e *WireEndpoint) CloseSessions() int {
 			n++
 		}
 	}
-	if e.info != nil {
-		e.info.Close()
-		e.info = nil
-	}
+	e.closeIdle()
 	return n
 }

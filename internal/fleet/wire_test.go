@@ -11,8 +11,9 @@ import (
 )
 
 // TestWireEndpointFailurePaths drives a WireEndpoint's transport failures
-// against an in-process daemon. A control connection the daemon idled
-// out is redialed once and the query succeeds; once the daemon is gone,
+// against an in-process daemon. A connection the daemon idled out —
+// after a query, or after a released session — is redialed once and the
+// query or admission succeeds with no io_error; once the daemon is gone,
 // Admit refuses with RefuseUnreachable, Sessions falls back to the
 // endpoint's own books, ResidualLoad to the last load it saw, and
 // MaxSessions keeps its cached cap, each failure counting one io_error.
@@ -33,27 +34,39 @@ func TestWireEndpointFailurePaths(t *testing.T) {
 	ep := NewWireEndpoint(ln.Addr().String(), DefaultWireSpec(), reg, 0)
 	queries := reg.Counter("fleet.wire.load_queries", "queries")
 	ioErrors := reg.Counter("fleet.wire.io_errors", "errors")
+	dials := reg.Counter("fleet.wire.dials", "connections")
 
-	// The daemon idles the control connection out between two queries;
-	// the second query redials it.
+	// The daemon idles the connection out between two queries; the second
+	// query redials it.
 	if n := ep.Sessions(); n != 0 {
 		t.Fatalf("Sessions() = %d on an idle daemon, want 0", n)
 	}
-	first := ep.info
 	time.Sleep(5 * idle)
 	if n := ep.Sessions(); n != 0 {
 		t.Fatalf("Sessions() after the idle timeout = %d, want 0", n)
 	}
-	if ep.info == first {
-		t.Fatal("the idled-out control connection was not redialed")
-	}
-	if q, e := queries.Value(), ioErrors.Value(); q != 2 || e != 0 {
-		t.Fatalf("load_queries=%d io_errors=%d after the redial, want 2/0", q, e)
+	if q, e, d := queries.Value(), ioErrors.Value(), dials.Value(); q != 2 || e != 0 || d != 2 {
+		t.Fatalf("load_queries=%d io_errors=%d dials=%d after the redial, want 2/0/2", q, e, d)
 	}
 
+	// Admit reuses the query's connection, and Release leaves it idle;
+	// once the daemon has idled it out, the next Admit redials.
 	sb := relay.SessionBudget{CancellationDB: 110, RDAttenDB: 60, PAHeadroomDB: 40, RxOverNoiseDB: 30}
 	if _, _, ref := ep.Admit("c1", sb); ref != nil {
 		t.Fatalf("Admit on a live daemon refused: %v", ref)
+	}
+	if d := dials.Value(); d != 2 {
+		t.Fatalf("Admit dialed with an idle connection at hand (dials = %d, want 2)", d)
+	}
+	if !ep.Release("c1") {
+		t.Fatal("Release of an admitted session reported no session")
+	}
+	time.Sleep(5 * idle)
+	if _, _, ref := ep.Admit("c1", sb); ref != nil {
+		t.Fatalf("Admit over an idled-out connection refused: %v", ref)
+	}
+	if e, d := ioErrors.Value(), dials.Value(); e != 0 || d != 3 {
+		t.Fatalf("io_errors=%d dials=%d after redialing the idled-out connection, want 0/3", e, d)
 	}
 	load := ep.ResidualLoad()
 	if !(load > 0) {

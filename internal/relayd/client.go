@@ -7,14 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"syscall"
 	"time"
 
 	"fastforward/internal/rng"
 )
 
 // clientConn is the client side of one daemon connection, shared by
-// Client and InfoClient. It is not safe for concurrent use: one exchange
-// is in flight at a time, mirroring the daemon's one-block-in-flight
+// Conn and Client. It is not safe for concurrent use: one exchange is in
+// flight at a time, mirroring the daemon's one-block-in-flight
 // discipline.
 type clientConn struct {
 	conn net.Conn
@@ -24,9 +25,12 @@ type clientConn struct {
 	timeout time.Duration
 }
 
-func newClientConn(conn net.Conn, timeout time.Duration) clientConn {
-	return clientConn{conn: conn, br: bufio.NewReaderSize(conn, controlWindow), timeout: timeout}
-}
+// ErrPeerClosed marks an exchange that found its connection already
+// closed by the daemon: the request could not be written, or the
+// connection ended (EOF or reset) before any byte of a reply. The daemon
+// answered nothing, so the exchange may be retried on a new connection —
+// the case of an idle connection the daemon timed out or closed.
+var ErrPeerClosed = errors.New("relayd: connection closed by the daemon")
 
 // send starts every client exchange: it arms the conn's deadline (or
 // clears it when timeout is zero; a conn it cannot arm is closed), writes
@@ -38,12 +42,26 @@ func (c *clientConn) send(typ byte, frame []byte, bulk byte, bulkLen int) (got b
 	}
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		c.conn.Close()
-		return 0, 0, err
+		return 0, 0, c.peerClosed(err)
 	}
 	if err := writeFrame(c.conn, typ, frame); err != nil {
-		return 0, 0, err
+		return 0, 0, c.peerClosed(err)
 	}
-	return readHeader(c.br, bulk, bulkLen)
+	got, n, err = readHeader(c.br, bulk, bulkLen)
+	if err != nil {
+		err = c.peerClosed(err)
+	}
+	return got, n, err
+}
+
+// peerClosed wraps err in ErrPeerClosed if it shows the daemon had closed
+// the connection before any reply byte arrived.
+func (c *clientConn) peerClosed(err error) error {
+	if c.br.Buffered() == 0 && (err == io.EOF || errors.Is(err, syscall.ECONNRESET) ||
+		errors.Is(err, syscall.EPIPE) || errors.Is(err, io.ErrClosedPipe)) {
+		return fmt.Errorf("%w: %w", ErrPeerClosed, err)
+	}
+	return err
 }
 
 // readReply reads the n-byte control payload of a got reply off br and
@@ -75,15 +93,75 @@ func (c *clientConn) roundTrip(typ byte, frame []byte, want byte) ([]byte, error
 	return readReply(c.br, got, n, want)
 }
 
-// Client is one side of a relay session: it performs the HELLO handshake,
-// streams DATA blocks, and collects the final STATS. A Client is not safe
-// for concurrent use.
+// Conn is a daemon connection between conversations. On it a client
+// asks for the admission state (Query) or opens a session (Open); a
+// session ended with Client.End leaves it idle again, so one connection
+// serves any number of conversations in turn. Like Client it is not safe
+// for concurrent use, and it must not be used while a session opened on
+// it is live.
+type Conn struct {
+	clientConn
+}
+
+// newConn wraps an established connection as Dial does.
+func newConn(conn net.Conn, timeout time.Duration) *Conn {
+	return &Conn{clientConn{conn: conn, br: bufio.NewReaderSize(conn, controlWindow), timeout: timeout}}
+}
+
+// Dial connects to a daemon once, with a per-exchange I/O timeout (zero
+// means block indefinitely). No frame is exchanged until Query or Open.
+func Dial(addr string, timeout time.Duration) (*Conn, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return newConn(conn, timeout), nil
+}
+
+// Query performs one QUERY/INFO round trip.
+func (c *Conn) Query() (Info, error) {
+	var info Info
+	payload, err := c.roundTrip(FrameQuery, make([]byte, frameHeaderLen), FrameInfo)
+	if err != nil {
+		return info, err
+	}
+	err = json.Unmarshal(payload, &info)
+	return info, err
+}
+
+// Open runs the HELLO handshake and returns the admitted session, which
+// holds the connection until End. A refusal returns the daemon's *Refuse
+// and leaves the connection idle (a daemon that is draining closes it
+// after the REFUSE); any other error leaves it unusable.
+func (c *Conn) Open(params SessionParams) (*Client, error) {
+	hello, err := jsonFrame(params)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := c.roundTrip(FrameHello, hello, FrameAccept)
+	if err != nil {
+		return nil, err
+	}
+	s := &Client{clientConn: c.clientConn, params: params}
+	if err := json.Unmarshal(payload, &s.accept); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Close closes the connection.
+func (c *Conn) Close() error { return c.conn.Close() }
+
+// Client is one side of a relay session: opened with a HELLO handshake
+// (Conn.Open), it streams DATA blocks and collects the final STATS. A
+// Client is not safe for concurrent use.
 type Client struct {
 	clientConn
 	params SessionParams
 	accept Accept
 	// mem is the DATA frame's sample memory (a header slot, rx, the
-	// reference); data views it as the frame, from the slot's tail on.
+	// reference), made by the first Process; data views it as the frame,
+	// from the slot's tail on.
 	mem    []complex128
 	data   []byte
 	blocks uint64
@@ -93,25 +171,13 @@ type Client struct {
 // with a per-exchange I/O timeout (zero means block indefinitely); the
 // handshake itself and every later Process/Close round trip are bounded
 // by it. On refusal it returns the daemon's *Refuse and closes the
-// connection.
+// connection, as it does on any other error.
 func NewClientConnTimeout(conn net.Conn, params SessionParams, timeout time.Duration) (*Client, error) {
-	hello, err := jsonFrame(params)
+	c, err := newConn(conn, timeout).Open(params)
 	if err != nil {
 		conn.Close()
-		return nil, err
 	}
-	c := &Client{clientConn: newClientConn(conn, timeout), params: params}
-	payload, err := c.roundTrip(FrameHello, hello, FrameAccept)
-	if err == nil {
-		err = json.Unmarshal(payload, &c.accept)
-	}
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	c.mem = make([]complex128, 1+2*params.BlockSamples)
-	c.data = sampleBytes(c.mem)[SampleBytes-frameHeaderLen:]
-	return c, nil
+	return c, err
 }
 
 // DialTimeout connects to a daemon with reconnect backoff and a
@@ -164,6 +230,10 @@ func (c *Client) Process(out, rx, ref []complex128) error {
 	n := c.params.BlockSamples
 	if len(rx) != n || len(ref) != n || len(out) != n {
 		return fmt.Errorf("relayd: Process slices must hold %d samples", n)
+	}
+	if c.mem == nil {
+		c.mem = make([]complex128, 1+2*n)
+		c.data = sampleBytes(c.mem)[SampleBytes-frameHeaderLen:]
 	}
 	copy(c.mem[1:1+n], rx)
 	copy(c.mem[1+n:], ref)
@@ -223,10 +293,10 @@ func (c *Client) Stream(src *rng.Source, blocks int, verify bool) (int, error) {
 	return blocks, nil
 }
 
-// Close ends the stream with DONE, returns the daemon's final Stats, and
-// closes the connection.
-func (c *Client) Close() (Stats, error) {
-	defer c.conn.Close()
+// End ends the session with DONE and returns the daemon's final Stats.
+// The daemon has freed the session's slot by then, and the connection is
+// idle again: Conn returns it for the next conversation.
+func (c *Client) End() (Stats, error) {
 	var st Stats
 	payload, err := c.roundTrip(FrameDone, make([]byte, frameHeaderLen), FrameStats)
 	if err != nil {
@@ -236,37 +306,12 @@ func (c *Client) Close() (Stats, error) {
 	return st, err
 }
 
-// InfoClient is a control connection to a daemon: it issues QUERY frames
-// and reads back INFO snapshots of the admission state. Like Client it is
-// not safe for concurrent use — one query in flight at a time.
-type InfoClient struct {
-	clientConn
-}
+// Conn returns the connection the session runs on, idle again once End
+// has returned without error.
+func (c *Client) Conn() *Conn { return &Conn{c.clientConn} }
 
-// DialInfo opens a control connection with a per-exchange I/O timeout
-// (zero means block indefinitely). No frame is exchanged until Query.
-func DialInfo(addr string, timeout time.Duration) (*InfoClient, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return newInfoClient(conn, timeout), nil
+// Close ends the session (End) and closes the connection.
+func (c *Client) Close() (Stats, error) {
+	defer c.conn.Close()
+	return c.End()
 }
-
-func newInfoClient(conn net.Conn, timeout time.Duration) *InfoClient {
-	return &InfoClient{newClientConn(conn, timeout)}
-}
-
-// Query performs one QUERY/INFO round trip.
-func (c *InfoClient) Query() (Info, error) {
-	var info Info
-	payload, err := c.roundTrip(FrameQuery, make([]byte, frameHeaderLen), FrameInfo)
-	if err != nil {
-		return info, err
-	}
-	err = json.Unmarshal(payload, &info)
-	return info, err
-}
-
-// Close closes the control connection.
-func (c *InfoClient) Close() error { return c.conn.Close() }

@@ -112,7 +112,7 @@ func TestOneWritePerFrame(t *testing.T) {
 
 	t.Run("query", func(t *testing.T) {
 		client, daemon := serve()
-		ic := newInfoClient(client, 0)
+		ic := newConn(client, 0)
 		defer ic.Close()
 		info, err := ic.Query()
 		if err != nil {
@@ -465,42 +465,92 @@ func benchServedRoundTrip(b *testing.B, n int) {
 	}
 }
 
-// scriptConn is the daemon's end of a net.Pipe whose reads come from a
-// script of client writes instead of the pipe: each Read returns at most
-// the rest of one write, the write at index gate only once release is
-// closed, and io.EOF follows the last, so the handler ends once it has
-// read every byte. Its writes and Close go through the pipe.
+// scriptConn is the daemon's end of a net.Pipe whose reads come from
+// chunks the test feeds instead of the pipe. Each Read returns at most
+// the rest of one chunk; a Read that finds no chunk queued first reports
+// on waiting that the daemon has taken everything fed so far, then waits
+// for the next; a closed feed reads as io.EOF. Writes and Close go
+// through the pipe.
 type scriptConn struct {
 	net.Conn
-	writes  [][]byte
-	gate    int
-	release chan struct{}
+	feed    chan []byte
+	waiting chan struct{}
+	cur     []byte
 }
 
 func (c *scriptConn) Read(p []byte) (int, error) {
-	for len(c.writes) > 0 && len(c.writes[0]) == 0 {
-		c.writes = c.writes[1:]
-		c.gate--
+	for len(c.cur) == 0 {
+		var ok bool
+		select {
+		case c.cur, ok = <-c.feed:
+		default:
+			c.waiting <- struct{}{}
+			c.cur, ok = <-c.feed
+		}
+		if !ok {
+			return 0, io.EOF
+		}
 	}
-	if len(c.writes) == 0 {
-		return 0, io.EOF
-	}
-	if c.gate == 0 {
-		<-c.release
-	}
-	n := copy(p, c.writes[0])
-	c.writes[0] = c.writes[0][n:]
+	n := copy(p, c.cur)
+	c.cur = c.cur[n:]
 	return n, nil
 }
 
-// FuzzSessionFrames feeds arbitrary bytes to an admitted daemon session
-// (after its HELLO and one served block) and reads what it sends over
-// net.Pipe. Whatever the bytes, the daemon serves, refuses with code
-// protocol, or closes: every frame it sends is an OUT of exactly the
-// block, or one final STATS counting every block it served or REFUSE
-// with code protocol, and the conn then closes. It never panics, and
-// reading the bytes allocates no more than the session's sample memory,
-// whatever length a header declares.
+// splitFrames cuts b into frames by their declared lengths; a last piece
+// too short for its header or declared payload is returned whole.
+func splitFrames(b []byte) [][]byte {
+	var frames [][]byte
+	for len(b) > 0 {
+		end := len(b)
+		if len(b) >= frameHeaderLen {
+			if n := uint64(binary.BigEndian.Uint32(b)); n <= uint64(len(b)-frameHeaderLen) {
+				end = frameHeaderLen + int(n)
+			}
+		}
+		frames, b = append(frames, b[:end]), b[end:]
+	}
+	return frames
+}
+
+// coalesce groups consecutive frames into the runs the daemon is fed as
+// one chunk each, so its reader meets several frames in one fill, at
+// arbitrary offsets. A run ends after a DONE and after the frame that
+// follows a HELLO: a session's first served block and its STATS then
+// find the daemon waiting for input, with nothing of later frames read.
+func coalesce(frames [][]byte) [][][]byte {
+	var runs [][][]byte
+	start := 0
+	for i, fr := range frames {
+		typ := byte(0)
+		if len(fr) >= frameHeaderLen {
+			typ = fr[frameHeaderLen-1]
+		}
+		afterHello := i > start && len(frames[i-1]) >= frameHeaderLen && frames[i-1][frameHeaderLen-1] == FrameHello
+		if typ == FrameDone || afterHello || i == len(frames)-1 {
+			runs = append(runs, frames[start:i+1])
+			start = i + 1
+		}
+	}
+	return runs
+}
+
+// FuzzSessionFrames feeds arbitrary bytes to a daemon connection after a
+// HELLO and one served block of its session, and reads what the daemon
+// sends over net.Pipe. The bytes arrive in runs of whole frames
+// (coalesce), each run as one chunk. Whatever the bytes, the daemon
+// answers each frame, in order, with one frame, or closes, as its
+// connection state machine allows. In a session: an OUT of exactly the
+// session's block for DATA; STATS counting the session's blocks for
+// DONE, after which the connection is idle; or REFUSE with code protocol,
+// then the close. Idle: ACCEPT for a HELLO, which opens a session of that
+// HELLO's block; an admission REFUSE for a HELLO, after which it is idle
+// still; INFO for a QUERY; or REFUSE with code protocol, then the close.
+// It never panics, and from each admitted session's first served block to
+// its end, the frames it reads make the handler allocate no more than
+// that session's sample memory, whatever length a header declares. A
+// session over that bound while the runtime started an OS thread (whose
+// allocations are the runtime's) has the whole input run again, and the
+// rerun is judged with no exception.
 func FuzzSessionFrames(f *testing.F) {
 	p := testParams(12)
 	p.BlockSamples = 64
@@ -508,92 +558,242 @@ func FuzzSessionFrames(f *testing.F) {
 	src := rng.New(12)
 	data := dataFrame(src.NoiseVector(n, 1), src.NoiseVector(n, 1))
 	hello := wireFrame(FrameHello, mustJSON(f, p))
+	done := wireFrame(FrameDone, nil)
+	query := wireFrame(FrameQuery, nil)
 	f.Add([]byte{})
 	f.Add(data)
-	f.Add(append(append(bytes.Clone(data), data...), wireFrame(FrameDone, nil)...))
+	f.Add(append(append(bytes.Clone(data), data...), done...))
 	f.Add(wireFrame(FrameData, make([]byte, 2*n*SampleBytes+1)))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, FrameData})
 	f.Add(data[:frameHeaderLen+100])
 	f.Add(hello)
-	f.Add(wireFrame(FrameQuery, nil))
+	f.Add(query)
 	f.Add(wireFrame(FrameDone, []byte{1, 2, 3}))
-	memBytes := uint64(SampleBytes * (1 + 2*n))
+	f.Add(append(bytes.Clone(done), hello...))
+	f.Add(bytes.Join([][]byte{done, hello, data, data, done, query}, nil))
+	f.Add(bytes.Join([][]byte{done, query, query, hello}, nil))
+	f.Add(bytes.Join([][]byte{done, wireFrame(FrameHello, []byte("{")), data, query}, nil))
+	f.Add(bytes.Join([][]byte{data, data, data, done, query, query, hello, data, data, data, done}, nil))
 	// encoding/json caches each type's encoder on first use; fill the
-	// cache for the final frames so that is not measured below.
+	// cache for the frames a session's end sends so that is not measured
+	// below.
 	mustJSON(f, Stats{})
 	mustJSON(f, Refuse{})
-	f.Fuzz(func(t *testing.T, raw []byte) {
+
+	// run checks one input and reports whether a session went over its
+	// bound while the thread count moved; strict judges that too.
+	run := func(t *testing.T, raw []byte, strict bool) (remeasure bool) {
 		cfg := DefaultConfig()
-		// Unarmed deadlines start no net.Pipe timers, so the allocations
-		// measured are the handler's own.
+		// Unarmed deadlines, here and on the test's end, start no
+		// net.Pipe timers, so the allocations measured are the handler's
+		// own.
 		cfg.IdleTimeout, cfg.ReadTimeout, cfg.WriteTimeout = 0, 0, 0
 		srv := New(cfg)
 		cs, ss := net.Pipe()
 		defer cs.Close()
-		sc := &scriptConn{Conn: ss, writes: [][]byte{hello, data, raw}, gate: 2, release: make(chan struct{})}
+		sc := &scriptConn{Conn: ss, feed: make(chan []byte), waiting: make(chan struct{}, 1)}
 		served := make(chan struct{})
 		go func() {
 			defer close(served)
 			srv.ServeConn(sc)
 		}()
 		br := bufio.NewReaderSize(cs, controlWindow)
-		if typ, _, err := readFrame(br); err != nil || typ != FrameAccept {
-			t.Fatalf("handshake: frame type %d, err %v; want ACCEPT", typ, err)
+		// Everything the test itself allocates is allocated here, before
+		// any measurement: the runs' chunks and what replies decode into.
+		runs := coalesce(splitFrames(raw))
+		chunks := make([][]byte, len(runs))
+		for r, frames := range runs {
+			chunks[r] = bytes.Join(frames, nil)
 		}
-		out := make([]complex128, n)
-		blocks := uint64(0)
-		var final [controlWindow]byte
-		finalType, finalLen := byte(0), 0
-		var before, after runtime.MemStats
-		for {
-			typ, size, err := readHeader(br, FrameOut, n*SampleBytes)
-			if err == io.EOF {
-				break
+		var ref Refuse
+		var st Stats
+		var hp SessionParams
+		// reply reads the daemon's next frame: its type and, for a control
+		// frame, its payload copied into payload.
+		var payload [controlWindow]byte
+		reply := func() (typ byte, size int, eof bool) {
+			hdr, err := br.Peek(frameHeaderLen)
+			if err == io.EOF && len(hdr) == 0 {
+				return 0, 0, true
 			}
 			if err != nil {
-				t.Fatalf("after %d blocks: daemon frame type %d of %d bytes: %v", blocks, typ, size, err)
+				t.Fatalf("reading the daemon's frame header: %v", err)
 			}
-			if finalType != 0 {
-				t.Fatalf("frame type %d after final frame type %d", typ, finalType)
+			typ, size = hdr[4], int(binary.BigEndian.Uint32(hdr[:4]))
+			if _, err := br.Discard(frameHeaderLen); err != nil {
+				t.Fatal(err)
 			}
-			switch typ {
-			case FrameOut:
-				if _, err := io.ReadFull(br, sampleBytes(out)); err != nil {
+			if typ != FrameOut {
+				if size > len(payload) {
+					t.Fatalf("daemon frame type %d declares %d bytes, over the control window", typ, size)
+				}
+				if _, err := io.ReadFull(br, payload[:size]); err != nil {
 					t.Fatal(err)
 				}
-				if blocks++; blocks == 1 {
-					runtime.ReadMemStats(&before)
-					close(sc.release)
-				}
-			case FrameStats, FrameRefuse:
-				payload, err := readPayload(br, size)
-				if err != nil {
-					t.Fatal(err)
-				}
-				finalType, finalLen = typ, copy(final[:], payload)
-			default:
-				t.Fatalf("daemon sent frame type %d", typ)
 			}
+			return typ, size, false
+		}
+
+		// The daemon asks on sc.waiting before it blocks for each chunk,
+		// and a chunk is fed only once asked for, so every request pairs
+		// with one chunk. settle waits until the daemon has taken
+		// everything fed: it asks for more, or, once the feed is closed,
+		// it has read EOF and ended.
+		asked, fedAll := false, false
+		settle := func() {
+			switch {
+			case fedAll:
+				<-served
+			case !asked:
+				<-sc.waiting
+				asked = true
+			}
+		}
+		feed := func(chunk []byte) {
+			settle()
+			sc.feed <- chunk
+			asked = false
+		}
+		feed(hello)
+		if typ, _, _ := reply(); typ != FrameAccept {
+			t.Fatalf("handshake: frame type %d; want ACCEPT", typ)
+		}
+		feed(data)
+		if typ, size, _ := reply(); typ != FrameOut || size != n*SampleBytes {
+			t.Fatalf("first block: frame type %d of %d bytes; want OUT of %d samples", typ, size, n)
+		}
+		if _, err := br.Discard(n * SampleBytes); err != nil {
+			t.Fatal(err)
+		}
+
+		// block is the session's block size (0: idle) and blocks what it
+		// has served; from its first block on, the session's allocations
+		// are measured from before. The runtime's own allocations for an
+		// OS thread it starts (restarting the world after ReadMemStats can
+		// start one, in a young process above all) are not the handler's.
+		block, blocks := n, uint64(1)
+		var before, after runtime.MemStats
+		threads := func() int {
+			n, _ := runtime.ThreadCreateProfile(nil)
+			return n
+		}
+		threads0 := 0
+		measure := func() {
+			settle()
+			threads0 = threads()
+			runtime.ReadMemStats(&before)
+		}
+		measure()
+		endSession := func() {
+			runtime.ReadMemStats(&after)
+			mem := uint64(SampleBytes * (1 + 2*block))
+			if got := after.TotalAlloc - before.TotalAlloc; blocks > 0 && got > mem {
+				if strict || threads() == threads0 {
+					t.Fatalf("a %d-sample session's frames made the handler allocate %d bytes, over its %d-byte sample memory",
+						block, got, mem)
+				}
+				remeasure = true
+			}
+			block, blocks = 0, 0
+		}
+	frames:
+		for r, frames := range runs {
+			feed(chunks[r])
+			if r == len(runs)-1 {
+				close(sc.feed) // nothing follows: the daemon reads EOF
+				fedAll = true
+			}
+			for _, frame := range frames {
+				typ, size, eof := reply()
+				if eof {
+					break frames
+				}
+				if len(frame) < frameHeaderLen {
+					t.Fatalf("daemon frame type %d answers a %d-byte piece of a header", typ, len(frame))
+				}
+				sent := frame[frameHeaderLen-1]
+				answers := func(want byte) {
+					if sent != want {
+						t.Fatalf("daemon frame type %d answers frame type %d, want %d", typ, sent, want)
+					}
+				}
+				switch {
+				case block != 0 && typ == FrameRefuse:
+					// A session is refused only for a protocol violation,
+					// and the daemon then closes: the session has ended
+					// before its REFUSE is decoded.
+					if _, _, eof := reply(); !eof {
+						t.Fatal("the daemon sent a frame after refusing a session's frame")
+					}
+					<-served
+					endSession()
+					if err := json.Unmarshal(payload[:size], &ref); err != nil || ref.Code != RefuseProtocol {
+						t.Fatalf("REFUSE %s (err %v) in a session, want code %s", payload[:size], err, RefuseProtocol)
+					}
+					break frames
+				case typ == FrameRefuse:
+					if err := json.Unmarshal(payload[:size], &ref); err != nil {
+						t.Fatalf("REFUSE %s: %v", payload[:size], err)
+					}
+					if ref.Code == RefuseProtocol {
+						if _, _, eof := reply(); !eof {
+							t.Fatal("the daemon sent a frame after its protocol REFUSE")
+						}
+						<-served
+						break frames
+					}
+					if ref.Code != RefuseBadHello && ref.Code != RefuseBudget && ref.Code != RefuseSessionLimit {
+						t.Fatalf("REFUSE %s to an idle connection's frame type %d", payload[:size], sent)
+					}
+					answers(FrameHello)
+				case block != 0 && typ == FrameOut:
+					answers(FrameData)
+					if size != block*SampleBytes {
+						t.Fatalf("OUT of %d bytes in a %d-sample session", size, block)
+					}
+					if _, err := br.Discard(size); err != nil {
+						t.Fatal(err)
+					}
+					if blocks++; blocks == 1 {
+						measure()
+					}
+				case block != 0 && typ == FrameStats:
+					answers(FrameDone)
+					settle()
+					got := blocks
+					endSession()
+					if err := json.Unmarshal(payload[:size], &st); err != nil || st.Blocks != got {
+						t.Fatalf("STATS %s (err %v) after %d served blocks", payload[:size], err, got)
+					}
+				case block == 0 && typ == FrameAccept:
+					answers(FrameHello)
+					if err := json.Unmarshal(frame[frameHeaderLen:], &hp); err != nil || hp.Validate() != nil {
+						t.Fatalf("ACCEPT for HELLO %s", frame[frameHeaderLen:])
+					}
+					block = hp.BlockSamples
+				case block == 0 && typ == FrameInfo:
+					answers(FrameQuery)
+				default:
+					t.Fatalf("daemon frame type %d answers frame type %d (session block %d)", typ, sent, block)
+				}
+			}
+		}
+		if !fedAll {
+			close(sc.feed)
+			fedAll = true
+		}
+		if typ, _, eof := reply(); !eof {
+			t.Fatalf("frame type %d after every fed frame was answered", typ)
 		}
 		<-served
-		runtime.ReadMemStats(&after)
-		if blocks == 0 {
-			t.Fatal("the block before the fuzzed bytes was not served")
+		if block != 0 {
+			endSession()
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > memBytes {
-			t.Fatalf("the fuzzed bytes made the handler allocate %d bytes, over its %d-byte sample memory", got, memBytes)
-		}
-		switch finalType {
-		case FrameStats:
-			var st Stats
-			if err := json.Unmarshal(final[:finalLen], &st); err != nil || st.Blocks != blocks {
-				t.Fatalf("STATS %s (err %v) after %d served blocks", final[:finalLen], err, blocks)
-			}
-		case FrameRefuse:
-			var ref Refuse
-			if err := json.Unmarshal(final[:finalLen], &ref); err != nil || ref.Code != RefuseProtocol {
-				t.Fatalf("REFUSE %s (err %v), want code %s", final[:finalLen], err, RefuseProtocol)
-			}
+		return remeasure
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if run(t, raw, false) {
+			run(t, raw, true)
 		}
 	})
 }

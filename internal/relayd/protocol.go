@@ -17,12 +17,17 @@ import (
 //
 //	[4-byte big-endian payload length][1-byte type][payload]
 //
-// A session opens with HELLO (JSON SessionParams), is answered by ACCEPT
-// (JSON Accept) or REFUSE (JSON Refuse, then close), then streams DATA
-// frames — each carrying one block of received samples followed by the
-// same number of transmit-reference samples — and receives one OUT frame
-// of processed samples per DATA frame. DONE ends the stream; the daemon
-// answers with STATS (JSON Stats) and closes. Samples travel as raw
+// A connection carries one conversation after another, and is idle
+// between them. On an idle connection a session opens with HELLO (JSON
+// SessionParams), is answered by ACCEPT (JSON Accept) or REFUSE (JSON
+// Refuse; the connection stays idle), then streams DATA frames — each
+// carrying one block of received samples followed by the same number of
+// transmit-reference samples — and receives one OUT frame of processed
+// samples per DATA frame. DONE ends the stream; the daemon answers with
+// STATS (JSON Stats) and the connection is idle again. QUERY, on an idle
+// connection, is answered with INFO (JSON Info). Any other frame is a
+// protocol violation: REFUSE with code protocol, then the close.
+// Samples travel as raw
 // little-endian IEEE-754 float64 (re, im) pairs, 16 bytes per sample, so
 // the daemon path is bit-transparent: what the chain computed is what
 // the client reads back, exactly. That byte sequence is a little-endian
@@ -45,7 +50,7 @@ const (
 	FrameHello byte = 1
 	// FrameAccept admits it: JSON Accept.
 	FrameAccept byte = 2
-	// FrameRefuse rejects it (or a DATA violation): JSON Refuse.
+	// FrameRefuse rejects it, or a protocol violation: JSON Refuse.
 	FrameRefuse byte = 3
 	// FrameData carries one block: n rx samples then n reference samples
 	// (payload length exactly 32n, n the session's BlockSamples).
@@ -54,13 +59,13 @@ const (
 	FrameOut byte = 5
 	// FrameDone ends the stream cleanly (empty payload).
 	FrameDone byte = 6
-	// FrameStats closes the session: JSON Stats.
+	// FrameStats closes the session, leaving the connection idle: JSON
+	// Stats.
 	FrameStats byte = 7
-	// FrameQuery asks for the daemon's admission state (empty payload).
-	// It opens a control connection instead of a session: the daemon
-	// answers each QUERY with one INFO and keeps the connection open for
-	// further queries, so a fleet scheduler polls residual load without
-	// scraping the HTTP status JSON.
+	// FrameQuery asks an idle connection for the daemon's admission state
+	// (empty payload): the daemon answers with one INFO and the
+	// connection stays idle, so a fleet scheduler polls residual load
+	// without scraping the HTTP status JSON.
 	FrameQuery byte = 8
 	// FrameInfo answers a QUERY: JSON Info.
 	FrameInfo byte = 9
@@ -156,7 +161,8 @@ const (
 	RefuseSessionLimit = "session_limit"
 	// RefuseBudget: the Sec 3.5 aggregate residual budget refused it.
 	RefuseBudget = "budget"
-	// RefuseProtocol: a frame violated the protocol mid-session.
+	// RefuseProtocol: a frame violated the protocol; the daemon closes
+	// the connection after it.
 	RefuseProtocol = "protocol"
 	// RefuseUnreachable is client-side only: the daemon could not be
 	// dialed or died mid-handshake. No daemon ever sends it; the fleet
@@ -246,18 +252,6 @@ const controlWindow = 4 << 10
 // allow, before any of its payload is read: a protocol error, never an
 // allocation.
 var errFrameLength = errors.New("relayd: frame length not allowed for its type")
-
-// readFrame reads one control frame through br: every type must fit the
-// control window. The payload is a view of br's buffer, valid until br's
-// next read.
-func readFrame(br *bufio.Reader) (typ byte, payload []byte, err error) {
-	typ, n, err := readHeader(br, 0, 0) // no frame has type 0
-	if err != nil {
-		return 0, nil, err
-	}
-	payload, err = readPayload(br, n)
-	return typ, payload, err
-}
 
 // readHeader takes one frame header off br and returns the frame's type
 // and payload length. A frame of type bulk (DATA at the daemon, OUT at a

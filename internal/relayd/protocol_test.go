@@ -212,6 +212,19 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	}
 }
 
+// readFrame reads one control frame through br as an idle connection
+// does, without its deadlines: readHeader, where every type must fit the
+// control window, then readPayload. The payload is a view of br's
+// buffer, valid until br's next read.
+func readFrame(br *bufio.Reader) (typ byte, payload []byte, err error) {
+	typ, n, err := readHeader(br, 0, 0) // no frame has type 0
+	if err != nil {
+		return 0, nil, err
+	}
+	payload, err = readPayload(br, n)
+	return typ, payload, err
+}
+
 // FuzzReadFrame asserts the control-frame reader never panics and never
 // returns a payload over the control window on arbitrary wire bytes, and
 // rejects a frame of a length it does not take (over the window, or of

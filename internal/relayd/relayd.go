@@ -18,10 +18,12 @@
 // Throughput is bounded by per-session and global token buckets measured
 // in samples.
 //
-// Lifecycle: sessions idle out (IdleTimeout), reads and writes carry
-// deadlines, and SIGTERM-style drain stops admitting while in-flight
-// blocks flush. The status endpoint (see status.go) exposes the obs
-// snapshot and per-session state as JSON.
+// Lifecycle: a connection outlives its conversations (a QUERY, or a
+// session from HELLO to STATS) and idles between them; sessions and idle
+// connections idle out (IdleTimeout), reads and writes carry deadlines,
+// and SIGTERM-style drain stops admitting and closes idle connections
+// while in-flight blocks flush. The status endpoint (see status.go)
+// exposes the obs snapshot and per-session state as JSON.
 package relayd
 
 import (
@@ -61,7 +63,8 @@ type Config struct {
 	BurstSamples int
 	// IdleTimeout evicts a session that sends no frame for this long
 	// (<= 0: never). ReadTimeout bounds reading one frame's payload once
-	// its header arrived; WriteTimeout bounds each outbound frame
+	// its header arrived, and a new connection's whole first frame from
+	// the connect; WriteTimeout bounds each outbound frame
 	// (<= 0: unbounded).
 	IdleTimeout  time.Duration
 	ReadTimeout  time.Duration
@@ -141,13 +144,18 @@ type Server struct {
 	reg *obs.Registry
 	m   metrics
 
-	mu        sync.Mutex
-	sessions  map[uint64]*Session
-	conns     map[net.Conn]struct{}
+	mu       sync.Mutex
+	sessions map[uint64]*Session
+	// conns maps each open connection to whether it is idle between
+	// conversations (Drain closes those).
+	conns     map[net.Conn]bool
 	listeners []net.Listener
-	nextID    uint64
-	gate      *Gate
-	po        *pipeline.Obs
+	// closed is set by Close: a later Serve or ServeConn closes what it is
+	// given at once.
+	closed bool
+	nextID uint64
+	gate   *Gate
+	po     *pipeline.Obs
 
 	global *tokenBucket
 
@@ -172,7 +180,7 @@ func New(cfg Config) *Server {
 		reg:      cfg.Registry,
 		m:        newMetrics(cfg.Registry),
 		sessions: make(map[uint64]*Session),
-		conns:    make(map[net.Conn]struct{}),
+		conns:    make(map[net.Conn]bool),
 		gate:     NewGate(cfg.MaxSessions, cfg.MinAmpDB, cfg.Degrade),
 		po:       pipeline.NewObs(cfg.Registry),
 		global:   newTokenBucket(cfg.GlobalRate, float64(cfg.BurstSamples)),
@@ -195,11 +203,12 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Serve accepts connections from ln until the listener is closed (by
 // Close, or externally), spawning one handler per connection. Transient
-// accept errors back off exponentially; a closed listener returns nil.
+// accept errors back off exponentially; a closed listener returns nil,
+// and so does a Serve called after Close, which closes ln first.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	s.listeners = append(s.listeners, ln)
-	s.mu.Unlock()
+	if !s.addListener(ln) {
+		return nil
+	}
 	var bo Backoff
 	for {
 		conn, err := ln.Accept()
@@ -215,33 +224,39 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		bo.Reset()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handleConn(conn)
-		}()
+		if !s.trackConn(conn) {
+			conn.Close()
+			return nil
+		}
+		go s.handleConn(conn)
 	}
 }
 
-// ServeConn runs one connection's session synchronously: handshake,
-// stream, cleanup. It is exactly the path Serve runs per accepted
-// connection, and the test seam for it: the relayd tests' pipeSession
-// serves over net.Pipe through it, which is how
+// ServeConn runs one connection synchronously until it closes: every
+// conversation on it, then cleanup. It is exactly the path Serve runs per
+// accepted connection, and the test seam for it: the relayd tests'
+// pipeSession serves over net.Pipe through it, which is how
 // TestConcurrentSessionsBitIdentical pins the daemon-output bit-identity
-// contract (DESIGN.md §10) without a listener.
+// contract (DESIGN.md §10) without a listener. After Close it closes conn
+// at once.
 func (s *Server) ServeConn(conn net.Conn) {
-	s.wg.Add(1)
-	defer s.wg.Done()
+	if !s.trackConn(conn) {
+		conn.Close()
+		return
+	}
 	s.handleConn(conn)
 }
 
 // Drain stops admitting sessions (new HELLOs are refused with code
-// "draining") and waits for every in-flight session to finish its stream.
-// If ctx expires first, remaining connections are force-closed and
+// "draining"), closes every connection that is idle between
+// conversations, and waits for every in-flight session to finish its
+// stream; a connection whose conversation ends while draining closes
+// then. If ctx expires first, remaining connections are force-closed and
 // ctx.Err() is returned once their handlers unwind.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.m.draining.Set(1)
+	s.closeConns(true)
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -251,34 +266,39 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		s.closeConns()
+		s.closeConns(false)
 		<-done
 		return ctx.Err()
 	}
 }
 
 // Close shuts the daemon down: listeners and connections close and
-// handlers unwind. Safe after Drain and idempotent.
+// handlers unwind. Safe after Drain, idempotent, and final: a Serve or
+// ServeConn that runs after it closes what it is given.
 func (s *Server) Close() {
 	s.draining.Store(true)
 	s.m.draining.Set(1)
 	s.mu.Lock()
+	s.closed = true
 	for _, ln := range s.listeners {
 		ln.Close()
 	}
 	s.listeners = nil
 	s.mu.Unlock()
-	s.closeConns()
+	s.closeConns(false)
 	s.wg.Wait()
 }
 
-func (s *Server) closeConns() {
+// closeConns closes the open connections, or only the idle ones.
+func (s *Server) closeConns(idleOnly bool) {
 	// Snapshot under the lock, close outside it: conn.Close can block on
 	// a wedged peer, and nothing that shares s.mu should wait on that.
 	s.mu.Lock()
 	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
+	for c, idle := range s.conns {
+		if idle || !idleOnly {
+			conns = append(conns, c)
+		}
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
@@ -286,25 +306,67 @@ func (s *Server) closeConns() {
 	}
 }
 
-func (s *Server) trackConn(conn net.Conn, add bool) {
+// addListener registers ln for Close to close, or, once Close has run,
+// closes it and reports false.
+func (s *Server) addListener(ln net.Listener) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if add {
-		s.conns[conn] = struct{}{}
-	} else {
-		delete(s.conns, conn)
+	if s.closed {
+		ln.Close()
+		return false
 	}
+	s.listeners = append(s.listeners, ln)
+	return true
 }
 
-// refuse emits a REFUSE frame. The session is over either way, but a
-// failed write is still counted so a flapping peer shows up in metrics.
-func (s *Server) refuse(conn net.Conn, code, detail string) {
+// trackConn registers a new connection and its handler, or reports false
+// once Close has run. Registering under the lock Close takes means no
+// handler starts after Close has begun waiting for them.
+func (s *Server) trackConn(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.wg.Add(1)
+	s.conns[conn] = false
+	return true
+}
+
+func (s *Server) untrackConn(conn net.Conn) {
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+	s.wg.Done()
+}
+
+// setIdle marks conn idle between conversations, or busy once a frame
+// has arrived. Marking it idle reports false while draining: the
+// connection then closes instead of waiting for another conversation.
+// The check runs under the lock Drain's snapshot takes, so every idle
+// connection is either closed by Drain or closes itself.
+func (s *Server) setIdle(conn net.Conn, idle bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if idle && s.draining.Load() {
+		return false
+	}
+	s.conns[conn] = idle
+	return true
+}
+
+// refuse emits a REFUSE frame and reports whether the conn is still
+// usable. A failed write is counted so a flapping peer shows up in
+// metrics.
+func (s *Server) refuse(conn net.Conn, code, detail string) bool {
 	if !s.setWriteDeadline(conn) {
-		return
+		return false
 	}
 	if err := writeJSONFrame(conn, FrameRefuse, Refuse{Code: code, Detail: detail}); err != nil {
 		s.m.ioErrors.Inc(0)
+		return false
 	}
+	return true
 }
 
 // setWriteDeadline arms the write deadline and reports whether the conn
@@ -408,19 +470,20 @@ func (s *Server) release(sess *Session, completed bool) {
 // and counted by the time a caller sees it.
 var errDeadline = errors.New("relayd: failed to arm conn deadline")
 
-// readSessionHeader reads one frame header through br (readHeader, DATA
-// of dataLen bytes) with the two-phase deadline: the idle timeout governs
-// waiting for the header (expiry means the peer went quiet — idle=true),
-// the read timeout the payload the caller then reads (an I/O error).
-func (s *Server) readSessionHeader(conn net.Conn, br *bufio.Reader, dataLen int) (typ byte, n int, idle bool, err error) {
-	idleBy := time.Time{}
-	if s.cfg.IdleTimeout > 0 {
-		idleBy = time.Now().Add(s.cfg.IdleTimeout)
+// readSessionHeader reads one frame header through br (readHeader: a
+// frame of type bulk must declare bulkLen bytes) with the two-phase
+// deadline: wait bounds waiting for the header (<= 0: unbounded; its
+// expiry is reported as expired), the read timeout the payload the caller
+// then reads (an I/O error).
+func (s *Server) readSessionHeader(conn net.Conn, br *bufio.Reader, wait time.Duration, bulk byte, bulkLen int) (typ byte, n int, expired bool, err error) {
+	by := time.Time{}
+	if wait > 0 {
+		by = time.Now().Add(wait)
 	}
-	if !s.armReadDeadline(conn, idleBy) {
+	if !s.armReadDeadline(conn, by) {
 		return 0, 0, false, errDeadline
 	}
-	typ, n, err = readHeader(br, FrameData, dataLen)
+	typ, n, err = readHeader(br, bulk, bulkLen)
 	if err != nil {
 		return typ, n, isTimeout(err), err
 	}
@@ -437,45 +500,90 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// handleConn runs one connection end to end: HELLO, admission, the DATA
-// stream, DONE/STATS, cleanup. Every exit path releases whatever was
-// admitted.
-func (s *Server) handleConn(conn net.Conn) {
-	defer conn.Close()
-	s.trackConn(conn, true)
-	defer s.trackConn(conn, false)
+// closedBetweenFrames reports a header read that failed because the
+// connection closed between frames, with no byte of a next frame read:
+// the peer's clean EOF, or the daemon's own close of an idle connection
+// (Drain, Close). Neither is an I/O error.
+func closedBetweenFrames(err error, br *bufio.Reader) bool {
+	return br.Buffered() == 0 &&
+		(err == io.EOF || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe))
+}
 
-	// HELLO must arrive within the read timeout, and fit the control
-	// window: nothing is sized by a peer before it is admitted.
+// handleConn runs one connection until it closes; Serve and ServeConn
+// have tracked it. Between conversations the connection is idle and reads
+// HELLO, which opens a session or is refused, or QUERY, which is answered
+// with INFO; every frame it reads there must fit the control window, so
+// nothing is sized by a peer before it is admitted. The first frame must
+// arrive within the read timeout, later ones within the idle timeout. An
+// admission REFUSE or a session ended with DONE/STATS returns the
+// connection to idle; a protocol REFUSE, an I/O error, idle expiry or a
+// drain closes it, and a clean EOF while idle is the peer's normal close.
+// Every exit path releases whatever was admitted.
+func (s *Server) handleConn(conn net.Conn) {
+	defer s.untrackConn(conn)
+	defer conn.Close()
 	br := bufio.NewReaderSize(conn, controlWindow)
-	if s.cfg.ReadTimeout > 0 {
-		if !s.armReadDeadline(conn, time.Now().Add(s.cfg.ReadTimeout)) {
+	// The whole first frame, header and payload, is read under one read
+	// timeout from the connect.
+	if s.cfg.ReadTimeout > 0 && !s.armReadDeadline(conn, time.Now().Add(s.cfg.ReadTimeout)) {
+		return
+	}
+	for first := true; ; first = false {
+		var typ byte
+		var n int
+		var expired bool
+		var err error
+		if first {
+			typ, n, err = readHeader(br, 0, 0) // no frame has type 0
+		} else {
+			if !s.setIdle(conn, true) {
+				return
+			}
+			typ, n, expired, err = s.readSessionHeader(conn, br, s.cfg.IdleTimeout, 0, 0)
+		}
+		var payload []byte
+		if err == nil {
+			payload, err = readPayload(br, n)
+		}
+		if err != nil {
+			// An idle connection that expires or closes between frames ends
+			// normally, and a failed deadline arm is counted as such; a
+			// silent new one is a failed read.
+			if !expired && !closedBetweenFrames(err, br) && err != errDeadline {
+				s.m.ioErrors.Inc(0)
+			}
+			return
+		}
+		s.setIdle(conn, false)
+		switch typ {
+		case FrameQuery:
+			if !s.answerQuery(conn) {
+				return
+			}
+		case FrameHello:
+			if !s.serveSession(conn, br, payload) {
+				return
+			}
+		default:
+			s.refuse(conn, RefuseProtocol, "unexpected frame type "+strconv.Itoa(int(typ))+" on an idle connection")
+			s.m.ioErrors.Inc(0)
 			return
 		}
 	}
-	typ, payload, err := readFrame(br)
-	if err != nil {
-		s.m.ioErrors.Inc(0)
-		return
-	}
-	if typ == FrameQuery {
-		s.serveQuery(conn, br)
-		return
-	}
-	if typ != FrameHello {
-		s.m.ioErrors.Inc(0)
-		return
-	}
+}
+
+// serveSession answers one HELLO and, if it is admitted, runs the session
+// to its end. It reports whether the connection is idle again: after an
+// admission REFUSE, or a session that ended with DONE/STATS.
+func (s *Server) serveSession(conn net.Conn, br *bufio.Reader, hello []byte) bool {
 	var p SessionParams
-	if err := json.Unmarshal(payload, &p); err != nil {
+	if err := json.Unmarshal(hello, &p); err != nil {
 		s.m.refusedBadHello.Inc(0)
-		s.refuse(conn, RefuseBadHello, "hello is not valid JSON: "+err.Error())
-		return
+		return s.refuse(conn, RefuseBadHello, "hello is not valid JSON: "+err.Error())
 	}
 	if err := p.Validate(); err != nil {
 		s.m.refusedBadHello.Inc(0)
-		s.refuse(conn, RefuseBadHello, err.Error())
-		return
+		return s.refuse(conn, RefuseBadHello, err.Error())
 	}
 
 	sess, load, ref := s.admit(p, conn.RemoteAddr().String())
@@ -488,13 +596,12 @@ func (s *Server) handleConn(conn net.Conn) {
 		default:
 			s.m.refusedBudget.Inc(0)
 		}
-		s.refuse(conn, ref.Code, ref.Detail)
-		return
+		return s.refuse(conn, ref.Code, ref.Detail)
 	}
 
 	if !s.setWriteDeadline(conn) {
 		s.release(sess, false)
-		return
+		return false
 	}
 	if err := writeJSONFrame(conn, FrameAccept, Accept{
 		SessionID:           sess.ID,
@@ -506,42 +613,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	}); err != nil {
 		s.m.ioErrors.Inc(sess.shard)
 		s.release(sess, false)
-		return
+		return false
 	}
 
 	// br may already hold the first DATA frame: a client can send it in
 	// the same write as HELLO.
 	completed := s.streamSession(conn, br, sess)
 	s.release(sess, completed)
-}
-
-// serveQuery runs a control connection: every QUERY frame is answered
-// with one INFO snapshot of the admission state, and the connection stays
-// open for further queries (the fleet scheduler polls residual load over
-// one long-lived conn). The idle timeout governs the wait for the next
-// QUERY exactly as it governs a session's next DATA frame; any other
-// frame type is a protocol violation.
-func (s *Server) serveQuery(conn net.Conn, br *bufio.Reader) {
-	for {
-		if !s.answerQuery(conn) {
-			return
-		}
-		typ, n, idle, err := s.readSessionHeader(conn, br, -1) // no DATA frame fits
-		if err == nil && typ == FrameQuery {
-			_, err = br.Discard(n)
-		}
-		if err != nil {
-			if !idle {
-				s.m.ioErrors.Inc(0)
-			}
-			return
-		}
-		if typ != FrameQuery {
-			s.refuse(conn, RefuseProtocol, "unexpected frame type "+strconv.Itoa(int(typ))+" on query connection")
-			s.m.ioErrors.Inc(0)
-			return
-		}
-	}
+	return completed
 }
 
 // answerQuery writes one INFO frame and reports whether the conn is still
@@ -580,7 +659,7 @@ func (s *Server) streamSession(conn net.Conn, br *bufio.Reader, sess *Session) b
 	bucket := newTokenBucket(s.cfg.SessionRate, float64(s.cfg.BurstSamples))
 
 	for {
-		typ, size, idle, err := s.readSessionHeader(conn, br, len(data))
+		typ, size, idle, err := s.readSessionHeader(conn, br, s.cfg.IdleTimeout, FrameData, len(data))
 		if err != nil {
 			switch {
 			case idle:
@@ -626,6 +705,13 @@ func (s *Server) streamSession(conn net.Conn, br *bufio.Reader, sess *Session) b
 			sess.samples.Add(uint64(n))
 			sess.lastActiveNs.Store(obs.NowNanos())
 		case FrameDone:
+			// DONE's payload is empty by protocol; one that carries bytes
+			// has them skipped, so the next frame starts where the peer
+			// meant it to.
+			if _, err := br.Discard(size); err != nil {
+				s.m.ioErrors.Inc(sess.shard)
+				return false
+			}
 			// Release BEFORE answering: a client that has read the STATS
 			// frame must be able to rely on the budget slot being free —
 			// the fleet's make-before-break accounting over the wire needs

@@ -17,8 +17,9 @@ import (
 //	    |                        |
 //	    +--drain force-close-----+--> Closed (flushed or aborted)
 //
-// Refused connections never become sessions; they are counted and
-// dropped before a Session exists.
+// Refused HELLOs never become sessions: they are counted and answered
+// before a Session exists, and their connection stays open for the next
+// HELLO or QUERY.
 type SessionState int32
 
 const (

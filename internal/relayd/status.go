@@ -115,12 +115,13 @@ func (s *Server) StatusHandler() http.Handler {
 	return mux
 }
 
-// ServeStatus serves the status endpoint on ln until the listener closes.
+// ServeStatus serves the status endpoint on ln until the listener
+// closes; like Serve, after Close it closes ln and returns nil.
 func (s *Server) ServeStatus(ln net.Listener) error {
+	if !s.addListener(ln) {
+		return nil
+	}
 	srv := &http.Server{Handler: s.StatusHandler()}
-	s.mu.Lock()
-	s.listeners = append(s.listeners, ln)
-	s.mu.Unlock()
 	err := srv.Serve(ln)
 	if errors.Is(err, http.ErrServerClosed) || errors.Is(err, net.ErrClosed) {
 		// Close shuts the listener out from under the http.Server (the
