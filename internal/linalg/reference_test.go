@@ -400,8 +400,8 @@ func mat2MatchesReference(t *testing.T, m, b *Matrix) {
 // overflow or underflow, signed zeros, NaN and Inf, and pivots either
 // side of the 1e-300 singularity threshold; and at the Mat2 kernels'
 // own: a zero factor beside −0, Inf and NaN, a near-unitary projection,
-// and projections whose Newton iterate is singular or runs to the
-// 100-iterate cap.
+// projections whose Newton iterate is singular or runs to the 100-iterate
+// cap, and two projections of the CNF climb.
 func FuzzKernelsMatchReference(f *testing.F) {
 	up := math.Nextafter(1, 2)
 	tiny := math.SmallestNonzeroFloat64
@@ -452,6 +452,10 @@ func FuzzKernelsMatchReference(f *testing.F) {
 		kernelCase(2, 2, 0, 1, 1, 2, 2, 2, 2, 4, 4),
 		kernelCase(2, 2, 0, 1, 0, 1, 0, 1, 0, up, 0),
 		kernelCase(2, 2, 0, 1e300, 0, 0, 0, 0, 0, 1, 0),
+		// Mat2: projections shaped like the sweep's, two candidates of
+		// the CNF climb (climbCandidates).
+		kernelCase(2, 2, 0, mat2Vals(climbCandidates[0])...),
+		kernelCase(2, 2, 0, mat2Vals(climbCandidates[1])...),
 	} {
 		f.Add(seed)
 	}
