@@ -200,16 +200,17 @@ bench:
 # and 64 samples a block, dsp.FIR's block methods at the served chain's
 # shapes and the 120-tap canceller's), the served round trip (Client.Process
 # against a loopback relayd.Server, daemon side included, at 64 and at
-# 4096 samples a block) and the CNF ascent's per-step 2×2 kernels
-# (linalg.Mat2's Inverse, Det and ProjectUnitary) must stay at 0
-# allocs/op. Any benchmark line reporting nonzero allocs/op, or a failed
+# 4096 samples a block), the CNF ascent's per-step 2×2 kernels
+# (linalg.Mat2's Inverse, Det and ProjectUnitary) and the per-carrier
+# relay-noise whitening (phyrate's whiten) must stay at 0 allocs/op. Any benchmark line reporting nonzero allocs/op, or a failed
 # benchmark run, fails the target.
 bench-allocs: build
 	{ $(GO) test -run '^$$' -bench 'SICFilter|FFRelayProcess|SessionChains' -benchmem -benchtime 100x . ; \
 	  $(GO) test -run '^$$' -bench 'CFOStage' -benchmem -benchtime 1000x ./internal/pipeline ; \
 	  $(GO) test -run '^$$' -bench 'FIRKernel' -benchmem -benchtime 100x ./internal/dsp ; \
 	  $(GO) test -run '^$$' -bench 'ServedRoundTrip' -benchmem -benchtime 1000x ./internal/relayd ; \
-	  $(GO) test -run '^$$' -bench 'Mat2' -benchmem -benchtime 1000x ./internal/linalg ; } \
+	  $(GO) test -run '^$$' -bench 'Mat2' -benchmem -benchtime 1000x ./internal/linalg ; \
+	  $(GO) test -run '^$$' -bench 'Whiten' -benchmem -benchtime 1000x ./internal/phyrate ; } \
 		| tee /dev/stderr \
 		| awk '/allocs\/op/ { if ($$(NF-1)+0 != 0) bad = 1 } /^(FAIL|--- FAIL)/ { bad = 1 } END { if (bad) { print "FAIL: nonzero allocs/op in a per-block hot path"; exit 1 } }'
 

@@ -98,9 +98,9 @@ func BenchmarkAblationMIMOOptimizer(b *testing.B) {
 			Hsd := randMat(src, 2, 2, 1e-8)
 			Hsr := randMat(src, 2, 2, 1e-6)
 			Hrd := randMat(src, 2, 2, 1e-7)
-			direct := cmplx.Abs(Hsd.Det())
+			direct := cmplx.Abs(linalg.ToMat2(Hsd).Det())
 			det := func(F *linalg.Matrix) float64 {
-				return cmplx.Abs(Hsd.Add(Hrd.Mul(F).Mul(Hsr)).Det())
+				return cmplx.Abs(linalg.ToMat2(Hsd.Add(Hrd.Mul(F).Mul(Hsr))).Det())
 			}
 			FA := cnf.DesiredMIMO([]*linalg.Matrix{Hsd}, []*linalg.Matrix{Hsr},
 				[]*linalg.Matrix{Hrd}, 55, src)[0]

@@ -15,12 +15,10 @@ package main
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"fastforward/internal/channel"
 	"fastforward/internal/cnf"
 	"fastforward/internal/dsp"
-	"fastforward/internal/linalg"
 	"fastforward/internal/ofdm"
 	"fastforward/internal/relay"
 	"fastforward/internal/rng"
@@ -79,11 +77,16 @@ func main() {
 		chSD.ResponseVector(carriers, p.NFFT),
 		chSR.ResponseVector(carriers, p.NFFT),
 		chRD.ResponseVector(carriers, p.NFFT), ampDB)
+	// A 4-tap causal FIR at the PHY sample rate.
+	taps, _, err := cnf.FitTaps(ideal, carriers, p.NFFT, 0, 4)
+	if err != nil {
+		panic(err)
+	}
 	ff := relay.New(relay.Config{
 		SampleRate:           p.SampleRate,
 		AmplificationDB:      0, // gain folded into the pre-filter taps
 		PipelineDelaySamples: 2,
-		PreFilterTaps:        fitPreFilter(ideal, carriers, p, 4),
+		PreFilterTaps:        taps,
 		RxNoiseMW:            noiseMW,
 		NoiseSource:          src.Fork(),
 	})
@@ -123,23 +126,4 @@ func main() {
 	deliver("FF (noise-aware amplification):", chSD2, chSR2, chRD2, ff2, wifi.MCSList()[7], 10)
 	fmt.Println("\n(the blind repeater amplifies its own receiver noise over the client's")
 	fmt.Println(" direct signal — the Fig 11 failure; FF's a-3 dB rule avoids it)")
-}
-
-// fitPreFilter least-squares fits the desired per-subcarrier response onto
-// an nTaps causal FIR at the PHY sample rate.
-func fitPreFilter(desired []complex128, carriers []int, p *ofdm.Params, nTaps int) []complex128 {
-	A := linalg.NewMatrix(len(carriers), nTaps)
-	b := make([]complex128, len(carriers))
-	for i, k := range carriers {
-		b[i] = desired[i]
-		f := float64(k) / float64(p.NFFT)
-		for n := 0; n < nTaps; n++ {
-			A.Set(i, n, cmplx.Exp(complex(0, -2*math.Pi*f*float64(n))))
-		}
-	}
-	taps, err := linalg.LeastSquares(A, b, 1e-9)
-	if err != nil {
-		panic(err)
-	}
-	return taps
 }

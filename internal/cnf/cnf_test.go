@@ -158,15 +158,15 @@ func TestDesiredMIMOImprovesDet(t *testing.T) {
 	FA := DesiredMIMO(Hsd, Hsr, Hrd, ampDB, src)
 	amp := dsp.AmplitudeFromDB(ampDB)
 	for i := range Hsd {
-		opt := cmplx.Abs(Hsd[i].Add(Hrd[i].Mul(FA[i]).Mul(Hsr[i])).Det())
+		opt := cmplx.Abs(linalg.ToMat2(Hsd[i].Add(Hrd[i].Mul(FA[i]).Mul(Hsr[i]))).Det())
 		// Must beat the no-relay determinant.
-		direct := cmplx.Abs(Hsd[i].Det())
+		direct := cmplx.Abs(linalg.ToMat2(Hsd[i]).Det())
 		if opt < direct {
 			t.Errorf("subcarrier %d: optimized det %v below direct %v", i, opt, direct)
 		}
 		// Must beat (or match) naive identity forwarding at equal power.
 		naiveF := linalg.Identity(2).Scale(amp)
-		naive := cmplx.Abs(Hsd[i].Add(Hrd[i].Mul(naiveF).Mul(Hsr[i])).Det())
+		naive := cmplx.Abs(linalg.ToMat2(Hsd[i].Add(Hrd[i].Mul(naiveF).Mul(Hsr[i]))).Det())
 		if opt < naive-1e-12 {
 			t.Errorf("subcarrier %d: optimized det %v below naive %v", i, opt, naive)
 		}

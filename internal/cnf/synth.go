@@ -111,6 +111,26 @@ func SynthesizeWithBudget(desired []complex128, carriers []int, nfft int, sample
 	return newSynthWork(carriers, nfft, sampleRate, nTaps).synthesize(desired)
 }
 
+// FitTaps least-squares fits desired, a response on the carriers k of an
+// nfft-point OFDM symbol, onto n taps at the PHY rate with delays first
+// to first+n−1 samples: basis column d is e^{−j2πk(first+d)/nfft}, and
+// the fit has a ridge of 1e-9. It returns the taps and their response on
+// the carriers (the fit), or linalg.ErrSingular.
+func FitTaps(desired []complex128, carriers []int, nfft, first, n int) (taps, fit []complex128, err error) {
+	A := linalg.NewMatrix(len(carriers), n)
+	for i, k := range carriers {
+		f := float64(k) / float64(nfft)
+		for d := 0; d < n; d++ {
+			A.Set(i, d, cmplx.Exp(complex(0, -2*math.Pi*f*float64(first+d))))
+		}
+	}
+	taps, err = linalg.LeastSquares(A, desired, 1e-9)
+	if err != nil {
+		return nil, nil, err
+	}
+	return taps, A.MulVec(taps), nil
+}
+
 // synthWork is the workspace of the alternating least squares for one
 // carrier set: the basis tables, which depend only on the carriers, and
 // the buffers of both stages' fits, allocated once and reused by every

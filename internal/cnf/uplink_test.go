@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"fastforward/internal/linalg"
 	"fastforward/internal/rng"
 )
 
@@ -35,8 +36,8 @@ func TestUplinkReciprocityMIMO(t *testing.T) {
 	down := EffectiveMIMO(Hsd, Hsr, Hrd, FA)
 	up := EffectiveUplinkMIMO(Hsd, Hsr, Hrd, FA)
 	for i := range down {
-		dDet := cmplx.Abs(down[i].Det())
-		uDet := cmplx.Abs(up[i].Det())
+		dDet := cmplx.Abs(linalg.ToMat2(down[i]).Det())
+		uDet := cmplx.Abs(linalg.ToMat2(up[i]).Det())
 		if math.Abs(dDet-uDet) > 1e-12*(1+dDet) {
 			t.Fatalf("subcarrier %d: det mismatch %v vs %v", i, dDet, uDet)
 		}

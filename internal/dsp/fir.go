@@ -61,9 +61,6 @@ func NewFIR(taps []complex128) *FIR {
 	return f
 }
 
-// NumTaps returns the number of filter taps.
-func (f *FIR) NumTaps() int { return len(f.taps) }
-
 // Push feeds one input sample and returns the corresponding output sample.
 func (f *FIR) Push(x complex128) complex128 {
 	t := len(f.taps)

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -49,6 +50,15 @@ func TestMulKnown(t *testing.T) {
 	}
 }
 
+func TestMulDimensionMismatch(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic on a 2×3 · 2×2 product")
+		}
+	}()
+	randMatrix(2, 3, 4).Mul(randMatrix(2, 2, 3))
+}
+
 func TestMulVec(t *testing.T) {
 	a := FromRows([][]complex128{{1, 1i}, {2, 0}})
 	v := a.MulVec([]complex128{1, 1})
@@ -69,25 +79,22 @@ func TestAdjoint(t *testing.T) {
 }
 
 func TestDetKnown(t *testing.T) {
-	a := FromRows([][]complex128{{1, 2}, {3, 4}})
-	if d := a.Det(); cmplx.Abs(d-(-2)) > 1e-12 {
+	if d := (Mat2{1, 2, 3, 4}).Det(); cmplx.Abs(d-(-2)) > 1e-12 {
 		t.Errorf("det = %v, want -2", d)
 	}
 	// Complex case: det [[i,0],[0,i]] = -1.
-	b := FromRows([][]complex128{{1i, 0}, {0, 1i}})
-	if d := b.Det(); cmplx.Abs(d-(-1)) > 1e-12 {
+	if d := (Mat2{1i, 0, 0, 1i}).Det(); cmplx.Abs(d-(-1)) > 1e-12 {
 		t.Errorf("det = %v, want -1", d)
 	}
 	// Singular.
-	c := FromRows([][]complex128{{1, 2}, {2, 4}})
-	if d := c.Det(); cmplx.Abs(d) > 1e-12 {
+	if d := (Mat2{1, 2, 2, 4}).Det(); cmplx.Abs(d) > 1e-12 {
 		t.Errorf("det of singular = %v, want 0", d)
 	}
 }
 
 func TestDetOfProduct(t *testing.T) {
-	a := randMatrix(4, 4, 2)
-	b := randMatrix(4, 4, 3)
+	a := ToMat2(randMatrix(2, 2, 2))
+	b := ToMat2(randMatrix(2, 2, 3))
 	lhs := a.Mul(b).Det()
 	rhs := a.Det() * b.Det()
 	if cmplx.Abs(lhs-rhs) > 1e-8*(1+cmplx.Abs(rhs)) {
@@ -96,23 +103,22 @@ func TestDetOfProduct(t *testing.T) {
 }
 
 func TestInverse(t *testing.T) {
-	a := randMatrix(4, 4, 5)
+	a := ToMat2(randMatrix(2, 2, 5))
 	inv, err := a.Inverse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matApprox(a.Mul(inv), Identity(4), 1e-9) {
+	if !matApprox(a.Mul(inv).Matrix(), Identity(2), 1e-9) {
 		t.Error("A·A⁻¹ != I")
 	}
-	if !matApprox(inv.Mul(a), Identity(4), 1e-9) {
+	if !matApprox(inv.Mul(a).Matrix(), Identity(2), 1e-9) {
 		t.Error("A⁻¹·A != I")
 	}
 }
 
 func TestInverseSingular(t *testing.T) {
-	a := FromRows([][]complex128{{1, 2}, {2, 4}})
-	if _, err := a.Inverse(); err == nil {
-		t.Error("expected error for singular matrix")
+	if _, err := (Mat2{1, 2, 2, 4}).Inverse(); !errors.Is(err, ErrSingular) {
+		t.Errorf("Inverse of a singular matrix: %v, want ErrSingular", err)
 	}
 }
 
@@ -246,11 +252,11 @@ func TestConditionNumber(t *testing.T) {
 }
 
 func TestQuickDetUnitaryInvariance(t *testing.T) {
-	// |det(U·A)| == |det(A)| for unitary U (here: permutation-free rotations
-	// built by projecting a random matrix).
+	// |det(U·A)| == |det(A)| for unitary U (built by projecting a random
+	// matrix).
 	f := func(seed int64) bool {
-		a := randMatrix(3, 3, seed)
-		u, err := refProjectUnitary(randMatrix(3, 3, seed+1))
+		a := ToMat2(randMatrix(2, 2, seed))
+		u, err := ToMat2(randMatrix(2, 2, seed+1)).ProjectUnitary()
 		if err != nil {
 			return true // singular random matrix: skip
 		}

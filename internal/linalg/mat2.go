@@ -7,20 +7,22 @@ import (
 )
 
 // Mat2 is a 2×2 complex matrix held by value, row-major: [a00 a01 a10 a11].
-// Its kernels are the general ones specialized to two rows — each repeats
-// MulInto, AdjointInto, DetInto and InverseInto operation for operation,
-// in the same order and with the same pivot rule, so a Mat2 result has the
-// bits of the matching *Matrix result. They allocate nothing, which is what
-// the CNF ascent's per-step products and projections need.
+// It is the package's one determinant and inverse; the CNF ascent's
+// per-step products and projections and the relay-noise whitening use it,
+// and its kernels allocate nothing. Mul and Adjoint repeat Matrix.Mul and
+// Matrix.Adjoint operation for operation. Det, Inverse and ProjectUnitary
+// return the bits of the textbook kernels in reference_test.go — refDet's
+// LU and refInverse's Gauss-Jordan elimination, both with partial
+// pivoting, and refProjectUnitary's polar Newton iteration — which
+// FuzzKernelsMatchReference holds them to.
 //
 // Mul, Det, Inverse and ProjectUnitary compute in four complex128 locals:
 // each unpacks its operands on entry and packs its result on return. gc
 // keeps any array of more than one element in memory, so indexing a Mat2
 // inside a kernel is a load or a store per access, where a local stays in
-// a register. Computing in locals keeps the general kernels' bits as long
-// as each kernel performs the same operations in the same order: on amd64
-// gc fuses no multiply and add but an explicit math.FMA, so where a value
-// lives does not change it.
+// a register. Where a value lives does not change its bits as long as each
+// kernel performs the same operations in the same order: on amd64 gc fuses
+// no multiply and add but an explicit math.FMA.
 type Mat2 [4]complex128
 
 // ToMat2 copies the 2×2 matrix m into a Mat2; it panics on any other shape.
@@ -36,7 +38,7 @@ func (m Mat2) Matrix() *Matrix {
 	return &Matrix{Rows: 2, Cols: 2, Data: []complex128{m[0], m[1], m[2], m[3]}}
 }
 
-// Mul returns the product a·b. Like MulInto it accumulates each row from
+// Mul returns the product a·b. Like Matrix.Mul it accumulates each row from
 // zero and skips the terms of a zero entry of a, so an Inf or NaN in b
 // opposite a zero does not reach the result.
 func (a Mat2) Mul(b Mat2) Mat2 {
@@ -67,7 +69,7 @@ func (m Mat2) Adjoint() Mat2 {
 	return Mat2{cmplx.Conj(m[0]), cmplx.Conj(m[2]), cmplx.Conj(m[1]), cmplx.Conj(m[3])}
 }
 
-// Det returns det m by DetInto's LU with partial pivoting.
+// Det returns det m by LU with partial pivoting.
 func (m Mat2) Det() complex128 {
 	m0, m1, m2, m3 := m[0], m[1], m[2], m[3]
 	det := complex(1, 0)

@@ -1,11 +1,12 @@
 // Package linalg implements the dense complex-valued linear algebra the
-// MIMO parts of FastForward need: determinants (the CNF objective is
-// det(Hsd + Hrd·F·A·Hsr)), singular values (MIMO rank and per-stream SNR),
-// inverses and least-squares solves (cancellation filter estimation).
-//
-// Matrices are small (antenna counts and filter tap counts), so the
-// implementations favour clarity and numerical robustness over asymptotic
-// speed: LU with partial pivoting, Householder QR, and one-sided Jacobi SVD.
+// MIMO parts of FastForward need. Matrix is the general form: products,
+// singular values by one-sided Jacobi (MIMO rank and per-stream SNR), and
+// least squares through the regularized normal equations and Gauss-Jordan
+// elimination (tap fits and cancellation filter estimation), plus NNLS.
+// Mat2 is the 2×2 form held by value, with the package's determinant (the
+// CNF objective is det(Hsd + Hrd·F·A·Hsr)), inverse and unitary
+// projection. Matrices are small (antenna and tap counts), so the code
+// favours clarity and numerical robustness over asymptotic speed.
 package linalg
 
 import (
@@ -117,29 +118,24 @@ func (m *Matrix) ScaleC(s complex128) *Matrix {
 // Scale returns m scaled by a real scalar.
 func (m *Matrix) Scale(s float64) *Matrix { return m.ScaleC(complex(s, 0)) }
 
-// Mul returns the matrix product m·o.
+// Mul returns the matrix product m·o. Each row accumulates from zero and
+// skips the terms of a zero entry of m, so an Inf or NaN in o opposite a
+// zero does not reach the product.
 func (m *Matrix) Mul(o *Matrix) *Matrix {
-	return MulInto(NewMatrix(m.Rows, o.Cols), m, o)
-}
-
-// MulInto writes the product a·b into dst (a.Rows×b.Cols, aliasing
-// neither operand) and returns dst. It allocates nothing.
-func MulInto(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
+	if m.Cols != o.Rows {
 		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d · %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols))
+			m.Rows, m.Cols, o.Rows, o.Cols))
 	}
-	dst.checkShape(a.Rows, b.Cols)
-	clear(dst.Data)
-	for i := 0; i < a.Rows; i++ {
+	dst := NewMatrix(m.Rows, o.Cols)
+	for i := 0; i < m.Rows; i++ {
 		di := dst.row(i)
-		for k, v := range a.row(i) {
+		for k, v := range m.row(i) {
 			if v == 0 {
 				continue
 			}
-			bk := b.row(k)
+			orow := o.row(k)
 			for j := range di {
-				di[j] += v * bk[j]
+				di[j] += v * orow[j]
 			}
 		}
 	}
@@ -163,18 +159,14 @@ func (m *Matrix) MulVec(v []complex128) []complex128 {
 }
 
 // Adjoint returns the conjugate transpose mᴴ.
-func (m *Matrix) Adjoint() *Matrix { return AdjointInto(NewMatrix(m.Cols, m.Rows), m) }
-
-// AdjointInto writes mᴴ into dst (m.Cols×m.Rows, not aliasing m) and
-// returns dst. It allocates nothing.
-func AdjointInto(dst, m *Matrix) *Matrix {
-	dst.checkShape(m.Cols, m.Rows)
+func (m *Matrix) Adjoint() *Matrix {
+	r := NewMatrix(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
-			dst.Set(j, i, cmplx.Conj(m.At(i, j)))
+			r.Set(j, i, cmplx.Conj(m.At(i, j)))
 		}
 	}
-	return dst
+	return r
 }
 
 // Transpose returns mᵀ (no conjugation).
@@ -200,83 +192,6 @@ func (m *Matrix) FrobeniusNorm() float64 {
 // ErrSingular is returned when a matrix has no usable inverse: some
 // elimination pivot falls below 1e-300 in magnitude.
 var ErrSingular = errors.New("linalg: singular matrix")
-
-// Det returns the determinant of a square matrix via LU decomposition with
-// partial pivoting.
-func (m *Matrix) Det() complex128 {
-	return DetInto(NewMatrix(m.Rows, m.Cols), m)
-}
-
-// DetInto returns the determinant of the square matrix m, using work (the
-// same shape, not aliasing m) as elimination scratch; work's contents
-// afterwards are unspecified. It allocates nothing.
-func DetInto(work, m *Matrix) complex128 {
-	if m.Rows != m.Cols {
-		panic("linalg: Det of non-square matrix")
-	}
-	work.checkShape(m.Rows, m.Cols)
-	n := m.Rows
-	a := work.Data
-	copy(a, m.Data)
-	det := complex(1, 0)
-	for col := 0; col < n; col++ {
-		// The last column has no rows below it to pivot on.
-		piv := col
-		if col+1 < n {
-			piv = pivotRow(work, col)
-		}
-		p := a[piv*n+col]
-		if p == 0 {
-			return 0
-		}
-		if piv != col {
-			work.swapRows(piv, col)
-			det = -det
-		}
-		det *= p
-		d := newDivisor(real(p), imag(p))
-		for r := col + 1; r < n; r++ {
-			f := d.quo(a[r*n+col], p)
-			if f == 0 {
-				continue
-			}
-			// Column col is never read again, so only the columns right
-			// of it are updated.
-			for c := col + 1; c < n; c++ {
-				a[r*n+c] -= f * a[col*n+c]
-			}
-		}
-	}
-	return det
-}
-
-// Inverse returns m⁻¹ (Gauss-Jordan with partial pivoting) or an error for
-// singular matrices.
-func (m *Matrix) Inverse() (*Matrix, error) {
-	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("linalg: inverse of non-square %dx%d matrix", m.Rows, m.Cols)
-	}
-	inv := NewMatrix(m.Rows, m.Cols)
-	if err := InverseInto(inv, NewMatrix(m.Rows, m.Cols), m); err != nil {
-		return nil, err
-	}
-	return inv, nil
-}
-
-// InverseInto writes m⁻¹ into dst, using work as elimination scratch. m
-// must be square and dst and work the same shape, all three distinct. It
-// returns ErrSingular (leaving dst unspecified) for singular matrices and
-// allocates nothing.
-func InverseInto(dst, work, m *Matrix) error {
-	if m.Rows != m.Cols {
-		panic(fmt.Sprintf("linalg: inverse of non-square %dx%d matrix", m.Rows, m.Cols))
-	}
-	n := m.Rows
-	dst.checkShape(n, n)
-	work.checkShape(n, n)
-	copy(work.Data, m.Data)
-	return gaussJordan(dst, work)
-}
 
 // gaussJordan overwrites inv with a⁻¹ by Gauss-Jordan elimination with
 // partial pivoting, destroying a (both n×n and distinct). It returns
@@ -425,15 +340,6 @@ func (m *Matrix) swapRows(i, j int) {
 	ri, rj := m.row(i), m.row(j)
 	for k := range ri {
 		ri[k], rj[k] = rj[k], ri[k]
-	}
-}
-
-// checkShape panics unless m is rows×cols and its storage matches: the
-// in-place kernels' guard against a wrong-size destination or scratch.
-func (m *Matrix) checkShape(rows, cols int) {
-	if m.Rows != rows || m.Cols != cols || len(m.Data) != rows*cols {
-		panic(fmt.Sprintf("linalg: destination is %dx%d (%d elements), want %dx%d",
-			m.Rows, m.Cols, len(m.Data), rows, cols))
 	}
 }
 

@@ -7,20 +7,16 @@ import (
 	"testing"
 )
 
-// The ref* kernels below are the textbook forms InverseInto, DetInto,
-// LeastSquares and NNLS had before their elimination and workspace were
-// streamlined, and the n×n polar Newton projection Mat2.ProjectUnitary
-// specializes, kept as the oracle FuzzKernelsMatchReference holds the
-// production kernels to, bit for bit.
+// The ref* kernels below are textbook n×n forms kept as the oracle
+// FuzzKernelsMatchReference holds the production kernels to, bit for bit:
+// the LU determinant, Gauss-Jordan inverse and polar Newton projection
+// that Mat2's Det, Inverse and ProjectUnitary specialize, and the
+// LeastSquares and NNLS that the workspace-reusing LeastSquaresInto and
+// NNLSInto streamline.
 
-func refDetInto(work, m *Matrix) complex128 {
-	if m.Rows != m.Cols {
-		panic("linalg: Det of non-square matrix")
-	}
-	work.checkShape(m.Rows, m.Cols)
+func refDet(m *Matrix) complex128 {
 	n := m.Rows
-	a := work
-	copy(a.Data, m.Data)
+	a := m.Clone()
 	det := complex(1, 0)
 	for col := 0; col < n; col++ {
 		// Pivot: largest magnitude in the column at or below the diagonal.
@@ -54,16 +50,9 @@ func refDetInto(work, m *Matrix) complex128 {
 	return det
 }
 
-func refInverseInto(dst, work, m *Matrix) error {
-	if m.Rows != m.Cols {
-		panic("linalg: inverse of non-square matrix")
-	}
+func refInverse(m *Matrix) (*Matrix, error) {
 	n := m.Rows
-	dst.checkShape(n, n)
-	work.checkShape(n, n)
-	a, inv := work, dst
-	copy(a.Data, m.Data)
-	setIdentity(inv)
+	a, inv := m.Clone(), Identity(n)
 	for col := 0; col < n; col++ {
 		piv, pmax := col, cmplx.Abs(a.At(col, col))
 		for r := col + 1; r < n; r++ {
@@ -72,7 +61,7 @@ func refInverseInto(dst, work, m *Matrix) error {
 			}
 		}
 		if pmax < 1e-300 {
-			return ErrSingular
+			return nil, ErrSingular
 		}
 		if piv != col {
 			a.swapRows(piv, col)
@@ -99,14 +88,6 @@ func refInverseInto(dst, work, m *Matrix) error {
 			}
 		}
 	}
-	return nil
-}
-
-func refInverse(m *Matrix) (*Matrix, error) {
-	inv := NewMatrix(m.Rows, m.Cols)
-	if err := refInverseInto(inv, NewMatrix(m.Rows, m.Cols), m); err != nil {
-		return nil, err
-	}
 	return inv, nil
 }
 
@@ -114,11 +95,10 @@ func refProjectUnitary(m *Matrix) (*Matrix, error) {
 	if m.Rows != m.Cols {
 		panic("linalg: ProjectUnitary needs square matrix")
 	}
-	n := m.Rows
-	x, adj, inv, work := NewMatrix(n, n), NewMatrix(n, n), NewMatrix(n, n), NewMatrix(n, n)
-	copy(x.Data, m.Data)
+	x := m.Clone()
 	for iter := 0; iter < 100; iter++ {
-		if err := refInverseInto(inv, work, AdjointInto(adj, x)); err != nil {
+		inv, err := refInverse(x.Adjoint())
+		if err != nil {
 			return nil, err
 		}
 		// next = (x + x⁻ᴴ)/2 element by element; diff accumulates
@@ -351,9 +331,9 @@ func sameComplexBits(x, y []complex128) bool {
 }
 
 // mat2MatchesReference holds the Mat2 kernels on the 2×2 matrices m and b
-// to the general ones: Mul (both orders), Adjoint, Det and Inverse to
-// MulInto, AdjointInto, DetInto and InverseInto, and ProjectUnitary to
-// refProjectUnitary.
+// to their counterparts: Mul (both orders) and Adjoint to Matrix.Mul and
+// Matrix.Adjoint, and Det, Inverse and ProjectUnitary to refDet,
+// refInverse and refProjectUnitary.
 func mat2MatchesReference(t *testing.T, m, b *Matrix) {
 	t.Helper()
 	m2, b2 := ToMat2(m), ToMat2(b)
@@ -363,17 +343,17 @@ func mat2MatchesReference(t *testing.T, m, b *Matrix) {
 			t.Fatalf("Mat2.%s %v, reference %v", name, got, want.Data)
 		}
 	}
-	same("Mul", m2.Mul(b2), MulInto(NewMatrix(2, 2), m, b))
-	same("Mul", b2.Mul(m2), MulInto(NewMatrix(2, 2), b, m))
-	same("Adjoint", m2.Adjoint(), AdjointInto(NewMatrix(2, 2), m))
+	same("Mul", m2.Mul(b2), m.Mul(b))
+	same("Mul", b2.Mul(m2), b.Mul(m))
+	same("Adjoint", m2.Adjoint(), m.Adjoint())
 
-	if det, want := m2.Det(), DetInto(NewMatrix(2, 2), m); !sameComplexBits([]complex128{det}, []complex128{want}) {
+	if det, want := m2.Det(), refDet(m); !sameComplexBits([]complex128{det}, []complex128{want}) {
 		t.Fatalf("Mat2.Det %v, reference %v", det, want)
 	}
 
 	inv, err := m2.Inverse()
-	wantInv := NewMatrix(2, 2)
-	if wantErr := InverseInto(wantInv, NewMatrix(2, 2), m); err != wantErr {
+	wantInv, wantErr := refInverse(m)
+	if err != wantErr {
 		t.Fatalf("Mat2.Inverse error %v, reference %v", err, wantErr)
 	}
 	if err == nil {
@@ -390,11 +370,11 @@ func mat2MatchesReference(t *testing.T, m, b *Matrix) {
 	}
 }
 
-// FuzzKernelsMatchReference holds InverseInto, DetInto, LeastSquares and
-// NNLS to the reference kernels above, and every Mat2 kernel to its
-// general counterpart on each 2×2 case: the same error, and the same
-// Float64bits in every output (NaN matching any NaN), on 1×1 to 4×4
-// inputs of any float64 values.
+// FuzzKernelsMatchReference holds gaussJordan (the elimination behind
+// LeastSquares), LeastSquares and NNLS to the reference kernels above on
+// 1×1 to 4×4 inputs, and every Mat2 kernel to its reference on each 2×2
+// case: the same error, and the same Float64bits in
+// every output (NaN matching any NaN), on inputs of any float64 values.
 // The seeds aim at the places a faster pivot search or a hoisted division
 // could diverge: pivots tied to within an ulp, magnitudes whose squares
 // overflow or underflow, signed zeros, NaN and Inf, and pivots either
@@ -465,20 +445,14 @@ func FuzzKernelsMatchReference(f *testing.F) {
 			return
 		}
 		n := in.m.Rows
-
-		inv, work := NewMatrix(n, n), NewMatrix(n, n)
-		wantInv, wantWork := NewMatrix(n, n), NewMatrix(n, n)
-		err := InverseInto(inv, work, in.m)
-		wantErr := refInverseInto(wantInv, wantWork, in.m)
+		inv := NewMatrix(n, n)
+		err := gaussJordan(inv, in.m.Clone())
+		wantInv, wantErr := refInverse(in.m)
 		if err != wantErr {
-			t.Fatalf("InverseInto error %v, reference %v", err, wantErr)
+			t.Fatalf("gaussJordan error %v, reference %v", err, wantErr)
 		}
 		if err == nil && !sameComplexBits(inv.Data, wantInv.Data) {
-			t.Fatalf("InverseInto %v, reference %v", inv.Data, wantInv.Data)
-		}
-
-		if det, want := DetInto(work, in.m), refDetInto(wantWork, in.m); !sameComplexBits([]complex128{det}, []complex128{want}) {
-			t.Fatalf("DetInto %v, reference %v", det, want)
+			t.Fatalf("gaussJordan %v, reference %v", inv.Data, wantInv.Data)
 		}
 
 		x, err := LeastSquares(in.A, in.b, in.lambda)

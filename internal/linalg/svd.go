@@ -173,9 +173,8 @@ func LeastSquaresInto(x []complex128, A *Matrix, b []complex128, lambda float64,
 	ata := Matrix{Rows: k, Cols: k, Data: s.ata[:k*k]}
 	inv := Matrix{Rows: k, Cols: k, Data: s.inv[:k*k]}
 	atb := s.atb[:k]
-	// AᴴA and Aᴴb, each entry summed in the order of MulInto(Aᴴ, A) and
-	// Aᴴ.MulVec(b), zero terms of the product skipped as MulInto skips
-	// them.
+	// AᴴA and Aᴴb, each entry summed in the order of Aᴴ.Mul(A) and
+	// Aᴴ.MulVec(b), zero terms of the product skipped as Mul skips them.
 	clear(ata.Data)
 	for i := 0; i < k; i++ {
 		di := ata.Data[i*k : (i+1)*k]

@@ -50,42 +50,47 @@ func NoiseCovariance(HrdFA *linalg.Matrix, n0, nr float64) *linalg.Matrix {
 	return cov
 }
 
-// whiten returns N^(-1/2)·H for a Hermitian positive-definite noise
-// covariance N, computed via Cholesky-free inverse square root: for the
-// 2×2 (or small) matrices here we use the eigendecomposition implied by
-// the SVD of the Hermitian matrix.
-func whiten(H, N *linalg.Matrix) *linalg.Matrix {
-	inv, err := invSqrt(N)
+// whiten returns N^(-1/2)·H for a Hermitian positive-definite 2×2 noise
+// covariance N, or H itself when invSqrt meets a singular iterate. Both
+// are 2×2 (ToMat2 panics otherwise), so it allocates nothing.
+func whiten(H, N *linalg.Matrix) linalg.Mat2 {
+	h := linalg.ToMat2(H)
+	inv, err := invSqrt(linalg.ToMat2(N))
 	if err != nil {
-		return H
+		return h
 	}
-	return inv.Mul(H)
+	return inv.Mul(h)
 }
 
-// invSqrt computes N^(-1/2) for Hermitian positive-definite N via
-// Denman-Beavers iteration on N (sqrt), then inversion. Matrices are tiny
-// (antenna count), so the iteration cost is negligible.
-func invSqrt(N *linalg.Matrix) (*linalg.Matrix, error) {
-	y := N.Clone()
-	z := linalg.Identity(N.Rows)
+// invSqrt computes N^(-1/2) for Hermitian positive-definite N by
+// Denman-Beavers iteration: y converges to N^(1/2) and z to N^(-1/2),
+// stopping once y moves by less than 1e-14 of its Frobenius norm (at most
+// 60 iterates).
+func invSqrt(N linalg.Mat2) (linalg.Mat2, error) {
+	y, z := N, linalg.Mat2{1, 0, 0, 1}
 	for iter := 0; iter < 60; iter++ {
 		yInv, err := y.Inverse()
 		if err != nil {
-			return nil, err
+			return linalg.Mat2{}, err
 		}
 		zInv, err := z.Inverse()
 		if err != nil {
-			return nil, err
+			return linalg.Mat2{}, err
 		}
-		yNext := y.Add(zInv).Scale(0.5)
-		zNext := z.Add(yInv).Scale(0.5)
-		dy := yNext.Sub(y).FrobeniusNorm()
-		y, z = yNext, zNext
-		if dy < 1e-14*y.FrobeniusNorm() {
+		// The squared norms of the step and of the next y sum in storage
+		// order, as Matrix.FrobeniusNorm sums them.
+		var stepSq, ySq float64
+		for i := range y {
+			next := (y[i] + zInv[i]) * complex(0.5, 0)
+			d := next - y[i]
+			stepSq += real(d)*real(d) + imag(d)*imag(d)
+			ySq += real(next)*real(next) + imag(next)*imag(next)
+			y[i], z[i] = next, (z[i]+yInv[i])*complex(0.5, 0)
+		}
+		if math.Sqrt(stepSq) < 1e-14*math.Sqrt(ySq) {
 			break
 		}
 	}
-	// y ≈ sqrt(N), z ≈ N^(-1/2).
 	return z, nil
 }
 
@@ -107,7 +112,7 @@ type MIMORate struct {
 // MIMORateMbps evaluates a MIMO link: Heff is the per-subcarrier effective
 // channel (destination antennas × source antennas), noiseCov the
 // per-subcarrier destination noise covariance (nil for white noise of
-// power n0). Transmit power txPowerMW is split evenly across streams. The
+// power n0; otherwise it and Heff are 2×2). Transmit power txPowerMW is split evenly across streams. The
 // function tries every stream count and picks the best sum rate, mapping
 // per-stream SNR through the MCS table.
 func MIMORateMbps(p *ofdm.Params, Heff []*linalg.Matrix, noiseCov []*linalg.Matrix, txPowerMW, n0 float64) MIMORate {
@@ -124,9 +129,9 @@ func MIMORateMbps(p *ofdm.Params, Heff []*linalg.Matrix, noiseCov []*linalg.Matr
 	// singular values of the whitened channel.
 	acc := make([]float64, maxStreams)
 	for i, H := range Heff {
-		W := H
+		var W *linalg.Matrix
 		if noiseCov != nil {
-			W = whiten(H, noiseCov[i])
+			W = whiten(H, noiseCov[i]).Matrix()
 		} else {
 			W = H.Scale(1 / math.Sqrt(n0))
 		}

@@ -137,18 +137,47 @@ func TestNoiseCovarianceWhitening(t *testing.T) {
 
 func TestInvSqrt(t *testing.T) {
 	// N^(-1/2)·N·N^(-1/2) = I.
-	n := linalg.FromRows([][]complex128{
-		{complex(4, 0), complex(1, 0.5)},
-		{complex(1, -0.5), complex(3, 0)},
-	})
+	n := linalg.Mat2{complex(4, 0), complex(1, 0.5), complex(1, -0.5), complex(3, 0)}
 	inv, err := invSqrt(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod := inv.Mul(n).Mul(inv)
-	id := linalg.Identity(2)
-	if prod.Sub(id).FrobeniusNorm() > 1e-9 {
+	prod := inv.Mul(n).Mul(inv).Matrix()
+	if prod.Sub(linalg.Identity(2)).FrobeniusNorm() > 1e-9 {
 		t.Errorf("invSqrt wrong:\n%v", prod)
+	}
+}
+
+// whitenCase is a sweep-shaped whitening: a 2×2 channel against the
+// covariance of relay noise 10 dB over the floor.
+func whitenCase() (H, N *linalg.Matrix) {
+	src := rng.New(7)
+	H, G := linalg.NewMatrix(2, 2), linalg.NewMatrix(2, 2)
+	for j := range H.Data {
+		H.Data[j] = src.ComplexGaussian(1e-8)
+		G.Data[j] = src.ComplexGaussian(1)
+	}
+	return H, NoiseCovariance(G, 1e-9, 1e-8)
+}
+
+// TestWhitenAllocs: a whitening works on Mat2 values, so it allocates
+// nothing; MIMORateMbps runs one per carrier.
+func TestWhitenAllocs(t *testing.T) {
+	H, N := whitenCase()
+	if n := testing.AllocsPerRun(20, func() { whitenSink = whiten(H, N) }); n != 0 {
+		t.Errorf("whiten: %v allocs/op, want 0", n)
+	}
+}
+
+var whitenSink linalg.Mat2
+
+// BenchmarkWhiten times one whitening of whitenCase. `make bench-allocs`
+// holds it at 0 allocs/op.
+func BenchmarkWhiten(b *testing.B) {
+	H, N := whitenCase()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		whitenSink = whiten(H, N)
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"fastforward/internal/channel"
 	"fastforward/internal/cnf"
 	"fastforward/internal/dsp"
-	"fastforward/internal/linalg"
 	"fastforward/internal/ofdm"
 	"fastforward/internal/relay"
 	"fastforward/internal/rng"
@@ -293,25 +292,11 @@ func (s *Session) RunSoundingExchange() error {
 // to negative delays that a causal-only basis would destroy.
 func denoise(h []complex128, carriers []int, nfft, nTaps int) []complex128 {
 	const lead = 4
-	A := delayBasis(carriers, nfft, -lead, nTaps+lead)
-	taps, err := linalg.LeastSquares(A, h, 1e-9)
+	_, fit, err := cnf.FitTaps(h, carriers, nfft, -lead, nTaps+lead)
 	if err != nil {
 		return h
 	}
-	return A.MulVec(taps)
-}
-
-// delayBasis is the carriers × n matrix whose column d is the response
-// e^{−j2πkτ/nfft} of a unit tap at delay τ = first + d samples.
-func delayBasis(carriers []int, nfft, first, n int) *linalg.Matrix {
-	A := linalg.NewMatrix(len(carriers), n)
-	for i, k := range carriers {
-		f := float64(k) / float64(nfft)
-		for d := 0; d < n; d++ {
-			A.Set(i, d, cmplx.Exp(complex(0, -2*math.Pi*f*float64(first+d))))
-		}
-	}
-	return A
+	return fit
 }
 
 // AmplificationDB returns the relay's learned amplification (valid after
@@ -378,7 +363,6 @@ func retryEstimate(n int, fn func() ([]complex128, float64, error)) ([]complex12
 // ripple) at the cost of a slightly later relayed copy — still far inside
 // the CP.
 func fitPreFilter(desired []complex128, carriers []int, nfft, nTaps int) []complex128 {
-	A := delayBasis(carriers, nfft, 0, nTaps)
 	var best []complex128
 	bestRes := math.Inf(1)
 	for m := 0; m < nTaps; m++ {
@@ -387,11 +371,10 @@ func fitPreFilter(desired []complex128, carriers []int, nfft, nTaps int) []compl
 			rot := cmplx.Exp(complex(0, -2*math.Pi*float64(k)*float64(m)/float64(nfft)))
 			b[i] = desired[i] * rot
 		}
-		taps, err := linalg.LeastSquares(A, b, 1e-9)
+		taps, fit, err := cnf.FitTaps(b, carriers, nfft, 0, nTaps)
 		if err != nil {
 			continue
 		}
-		fit := A.MulVec(taps)
 		var res float64
 		for i := range fit {
 			d := fit[i] - b[i]

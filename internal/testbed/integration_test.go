@@ -2,14 +2,12 @@ package testbed
 
 import (
 	"math"
-	"math/cmplx"
 	"testing"
 
 	"fastforward/internal/channel"
 	"fastforward/internal/cnf"
 	"fastforward/internal/dsp"
 	"fastforward/internal/floorplan"
-	"fastforward/internal/linalg"
 	"fastforward/internal/ofdm"
 	"fastforward/internal/relay"
 	"fastforward/internal/rng"
@@ -66,7 +64,10 @@ func TestCrossValidateWaveformLevel(t *testing.T) {
 		// the same idealization the paper's Eq. 1 model makes.
 		const pipe = 2
 		ideal := cnf.DesiredSISO(hsd, hsr, hrd, ampDB)
-		taps := fitTaps(ideal, carriers, tb.Params().NFFT, 4)
+		taps, _, err := cnf.FitTaps(ideal, carriers, tb.Params().NFFT, 0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ff := relay.New(relay.Config{
 			SampleRate:           fs,
 			AmplificationDB:      0,
@@ -161,25 +162,6 @@ func TestDeadSpotIsDeadOnAir(t *testing.T) {
 	if decoded > 1 {
 		t.Errorf("dead spot %v decoded %d/5 frames at MCS0 — prediction inconsistent", *dead, decoded)
 	}
-}
-
-// fitTaps least-squares fits a desired per-subcarrier response onto an
-// nTaps causal FIR at the PHY rate.
-func fitTaps(desired []complex128, carriers []int, nfft, nTaps int) []complex128 {
-	A := linalg.NewMatrix(len(carriers), nTaps)
-	b := make([]complex128, len(carriers))
-	for i, k := range carriers {
-		b[i] = desired[i]
-		f := float64(k) / float64(nfft)
-		for n := 0; n < nTaps; n++ {
-			A.Set(i, n, cmplx.Exp(complex(0, -2*math.Pi*f*float64(n))))
-		}
-	}
-	taps, err := linalg.LeastSquares(A, b, 1e-9)
-	if err != nil {
-		panic(err)
-	}
-	return taps
 }
 
 // mcsIndexForRate returns the index of the highest MCS whose SISO PHY

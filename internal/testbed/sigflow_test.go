@@ -52,11 +52,15 @@ func TestSignatureDrivenRelaying(t *testing.T) {
 			amp = pa
 		}
 		ideal := cnf.DesiredSISO(hsd, hsr, hrd, amp)
+		taps, _, err := cnf.FitTaps(ideal, carriers, p.NFFT, 0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return clientEnv{
 			id:     id,
 			chSD:   chSD,
 			chRD:   chRD,
-			filter: fitTaps(ideal, carriers, p.NFFT, 4),
+			filter: taps,
 		}
 	}
 	clients := []clientEnv{mkClient(1), mkClient(2)}
