@@ -112,9 +112,9 @@ type MIMORate struct {
 // MIMORateMbps evaluates a MIMO link: Heff is the per-subcarrier effective
 // channel (destination antennas × source antennas), noiseCov the
 // per-subcarrier destination noise covariance (nil for white noise of
-// power n0; otherwise it and Heff are 2×2). Transmit power txPowerMW is split evenly across streams. The
-// function tries every stream count and picks the best sum rate, mapping
-// per-stream SNR through the MCS table.
+// power n0; otherwise it and Heff are 2×2). Transmit power txPowerMW is
+// split evenly across streams. The function tries every stream count and
+// picks the best sum rate, mapping per-stream SNR through the MCS table.
 func MIMORateMbps(p *ofdm.Params, Heff []*linalg.Matrix, noiseCov []*linalg.Matrix, txPowerMW, n0 float64) MIMORate {
 	if len(Heff) == 0 {
 		return MIMORate{}
